@@ -9,7 +9,6 @@ from fractions import Fraction
 from cornerlab import (
     BohrPartition,
     BohrSet,
-    bohr_measure,
     parse_group_spec,
     part_absorption_bound,
     translate_containment_bound,
@@ -24,7 +23,7 @@ xi = G.characters()[1]
 print("-- volume against the covering bound --")
 for rho in (Fraction(1, 3), Fraction(1, 5), Fraction(1, 8), Fraction(1, 12)):
     B = BohrSet(G, [xi], rho)
-    mu = bohr_measure(B)
+    mu = B.measure()
     lo = volume_lower_bound(1, rho)
     print(f"rho = {str(rho):>5}: mu(B) = {str(mu):>6} >= {lo}")
 

@@ -10,12 +10,9 @@ from .bohr import (
     BohrSet,
     BoxDecomposition,
     SmoothingCheck,
-    bohr_measure,
-    bohr_membership,
     box_approximation,
     check_convolution_smoothing,
     part_absorption_bound,
-    partition_label,
     translate_containment_bound,
     verify_part_absorption,
     verify_translate_containment,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BoundViolation, CapExceededError, GroupMismatchError, ValidationError
 from .fourier import GroupFunction, convolve, lp_norm
-from .groups import Character, Element, GroupSpec
+from .groups import Character, Element, GroupSpec, torus_norm_fraction
 
 RationalLike = Union[Fraction, int, float, str]
 
@@ -73,7 +73,7 @@ class BohrSet:
         if x.group != self.group:
             raise GroupMismatchError("element belongs to a different group")
         return all(
-            torus_distance_fraction(xi.eval_fraction(x)) < self.radius for xi in self.freqs
+            torus_norm_fraction(xi.eval_fraction(x)) < self.radius for xi in self.freqs
         )
 
     def __contains__(self, x: Element) -> bool:
@@ -103,19 +103,6 @@ class BohrSet:
     def mu(self, cap: int = _EXHAUSTIVE_CAP) -> GroupFunction:
         """The mean-one normalized indicator used as a convolution kernel."""
         return GroupFunction.normalized_indicator(self.group, self.mask(cap))
-
-
-def torus_distance_fraction(t: Fraction) -> Fraction:
-    t = t % 1
-    return min(t, 1 - t)
-
-
-def bohr_membership(B: BohrSet, x: Element) -> bool:
-    return B.member(x)
-
-
-def bohr_measure(B: BohrSet, cap: int = _EXHAUSTIVE_CAP) -> Fraction:
-    return B.measure(cap)
 
 
 def volume_lower_bound(s: int, rho: RationalLike) -> Fraction:
@@ -214,10 +201,6 @@ class BohrPartition:
         return GroupFunction(self.group, means[ids])
 
 
-def partition_label(P: BohrPartition, x: Element) -> tuple[int, ...]:
-    return P.label_of(x)
-
-
 def translate_containment_bound(s: int, rho: RationalLike, delta: RationalLike) -> Fraction:
     """Pinned prediction 8 * rho * |S| / delta for the translate check."""
     return 8 * _as_fraction(rho, "rho") * s / _as_fraction(delta, "delta")
@@ -266,8 +249,7 @@ def verify_translate_containment(
     xs, exhaustive = _sample_indices(group.order, sample_size, seed)
     bad = 0
     for x in xs:
-        perm = group.translate_permutation(int(x))
-        labs = ids[perm[b_idx]]
+        labs = ids[group.add_indices(x, b_idx)]
         if labs.min() != labs.max():
             bad += 1
     fraction = Fraction(bad, len(xs))
@@ -308,14 +290,13 @@ def verify_part_absorption(
     mask_B = B.mask(cap)
     b_idx = np.nonzero(mask_B)[0]
     neg = group.negation_permutation()
+    everything = np.arange(group.order, dtype=np.int64)
     xs, exhaustive = _sample_indices(group.order, sample_size, seed)
     worst = Fraction(0)
     for x in xs:
-        fwd = group.translate_permutation(int(x))
-        back = group.translate_permutation(int(neg[x]))
-        in_translate = mask_B[back]  # g in x + B  <=>  g - x in B
+        in_translate = mask_B[group.add_indices(neg[x], everything)]  # g in x + B  <=>  g - x in B
         uncovered = np.bincount(ids[~in_translate], minlength=n_parts) > 0
-        bad = int(uncovered[ids[fwd[b_idx]]].sum())
+        bad = int(uncovered[ids[group.add_indices(x, b_idx)]].sum())
         frac = Fraction(bad, len(b_idx))
         if frac > worst:
             worst = frac
@@ -400,11 +381,9 @@ def box_approximation(
     ids_fine, labels_fine, counts = fine.part_ids(cap)
     P = len(labels_fine)
 
-    # inside[x, y] <=> x + y + z0 in B; built one row at a time.
-    inside = np.empty((n, n), dtype=bool)
-    for x in range(n):
-        shift = group.translate_permutation(int((group.element(x) + z0).index))
-        inside[x] = mask_B[shift]
+    # inside[x, y] <=> x + y + z0 in B
+    idx = np.arange(n, dtype=np.int64)
+    inside = mask_B[group.add_indices(group.add_indices(idx, z0.index)[:, None], idx)]
 
     comb = ids_fine[:, None] * P + ids_fine[None, :]
     bad_per_pair = np.bincount(comb[~inside].ravel(), minlength=P * P).reshape(P, P)

@@ -40,7 +40,6 @@ _KNOWN_KEYS = (
     "seed",
     "set_file",
     "rho",
-    "delta",
     "eps",
     "growth",
     "grid_n",
@@ -55,8 +54,12 @@ _DEFAULTS = {
     "eps": "0.25",
     "growth": "poly:2,1",
     "grid_n": "6",
-    "restarts": "8",
 }
+
+# --restarts counts descent restarts for variational/envelope and alternating
+# cut-norm restarts for regularize/pipeline; unset, each keeps its library default.
+_SWEEP_RESTARTS = "8"
+_CUT_RESTARTS = "32"
 
 
 def _to_int(value: str, key: str) -> int:
@@ -264,7 +267,7 @@ def _run_sweep(resolved: dict[str, str]):
         raise ValidationError("need --density with one or more samples")
     alphas = _to_float_list(resolved["density"], "density")
     n = _to_int(resolved["grid_n"], "grid_n")
-    restarts = _to_int(resolved["restarts"], "restarts")
+    restarts = _to_int(resolved.get("restarts", _SWEEP_RESTARTS), "restarts")
     seed = _to_int(resolved["seed"], "seed")
     threads = _to_int(resolved["threads"], "threads") if "threads" in resolved else None
     return alphas, n, restarts, seed, threads
@@ -313,8 +316,11 @@ def cmd_regularize(resolved: dict[str, str]) -> int:
     eps = _to_float(resolved["eps"], "eps")
     growth = parse_growth_spec(resolved["growth"])
     seed = _to_int(resolved["seed"], "seed")
+    restarts = _to_int(resolved.get("restarts", _CUT_RESTARTS), "restarts")
     views = [v.astype(float) for v in hyperplane_views(A)]
-    dr = double_regularity(views, eps=eps, F=growth, group=A.group, seed=seed)
+    dr = double_regularity(
+        views, eps=eps, F=growth, group=A.group, restarts=restarts, seed=seed
+    )
     report = {
         "group": A.group.spec_string(),
         "order": A.group.order,
@@ -344,7 +350,9 @@ def cmd_regularize(resolved: dict[str, str]) -> int:
         "f2_cut_estimates": dr.f2_cut_estimates,
         "cut_certified": dr.cut_certified,
     }
-    entries = source + [("eps", _fmt(eps)), ("growth", growth.spec_string())]
+    entries = source + [
+        ("eps", _fmt(eps)), ("growth", growth.spec_string()), ("restarts", str(restarts))
+    ]
     body = json.dumps(_plain(report), indent=2) + "\n"
     _emit(resolved.get("out"), _header("regularize", entries) + body)
     return 0
@@ -355,8 +363,11 @@ def cmd_pipeline(resolved: dict[str, str]) -> int:
     eps = _to_float(resolved["eps"], "eps")
     growth = parse_growth_spec(resolved["growth"])
     seed = _to_int(resolved["seed"], "seed")
-    report = pipeline_lower_bound(A, eps=eps, F=growth, seed=seed)
-    entries = source + [("eps", _fmt(eps)), ("growth", growth.spec_string())]
+    restarts = _to_int(resolved.get("restarts", _CUT_RESTARTS), "restarts")
+    report = pipeline_lower_bound(A, eps=eps, F=growth, restarts=restarts, seed=seed)
+    entries = source + [
+        ("eps", _fmt(eps)), ("growth", growth.spec_string()), ("restarts", str(restarts))
+    ]
     body = json.dumps(_plain(report), indent=2) + "\n"
     _emit(resolved.get("out"), _header("pipeline", entries) + body)
     return 0
@@ -398,11 +409,14 @@ def _build_parser():
         p.add_argument("--seed", help="RNG seed (default 0)")
         p.add_argument("--set-file", dest="set_file", help="read the set from this file")
         p.add_argument("--rho", help="radius bound for zscan candidates (default 1/4)")
-        p.add_argument("--delta", help="partition width; accepted for config compatibility")
         p.add_argument("--eps", help="regularity accuracy target (default 0.25)")
         p.add_argument("--growth", help="growth spec poly:c,k or exp:c (default poly:2,1)")
         p.add_argument("--grid-n", dest="grid_n", help="grid points per axis (default 6)")
-        p.add_argument("--restarts", help="descent restarts per sample (default 8)")
+        p.add_argument(
+            "--restarts",
+            help="descent restarts per sample (default 8); cut-norm restarts "
+            "for regularize and pipeline (default 32)",
+        )
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--threads", help="worker threads; else CORNERLAB_THREADS, else 1")
     return parser

@@ -184,7 +184,8 @@ def corner_count_naive(A: PlaneSet, cap: int = _NAIVE_CAP) -> CornerProfile:
         raise CapExceededError(f"group order {n} exceeds naive-oracle cap {cap}")
     bits = A.bits
     counts = np.zeros(n, dtype=np.int64)
-    perms = [group.translate_permutation(d) for d in range(n)]
+    idx = np.arange(n)
+    perms = group.add_indices(idx[:, None], idx)  # perms[d, y] = index(y + d)
     for d in range(n):
         perm = perms[d]
         total = 0
@@ -236,17 +237,11 @@ def hyperplane_views(A: PlaneSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     f(x, y) = 1_A(x, y); g(x, z) = 1_A(x, -x-z); h(y, z) = 1_A(-y-z, y).
     """
     group = A.group
-    n = group.order
-    neg = group.negation_permutation()
+    idx = np.arange(group.order)
+    cols = group.negation_permutation()[group.add_indices(idx[:, None], idx)]  # index of -a-z
     f = A.bits.copy()
-    g = np.zeros((n, n), dtype=bool)
-    h = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        # row a of g: columns are -a-z as z runs over G
-        shift = group.translate_permutation(a)
-        cols = neg[shift]  # index of -(z + a)
-        g[a] = A.bits[a, cols]
-        h[a] = A.bits[cols, a]  # row a of h: rows are -a-z, column a
+    g = np.take_along_axis(A.bits, cols, axis=1)
+    h = A.bits[cols, idx[:, None]]
     return f, g, h
 
 
@@ -264,15 +259,12 @@ def triple_sum_from_views(
         raise GroupMismatchError("nu lives on a different group")
     f, g, h = (np.asarray(v, dtype=np.float64) for v in views)
     neg = group.negation_permutation()
-    negsum = np.zeros((n, n), dtype=np.int64)
-    for x in range(n):
-        shift = group.translate_permutation(x)
-        negsum[x] = neg[shift]  # index of -(x + y)
+    idx = np.arange(n)
+    negsum = neg[group.add_indices(idx[:, None], idx)]  # index of -(x + y)
     nu_vals = np.asarray(nu.values, dtype=np.float64)
     total = 0.0
     for z in range(n):
-        back = group.translate_permutation(int(neg[z]))
-        w = nu_vals[back[negsum]]  # nu(-x-y-z)
+        w = nu_vals[group.add_indices(negsum, neg[z])]  # nu(-x-y-z)
         total += float(np.einsum("xy,x,y,xy->", f, g[:, z], h[:, z], w))
     return total / n**3
 

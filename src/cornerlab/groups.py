@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -37,6 +37,11 @@ def torus_norm_fraction(t: Fraction) -> Fraction:
     """Exact torus norm of a rational point."""
     frac = t - math.floor(t)
     return min(frac, 1 - frac)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -98,32 +103,54 @@ class GroupSpec:
     def __iter__(self) -> Iterator["Element"]:
         return iter(self.enumerate())
 
-    def coords_matrix(self) -> np.ndarray:
-        """(order, rank) int64 array: row i holds the coordinates of element i."""
+    @cached_property
+    def _coords(self) -> np.ndarray:
         idx = np.arange(self.order, dtype=np.int64)
-        cols = [
-            (idx // s) % n for n, s in zip(self.moduli, self._strides)
-        ]
-        return np.stack(cols, axis=1)
+        cols = [(idx // s) % n for n, s in zip(self.moduli, self._strides)]
+        return _read_only(np.stack(cols, axis=1))
+
+    @cached_property
+    def _neg(self) -> np.ndarray:
+        moduli = np.asarray(self.moduli, dtype=np.int64)
+        return _read_only(self.index_of_coords((-self._coords) % moduli))
+
+    def coords_matrix(self) -> np.ndarray:
+        """(order, rank) int64 array: row i holds the coordinates of element i.
+
+        Computed once per instance and shared, so the array is read-only.
+        """
+        return self._coords
 
     def index_of_coords(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized inverse of coords_matrix (coords already reduced mod n_i)."""
         strides = np.asarray(self._strides, dtype=np.int64)
         return coords @ strides
 
+    def add_indices(self, a, b) -> np.ndarray:
+        """index(element(a) + element(b)) for broadcasting integer index arrays.
+
+        The group law on indices: each mixed-radix digit is summed mod n_i in
+        turn, so no (..., rank) coordinate array is built.
+        """
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        for n, s in zip(self.moduli, self._strides):
+            digit = a // s + b // s
+            digit %= n
+            digit *= s
+            out += digit
+        return out
+
     def translate_permutation(self, d_index: int) -> np.ndarray:
         """Permutation array P with P[i] = index(element(i) + element(d_index))."""
-        coords = self.coords_matrix()
-        d = self.element(d_index).coords
-        moduli = np.asarray(self.moduli, dtype=np.int64)
-        shifted = (coords + np.asarray(d, dtype=np.int64)) % moduli
-        return self.index_of_coords(shifted)
+        if not 0 <= d_index < self.order:
+            raise ValidationError(f"index {d_index} out of range for group of order {self.order}")
+        return self.add_indices(np.arange(self.order, dtype=np.int64), d_index)
 
     def negation_permutation(self) -> np.ndarray:
-        """Permutation array N with N[i] = index(-element(i))."""
-        coords = self.coords_matrix()
-        moduli = np.asarray(self.moduli, dtype=np.int64)
-        return self.index_of_coords((-coords) % moduli)
+        """Read-only permutation array N with N[i] = index(-element(i))."""
+        return self._neg
 
     def characters(self) -> list["Character"]:
         """The full dual group, indexed in the same mixed-radix order."""
@@ -238,13 +265,3 @@ class Character:
             [a * (L // n) for a, n in zip(self.coeffs, self.group.moduli)], dtype=np.int64
         )
         return (coords @ weights) % L
-
-
-def char_eval(xi: Character, x: Element) -> float:
-    """xi(x) as a float in [0, 1), computed from the exact rational value."""
-    return float(xi.eval_fraction(x))
-
-
-def add(x: Element, y: Element) -> Element:
-    """Group law; componentwise sum mod n_i."""
-    return x + y

@@ -386,20 +386,15 @@ def weak_regularity(
     return WeakRegularityResult(part, rounds, energy_history, residuals, exact_used, records)
 
 
-def _capped_width_denominator(required: int, prev: int | None, finest: int) -> tuple[int, bool]:
-    """Smallest multiple of prev at or above required, capped near finest.
+def _capped_width_denominator(required: int, prev: int, finest: int) -> tuple[int, bool]:
+    """Smallest multiple of prev at or above min(required, finest).
 
     Any denominator >= finest (the group exponent) induces the finest
     partition the frequency set can express, so larger requirements are
     capped at the first admissible value past finest.
     """
-    base = prev if prev is not None else 1
-    target = min(required, finest) if required > finest else required
-    den = base * math.ceil(target / base)
-    capped = required > den
-    if den < 1:
-        den = base
-    return den, capped
+    den = prev * math.ceil(min(required, finest) / prev)
+    return den, required > den
 
 
 @dataclass
@@ -469,7 +464,7 @@ def bohr_regularize(
     S: list[Character] = []
     S_coeffs: set = set()
     rho = Fraction(1)  # rho_0 = 1; only 1/rho enters the width rule
-    N_i, width_capped = _capped_width_denominator(F.ceil_value(1.0), None, L)
+    N_i, width_capped = _capped_width_denominator(F.ceil_value(1.0), 1, L)
     history: list[dict] = []
     i = 0
     degenerate = False

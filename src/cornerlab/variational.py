@@ -194,9 +194,8 @@ def _project_to_slice(vals: np.ndarray, weight: np.ndarray, alpha: float) -> np.
             hi = mid
     out = np.clip(vals - mid, 0.0, 1.0)
     achieved = float(np.dot(w, out.ravel()))
-    assert abs(achieved - alpha) <= _MEAN_FEASIBLE_TOL, (
-        f"projection missed the mean constraint: {achieved!r} vs {alpha!r}"
-    )
+    if abs(achieved - alpha) > _MEAN_FEASIBLE_TOL:
+        raise BoundViolation(f"projection missed the mean constraint: {achieved!r} vs {alpha!r}")
     return out
 
 
@@ -288,22 +287,16 @@ def minimize_T(
 
     w = np.full(n, 1.0 / n)
     weight = np.einsum("i,j,k->ijk", w, w, w)
-    best_vals: np.ndarray | None = None
-    best_t = np.inf
-    per_restart = []
-    for r in range(restarts):
-        start = _restart_start(r, n, alpha, seed, restarts)
-        phi, t = _descend(start, weight, w, w, w, alpha, max_iters, step)
-        per_restart.append(t)
-        if t < best_t:
-            best_vals, best_t = phi, t
+    starts = [_restart_start(r, n, alpha, seed, restarts) for r in range(restarts)]
+    runs = [_descend(s, weight, w, w, w, alpha, max_iters, step) for s in starts]
+    per_restart = [t for _, t in runs]
+    best_vals, best_t = runs[int(np.argmin(per_restart))]  # first minimum wins
     lower = alpha**4 - _LOWER_SLACK
     upper = alpha**3 + _UPPER_SLACK
     if not lower <= best_t <= upper:
         raise BoundViolation(
             f"estimate {best_t!r} escaped [{lower!r}, {upper!r}] at alpha={alpha!r}"
         )
-    assert best_vals is not None
     return MinimizeResult(
         GridFunction(w, w, w, best_vals), float(best_t), tuple(per_restart)
     )
@@ -335,9 +328,11 @@ class EnvelopePoints:
             raise ValidationError("hull must have at least one vertex")
         for i in range(len(hx) - 2):
             turn = _cross(hx[i], hy[i], hx[i + 1], hy[i + 1], hx[i + 2], hy[i + 2])
-            assert turn >= 0.0, "hull vertices must make convex turns"
+            if turn < 0.0:
+                raise BoundViolation("hull vertices must make convex turns")
         for a, v in zip(self.alphas, self.values):
-            assert self.envelope_at(a) <= v + 1e-12, "envelope must sit below samples"
+            if self.envelope_at(a) > v + 1e-12:
+                raise BoundViolation("envelope must sit below samples")
 
     def envelope_at(self, alpha: float) -> float:
         return float(np.interp(alpha, self.hull_alphas, self.hull_values))
@@ -503,9 +498,8 @@ def phi_from_partition(inst: BoxInstance) -> tuple[np.ndarray, GridFunction]:
     )
     got = float(np.dot(weight.ravel(), raw.ravel()))
     expected = inst.set_mass / inst.hyperplane_mass
-    assert abs(got - expected) <= 1e-12, (
-        f"mean of raw densities {got!r} != mass ratio {expected!r}"
-    )
+    if abs(got - expected) > 1e-12:
+        raise BoundViolation(f"mean of raw densities {got!r} != mass ratio {expected!r}")
     phi_vals = np.where(inst.fiber_mask(), np.minimum(raw, 1.0), 0.0)
     grid = GridFunction(inst.delta_x, inst.delta_y, inst.delta_z, phi_vals)
     return raw, grid
@@ -527,18 +521,9 @@ def T_of_box(inst: BoxInstance) -> float:
         np.einsum("i,j,k,ijk,ij,ik,jk->", dx, dy, dz, mask, F, G, H)
     )
     t_phi = evaluate_T(grid)
-    assert t_phi <= t_v + 1e-12, (
-        f"truncated value {t_phi!r} exceeds box surrogate {t_v!r}"
-    )
+    if t_phi > t_v + 1e-12:
+        raise BoundViolation(f"truncated value {t_phi!r} exceeds box surrogate {t_v!r}")
     return t_v
-
-
-def _addition_table(group) -> np.ndarray:
-    n = group.order
-    table = np.empty((n, n), dtype=np.int64)
-    for d in range(n):
-        table[d] = group.translate_permutation(d)
-    return table
 
 
 def _block_value_matrix(labels: np.ndarray, part_count: int, projected: np.ndarray) -> np.ndarray:
@@ -597,7 +582,8 @@ def pipeline_lower_bound(
     g0 = _block_value_matrix(labels, m, dr.f_components[1][0])
     h0 = _block_value_matrix(labels, m, dr.f_components[2][0])
 
-    add = _addition_table(group)
+    idx = np.arange(n)
+    add = group.add_indices(idx[:, None], idx)
     neg = group.negation_permutation()
     nuneg = nu.values[neg]
     pair_key = (labels[:, None] * m + labels[None, :]) * n + add

@@ -15,13 +15,10 @@ from cornerlab import (
     Character,
     GroupFunction,
     ValidationError,
-    bohr_measure,
-    bohr_membership,
     box_approximation,
     check_convolution_smoothing,
     parse_group_spec,
     part_absorption_bound,
-    partition_label,
     translate_containment_bound,
     verify_part_absorption,
     verify_translate_containment,
@@ -39,8 +36,8 @@ def first_char(G):
 def test_membership_known_points_z12():
     G = parse_group_spec("Z12")
     B = BohrSet(G, [first_char(G)], Fraction(1, 5))
-    assert bohr_membership(B, G.element(2))  # ||2/12|| = 1/6 < 1/5
-    assert not bohr_membership(B, G.element(3))  # 1/4 >= 1/5
+    assert B.member(G.element(2))  # ||2/12|| = 1/6 < 1/5
+    assert not B.member(G.element(3))  # 1/4 >= 1/5
     members = sorted(int(i) for i in B.indices())
     assert members == [0, 1, 2, 10, 11]
 
@@ -83,14 +80,14 @@ def test_radius_validation():
 def test_measure_z12_example():
     G = parse_group_spec("Z12")
     B = BohrSet(G, [first_char(G)], Fraction(1, 5))
-    assert bohr_measure(B) == Fraction(5, 12)
+    assert B.measure() == Fraction(5, 12)
 
 
 def test_measure_trivial_and_empty_frequency_sets():
     G = parse_group_spec("Z12")
     trivial = G.characters()[0]
-    assert bohr_measure(BohrSet(G, [trivial], Fraction(1, 5))) == 1
-    assert bohr_measure(BohrSet(G, [], Fraction(1, 5))) == 1
+    assert BohrSet(G, [trivial], Fraction(1, 5)).measure() == 1
+    assert BohrSet(G, [], Fraction(1, 5)).measure() == 1
 
 
 def test_volume_lower_bound_values():
@@ -112,7 +109,7 @@ def test_volume_bound_holds_on_seeded_draws():
         S = [chars[int(i)] for i in picks]
         rho = Fraction(1, int(rng.integers(2, 13)))
         B = BohrSet(G, S, rho)
-        assert bohr_measure(B) >= volume_lower_bound(len(B.freqs), rho)
+        assert B.measure() >= volume_lower_bound(len(B.freqs), rho)
 
 
 def test_monotonicity_in_radius_and_frequency_set():
@@ -134,9 +131,9 @@ def test_monotonicity_in_radius_and_frequency_set():
 def test_partition_labels_z12():
     G = parse_group_spec("Z12")
     P = BohrPartition(G, [first_char(G)], Fraction(1, 4))
-    assert partition_label(P, G.zero()) == (1,)
-    assert partition_label(P, G.element(3)) == (2,)
-    assert partition_label(P, G.element(11)) == (4,)
+    assert P.label_of(G.zero()) == (1,)
+    assert P.label_of(G.element(3)) == (2,)
+    assert P.label_of(G.element(11)) == (4,)
 
 
 def test_partition_covers_group_and_labels_depend_on_character_values():

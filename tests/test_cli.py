@@ -150,6 +150,27 @@ def test_pipeline_emits_json_report(capsys):
         assert key in report
 
 
+@pytest.mark.parametrize("command, target", [
+    ("regularize", "double_regularity"), ("pipeline", "pipeline_lower_bound"),
+])
+def test_report_commands_pass_restarts_through(capsys, monkeypatch, command, target):
+    import cornerlab.cli as cli
+
+    seen = []
+    real = getattr(cli, target)
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["restarts"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, target, spy)
+    code, out, _ = run_cli(capsys, command, "--group", "Z32", "--density", "0.5", "--restarts", "1")
+    assert code == 0 and seen == [1]
+    assert "# restarts=1\n" in out
+    run_cli(capsys, command, "--group", "Z32", "--density", "0.5")
+    assert seen == [1, 32]
+
+
 # ------------------------------------------------------------ configuration
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornerlab import (
     CapExceededError,
@@ -73,6 +75,33 @@ def test_permutations_match_element_arithmetic():
             assert perm[i] == (G.element(i) + delta).index
     for i in range(n):
         assert neg[i] == (-G.element(i)).index
+
+
+@st.composite
+def group_and_indices(draw):
+    """A cyclic or product group (factors of order 1 allowed) and index samples."""
+    G = GroupSpec(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)))
+    index = st.integers(0, G.order - 1)
+    a = draw(st.lists(index, min_size=1, max_size=6))
+    b = draw(st.lists(index, min_size=1, max_size=6))
+    return G, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_and_indices())
+def test_index_law_matches_element_arithmetic(case):
+    G, a, b = case
+    table = G.add_indices(np.array(a)[:, None], np.array(b)[None, :])
+    assert table.tolist() == [[(G.element(x) + G.element(y)).index for y in b] for x in a]
+    neg = G.negation_permutation()
+    assert [int(neg[x]) for x in a] == [(-G.element(x)).index for x in a]
+    for d in a:
+        perm = G.translate_permutation(d)
+        assert np.array_equal(np.sort(perm), np.arange(G.order))
+        assert [int(perm[y]) for y in b] == [(G.element(y) + G.element(d)).index for y in b]
+    for cached in (neg, G.coords_matrix()):
+        with pytest.raises(ValueError):
+            cached[0] = 0
 
 
 def test_trivial_character_evaluates_to_zero():

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from cornerlab import (
+    BoundViolation,
     BoxInstance,
     parse_growth_spec,
     CapExceededError,
+    EnvelopePoints,
     GridFunction,
     PlaneSet,
     T_of_box,
@@ -198,6 +200,20 @@ def test_sweep_is_thread_invariant():
 def test_sweep_needs_two_samples():
     with pytest.raises(ValidationError):
         sweep_and_envelope([0.5], 3)
+
+
+@pytest.mark.parametrize(
+    "hull_values, values",
+    [
+        ((0.0, 0.3, 0.4), (0.0, 0.3, 0.4)),  # concave middle knot
+        ((0.0, 0.1, 0.4), (0.0, 0.05, 0.4)),  # envelope above a sample
+    ],
+)
+def test_envelope_invariants_raise_bound_violation(hull_values, values):
+    # a plain assert would vanish under python -O
+    alphas = (0.2, 0.5, 0.8)
+    with pytest.raises(BoundViolation):
+        EnvelopePoints(alphas, values, values, alphas, hull_values)
 
 
 # ------------------------------------------------------------------- bridge
