@@ -60,7 +60,6 @@ from .groups import (
     torus_norm,
     torus_norm_fraction,
 )
-from .parallel import deterministic_map, resolve_thread_count
 from .regularity import (
     BohrDecomposition,
     DoubleRegularityResult,

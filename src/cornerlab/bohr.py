@@ -23,7 +23,13 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import BoundViolation, CapExceededError, GroupMismatchError, ValidationError
+from .errors import (
+    BoundViolation,
+    CapExceededError,
+    GroupMismatchError,
+    ValidationError,
+    check_seed,
+)
 from .fourier import GroupFunction, convolve, lp_norm
 from .groups import Character, Element, GroupSpec, torus_norm_fraction
 
@@ -141,10 +147,6 @@ class BohrPartition:
         """N = 1/width."""
         return self.width.denominator
 
-    @property
-    def nominal_part_count(self) -> int:
-        return self.resolution ** len(self.freqs)
-
     def label_of(self, x: Element) -> tuple[int, ...]:
         """s_i = 1 + floor(N * xi_i(x)), exact; labels live in [N]^{|S|}."""
         if x.group != self.group:
@@ -216,6 +218,7 @@ def part_absorption_bound(s: int, rho: RationalLike, delta_prime: RationalLike) 
 
 def _sample_indices(n: int, sample_size, seed: int) -> tuple[np.ndarray, bool]:
     """All indices, or a seeded subset; second item flags exhaustiveness."""
+    check_seed(seed)
     if sample_size is None or sample_size >= n:
         return np.arange(n, dtype=np.int64), True
     if sample_size <= 0:

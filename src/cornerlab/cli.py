@@ -4,12 +4,11 @@ Every command resolves its parameters from (in increasing precedence)
 built-in defaults, an optional key=value config file, and command-line
 flags, then emits CSV or JSON prefixed with comment lines that record the
 resolved configuration.  Output formatting is locale-free with round-trip
-float reprs, and the worker-pool reductions preserve input order, so a
-rerun with the same configuration is byte-identical regardless of the
-thread count.
+float reprs, and every computation runs serially in input order, so a rerun
+with the same configuration is byte-identical.
 
 Exit codes: 0 on success, 2 for validation or I/O problems, 3 when a size
-cap is exceeded, 4 when a hard bound or internal assertion fails.
+cap is exceeded, 4 when a hard bound fails (BoundViolation).
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ from .corners import (
 )
 from .errors import BoundViolation, CapExceededError, GroupMismatchError, ValidationError
 from .groups import parse_group_spec
-from .regularity import double_regularity, parse_growth_spec
+from .regularity import DOUBLE_CAP, double_regularity, parse_growth_spec
 from .variational import minimize_T, pipeline_lower_bound, sweep_and_envelope
 
 _ZSCAN_CAP = 512
@@ -44,7 +43,6 @@ _KNOWN_KEYS = (
     "growth",
     "grid_n",
     "restarts",
-    "threads",
     "out",
 )
 
@@ -197,8 +195,7 @@ def _element_repr(element) -> str:
 def cmd_scan(resolved: dict[str, str]) -> int:
     A, source = _load_plane_set(resolved)
     group = A.group
-    threads = _to_int(resolved["threads"], "threads") if "threads" in resolved else None
-    profile = corner_count_by_difference(A, threads=threads)
+    profile = corner_count_by_difference(A)
     d_star, best = popular_difference(A, profile)
     alpha = A.density
     rows = ["d_index,d_repr,count"]
@@ -216,8 +213,7 @@ def cmd_scan(resolved: dict[str, str]) -> int:
 
 def cmd_popular(resolved: dict[str, str]) -> int:
     A, source = _load_plane_set(resolved)
-    threads = _to_int(resolved["threads"], "threads") if "threads" in resolved else None
-    profile = corner_count_by_difference(A, threads=threads)
+    profile = corner_count_by_difference(A)
     d_star, best = popular_difference(A, profile)
     alpha = A.density
     lines = [
@@ -269,21 +265,18 @@ def _run_sweep(resolved: dict[str, str]):
     n = _to_int(resolved["grid_n"], "grid_n")
     restarts = _to_int(resolved.get("restarts", _SWEEP_RESTARTS), "restarts")
     seed = _to_int(resolved["seed"], "seed")
-    threads = _to_int(resolved["threads"], "threads") if "threads" in resolved else None
-    return alphas, n, restarts, seed, threads
+    return alphas, n, restarts, seed
 
 
 def cmd_variational(resolved: dict[str, str]) -> int:
-    alphas, n, restarts, seed, threads = _run_sweep(resolved)
+    alphas, n, restarts, seed = _run_sweep(resolved)
     rows = ["alpha,m_hat,envelope,alpha3,alpha4,n,restarts,seed"]
     if len(alphas) == 1:
         a = alphas[0]
         value = minimize_T(a, n, restarts=restarts, seed=seed).value
         samples = [(a, value, value, seed)]
     else:
-        env = sweep_and_envelope(
-            alphas, n, restarts=restarts, seed=seed, threads=threads
-        )
+        env = sweep_and_envelope(alphas, n, restarts=restarts, seed=seed)
         samples = [
             (a, env.values[i], env.envelope_at(a), seed + i)
             for i, a in enumerate(alphas)
@@ -299,10 +292,10 @@ def cmd_variational(resolved: dict[str, str]) -> int:
 
 
 def cmd_envelope(resolved: dict[str, str]) -> int:
-    alphas, n, restarts, seed, threads = _run_sweep(resolved)
+    alphas, n, restarts, seed = _run_sweep(resolved)
     if len(alphas) < 2:
         raise ValidationError("envelope needs at least two density samples")
-    env = sweep_and_envelope(alphas, n, restarts=restarts, seed=seed, threads=threads)
+    env = sweep_and_envelope(alphas, n, restarts=restarts, seed=seed)
     rows = ["alpha,envelope"]
     for a, v in zip(env.hull_alphas, env.hull_values):
         rows.append(f"{_fmt(a)},{_fmt(v)}")
@@ -317,6 +310,8 @@ def cmd_regularize(resolved: dict[str, str]) -> int:
     growth = parse_growth_spec(resolved["growth"])
     seed = _to_int(resolved["seed"], "seed")
     restarts = _to_int(resolved.get("restarts", _CUT_RESTARTS), "restarts")
+    if A.group.order > DOUBLE_CAP:
+        raise CapExceededError(f"group order {A.group.order} exceeds cap {DOUBLE_CAP}")
     views = [v.astype(float) for v in hyperplane_views(A)]
     dr = double_regularity(
         views, eps=eps, F=growth, group=A.group, restarts=restarts, seed=seed
@@ -418,7 +413,6 @@ def _build_parser():
             "for regularize and pipeline (default 32)",
         )
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--threads", help="worker threads; else CORNERLAB_THREADS, else 1")
     return parser
 
 
@@ -428,7 +422,7 @@ def main(argv=None) -> int:
     try:
         resolved = _resolve(args)
         return _COMMANDS[args.command](resolved)
-    except (BoundViolation, AssertionError) as exc:
+    except BoundViolation as exc:
         print(f"cornerlab: bound violated: {exc}", file=sys.stderr)
         return 4
     except CapExceededError as exc:

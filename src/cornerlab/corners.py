@@ -21,7 +21,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bohr import BohrSet, RationalLike, _as_fraction
-from .errors import CapExceededError, GroupMismatchError, ValidationError
+from .errors import (
+    BoundViolation,
+    CapExceededError,
+    GroupMismatchError,
+    ValidationError,
+    check_seed,
+)
 from .fourier import GroupFunction
 from .groups import Character, Element, GroupSpec, parse_group_spec
 from .parallel import deterministic_map
@@ -53,6 +59,7 @@ class PlaneSet:
         """Bernoulli(density) per cell from numpy's default PCG64 stream."""
         if not (0 <= density <= 1):
             raise ValidationError(f"density must lie in [0, 1], got {density}")
+        check_seed(seed)
         if group.order > PROFILE_CAP:
             raise CapExceededError(
                 f"plane sets are capped at |G| <= {PROFILE_CAP}, got {group.order}"
@@ -147,9 +154,7 @@ class CornerProfile:
         return self.total / self.group.order**3
 
 
-def corner_count_by_difference(
-    A: PlaneSet, cap: int = PROFILE_CAP, threads: int | None = None
-) -> CornerProfile:
+def corner_count_by_difference(A: PlaneSet, cap: int = PROFILE_CAP) -> CornerProfile:
     """Exact N(d) for every d, via packed-row AND/popcount.
 
     For fixed d the three constraints are the bit matrix itself, its columns
@@ -169,10 +174,10 @@ def corner_count_by_difference(
         both = packed & shifted_cols & packed[perm]
         return int(np.bitwise_count(both).sum())
 
-    counts = deterministic_map(count_one, range(n), threads)
+    counts = deterministic_map(count_one, range(n))
     profile = CornerProfile(group, np.asarray(counts, dtype=np.int64))
     if profile.counts[0] != A.size:
-        raise AssertionError("N(0) must equal |A|; packed path is inconsistent")
+        raise BoundViolation("N(0) must equal |A|; packed path is inconsistent")
     return profile
 
 

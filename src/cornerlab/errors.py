@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all cornerlab modules.
+"""Exception hierarchy shared by all cornerlab modules, and the seed check.
 
 The CLI maps these onto its exit codes: ValidationError -> 2,
 CapExceededError -> 3, BoundViolation -> 4.
@@ -23,3 +23,9 @@ class CapExceededError(CornerlabError):
 
 class BoundViolation(CornerlabError):
     """A hard mathematical bound that must hold on every run failed."""
+
+
+def check_seed(seed: int) -> None:
+    """numpy seeds must be nonnegative; reject others before any work starts."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")

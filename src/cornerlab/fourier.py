@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, GroupMismatchError, ValidationError
+from .errors import BoundViolation, CapExceededError, GroupMismatchError, ValidationError
 from .groups import Character, GroupSpec
 
 DEFAULT_TRANSFORM_CAP = 2**20
@@ -159,7 +159,8 @@ def convolve_direct(f: GroupFunction, g: GroupFunction) -> GroupFunction:
 def large_spectrum(f: GroupFunction, threshold: float, cap: int = DEFAULT_TRANSFORM_CAP) -> set[Character]:
     """Frequencies with |fhat(xi)| >= threshold.
 
-    Plancherel forces |result| <= ||f||_{L2}^2 / threshold^2; this is asserted.
+    Plancherel forces |result| <= ||f||_{L2}^2 / threshold^2; a larger result
+    raises BoundViolation.
     """
     if threshold <= 0:
         raise ValidationError("large-spectrum threshold must be positive")
@@ -167,7 +168,7 @@ def large_spectrum(f: GroupFunction, threshold: float, cap: int = DEFAULT_TRANSF
     hits = np.nonzero(np.abs(spec.coefficients) >= threshold)[0]
     bound = lp_norm(f, 2) ** 2 / threshold**2
     if len(hits) > bound + 1e-9:
-        raise AssertionError(
+        raise BoundViolation(
             f"large spectrum of size {len(hits)} exceeds Plancherel bound {bound}"
         )
     coords = f.group.coords_matrix()

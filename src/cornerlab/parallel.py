@@ -1,44 +1,16 @@
-"""Thread-pool plumbing with deterministic reduction order.
+"""The per-difference map of the corner profile.
 
-Work is distributed over a pool, but results are always joined in input
-order, so outputs are identical for any thread count.  numpy releases the
-GIL on the array kernels that dominate here, which is why plain threads are
-enough.
+A plain in-order map, kept as a named function so that a profiler can wrap
+the profile's inner loop by name.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-from .errors import ValidationError
-
-THREADS_ENV_VAR = "CORNERLAB_THREADS"
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def resolve_thread_count(requested: int | None = None) -> int:
-    """Explicit argument, else the CORNERLAB_THREADS variable, else 1."""
-    if requested is None:
-        raw = os.environ.get(THREADS_ENV_VAR)
-        if raw is None:
-            return 1
-        try:
-            requested = int(raw)
-        except ValueError:
-            raise ValidationError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    if requested < 1:
-        raise ValidationError(f"thread count must be >= 1, got {requested}")
-    return requested
-
-
-def deterministic_map(fn: Callable[[T], R], items: Iterable[T], threads: int | None = None) -> list[R]:
-    """map(fn, items) with results in input order regardless of scheduling."""
-    work: Sequence[T] = list(items)
-    n = resolve_thread_count(threads)
-    if n == 1 or len(work) <= 1:
-        return [fn(item) for item in work]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, work))
+def deterministic_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+    """[fn(item) for item in items], in input order."""
+    return [fn(item) for item in items]

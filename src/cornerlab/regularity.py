@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .bohr import BohrPartition, BohrSet
-from .errors import BoundViolation, CapExceededError, ValidationError
+from .errors import BoundViolation, CapExceededError, ValidationError, check_seed
 from .fourier import GroupFunction, convolve, dft, large_spectrum, lp_norm
 from .groups import Character, GroupSpec
 
@@ -36,7 +36,7 @@ CUT_EXACT_CAP = 22
 _CUT_AUTO_EXACT = 16
 _WEAK_CAP = 2**8
 _BOHR_CAP = 2**10
-_DOUBLE_CAP = 2**7
+DOUBLE_CAP = 2**7
 _SPECTRUM_FLOOR = 1e-15
 _ALTERNATING_RESTARTS = 32
 
@@ -57,6 +57,8 @@ class GrowthFunction:
     def __post_init__(self):
         if self.kind not in ("polynomial", "exponential"):
             raise ValidationError(f"unknown growth kind {self.kind!r}")
+        if not (math.isfinite(self.c) and math.isfinite(self.k)):
+            raise ValidationError(f"growth parameters must be finite, got {self.c!r}, {self.k!r}")
         if self.c < 1:
             raise ValidationError("growth coefficient c must be >= 1")
         if self.kind == "polynomial" and self.k < 0:
@@ -140,9 +142,6 @@ class Partition:
     def sizes(self) -> np.ndarray:
         return self._sizes.copy()
 
-    def part_indices(self) -> list[np.ndarray]:
-        return [np.nonzero(self.labels == k)[0] for k in range(self.part_count)]
-
     def common_refinement(self, other: "Partition") -> "Partition":
         if other.group != self.group:
             raise ValidationError("partitions live on different groups")
@@ -189,6 +188,11 @@ class Partition:
             GroupFunction(self.group, (self.labels == k).astype(np.float64))
             for k in range(self.part_count)
         ]
+
+
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValidationError(f"eps must be finite and positive, got {eps!r}")
 
 
 def _check_plane_inputs(fs: Sequence[np.ndarray], group: GroupSpec, cap: int) -> list[np.ndarray]:
@@ -274,6 +278,7 @@ def cut_norm_witness(
         raise ValidationError("cut norm needs a square matrix")
     if not np.all(np.isfinite(M)):
         raise ValidationError("cut norm input must be finite")
+    check_seed(seed)
     n = M.shape[0]
     if mode == "auto":
         mode = "exact" if n <= _CUT_AUTO_EXACT else "alternating"
@@ -336,10 +341,10 @@ def weak_regularity(
     sum exceeds eps, the partition is split by the witness row and column
     sets.  That split raises the witness function's projection energy by more
     than eps^2, and energies are bounded by 1, so the total number of rounds
-    is at most sum_f ceil(1/eps^2); exceeding it raises AssertionError.
+    is at most sum_f ceil(1/eps^2); exceeding it raises BoundViolation.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    _check_eps(eps)
+    check_seed(seed)
     arrays = _check_plane_inputs(fs, group, cap)
     part = initial if initial is not None else Partition.trivial(group)
     if part.group != group:
@@ -374,7 +379,7 @@ def weak_regularity(
         rounds += 1
         energy_history.append([part.plane_energy(f) for f in arrays])
         if rounds > round_bound:
-            raise AssertionError(
+            raise BoundViolation(
                 f"weak regularity exceeded its energy-increment bound of {round_bound} rounds"
             )
     residuals = [
@@ -435,7 +440,7 @@ def bohr_regularize(
     reaches 1/F(|F_i|/delta_i), set the next radius to 1/F(|S_{i+1}|/delta_i),
     and stop as soon as every input moves by at most 1/F(1) in L2 between
     consecutive projections.  Telescoping orthogonality forces termination
-    within m*F(1)^2 rounds, which is asserted.
+    within m*F(1)^2 rounds; running longer raises BoundViolation.
 
     eps plays no computational role here: the growth function is chosen in
     terms of it by the caller.  It is recorded in the history for traceability.
@@ -529,7 +534,7 @@ def bohr_regularize(
             break
         i += 1
         if i > max_rounds + 1e-9:
-            raise AssertionError(
+            raise BoundViolation(
                 f"regularization ran {i} rounds, beyond the telescoping bound {max_rounds}"
             )
         S, S_coeffs, rho, N_i, width_capped = S_next, coeffs_next, rho_next, N_next, next_capped
@@ -600,7 +605,7 @@ def double_regularity(
     mode: str = "auto",
     restarts: int = _ALTERNATING_RESTARTS,
     seed: int = 0,
-    cap: int = _DOUBLE_CAP,
+    cap: int = DOUBLE_CAP,
 ) -> DoubleRegularityResult:
     """Alternate spectral and weak regularity until box averages stabilize.
 
@@ -609,10 +614,10 @@ def double_regularity(
     partition, then applies weak regularity at threshold 1/F(|Pi|) to the
     plane functions.  The loop exits when no f moves more than 1/F(1/eps)
     in L2 between consecutive box averages; the telescoping argument bounds
-    the outer rounds by t*F(1/eps)^2, which is asserted.
+    the outer rounds by t*F(1/eps)^2; running longer raises BoundViolation.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    _check_eps(eps)
+    check_seed(seed)
     arrays = _check_plane_inputs(fs, group, cap)
     if t is None:
         t = len(arrays)
@@ -660,7 +665,7 @@ def double_regularity(
         pi_i = pi_next
         i += 1
         if i > max_rounds + 1e-9:
-            raise AssertionError(
+            raise BoundViolation(
                 f"double regularity ran {i} rounds, beyond the bound {max_rounds}"
             )
     f_components = []

@@ -27,14 +27,14 @@ import numpy as np
 
 from .bohr import BohrSet
 from .corners import PlaneSet, hyperplane_views, weighted_corner_count
-from .errors import BoundViolation, CapExceededError, ValidationError
-from .parallel import deterministic_map, resolve_thread_count
+from .errors import BoundViolation, CapExceededError, ValidationError, check_seed
 from .regularity import GrowthFunction, Partition, double_regularity
 
 _PROJECTION_ITERS = 50
 _PROJECTION_TOL = 1e-12
 _MEAN_FEASIBLE_TOL = 1e-10
 _DESCENT_CAP = 10_000
+_INITIAL_STEP = 1.0
 _STEP_FLOOR = 1e-10
 _LOWER_SLACK = 1e-6
 _UPPER_SLACK = 1e-9
@@ -106,12 +106,6 @@ class GridFunction:
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.weights_x.size, self.weights_y.size, self.weights_z.size)
-
-    def weight_tensor(self) -> np.ndarray:
-        """Outer product of the three axis weights; sums to 1."""
-        return np.einsum(
-            "i,j,k->ijk", self.weights_x, self.weights_y, self.weights_z
-        )
 
     def mean(self) -> float:
         return float(
@@ -234,12 +228,11 @@ def _descend(
     wy: np.ndarray,
     wz: np.ndarray,
     alpha: float,
-    max_iters: int,
-    step: float,
 ) -> tuple[np.ndarray, float]:
     phi = _project_to_slice(vals, weight, alpha)
     t = _t_value(wx, wy, wz, phi)
-    for _ in range(max_iters):
+    step = _INITIAL_STEP
+    for _ in range(_DESCENT_CAP):
         direction = _bracket(wx, wy, wz, phi)
         cand = _project_to_slice(phi - step * direction, weight, alpha)
         tc = _t_value(wx, wy, wz, cand)
@@ -256,8 +249,6 @@ def minimize_T(
     alpha: float,
     n: int,
     restarts: int = 8,
-    max_iters: int = _DESCENT_CAP,
-    step: float = 1.0,
     seed: int = 0,
 ) -> MinimizeResult:
     """Estimate the infimum of T over mean-alpha grid functions on [n]^3.
@@ -280,6 +271,7 @@ def minimize_T(
         raise ValidationError("grid needs n >= 2 points per axis")
     if restarts < 1:
         raise ValidationError("at least one restart required")
+    check_seed(seed)
     if alpha == 0.0:
         return MinimizeResult(GridFunction.constant(n, 0.0), 0.0, (0.0,) * restarts)
     if alpha == 1.0:
@@ -288,7 +280,7 @@ def minimize_T(
     w = np.full(n, 1.0 / n)
     weight = np.einsum("i,j,k->ijk", w, w, w)
     starts = [_restart_start(r, n, alpha, seed, restarts) for r in range(restarts)]
-    runs = [_descend(s, weight, w, w, w, alpha, max_iters, step) for s in starts]
+    runs = [_descend(s, weight, w, w, w, alpha) for s in starts]
     per_restart = [t for _, t in runs]
     best_vals, best_t = runs[int(np.argmin(per_restart))]  # first minimum wins
     lower = alpha**4 - _LOWER_SLACK
@@ -351,16 +343,12 @@ def sweep_and_envelope(
     alphas: Sequence[float],
     n: int,
     restarts: int = 8,
-    max_iters: int = _DESCENT_CAP,
-    step: float = 1.0,
     seed: int = 0,
-    threads: int | None = None,
 ) -> EnvelopePoints:
     """Run minimize_T over a sorted density grid and take the convex minorant.
 
-    Each sample solves with its own derived seed; samples are independent and
-    map over the worker pool in input order, so the output never depends on
-    the thread count.  A right-to-left repair pass replaces any estimate that
+    Sample i solves with seed + i, one sample after another in input order.
+    A right-to-left repair pass replaces any estimate that
     exceeds the cubic rescaling of its right neighbor: scaling a feasible
     point from density a2 down to a1 scales T by (a1/a2)^3, so the repaired
     value is still achieved by a feasible point and the sequence becomes
@@ -373,15 +361,7 @@ def sweep_and_envelope(
         raise ValidationError("density samples must be sorted ascending")
     if pts[0] < 0.0 or pts[-1] > 1.0:
         raise ValidationError("density samples must lie in [0, 1]")
-    workers = resolve_thread_count(threads)
-
-    def solve(item: tuple[int, float]) -> float:
-        i, a = item
-        return minimize_T(
-            a, n, restarts=restarts, max_iters=max_iters, step=step, seed=seed + i
-        ).value
-
-    raw = deterministic_map(solve, list(enumerate(pts)), threads=workers)
+    raw = [minimize_T(a, n, restarts=restarts, seed=seed + i).value for i, a in enumerate(pts)]
     repaired = list(raw)
     for i in range(len(pts) - 2, -1, -1):
         if pts[i + 1] > 0.0:

@@ -4,9 +4,11 @@ Commands run in-process through main(argv) so stdout bytes can be captured
 and compared; one subprocess test confirms the installed entry point.
 """
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from cornerlab import (
     parse_group_spec,
     popular_difference,
 )
+from cornerlab import cli, regularity
 from cornerlab.cli import main
 
 
@@ -221,6 +224,65 @@ def test_bad_flag_value_maps_to_exit_two(capsys):
     assert code == 2
 
 
+def test_thread_flag_and_config_key_are_gone(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--group", "Z6", "--density", "0.5", "--threads", "2"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads=2\n")
+    code, out, _ = run_cli(capsys, "scan", "--group", "Z6", "--density", "0.5",
+                           "--config", str(cfg))
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("command", ["scan", "variational", "regularize"])
+def test_negative_seed_maps_to_exit_two(capsys, command):
+    target = ("--density", "0.3") if command == "variational" else (
+        "--group", "Z8", "--density", "0.5")
+    code, out, err = run_cli(capsys, command, *target, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "seed" in err
+
+
+@pytest.mark.parametrize("command", ["regularize", "pipeline"])
+@pytest.mark.parametrize(
+    "flag", [("--eps", "nan"), ("--eps", "inf"), ("--growth", "exp:nan")], ids="-".join
+)
+def test_non_finite_regularity_inputs_map_to_exit_two(capsys, monkeypatch, command, flag):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("invalid inputs must be rejected before regularization starts")
+
+    monkeypatch.setattr(regularity, "bohr_regularize", must_not_run)
+    code, out, _ = run_cli(capsys, command, "--group", "Z6", "--density", "0.5", *flag)
+    assert code == 2 and out == ""
+
+
+def test_regularize_checks_the_cap_before_building_views(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "hyperplane_views", lambda A: pytest.fail("views built before the cap check")
+    )
+    code, out, err = run_cli(capsys, "regularize", "--group", "Z256", "--density", "0.5")
+    assert code == 3 and out == ""
+    assert "cap" in err
+
+
+def test_package_has_no_assert_invariants():
+    # main maps BoundViolation, not AssertionError, to exit 4; bare asserts
+    # would also vanish under python -O
+    package = Path(cli.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            raised = getattr(node, "exc", None)
+            if isinstance(raised, ast.Call):
+                raised = raised.func
+            if isinstance(node, ast.Assert) or (
+                isinstance(raised, ast.Name) and raised.id == "AssertionError"
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 # -------------------------------------------------------------- determinism
 
 
@@ -228,8 +290,7 @@ def test_scan_bytes_stable_across_reruns_and_threads(capsys):
     args = ("scan", "--group", "Z12", "--density", "0.35", "--seed", "6")
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
-    _, threaded, _ = run_cli(capsys, *args, "--threads", "3")
-    assert first == second == threaded
+    assert first == second
     assert "threads" not in first
 
 

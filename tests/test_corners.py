@@ -279,6 +279,11 @@ def test_plane_set_random_is_reproducible():
     assert not np.array_equal(one.bits, other.bits)
 
 
+def test_plane_set_random_rejects_negative_seed():
+    with pytest.raises(ValidationError):
+        PlaneSet.random(parse_group_spec("Z4"), 0.5, -1)
+
+
 def test_plane_set_rejects_wrong_shape():
     G = parse_group_spec("Z4")
     with pytest.raises(ValidationError):

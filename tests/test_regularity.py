@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cornerlab import (
+    BoundViolation,
     CapExceededError,
     GroupFunction,
     GrowthFunction,
@@ -23,6 +24,7 @@ from cornerlab import (
     parse_growth_spec,
     weak_regularity,
 )
+from cornerlab import regularity
 
 F_POLY = GrowthFunction("polynomial", c=4.0, k=1.0)
 
@@ -55,6 +57,12 @@ def test_growth_function_validation():
         parse_growth_spec("factorial:1")
     with pytest.raises(ValidationError):
         parse_growth_spec("poly:abc")
+
+
+@pytest.mark.parametrize("spec", ["exp:nan", "exp:inf", "poly:nan,1", "poly:2,nan", "poly:2,inf"])
+def test_growth_function_rejects_non_finite_parameters(spec):
+    with pytest.raises(ValidationError):
+        parse_growth_spec(spec)
 
 
 # ---------------------------------------------------------------- partitions
@@ -176,6 +184,44 @@ def test_weak_regularity_rejects_bad_values():
         weak_regularity([np.full((8, 8), 1.5)], 0.1, G)
     with pytest.raises(ValidationError):
         weak_regularity([np.zeros((8, 8))], 0.0, G)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_regularity_engines_reject_non_finite_eps(monkeypatch, eps):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("eps must be checked before any regularization round")
+
+    monkeypatch.setattr(regularity, "bohr_regularize", must_not_run)
+    monkeypatch.setattr(regularity, "cut_norm_witness", must_not_run)
+    G = parse_group_spec("Z8")
+    with pytest.raises(ValidationError):
+        weak_regularity([np.zeros((8, 8))], eps, G)
+    with pytest.raises(ValidationError):
+        double_regularity([np.zeros((8, 8))], eps, F_POLY, G)
+
+
+def test_negative_seeds_are_rejected():
+    G = parse_group_spec("Z8")
+    M = np.zeros((8, 8))
+    with pytest.raises(ValidationError):
+        cut_norm_witness(M, mode="alternating", seed=-1)
+    with pytest.raises(ValidationError):
+        weak_regularity([M], 0.25, G, seed=-1)
+    with pytest.raises(ValidationError):
+        double_regularity([M], 0.25, F_POLY, G, seed=-1)
+
+
+def test_weak_regularity_round_cap_raises_bound_violation(monkeypatch):
+    # a witness above eps whose row and column sets are empty never refines
+    # the partition, so the energy-increment round bound must trip
+    def stuck_witness(M, mode="auto", restarts=32, seed=0):
+        empty = np.zeros(len(M), dtype=bool)
+        return 1.0, empty, empty
+
+    monkeypatch.setattr(regularity, "cut_norm_witness", stuck_witness)
+    G = parse_group_spec("Z8")
+    with pytest.raises(BoundViolation, match="energy-increment bound"):
+        weak_regularity([np.zeros((8, 8))], 0.5, G)
 
 
 # ----------------------------------------------------- bohr regularization

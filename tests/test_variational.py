@@ -165,6 +165,9 @@ def test_minimize_validation():
         minimize_T(1.2, 4)
     with pytest.raises(ValidationError):
         minimize_T(0.5, 1)
+    # the constant start alone draws no random numbers; the seed is still checked
+    with pytest.raises(ValidationError):
+        minimize_T(0.5, 3, restarts=1, seed=-1)
 
 
 # ------------------------------------------------------------------- sweeps
@@ -187,14 +190,6 @@ def test_sweep_envelope_properties():
     # hull slopes nondecreasing
     slopes = np.diff(pts.hull_values) / np.diff(pts.hull_alphas)
     assert np.all(np.diff(slopes) >= -1e-12)
-
-
-def test_sweep_is_thread_invariant():
-    alphas = [0.1, 0.4, 0.8]
-    one = sweep_and_envelope(alphas, 3, restarts=2, seed=3, threads=1)
-    two = sweep_and_envelope(alphas, 3, restarts=2, seed=3, threads=2)
-    assert np.array_equal(one.values, two.values)
-    assert np.array_equal(one.hull_values, two.hull_values)
 
 
 def test_sweep_needs_two_samples():
