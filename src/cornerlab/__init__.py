@@ -67,7 +67,6 @@ from .regularity import (
     Partition,
     WeakRegularityResult,
     bohr_regularize,
-    cut_norm_estimate,
     cut_norm_witness,
     double_regularity,
     parse_growth_spec,

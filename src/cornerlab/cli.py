@@ -28,8 +28,8 @@ from .corners import (
 )
 from .errors import BoundViolation, CapExceededError, GroupMismatchError, ValidationError
 from .groups import parse_group_spec
-from .regularity import DOUBLE_CAP, double_regularity, parse_growth_spec
-from .variational import minimize_T, pipeline_lower_bound, sweep_and_envelope
+from .regularity import CUT_RESTARTS, DOUBLE_CAP, double_regularity, parse_growth_spec
+from .variational import DESCENT_RESTARTS, minimize_T, pipeline_lower_bound, sweep_and_envelope
 
 _ZSCAN_CAP = 512
 
@@ -53,11 +53,6 @@ _DEFAULTS = {
     "growth": "poly:2,1",
     "grid_n": "6",
 }
-
-# --restarts counts descent restarts for variational/envelope and alternating
-# cut-norm restarts for regularize/pipeline; unset, each keeps its library default.
-_SWEEP_RESTARTS = "8"
-_CUT_RESTARTS = "32"
 
 
 def _to_int(value: str, key: str) -> int:
@@ -263,7 +258,7 @@ def _run_sweep(resolved: dict[str, str]):
         raise ValidationError("need --density with one or more samples")
     alphas = _to_float_list(resolved["density"], "density")
     n = _to_int(resolved["grid_n"], "grid_n")
-    restarts = _to_int(resolved.get("restarts", _SWEEP_RESTARTS), "restarts")
+    restarts = _to_int(resolved.get("restarts", str(DESCENT_RESTARTS)), "restarts")
     seed = _to_int(resolved["seed"], "seed")
     return alphas, n, restarts, seed
 
@@ -309,7 +304,7 @@ def cmd_regularize(resolved: dict[str, str]) -> int:
     eps = _to_float(resolved["eps"], "eps")
     growth = parse_growth_spec(resolved["growth"])
     seed = _to_int(resolved["seed"], "seed")
-    restarts = _to_int(resolved.get("restarts", _CUT_RESTARTS), "restarts")
+    restarts = _to_int(resolved.get("restarts", str(CUT_RESTARTS)), "restarts")
     if A.group.order > DOUBLE_CAP:
         raise CapExceededError(f"group order {A.group.order} exceeds cap {DOUBLE_CAP}")
     views = [v.astype(float) for v in hyperplane_views(A)]
@@ -358,7 +353,7 @@ def cmd_pipeline(resolved: dict[str, str]) -> int:
     eps = _to_float(resolved["eps"], "eps")
     growth = parse_growth_spec(resolved["growth"])
     seed = _to_int(resolved["seed"], "seed")
-    restarts = _to_int(resolved.get("restarts", _CUT_RESTARTS), "restarts")
+    restarts = _to_int(resolved.get("restarts", str(CUT_RESTARTS)), "restarts")
     report = pipeline_lower_bound(A, eps=eps, F=growth, restarts=restarts, seed=seed)
     entries = source + [
         ("eps", _fmt(eps)), ("growth", growth.spec_string()), ("restarts", str(restarts))
@@ -409,8 +404,8 @@ def _build_parser():
         p.add_argument("--grid-n", dest="grid_n", help="grid points per axis (default 6)")
         p.add_argument(
             "--restarts",
-            help="descent restarts per sample (default 8); cut-norm restarts "
-            "for regularize and pipeline (default 32)",
+            help=f"descent restarts per sample (default {DESCENT_RESTARTS}); cut-norm "
+            f"restarts for regularize and pipeline (default {CUT_RESTARTS})",
         )
         p.add_argument("--out", help="output path (default stdout)")
     return parser

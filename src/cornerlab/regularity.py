@@ -32,13 +32,12 @@ from .errors import BoundViolation, CapExceededError, ValidationError, check_see
 from .fourier import GroupFunction, convolve, dft, large_spectrum, lp_norm
 from .groups import Character, GroupSpec
 
-CUT_EXACT_CAP = 22
 _CUT_AUTO_EXACT = 16
 _WEAK_CAP = 2**8
 _BOHR_CAP = 2**10
 DOUBLE_CAP = 2**7
 _SPECTRUM_FLOOR = 1e-15
-_ALTERNATING_RESTARTS = 32
+CUT_RESTARTS = 32
 
 
 @dataclass(frozen=True)
@@ -195,6 +194,11 @@ def _check_eps(eps: float) -> None:
         raise ValidationError(f"eps must be finite and positive, got {eps!r}")
 
 
+def _check_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise ValidationError(f"need at least one cut-norm restart, got {restarts!r}")
+
+
 def _check_plane_inputs(fs: Sequence[np.ndarray], group: GroupSpec, cap: int) -> list[np.ndarray]:
     n = group.order
     if n > cap:
@@ -212,66 +216,76 @@ def _check_plane_inputs(fs: Sequence[np.ndarray], group: GroupSpec, cap: int) ->
     return out
 
 
-def _exact_witness(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Best (g, h) in {0,1}^n x {0,1}^n for (1/n^2) sum A g h, exactly.
+def _cut_is_exact(order: int) -> bool:
+    """Whether cut_norm_witness enumerates exactly at this matrix size."""
+    return order <= _CUT_AUTO_EXACT
 
-    Enumerates every g; the optimal h given g keeps exactly the columns with
-    positive g-weighted sums.  First maximum wins, so results are stable.
+
+def _exact_witness(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Best two-sided (g, h) in {0,1}^n x {0,1}^n for (1/n^2) sum (+-M) g h, exactly.
+
+    Enumerates every row set g once; for either sign the optimal h given g
+    keeps exactly the columns whose g-weighted sums have that sign, so one
+    product scores both signs.  Within a sign the first maximum wins, and +
+    wins ties between the signs, so results are stable.
     """
-    n = A.shape[0]
+    n = M.shape[0]
     powers = np.arange(n, dtype=np.uint64)
-    best_val = -math.inf
-    best_g = 0
+    best = [(-math.inf, 0), (-math.inf, 0)]  # (value, g) for the signs +, -
     chunk = 1 << 13
     for lo in range(0, 1 << n, chunk):
         hi = min(lo + chunk, 1 << n)
         idx = np.arange(lo, hi, dtype=np.uint64)
         bits = ((idx[:, None] >> powers[None, :]) & 1).astype(np.float64)
-        colsums = bits @ A
-        vals = np.clip(colsums, 0.0, None).sum(axis=1)
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_g = lo + j
+        colsums = bits @ M
+        for s, signed in enumerate((colsums, -colsums)):
+            vals = np.clip(signed, 0.0, None).sum(axis=1)
+            j = int(np.argmax(vals))
+            if vals[j] > best[s][0]:
+                best[s] = (float(vals[j]), lo + j)
+    sign = 1.0 if best[0][0] >= best[1][0] else -1.0
+    best_val, best_g = best[0] if sign > 0 else best[1]
     g = ((best_g >> np.arange(n)) & 1).astype(bool)
-    h = (g.astype(np.float64) @ A) > 0
+    h = sign * (g.astype(np.float64) @ M) > 0
     return best_val / n**2, g, h
 
 
 def _alternating_witness(
-    A: np.ndarray, restarts: int, rng: np.random.Generator
+    M: np.ndarray, restarts: int, seed: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Seeded alternating ascent; a lower bound on the exact witness value."""
-    n = A.shape[0]
+    """Seeded alternating ascent over both signs; a lower estimate of the
+    exact witness value.  One generator serves the + restarts, then the -."""
+    n = M.shape[0]
+    rng = np.random.default_rng(seed)
     best = (0.0, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
-    for r in range(restarts):
-        h = np.ones(n, dtype=bool) if r == 0 else rng.random(n) < 0.5
-        g = np.zeros(n, dtype=bool)
-        for _ in range(64):
-            g_new = (A @ h.astype(np.float64)) > 0
-            h_new = (g_new.astype(np.float64) @ A) > 0
-            if np.array_equal(g_new, g) and np.array_equal(h_new, h):
-                break
-            g, h = g_new, h_new
-        val = float(g.astype(np.float64) @ A @ h.astype(np.float64)) / n**2
-        if val > best[0]:
-            best = (val, g, h)
+    for sign in (1.0, -1.0):
+        A = sign * M
+        for r in range(restarts):
+            h = np.ones(n, dtype=bool) if r == 0 else rng.random(n) < 0.5
+            g = np.zeros(n, dtype=bool)
+            for _ in range(64):
+                g_new = (A @ h.astype(np.float64)) > 0
+                h_new = (g_new.astype(np.float64) @ A) > 0
+                if np.array_equal(g_new, g) and np.array_equal(h_new, h):
+                    break
+                g, h = g_new, h_new
+            val = float(g.astype(np.float64) @ A @ h.astype(np.float64)) / n**2
+            if val > best[0]:
+                best = (val, g, h)
     return best
 
 
 def cut_norm_witness(
-    M: np.ndarray,
-    mode: str = "auto",
-    restarts: int = _ALTERNATING_RESTARTS,
-    seed: int = 0,
+    M: np.ndarray, *, restarts: int = CUT_RESTARTS, seed: int = 0
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Two-sided cut-norm witness: value, row set g, column set h.
 
     The value is max over the sign of M of sup_{g,h in {0,1}} of the
     normalized box sum (1/n^2) sum_{x,y} (+-M)(x,y) g(x) h(y); taking both
-    signs certifies smallness of |box sums|.  Exact mode enumerates the 2^n
-    row selections with the closed-form optimal column response; alternating
-    mode is a seeded lower bound.
+    signs certifies smallness of |box sums|.  For n <= 16 it is exact: all
+    2^n row sets are enumerated with the closed-form optimal column
+    response.  Above that it is the best of `restarts` seeded alternating
+    ascents per sign, a lower estimate of the exact value.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -279,37 +293,10 @@ def cut_norm_witness(
     if not np.all(np.isfinite(M)):
         raise ValidationError("cut norm input must be finite")
     check_seed(seed)
-    n = M.shape[0]
-    if mode == "auto":
-        mode = "exact" if n <= _CUT_AUTO_EXACT else "alternating"
-    if mode == "exact":
-        if n > CUT_EXACT_CAP:
-            raise CapExceededError(f"exact cut norm is limited to n <= {CUT_EXACT_CAP}")
-        best = (-math.inf, None, None)
-        for sign in (1.0, -1.0):
-            val, g, h = _exact_witness(sign * M)
-            if val > best[0]:
-                best = (val, g, h)
-        return best
-    if mode == "alternating":
-        rng = np.random.default_rng(seed)
-        best = (-math.inf, None, None)
-        for sign in (1.0, -1.0):
-            val, g, h = _alternating_witness(sign * M, restarts, rng)
-            if val > best[0]:
-                best = (val, g, h)
-        return best
-    raise ValidationError(f"unknown cut-norm mode {mode!r}")
-
-
-def cut_norm_estimate(
-    M: np.ndarray,
-    mode: str = "auto",
-    restarts: int = _ALTERNATING_RESTARTS,
-    seed: int = 0,
-) -> float:
-    value, _, _ = cut_norm_witness(M, mode=mode, restarts=restarts, seed=seed)
-    return value
+    _check_restarts(restarts)
+    if _cut_is_exact(M.shape[0]):
+        return _exact_witness(M)
+    return _alternating_witness(M, restarts, seed)
 
 
 @dataclass
@@ -330,8 +317,7 @@ def weak_regularity(
     eps: float,
     group: GroupSpec,
     initial: Partition | None = None,
-    mode: str = "auto",
-    restarts: int = _ALTERNATING_RESTARTS,
+    restarts: int = CUT_RESTARTS,
     seed: int = 0,
     cap: int = _WEAK_CAP,
 ) -> WeakRegularityResult:
@@ -342,28 +328,31 @@ def weak_regularity(
     sets.  That split raises the witness function's projection energy by more
     than eps^2, and energies are bounded by 1, so the total number of rounds
     is at most sum_f ceil(1/eps^2); exceeding it raises BoundViolation.
+
+    The residuals are the stopping round's cut-norm values of f - f|_{P x P},
+    one estimate per function and round (see cut_norm_witness); they are
+    certified, being exact, when |G| <= 16.
     """
     _check_eps(eps)
     check_seed(seed)
+    _check_restarts(restarts)
     arrays = _check_plane_inputs(fs, group, cap)
     part = initial if initial is not None else Partition.trivial(group)
     if part.group != group:
         raise ValidationError("initial partition lives on a different group")
-    n = group.order
-    exact_used = mode == "exact" or (mode == "auto" and n <= _CUT_AUTO_EXACT)
     round_bound = len(arrays) * math.ceil(1.0 / eps**2)
     energy_history = [[part.plane_energy(f) for f in arrays]]
     records: list[dict] = []
     rounds = 0
     while True:
-        worst_val, worst_j, worst_g, worst_h = -math.inf, -1, None, None
-        for j, f in enumerate(arrays):
-            D = f - part.project_plane(f)
-            val, g, h = cut_norm_witness(
-                D, mode=mode, restarts=restarts, seed=seed + 131 * rounds + j
+        witnesses = [
+            cut_norm_witness(
+                f - part.project_plane(f), restarts=restarts, seed=seed + 131 * rounds + j
             )
-            if val > worst_val:
-                worst_val, worst_j, worst_g, worst_h = val, j, g, h
+            for j, f in enumerate(arrays)
+        ]
+        worst_j = max(range(len(witnesses)), key=lambda j: witnesses[j][0])  # first wins
+        worst_val, worst_g, worst_h = witnesses[worst_j]
         records.append(
             {
                 "round": rounds,
@@ -382,13 +371,10 @@ def weak_regularity(
             raise BoundViolation(
                 f"weak regularity exceeded its energy-increment bound of {round_bound} rounds"
             )
-    residuals = [
-        cut_norm_estimate(
-            f - part.project_plane(f), mode=mode, restarts=restarts, seed=seed + 7919 + j
-        )
-        for j, f in enumerate(arrays)
-    ]
-    return WeakRegularityResult(part, rounds, energy_history, residuals, exact_used, records)
+    residuals = [w[0] for w in witnesses]
+    return WeakRegularityResult(
+        part, rounds, energy_history, residuals, _cut_is_exact(group.order), records
+    )
 
 
 def _capped_width_denominator(required: int, prev: int, finest: int) -> tuple[int, bool]:
@@ -602,8 +588,7 @@ def double_regularity(
     F: GrowthFunction,
     group: GroupSpec,
     t: int | None = None,
-    mode: str = "auto",
-    restarts: int = _ALTERNATING_RESTARTS,
+    restarts: int = CUT_RESTARTS,
     seed: int = 0,
     cap: int = DOUBLE_CAP,
 ) -> DoubleRegularityResult:
@@ -615,9 +600,14 @@ def double_regularity(
     plane functions.  The loop exits when no f moves more than 1/F(1/eps)
     in L2 between consecutive box averages; the telescoping argument bounds
     the outer rounds by t*F(1/eps)^2; running longer raises BoundViolation.
+
+    f2 = f - f|_{Pi' x Pi'} is the residual the last weak run stopped on, so
+    f2_cut_estimates are that run's residuals: exact and certified when
+    |G| <= 16, seeded alternating lower estimates above.
     """
     _check_eps(eps)
     check_seed(seed)
+    _check_restarts(restarts)
     arrays = _check_plane_inputs(fs, group, cap)
     if t is None:
         t = len(arrays)
@@ -637,7 +627,6 @@ def double_regularity(
             eps=1.0 / F(float(pi.part_count)),
             group=group,
             initial=pi,
-            mode=mode,
             restarts=restarts,
             seed=seed + 31 * i,
         )
@@ -670,19 +659,13 @@ def double_regularity(
             )
     f_components = []
     f1_norms = []
-    f2_cut = []
-    for j, f in enumerate(arrays):
+    for f in arrays:
         f0 = pi.project_plane(f)
         fp = pi_next.project_plane(f)
         f1 = fp - f0
         f2 = f - fp
         f_components.append((f0, f1, f2))
         f1_norms.append(float(np.sqrt((f1**2).mean())))
-        f2_cut.append(
-            cut_norm_estimate(f2, mode=mode, restarts=restarts, seed=seed + 104729 + j)
-        )
-    n = group.order
-    exact_used = mode == "exact" or (mode == "auto" and n <= _CUT_AUTO_EXACT)
     return DoubleRegularityResult(
         bohr=bohr,
         pi_entry=pi_i,
@@ -690,9 +673,9 @@ def double_regularity(
         pi_next=pi_next,
         f_components=f_components,
         f1_norms=f1_norms,
-        f2_cut_estimates=f2_cut,
-        cut_certified=exact_used,
+        f2_cut_estimates=weak.residuals,
+        cut_certified=weak.certified,
         rounds=i,
         round_records=records,
-        degenerate=bohr.degenerate or pi_next.part_count == n,
+        degenerate=bohr.degenerate or pi_next.part_count == group.order,
     )

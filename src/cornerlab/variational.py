@@ -28,7 +28,7 @@ import numpy as np
 from .bohr import BohrSet
 from .corners import PlaneSet, hyperplane_views, weighted_corner_count
 from .errors import BoundViolation, CapExceededError, ValidationError, check_seed
-from .regularity import GrowthFunction, Partition, double_regularity
+from .regularity import CUT_RESTARTS, GrowthFunction, Partition, double_regularity
 
 _PROJECTION_ITERS = 50
 _PROJECTION_TOL = 1e-12
@@ -39,6 +39,7 @@ _STEP_FLOOR = 1e-10
 _LOWER_SLACK = 1e-6
 _UPPER_SLACK = 1e-9
 PIPELINE_CAP = 2**7
+DESCENT_RESTARTS = 8
 
 _WEIGHT_SUM_TOL = 1e-12
 _VALUE_TOL = 1e-9
@@ -248,7 +249,7 @@ def _descend(
 def minimize_T(
     alpha: float,
     n: int,
-    restarts: int = 8,
+    restarts: int = DESCENT_RESTARTS,
     seed: int = 0,
 ) -> MinimizeResult:
     """Estimate the infimum of T over mean-alpha grid functions on [n]^3.
@@ -342,7 +343,7 @@ def _lower_hull(xs: Sequence[float], ys: Sequence[float]) -> tuple[tuple[float, 
 def sweep_and_envelope(
     alphas: Sequence[float],
     n: int,
-    restarts: int = 8,
+    restarts: int = DESCENT_RESTARTS,
     seed: int = 0,
 ) -> EnvelopePoints:
     """Run minimize_T over a sorted density grid and take the convex minorant.
@@ -516,8 +517,7 @@ def pipeline_lower_bound(
     A: PlaneSet,
     eps: float = 0.25,
     F: GrowthFunction | None = None,
-    mode: str = "auto",
-    restarts: int = 32,
+    restarts: int = CUT_RESTARTS,
     seed: int = 0,
     cap: int = PIPELINE_CAP,
 ) -> dict:
@@ -541,7 +541,7 @@ def pipeline_lower_bound(
     views = hyperplane_views(A)
     arrays = [v.astype(float) for v in views]
     dr = double_regularity(
-        arrays, eps=eps, F=F, group=group, mode=mode, restarts=restarts, seed=seed, cap=cap
+        arrays, eps=eps, F=F, group=group, restarts=restarts, seed=seed, cap=cap
     )
 
     freqs = dr.bohr.bohr_set.freqs
@@ -620,7 +620,6 @@ def pipeline_lower_bound(
         "eps": eps,
         "growth": F.spec_string(),
         "seed": seed,
-        "mode": mode,
         "rounds": dr.rounds,
         "degenerate": dr.degenerate,
         "outer_partition": {

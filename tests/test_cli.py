@@ -257,6 +257,20 @@ def test_non_finite_regularity_inputs_map_to_exit_two(capsys, monkeypatch, comma
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("command", ["regularize", "pipeline"])
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+def test_restarts_below_one_map_to_exit_two(capsys, monkeypatch, command, restarts):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("restarts must be checked before regularization starts")
+
+    monkeypatch.setattr(regularity, "bohr_regularize", must_not_run)
+    code, out, err = run_cli(
+        capsys, command, "--group", "Z32", "--density", "0.5", "--restarts", restarts
+    )
+    assert code == 2 and out == ""
+    assert "restart" in err
+
+
 def test_regularize_checks_the_cap_before_building_views(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "hyperplane_views", lambda A: pytest.fail("views built before the cap check")

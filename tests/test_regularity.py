@@ -6,20 +6,24 @@ observed outputs and the generic instances assert the contract bounds
 (exact three-way sums, round caps, certified residuals).
 """
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornerlab import (
     BoundViolation,
-    CapExceededError,
     GroupFunction,
     GrowthFunction,
     Partition,
+    PlaneSet,
     ValidationError,
     bohr_regularize,
-    cut_norm_estimate,
     cut_norm_witness,
     double_regularity,
+    hyperplane_views,
     parse_group_spec,
     parse_growth_spec,
     weak_regularity,
@@ -108,13 +112,13 @@ def test_energy_monotone_under_refinement():
 
 
 def test_cut_norm_of_zero_and_constants():
-    assert cut_norm_estimate(np.zeros((6, 6))) == 0.0
-    assert abs(cut_norm_estimate(np.full((6, 6), 0.3)) - 0.3) <= 1e-12
+    assert cut_norm_witness(np.zeros((6, 6)))[0] == 0.0
+    assert abs(cut_norm_witness(np.full((6, 6), 0.3))[0] - 0.3) <= 1e-12
 
 
 def test_cut_norm_exact_is_two_sided():
     M = np.full((4, 4), -0.5)
-    assert abs(cut_norm_estimate(M, mode="exact") - 0.5) <= 1e-12
+    assert abs(cut_norm_witness(M)[0] - 0.5) <= 1e-12
 
 
 def test_cut_norm_alternating_lower_bounds_exact():
@@ -122,8 +126,8 @@ def test_cut_norm_alternating_lower_bounds_exact():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         M = rng.choice([-1.0, 1.0], size=(8, 8))
-        exact = cut_norm_estimate(M, mode="exact")
-        alt = cut_norm_estimate(M, mode="alternating", seed=seed)
+        exact = regularity._exact_witness(M)[0]
+        alt = regularity._alternating_witness(M, regularity.CUT_RESTARTS, seed)[0]
         assert alt <= exact + 1e-12
         if abs(alt - exact) <= 1e-9:
             hits += 1
@@ -133,14 +137,51 @@ def test_cut_norm_alternating_lower_bounds_exact():
 def test_cut_norm_witness_achieves_the_estimate():
     rng = np.random.default_rng(4)
     M = rng.normal(size=(10, 10))
-    value, g, h = cut_norm_witness(M, mode="exact")
+    value, g, h = cut_norm_witness(M)
     achieved = abs(float(g @ M @ h)) / M.size
     assert abs(achieved - value) <= 1e-12
 
 
-def test_cut_norm_exact_cap():
-    with pytest.raises(CapExceededError):
-        cut_norm_estimate(np.zeros((23, 23)), mode="exact")
+def _square_matrices(max_n):
+    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(entries, min_size=n * n, max_size=n * n).map(
+            lambda v: np.array(v).reshape(n, n)
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square_matrices(5))
+def test_exact_witness_matches_brute_force(M):
+    n = len(M)
+    subsets = [np.array(bits, dtype=float) for bits in itertools.product((0, 1), repeat=n)]
+    brute = max(sign * float(g @ M @ h) for sign in (1, -1) for g in subsets for h in subsets)
+    value, g, h = regularity._exact_witness(M)
+    assert abs(value - brute / n**2) <= 1e-12
+    assert abs(abs(float(g @ M @ h)) / n**2 - value) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(_square_matrices(8), st.integers(1, 6), st.integers(0, 2**32))
+def test_alternating_witness_never_exceeds_exact(M, restarts, seed):
+    exact = regularity._exact_witness(M)[0]
+    alt, g, h = regularity._alternating_witness(M, restarts, seed)
+    assert alt <= exact + 1e-12
+    assert abs(abs(float(g @ M @ h)) / M.size - alt) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 20])
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_cut_norm_rejects_fewer_than_one_restart(n, restarts):
+    G = parse_group_spec(f"Z{n}")
+    M = np.full((n, n), 0.5)
+    with pytest.raises(ValidationError, match="restart"):
+        cut_norm_witness(M, restarts=restarts)
+    with pytest.raises(ValidationError, match="restart"):
+        weak_regularity([M], 0.25, G, restarts=restarts)
+    with pytest.raises(ValidationError, match="restart"):
+        double_regularity([M], 0.25, F_POLY, G, restarts=restarts)
 
 
 # ----------------------------------------------------------- weak regularity
@@ -204,7 +245,9 @@ def test_negative_seeds_are_rejected():
     G = parse_group_spec("Z8")
     M = np.zeros((8, 8))
     with pytest.raises(ValidationError):
-        cut_norm_witness(M, mode="alternating", seed=-1)
+        cut_norm_witness(M, seed=-1)
+    with pytest.raises(ValidationError):
+        cut_norm_witness(np.zeros((20, 20)), seed=-1)
     with pytest.raises(ValidationError):
         weak_regularity([M], 0.25, G, seed=-1)
     with pytest.raises(ValidationError):
@@ -214,7 +257,7 @@ def test_negative_seeds_are_rejected():
 def test_weak_regularity_round_cap_raises_bound_violation(monkeypatch):
     # a witness above eps whose row and column sets are empty never refines
     # the partition, so the energy-increment round bound must trip
-    def stuck_witness(M, mode="auto", restarts=32, seed=0):
+    def stuck_witness(M, *, restarts=32, seed=0):
         empty = np.zeros(len(M), dtype=bool)
         return 1.0, empty, empty
 
@@ -222,6 +265,43 @@ def test_weak_regularity_round_cap_raises_bound_violation(monkeypatch):
     G = parse_group_spec("Z8")
     with pytest.raises(BoundViolation, match="energy-increment bound"):
         weak_regularity([np.zeros((8, 8))], 0.5, G)
+
+
+def _striped_views(n, period=8):
+    G = parse_group_spec(f"Z{n}")
+    idx = np.arange(n)
+    A = PlaneSet(G, ((idx[:, None] + idx[None, :]) % period) < period // 2)
+    return G, [v.astype(float) for v in hyperplane_views(A)]
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_each_residual_is_estimated_once(monkeypatch, n):
+    calls = []
+    real_witness = regularity.cut_norm_witness
+
+    def counting_witness(M, **kwargs):
+        calls.append(len(M))
+        return real_witness(M, **kwargs)
+
+    monkeypatch.setattr(regularity, "cut_norm_witness", counting_witness)
+    G, fs = _striped_views(n)
+    weak = weak_regularity(fs, 0.2, G)
+    assert weak.rounds >= 1
+    assert len(calls) == (weak.rounds + 1) * len(fs)
+
+    runs = []
+    real_weak = regularity.weak_regularity
+
+    def recording_weak(*args, **kwargs):
+        runs.append(real_weak(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(regularity, "weak_regularity", recording_weak)
+    calls.clear()
+    dd = double_regularity(fs, 0.25, parse_growth_spec("poly:8,2"), G)
+    assert len(runs) == dd.rounds + 1 >= 2
+    assert len(calls) == sum((w.rounds + 1) * len(fs) for w in runs)
+    assert dd.f2_cut_estimates == runs[-1].residuals
 
 
 # ----------------------------------------------------- bohr regularization
