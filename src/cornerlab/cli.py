@@ -31,8 +31,6 @@ from .groups import parse_group_spec
 from .regularity import CUT_RESTARTS, DOUBLE_CAP, double_regularity, parse_growth_spec
 from .variational import DESCENT_RESTARTS, minimize_T, pipeline_lower_bound, sweep_and_envelope
 
-_ZSCAN_CAP = 512
-
 _KNOWN_KEYS = (
     "group",
     "density",
@@ -226,9 +224,6 @@ def cmd_zscan(resolved: dict[str, str]) -> int:
     A, source = _load_plane_set(resolved)
     if A.group.rank != 1:
         raise ValidationError("integer scan needs a rank-one group Zn")
-    n = A.group.order
-    if n > _ZSCAN_CAP:
-        raise CapExceededError(f"integer scan capped at n <= {_ZSCAN_CAP}, got {n}")
     rho = _to_fraction(resolved["rho"], "rho")
     result = integer_corner_scan(A.bits, rho=rho)
     rows = ["d,count"]

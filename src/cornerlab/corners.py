@@ -2,15 +2,19 @@
 
 A corner is a triple {(x, y), (x, y+d), (x+d, y)}; the profile N(d) counts,
 for every difference d, the pairs (x, y) completing such a triple inside a
-set A.  The production path packs rows into machine words and popcounts the
-AND of three shifted views; a literal triple loop serves as the oracle it is
-checked against.
+set A.  On cyclic groups -- one factor, or pairwise coprime moduli, which
+the Chinese remainder theorem relabels as one cycle -- the production path
+packs each row once into 64-bit words and gets the shift y -> y+d as a word
+shift of the doubled rows, so a difference costs O(|G|^2 / 64) word work.
+Groups that are not cyclic keep a byte path that gathers and repacks the
+columns for every difference.  A literal triple loop serves as the oracle
+both are checked against.
 
 Weighted counts integrate the profile against a mean-one measure nu on the
 differences, which equals the triple integral over the hyperplane
 x + y + z = 0 of the three pairwise projections of A.  The integer-grid scan
-reuses the cyclic machinery but discards triples that wrap around the edge
-of [n]^2.
+uses the same word shift on zero-padded rows, which discards every triple
+that wraps around the edge of [n]^2.
 """
 from __future__ import annotations
 
@@ -154,25 +158,89 @@ class CornerProfile:
         return self.total / self.group.order**3
 
 
+def _pack_rows(bits: np.ndarray, words: int) -> np.ndarray:
+    """Rows of a bit matrix as `words` little-endian uint64 words each.
+
+    Bit j of a row is bit j % 64 of word j // 64; bits past the row are zero.
+    """
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    out = np.zeros((bits.shape[0], 8 * words), dtype=np.uint8)
+    out[:, : packed.shape[1]] = packed
+    return out.view("<u8")
+
+
+def _shift_rows(rows: np.ndarray, e: int, words: int) -> np.ndarray:
+    """Bits e, e+1, ... of each packed row, as a new array of `words` words.
+
+    Rows must hold at least e // 64 + words + 1 words.  On doubled rows this
+    is a cyclic shift by e; on zero-padded rows it is a shift with zero fill.
+    """
+    q, r = divmod(e, 64)
+    if r == 0:
+        return rows[:, q : q + words].copy()
+    out = rows[:, q : q + words] >> r
+    out |= rows[:, q + 1 : q + words + 1] << (64 - r)
+    return out
+
+
+def _cyclic_labels(group: GroupSpec) -> np.ndarray | None:
+    """index(c * (1, ..., 1)) for c in Z_|G| when G is cyclic, else None.
+
+    G is cyclic exactly when its moduli are pairwise coprime, that is when
+    their lcm is the order; then (1, ..., 1) generates G (CRT).
+    """
+    if group.exponent_lcm != group.order:
+        return None
+    c = np.arange(group.order, dtype=np.int64)
+    return group.index_of_coords(c[:, None] % np.asarray(group.moduli, dtype=np.int64))
+
+
 def corner_count_by_difference(A: PlaneSet, cap: int = PROFILE_CAP) -> CornerProfile:
     """Exact N(d) for every d, via packed-row AND/popcount.
 
     For fixed d the three constraints are the bit matrix itself, its columns
-    permuted by y -> y+d, and its rows permuted by x -> x+d.  The column
-    permutation is applied before packing; the row permutation rides on the
-    packed rows for free.  This is the dominant cost center: O(|G|^3 / w).
+    permuted by y -> y+d, and its rows permuted by x -> x+d.  The row
+    permutation is a gather of packed rows by translate_permutation(d).
+
+    Cyclic groups (one factor, or pairwise coprime moduli) take the word
+    path.  The columns are relabelled once so that column c holds the
+    element c * (1, ..., 1); a group with one nontrivial factor needs no
+    relabel.  Then y -> y+d is a cyclic shift by d's label, read as a word
+    offset plus a bit shift of the doubled rows packed once; the zero tail
+    of the unshifted rows masks the overhang.  Each d costs O(|G|^2 / 64).
+
+    Groups that are not cyclic keep the byte path: for every d the columns
+    are gathered by the permutation and packed again, O(|G|^2) bytes per d.
     """
     group = A.group
     n = group.order
     if n > cap:
         raise CapExceededError(f"group order {n} exceeds profile cap {cap}")
-    packed = np.packbits(A.bits, axis=1)
+    labels = _cyclic_labels(group)
+    if labels is None:
+        packed = np.packbits(A.bits, axis=1)
 
-    def count_one(d: int) -> int:
-        perm = group.translate_permutation(d)
-        shifted_cols = np.packbits(A.bits[:, perm], axis=1)
-        both = packed & shifted_cols & packed[perm]
-        return int(np.bitwise_count(both).sum())
+        def count_one(d: int) -> int:
+            perm = group.translate_permutation(d)
+            shifted_cols = np.packbits(A.bits[:, perm], axis=1)
+            both = packed & shifted_cols & packed[perm]
+            return int(np.bitwise_count(both).sum())
+
+    else:
+        identity = np.arange(n)
+        cols = A.bits if np.array_equal(labels, identity) else A.bits[:, labels]
+        label_of = np.empty(n, dtype=np.int64)
+        label_of[labels] = identity
+        words = -(-n // 64)
+        packed = _pack_rows(cols, words)
+        doubled = _pack_rows(np.concatenate([cols, cols], axis=1), 2 * words)
+
+        def count_one(d: int) -> int:
+            perm = group.translate_permutation(d)
+            both = _shift_rows(doubled, int(label_of[d]), words)
+            both &= packed
+            both &= packed[perm]
+            return int(np.bitwise_count(both).sum())
 
     counts = deterministic_map(count_one, range(n))
     profile = CornerProfile(group, np.asarray(counts, dtype=np.int64))
@@ -340,18 +408,22 @@ def _signed_candidates(
     return group, out
 
 
-def _valid_count(bits: np.ndarray, d: int) -> int:
-    n = bits.shape[0]
-    if d == 0:
-        return int(bits.sum())
+def _valid_count(padded: np.ndarray, words: int, d: int) -> int:
+    """Corners of difference d, 0 < |d| < n, inside [n]^2.
+
+    padded holds the rows packed into 2 * words words each, zero past column
+    n-1.  The shift y -> y+|d| reads those zeros, which drops every triple
+    that leaves the grid on the column side; row slices drop the rest.
+    """
+    n = padded.shape[0]
     e = abs(d)
-    if e >= n:
-        return 0
+    rows = padded[:, :words]
+    shifted = _shift_rows(padded, e, words)
     if d > 0:
-        block = bits[: n - e, : n - e] & bits[: n - e, e:] & bits[e:, : n - e]
+        block = rows[: n - e] & shifted[: n - e] & rows[e:]
     else:
-        block = bits[e:, e:] & bits[e:, : n - e] & bits[: n - e, e:]
-    return int(block.sum())
+        block = shifted[e:] & rows[e:] & shifted[: n - e]
+    return int(np.bitwise_count(block).sum())
 
 
 def integer_corner_scan(
@@ -377,7 +449,9 @@ def integer_corner_scan(
     if not (0 < r <= Fraction(1, 4)):
         raise ValidationError(f"rho must lie in (0, 1/4], got {r}")
     _, candidates = _signed_candidates(n, extra_freqs, r)
-    profile = {d: _valid_count(bits, d) for d in candidates}
+    words = -(-n // 64)
+    padded = _pack_rows(bits, 2 * words)
+    profile = {d: _valid_count(padded, words, d) for d in candidates}
     best_d, best_count = 0, -1
     # candidate order follows element enumeration, so the first maximum wins
     for d in candidates:

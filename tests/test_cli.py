@@ -83,6 +83,17 @@ def test_zscan_matches_library(capsys):
     assert ds == list(parsed)  # emitted in ascending signed order
 
 
+def test_zscan_runs_above_the_old_512_cap(capsys):
+    code, out, err = run_cli(capsys, "zscan", "--group", "Z1024", "--density", "0.3", "--seed", "5")
+    assert code == 0
+    A = PlaneSet.random(parse_group_spec("Z1024"), 0.3, 5)
+    scan = integer_corner_scan(A.bits)
+    rows = data_lines(out)
+    parsed = {int(d): int(c) for d, c in (r.split(",") for r in rows[1:])}
+    assert parsed == scan.profile
+    assert f"# summary best_d={scan.difference} count={scan.count}" in out
+
+
 def test_zscan_needs_rank_one_group(capsys):
     code, out, err = run_cli(capsys, "zscan", "--group", "Z2xZ3", "--density", "0.4")
     assert code == 2

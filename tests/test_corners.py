@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornerlab import (
     BohrSet,
     CapExceededError,
     GroupFunction,
+    GroupSpec,
     PlaneSet,
     ValidationError,
     corner_count_by_difference,
@@ -53,6 +56,43 @@ def test_profile_matches_naive_oracle_exactly():
             fast = corner_count_by_difference(A).counts
             slow = corner_count_naive(A).counts
             assert np.array_equal(fast, slow)
+
+
+_CYCLIC = st.one_of(st.sampled_from([1, 63, 64, 65]), st.integers(2, 40)).map(lambda n: (n,))
+# pairwise coprime moduli: cyclic only through the CRT relabel
+_CRT_CYCLIC = st.sampled_from([(3, 5), (2, 3, 7), (1, 64), (65, 1), (1, 3, 1, 5), (7, 9), (5, 13)])
+_NON_CYCLIC = st.sampled_from([(4, 6), (2, 2, 3), (2, 2), (1, 2, 2), (2, 32), (8, 8), (3, 3, 7)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(_CYCLIC, _CRT_CYCLIC, _NON_CYCLIC),
+    st.sampled_from([0.1, 0.5, 0.9]),
+    st.integers(0, 2**32),
+)
+def test_profile_equals_naive_oracle_on_random_groups(moduli, density, seed):
+    A = PlaneSet.random(GroupSpec(moduli), density, seed)
+    assert np.array_equal(corner_count_by_difference(A).counts, corner_count_naive(A).counts)
+
+
+def roll_profile(A):
+    """N(d) by rolling the bit matrix, reshaped to one axis per factor."""
+    moduli = A.group.moduli
+    k = len(moduli)
+    grid = A.bits.reshape(moduli + moduli)
+    rows, cols = tuple(range(k)), tuple(range(k, 2 * k))
+    counts = []
+    for d in A.group.coords_matrix():
+        shift = tuple(-int(c) for c in d)
+        both = grid & np.roll(grid, shift, axis=cols) & np.roll(grid, shift, axis=rows)
+        counts.append(int(both.sum()))
+    return np.asarray(counts)
+
+
+@pytest.mark.parametrize("spec", ["Z127", "Z128", "Z129", "Z1000", "Z8xZ63"])
+def test_profile_equals_roll_reference(spec):
+    A = seeded_set(spec, 0.5, 17)
+    assert np.array_equal(corner_count_by_difference(A).counts, roll_profile(A))
 
 
 def test_profile_invariants():
@@ -243,6 +283,18 @@ def test_integer_scan_matches_naive_brute_force():
         assert (fast.difference, fast.count) == (slow.difference, slow.count)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 70),
+    st.sampled_from([0.2, 0.5, 0.9]),
+    st.sampled_from([Fraction(1, 4), Fraction(1, 8), Fraction(1, 64)]),
+    st.integers(0, 2**32),
+)
+def test_integer_scan_equals_naive_on_random_grids(n, density, rho, seed):
+    bits = np.random.default_rng(seed).random((n, n)) < density
+    assert integer_corner_scan(bits, rho=rho) == integer_corner_scan_naive(bits, rho=rho)
+
+
 def test_integer_scan_rejects_bad_rho():
     bits = np.ones((8, 8), dtype=bool)
     with pytest.raises(ValidationError):
@@ -260,6 +312,20 @@ def test_plane_set_text_round_trip():
     B = PlaneSet.from_text(text)
     assert B.group == A.group
     assert np.array_equal(B.bits, A.bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    st.integers(0, 2**32),
+)
+def test_plane_set_text_round_trip_on_random_sets(moduli, density, seed):
+    A = PlaneSet.random(GroupSpec(moduli), density, seed)
+    B = PlaneSet.from_text(A.to_text())
+    assert B.group == A.group
+    assert np.array_equal(B.bits, A.bits)
+    assert B.to_text() == A.to_text()
 
 
 def test_plane_set_file_round_trip(tmp_path):

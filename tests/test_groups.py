@@ -77,6 +77,14 @@ def test_permutations_match_element_arithmetic():
         assert neg[i] == (-G.element(i)).index
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 1000), min_size=1, max_size=3))
+def test_parse_group_spec_round_trips_spec_string(moduli):
+    G = GroupSpec(moduli)
+    assert parse_group_spec(G.spec_string()) == G
+    assert parse_group_spec(G.spec_string().lower()).moduli == G.moduli
+
+
 @st.composite
 def group_and_indices(draw):
     """A cyclic or product group (factors of order 1 allowed) and index samples."""
