@@ -6,15 +6,20 @@ and compared; one subprocess test confirms the installed entry point.
 
 import ast
 import json
+import string
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornerlab import (
     PlaneSet,
+    ValidationError,
     corner_count_by_difference,
     integer_corner_scan,
     minimize_T,
@@ -206,6 +211,55 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     code, _, err = run_cli(capsys, "scan", "--config", str(cfg))
     assert code == 2
     assert "wibble" in err
+
+
+_CONFIG_VALUE = st.text(string.ascii_letters + string.digits + " .,:/=#+-_", max_size=12).map(str.strip)
+
+
+def _read_text_config(text: str) -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(text)
+        return cli._read_config_file(str(path))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(cli._KNOWN_KEYS), _CONFIG_VALUE),
+    st.data(),
+)
+def test_config_file_reads_back_what_was_written(entries, data):
+    lines = []
+    for key, value in entries.items():
+        lines += data.draw(st.lists(st.sampled_from(["", "   ", "# note", "  # k = v"]), max_size=2))
+        if data.draw(st.booleans()):
+            key = key.replace("_", "-")
+        pad = data.draw(st.sampled_from(["", " ", "\t", "  "]))
+        lines.append(f"{pad}{key}{pad}={pad}{value}{pad}")
+    assert _read_text_config("\n".join(lines) + "\n") == entries
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from(cli._KNOWN_KEYS),
+    st.one_of(
+        st.text(string.ascii_letters + " -_", min_size=1, max_size=10).filter(
+            lambda t: t.strip() and not t.strip().startswith("#")
+        ),
+        st.sampled_from(["wibble = 3", "threads = 2", "mode=exact", "seed_ = 1"]),
+    ),
+)
+def test_config_file_rejects_bad_lines(key, bad):
+    with pytest.raises(ValidationError):
+        _read_text_config(f"{key} = 1\n{bad}\n")
+
+
+def test_config_line_without_equals_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("group = Z8\ndensity 0.4\n")
+    code, _, err = run_cli(capsys, "scan", "--config", str(cfg))
+    assert code == 2
+    assert "expected key=value" in err
 
 
 def test_missing_set_file_is_a_clean_error(capsys, tmp_path):

@@ -8,7 +8,10 @@ grids small enough to check by hand.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cornerlab import variational as V
 from cornerlab import (
     BoundViolation,
     BoxInstance,
@@ -125,6 +128,55 @@ def test_gradient_matches_central_differences():
         assert abs(grad[idx] - fd) / denom <= 1e-5
 
 
+# ---------------------------------------------------------------- projection
+
+
+def _bisection_shift(row: np.ndarray, alpha: float) -> float:
+    """Shift lam with mean(clip(row - lam, 0, 1)) = alpha, by plain bisection."""
+    lo, hi = float(row.min()) - 1.0, float(row.max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.clip(row - mid, 0.0, 1.0).mean() > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_PROJ_CELLS = st.sampled_from([
+    st.floats(-50.0, 50.0, allow_nan=False),  # wide spreads
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, -1.0]),  # heavy ties, as in the 0/1 slab starts
+    st.floats(-1.0, 2.0, allow_nan=False),
+])
+_PROJ_ALPHAS = st.one_of(
+    st.floats(1e-9, 1.0 - 1e-9),
+    st.sampled_from([1e-9, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-9]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 40), _PROJ_CELLS, _PROJ_ALPHAS)
+def test_projection_is_exact_feasible_and_row_wise(data, width, cells, alpha):
+    rows = data.draw(st.lists(st.lists(cells, min_size=width, max_size=width), min_size=1, max_size=5))
+    vals = np.array(rows, dtype=float)
+    out = V._project_to_slice(vals, alpha)
+    assert out.shape == vals.shape
+    assert np.all(out >= 0.0) and np.all(out <= 1.0)
+    assert np.max(np.abs(out.mean(axis=1) - alpha)) <= 1e-12
+    for row, got in zip(vals, out):
+        ref = np.clip(row - _bisection_shift(row, alpha), 0.0, 1.0)
+        assert np.max(np.abs(got - ref)) <= 1e-10
+        # a row's projection does not depend on the rest of the batch
+        assert np.array_equal(V._project_to_slice(row[None, :], alpha)[0], got)
+    assert np.array_equal(V._project_to_slice(vals[::-1], alpha), out[::-1])
+
+
+def test_projection_checks_the_achieved_mean():
+    # no shift reaches a mean above 1, so the feasibility check must fire
+    with pytest.raises(BoundViolation):
+        V._project_to_slice(np.zeros((2, 5)), 1.5)
+
+
 # ---------------------------------------------------------------- minimizing
 
 
@@ -168,6 +220,74 @@ def test_minimize_validation():
     # the constant start alone draws no random numbers; the seed is still checked
     with pytest.raises(ValidationError):
         minimize_T(0.5, 3, restarts=1, seed=-1)
+
+
+def _serial_restart_values(alpha, n, restarts, seed):
+    """One restart at a time with the descent rule of minimize_T, as plain loops."""
+    values, counts = [alpha**3], [0]
+    for r in range(1, restarts):
+        start = V._restart_start(r, n, seed, restarts)
+        phi = V._project_to_slice(start.reshape(1, -1), alpha).reshape(1, n, n, n)
+        F, G, H, GH = V._lane_marginals(phi)
+        t = V._lane_T(F, GH)[0]
+        step, used = V._INITIAL_STEP, 0
+        for _ in range(V._DESCENT_CAP):
+            used += 1
+            moved = phi - step * V._lane_bracket(F, G, H, GH)
+            cand = V._project_to_slice(moved.reshape(1, -1), alpha).reshape(phi.shape)
+            cF, cG, cH, cGH = V._lane_marginals(cand)
+            tc = V._lane_T(cF, cGH)[0]
+            if tc < t - V._DECREASE_FLOOR:
+                phi, t, F, G, H, GH = cand, tc, cF, cG, cH, cGH
+            else:
+                step *= 0.5
+                if step < V._STEP_FLOOR:
+                    break
+        values.append(float(t))
+        counts.append(used)
+    return values, counts
+
+
+@pytest.mark.parametrize("alpha, n, seed", [(0.3, 3, 0), (0.55, 3, 4), (0.2, 4, 1), (0.7, 4, 2)])
+def test_batched_descent_matches_one_restart_at_a_time(alpha, n, seed):
+    res = minimize_T(alpha, n, restarts=6, seed=seed)
+    values, counts = _serial_restart_values(alpha, n, 6, seed)
+    assert np.max(np.abs(np.array(res.restart_values) - values)) <= 1e-12
+    assert res.iterations == tuple(counts)
+
+
+def test_lane_kernels_match_the_public_functional():
+    rng = np.random.default_rng(64)
+    stack = rng.random((3, 4, 4, 4))
+    F, G, H, GH = V._lane_marginals(stack)
+    t = V._lane_T(F, GH)
+    grad = V._lane_bracket(F, G, H, GH) / 4**3
+    for lane in range(3):
+        phi = GridFunction.uniform(stack[lane])
+        assert abs(t[lane] - evaluate_T(phi)) <= 1e-14
+        assert np.max(np.abs(grad[lane] - gradient_T(phi))) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.3, 1 / 3, 0.5, 0.9, 1 - 1e-9])
+def test_constant_restart_is_alpha_cubed_exactly(alpha):
+    res = minimize_T(alpha, 3, restarts=3, seed=0)
+    assert res.restart_values[0] == alpha**3
+    assert res.iterations[0] == 0
+
+
+def test_single_restart_returns_the_constant():
+    res = minimize_T(0.4, 3, restarts=1)
+    assert res.value == 0.4**3 and res.iterations == (0,)
+    assert np.array_equal(res.phi.values, np.full((3, 3, 3), 0.4))
+
+
+def test_iteration_counts_are_per_restart_and_capped():
+    res = minimize_T(0.45, 4, restarts=8, seed=0)
+    assert len(res.iterations) == len(res.restart_values) == 8
+    assert res.iterations[0] == 0
+    assert all(1 <= c <= V._DESCENT_CAP for c in res.iterations[1:])
+    for alpha in (0.0, 1.0):
+        assert minimize_T(alpha, 3, restarts=2).iterations == (0, 0)
 
 
 # ------------------------------------------------------------------- sweeps
