@@ -2,13 +2,15 @@
 
 A corner is a triple {(x, y), (x, y+d), (x+d, y)}; the profile N(d) counts,
 for every difference d, the pairs (x, y) completing such a triple inside a
-set A.  On cyclic groups -- one factor, or pairwise coprime moduli, which
-the Chinese remainder theorem relabels as one cycle -- the production path
-packs each row once into 64-bit words and gets the shift y -> y+d as a word
-shift of the doubled rows, so a difference costs O(|G|^2 / 64) word work.
-Groups that are not cyclic keep a byte path that gathers and repacks the
-columns for every difference.  A literal triple loop serves as the oracle
-both are checked against.
+set A.  One path serves every group: G splits as C x H, where C is the
+largest cycle that the Chinese remainder theorem forms from pairwise coprime
+moduli and H is the product of the other factors.  Rows are packed once into
+64-bit words with C as the slow axis of the columns, so y -> y+d is an
+H-translation inside each block of |H| columns, gathered and packed once per
+H-part, then a cyclic word shift of the doubled rows.  An H-part costs
+O(|G|^2) byte work and a difference O(|G|^2 / 64) word work; a cyclic group
+is the case |H| = 1.  A literal triple loop serves as the oracle the packed
+path is checked against.
 
 Weighted counts integrate the profile against a mean-one measure nu on the
 differences, which equals the triple integral over the hyperplane
@@ -18,6 +20,7 @@ that wraps around the edge of [n]^2.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -183,16 +186,44 @@ def _shift_rows(rows: np.ndarray, e: int, words: int) -> np.ndarray:
     return out
 
 
-def _cyclic_labels(group: GroupSpec) -> np.ndarray | None:
-    """index(c * (1, ..., 1)) for c in Z_|G| when G is cyclic, else None.
+def _double_rows(rows: np.ndarray, n: int, words: int) -> np.ndarray:
+    """Packed rows of n bits followed by the same n bits again, in 2 * words words."""
+    out = np.zeros((rows.shape[0], 2 * words), dtype=np.uint64)
+    out[:, :words] = rows
+    q, r = divmod(n, 64)
+    out[:, q : q + words] |= rows << r
+    if r:
+        out[:, q + 1 : q + words + 1] |= rows >> (64 - r)
+    return out
 
-    G is cyclic exactly when its moduli are pairwise coprime, that is when
-    their lcm is the order; then (1, ..., 1) generates G (CRT).
+
+def _cyclic_split(group: GroupSpec) -> tuple[np.ndarray, GroupSpec]:
+    """Split G as C x H, with C cyclic; return (labels, H).
+
+    C is the product of a pairwise coprime set of the nontrivial moduli with
+    the largest product, relabelled as one cycle Z_m by the Chinese remainder
+    theorem (c -> c mod n_i on each of its factors).  Ties go to the set
+    whose factor positions, in increasing order, come first
+    lexicographically: Z2xZ3xZ6 takes Z2xZ3, and Z4xZ4 its first Z4.  H is
+    the product of the remaining factors in their order (Z1 if none).
+    labels[c, h] is the index of the element that is c on C and H's element
+    h on H; an (m, |H|) array and a bijection onto range(|G|).
     """
-    if group.exponent_lcm != group.order:
-        return None
-    c = np.arange(group.order, dtype=np.int64)
-    return group.index_of_coords(c[:, None] % np.asarray(group.moduli, dtype=np.int64))
+    moduli = group.moduli
+    sets = [(1, ())]
+    for i, n in enumerate(moduli):
+        if n > 1:
+            sets += [(p * n, s + (i,)) for p, s in sets if math.gcd(p, n) == 1]
+    m, cycle = min(sets, key=lambda ps: (-ps[0], ps[1]))
+    rest = [i for i in range(len(moduli)) if i not in cycle]
+    H = GroupSpec([moduli[i] for i in rest] or [1])
+    coords = np.zeros((m, H.order, len(moduli)), dtype=np.int64)
+    c = np.arange(m, dtype=np.int64)
+    for i in cycle:
+        coords[:, :, i] = (c % moduli[i])[:, None]
+    for j, i in enumerate(rest):
+        coords[:, :, i] = H.coords_matrix()[:, j]
+    return group.index_of_coords(coords), H
 
 
 def corner_count_by_difference(A: PlaneSet, cap: int = PROFILE_CAP) -> CornerProfile:
@@ -202,48 +233,50 @@ def corner_count_by_difference(A: PlaneSet, cap: int = PROFILE_CAP) -> CornerPro
     permuted by y -> y+d, and its rows permuted by x -> x+d.  The row
     permutation is a gather of packed rows by translate_permutation(d).
 
-    Cyclic groups (one factor, or pairwise coprime moduli) take the word
-    path.  The columns are relabelled once so that column c holds the
-    element c * (1, ..., 1); a group with one nontrivial factor needs no
-    relabel.  Then y -> y+d is a cyclic shift by d's label, read as a word
-    offset plus a bit shift of the doubled rows packed once; the zero tail
-    of the unshifted rows masks the overhang.  Each d costs O(|G|^2 / 64).
-
-    Groups that are not cyclic keep the byte path: for every d the columns
-    are gathered by the permutation and packed again, O(|G|^2) bytes per d.
+    The columns are laid out once by _cyclic_split: position c * |H| + h
+    holds the element that is c on the cycle C and h on the complement H,
+    and rows are packed into 64-bit words with a zero tail.  Then y -> y+d
+    is a translation by d's H-part inside every block of |H| columns,
+    followed by a cyclic shift of the whole row by c_d * |H| bits, where c_d
+    is d's C-part.  The map over d runs in H-grouped order: for each H-part
+    the columns are gathered and packed once, an O(|G|^2) byte step, and the
+    packed rows doubled by two word shifts; each d of that H-part is read
+    from them as a word offset plus a bit shift, O(|G|^2 / 64) word work.
+    Only the doubled rows of the current H-part are kept.  A cyclic group is
+    the case |H| = 1: one gather and pack, then one shift per d.
     """
     group = A.group
     n = group.order
     if n > cap:
         raise CapExceededError(f"group order {n} exceeds profile cap {cap}")
-    labels = _cyclic_labels(group)
-    if labels is None:
-        packed = np.packbits(A.bits, axis=1)
+    labels, H = _cyclic_split(group)
+    m, nh = labels.shape
+    words = -(-n // 64)
 
-        def count_one(d: int) -> int:
-            perm = group.translate_permutation(d)
-            shifted_cols = np.packbits(A.bits[:, perm], axis=1)
-            both = packed & shifted_cols & packed[perm]
-            return int(np.bitwise_count(both).sum())
+    def packed_cols(h: int) -> np.ndarray:
+        """Rows packed with the columns in layout order, translated by h in H."""
+        cols = labels[:, H.add_indices(np.arange(nh), h)].ravel()
+        return _pack_rows(np.take(A.bits, cols, axis=1), words)
 
-    else:
-        identity = np.arange(n)
-        cols = A.bits if np.array_equal(labels, identity) else A.bits[:, labels]
-        label_of = np.empty(n, dtype=np.int64)
-        label_of[labels] = identity
-        words = -(-n // 64)
-        packed = _pack_rows(cols, words)
-        doubled = _pack_rows(np.concatenate([cols, cols], axis=1), 2 * words)
+    packed = packed_cols(0)
 
-        def count_one(d: int) -> int:
-            perm = group.translate_permutation(d)
-            both = _shift_rows(doubled, int(label_of[d]), words)
-            both &= packed
-            both &= packed[perm]
-            return int(np.bitwise_count(both).sum())
+    def differences():
+        """(d, bit offset of its C-part, doubled rows of its H-part), H-part by H-part."""
+        for h in range(nh):
+            doubled = _double_rows(packed if h == 0 else packed_cols(h), n, words)
+            for c in range(m):
+                yield int(labels[c, h]), c * nh, doubled
 
-    counts = deterministic_map(count_one, range(n))
-    profile = CornerProfile(group, np.asarray(counts, dtype=np.int64))
+    def count_one(item: tuple[int, int, np.ndarray]) -> int:
+        d, e, doubled = item
+        both = _shift_rows(doubled, e, words)
+        both &= packed
+        both &= packed[group.translate_permutation(d)]
+        return int(np.bitwise_count(both).sum())
+
+    counts = np.empty(n, dtype=np.int64)
+    counts[labels.T.ravel()] = deterministic_map(count_one, differences())
+    profile = CornerProfile(group, counts)
     if profile.counts[0] != A.size:
         raise BoundViolation("N(0) must equal |A|; packed path is inconsistent")
     return profile

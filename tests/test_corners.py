@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cornerlab import (
     BohrSet,
+    BoundViolation,
     CapExceededError,
     GroupFunction,
     GroupSpec,
@@ -26,6 +27,8 @@ from cornerlab import (
     weighted_corner_count,
     weighted_corner_count_direct,
 )
+from cornerlab import corners
+from cornerlab.corners import _cyclic_split
 
 
 def seeded_set(spec, density, seed):
@@ -61,7 +64,13 @@ def test_profile_matches_naive_oracle_exactly():
 _CYCLIC = st.one_of(st.sampled_from([1, 63, 64, 65]), st.integers(2, 40)).map(lambda n: (n,))
 # pairwise coprime moduli: cyclic only through the CRT relabel
 _CRT_CYCLIC = st.sampled_from([(3, 5), (2, 3, 7), (1, 64), (65, 1), (1, 3, 1, 5), (7, 9), (5, 13)])
-_NON_CYCLIC = st.sampled_from([(4, 6), (2, 2, 3), (2, 2), (1, 2, 2), (2, 32), (8, 8), (3, 3, 7)])
+_NON_CYCLIC = st.sampled_from([
+    (4, 6), (2, 2, 3), (2, 2), (1, 2, 2), (2, 32), (8, 8), (3, 3, 7),
+    # the cycle C is a proper CRT subset of the moduli
+    (2, 3, 4), (6, 10), (4, 3, 4), (2, 2, 15),
+    # block offsets c_d * |H| that cross word boundaries
+    (2, 64), (4, 24),
+])
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,10 +98,86 @@ def roll_profile(A):
     return np.asarray(counts)
 
 
-@pytest.mark.parametrize("spec", ["Z127", "Z128", "Z129", "Z1000", "Z8xZ63"])
+@pytest.mark.parametrize(
+    "spec", ["Z127", "Z128", "Z129", "Z1000", "Z8xZ63", "Z16xZ48", "Z2xZ4xZ64", "Z4xZ4xZ4xZ4"]
+)
 def test_profile_equals_roll_reference(spec):
     A = seeded_set(spec, 0.5, 17)
     assert np.array_equal(corner_count_by_difference(A).counts, roll_profile(A))
+
+
+@pytest.mark.parametrize("spec", ["Z4xZ6", "Z2xZ3xZ4", "Z1xZ4xZ2", "Z2xZ2xZ2", "Z2xZ1xZ2"])
+def test_profile_edge_inputs_on_product_groups(spec):
+    G = parse_group_spec(spec)
+    A = seeded_set(spec, 0.4, 3)
+    T = A.transpose()
+    assert not T.bits.flags.c_contiguous
+    for S in (A, T, PlaneSet.empty(G), PlaneSet.full(G)):
+        assert np.array_equal(corner_count_by_difference(S).counts, corner_count_naive(S).counts)
+
+
+def test_profile_raises_when_n0_is_not_the_set_size(monkeypatch):
+    monkeypatch.setattr(corners, "_shift_rows", lambda rows, e, words: np.zeros_like(rows[:, :words]))
+    with pytest.raises(BoundViolation):
+        corner_count_by_difference(seeded_set("Z4xZ6", 0.5, 1))
+
+
+def crt_labels(group):
+    c = np.arange(group.order)
+    return group.index_of_coords(c[:, None] % np.asarray(group.moduli))
+
+
+@pytest.mark.parametrize("moduli", [(1,), (7,), (64,), (3, 5), (8, 63), (1, 64), (1, 3, 1, 5)])
+def test_cyclic_split_of_a_cyclic_group_is_the_crt_cycle(moduli):
+    G = GroupSpec(moduli)
+    labels, H = _cyclic_split(G)
+    assert H.order == 1 and labels.shape == (G.order, 1)
+    assert np.array_equal(labels[:, 0], crt_labels(G))
+
+
+@pytest.mark.parametrize(
+    "moduli, m, h_moduli",
+    [
+        ((2, 3, 4), 12, (2,)),
+        ((2,) * 6, 2, (2,) * 5),
+        ((2,) * 12, 2, (2,) * 11),
+        ((4, 6), 6, (4,)),
+        ((16, 48), 48, (16,)),
+        ((2, 4, 64), 64, (2, 4)),
+        ((1, 4, 2), 4, (1, 2)),
+        ((2, 2, 15), 30, (2,)),
+    ],
+)
+def test_cyclic_split_takes_the_largest_coprime_cycle(moduli, m, h_moduli):
+    G = GroupSpec(moduli)
+    labels, H = _cyclic_split(G)
+    assert labels.shape == (m, H.order)
+    assert H.moduli == h_moduli
+
+
+def test_cyclic_split_ties_go_to_the_earliest_factors():
+    labels, _ = _cyclic_split(GroupSpec((2, 3, 6)))
+    coords = GroupSpec((2, 3, 6)).coords_matrix()[labels[:, 0]]
+    assert np.array_equal(coords[:, 0], np.arange(6) % 2)  # C = Z2 x Z3, the first two
+    assert np.array_equal(coords[:, 1], np.arange(6) % 3)
+    assert not coords[:, 2].any()
+    first, _ = _cyclic_split(GroupSpec((4, 4)))
+    assert np.array_equal(first[:, 0], np.arange(4) * 4)  # C is the first Z4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+def test_cyclic_split_labels_are_a_translation_compatible_bijection(moduli):
+    G = GroupSpec(moduli)
+    labels, H = _cyclic_split(G)
+    m, nh = labels.shape
+    assert m * nh == G.order
+    assert np.array_equal(np.sort(labels.ravel()), np.arange(G.order))
+    # adding the element at (c', h') moves (c, h) to (c + c' mod m, h + h' in H)
+    rng = np.random.default_rng(sum(moduli))
+    c, h, c2, h2 = (int(rng.integers(0, k)) for k in (m, nh, m, nh))
+    got = G.add_indices(labels[c, h], labels[c2, h2])
+    assert got == labels[(c + c2) % m, H.add_indices(h, h2)]
 
 
 def test_profile_invariants():
