@@ -239,7 +239,7 @@ def cmd_zscan(resolved: dict[str, str]) -> int:
     return 0
 
 
-def _sweep_entries(resolved: dict[str, str], alphas: list[float], n: int, restarts: int, seed: int):
+def _sweep_entries(alphas: list[float], n: int, restarts: int, seed: int):
     return [
         ("density", ",".join(repr(a) for a in alphas)),
         ("grid_n", str(n)),
@@ -276,7 +276,7 @@ def cmd_variational(resolved: dict[str, str]) -> int:
             f"{_fmt(a)},{_fmt(m_hat)},{_fmt(env_val)},{_fmt(a**3)},{_fmt(a**4)},"
             f"{n},{restarts},{row_seed}"
         )
-    entries = _sweep_entries(resolved, alphas, n, restarts, seed)
+    entries = _sweep_entries(alphas, n, restarts, seed)
     _emit(resolved.get("out"), _header("variational", entries) + "\n".join(rows) + "\n")
     return 0
 
@@ -289,17 +289,27 @@ def cmd_envelope(resolved: dict[str, str]) -> int:
     rows = ["alpha,envelope"]
     for a, v in zip(env.hull_alphas, env.hull_values):
         rows.append(f"{_fmt(a)},{_fmt(v)}")
-    entries = _sweep_entries(resolved, alphas, n, restarts, seed)
+    entries = _sweep_entries(alphas, n, restarts, seed)
     _emit(resolved.get("out"), _header("envelope", entries) + "\n".join(rows) + "\n")
     return 0
 
 
-def cmd_regularize(resolved: dict[str, str]) -> int:
+def _regularity_params(resolved: dict[str, str]):
+    """Input set, eps, growth, seed and cut-norm restarts, plus the header
+    entries that record them."""
     A, source = _load_plane_set(resolved)
     eps = _to_float(resolved["eps"], "eps")
     growth = parse_growth_spec(resolved["growth"])
     seed = _to_int(resolved["seed"], "seed")
     restarts = _to_int(resolved.get("restarts", str(CUT_RESTARTS)), "restarts")
+    entries = source + [
+        ("eps", _fmt(eps)), ("growth", growth.spec_string()), ("restarts", str(restarts))
+    ]
+    return A, eps, growth, seed, restarts, entries
+
+
+def cmd_regularize(resolved: dict[str, str]) -> int:
+    A, eps, growth, seed, restarts, entries = _regularity_params(resolved)
     if A.group.order > DOUBLE_CAP:
         raise CapExceededError(f"group order {A.group.order} exceeds cap {DOUBLE_CAP}")
     views = [v.astype(float) for v in hyperplane_views(A)]
@@ -335,24 +345,14 @@ def cmd_regularize(resolved: dict[str, str]) -> int:
         "f2_cut_estimates": dr.f2_cut_estimates,
         "cut_certified": dr.cut_certified,
     }
-    entries = source + [
-        ("eps", _fmt(eps)), ("growth", growth.spec_string()), ("restarts", str(restarts))
-    ]
     body = json.dumps(_plain(report), indent=2) + "\n"
     _emit(resolved.get("out"), _header("regularize", entries) + body)
     return 0
 
 
 def cmd_pipeline(resolved: dict[str, str]) -> int:
-    A, source = _load_plane_set(resolved)
-    eps = _to_float(resolved["eps"], "eps")
-    growth = parse_growth_spec(resolved["growth"])
-    seed = _to_int(resolved["seed"], "seed")
-    restarts = _to_int(resolved.get("restarts", str(CUT_RESTARTS)), "restarts")
+    A, eps, growth, seed, restarts, entries = _regularity_params(resolved)
     report = pipeline_lower_bound(A, eps=eps, F=growth, restarts=restarts, seed=seed)
-    entries = source + [
-        ("eps", _fmt(eps)), ("growth", growth.spec_string()), ("restarts", str(restarts))
-    ]
     body = json.dumps(_plain(report), indent=2) + "\n"
     _emit(resolved.get("out"), _header("pipeline", entries) + body)
     return 0

@@ -341,15 +341,15 @@ def weak_regularity(
     if part.group != group:
         raise ValidationError("initial partition lives on a different group")
     round_bound = len(arrays) * math.ceil(1.0 / eps**2)
-    energy_history = [[part.plane_energy(f) for f in arrays]]
+    # one projection per function and partition gives its energy and residual
+    projections = [part.project_plane(f) for f in arrays]
+    energy_history = [[float((p**2).mean()) for p in projections]]
     records: list[dict] = []
     rounds = 0
     while True:
         witnesses = [
-            cut_norm_witness(
-                f - part.project_plane(f), restarts=restarts, seed=seed + 131 * rounds + j
-            )
-            for j, f in enumerate(arrays)
+            cut_norm_witness(f - p, restarts=restarts, seed=seed + 131 * rounds + j)
+            for j, (f, p) in enumerate(zip(arrays, projections))
         ]
         worst_j = max(range(len(witnesses)), key=lambda j: witnesses[j][0])  # first wins
         worst_val, worst_g, worst_h = witnesses[worst_j]
@@ -366,7 +366,8 @@ def weak_regularity(
             break
         part = part.refine_with_mask(worst_g).refine_with_mask(worst_h)
         rounds += 1
-        energy_history.append([part.plane_energy(f) for f in arrays])
+        projections = [part.project_plane(f) for f in arrays]
+        energy_history.append([float((p**2).mean()) for p in projections])
         if rounds > round_bound:
             raise BoundViolation(
                 f"weak regularity exceeded its energy-increment bound of {round_bound} rounds"
@@ -459,9 +460,10 @@ def bohr_regularize(
     history: list[dict] = []
     i = 0
     degenerate = False
+    P_i = BohrPartition(group, S, Fraction(1, N_i))
+    projections_i = [P_i.project(I) for I in fns]
     while True:
-        P_i = BohrPartition(group, S, Fraction(1, N_i))
-        ids, labels, counts = P_i.part_ids()
+        ids, labels, _ = P_i.part_ids()
         part_count = len(labels)
         products = [
             GroupFunction(group, np.asarray(I.values) * (ids == k))
@@ -490,7 +492,6 @@ def bohr_regularize(
         N_next, next_capped = _capped_width_denominator(F.ceil_value(rho_den), N_i, L)
         P_next = BohrPartition(group, S_next, Fraction(1, N_next))
 
-        projections_i = [P_i.project(I) for I in fns]
         projections_next = [P_next.project(I) for I in fns]
         gaps = [
             lp_norm(GroupFunction(group, b.values - a.values), 2)
@@ -524,6 +525,7 @@ def bohr_regularize(
                 f"regularization ran {i} rounds, beyond the telescoping bound {max_rounds}"
             )
         S, S_coeffs, rho, N_i, width_capped = S_next, coeffs_next, rho_next, N_next, next_capped
+        P_i, projections_i = P_next, projections_next
 
     mu = B_next.mu()
     components = []
@@ -631,17 +633,15 @@ def double_regularity(
             seed=seed + 31 * i,
         )
         pi_next = weak.partition
-        gaps = [
-            float(np.sqrt(((pi_next.project_plane(f) - pi.project_plane(f)) ** 2).mean()))
-            for f in arrays
-        ]
-        gap = max(gaps)
+        f0s = [pi.project_plane(f) for f in arrays]
+        fps = [pi_next.project_plane(f) for f in arrays]
+        gap = max(float(np.sqrt(((fp - f0) ** 2).mean())) for f0, fp in zip(f0s, fps))
         records.append(
             {
                 "round": i,
                 "pi_entry_parts": pi_i.part_count,
                 "bohr_rounds": bohr.rounds,
-                "bohr_parts": len(bohr.partition.part_ids()[1]),
+                "bohr_parts": bohr.history[-1]["part_count"],
                 "pi_parts": pi.part_count,
                 "pi_next_parts": pi_next.part_count,
                 "weak_rounds": weak.rounds,
@@ -659,9 +659,7 @@ def double_regularity(
             )
     f_components = []
     f1_norms = []
-    for f in arrays:
-        f0 = pi.project_plane(f)
-        fp = pi_next.project_plane(f)
+    for f, f0, fp in zip(arrays, f0s, fps):
         f1 = fp - f0
         f2 = f - fp
         f_components.append((f0, f1, f2))

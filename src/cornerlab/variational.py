@@ -6,7 +6,8 @@ multiply them, and take the expectation.  Constant functions give
 T(alpha) = alpha^3, and the infimum over the mean-alpha slice sits somewhere
 in [alpha^4, alpha^3]; minimize_T chases it with projected descent from a
 fixed family of starts, and sweep_and_envelope turns a grid of densities into
-the lower convex envelope of the estimates.
+the lower convex envelope of the estimates.  evaluate_T, gradient_T, the
+descent and T_of_box share one kernel over weighted (..., nx, ny, nz) stacks.
 
 The second half connects grids back to plane sets.  A BoxInstance records how
 a set's hyperplane mass distributes over the inner cells of one outer box of
@@ -125,22 +126,40 @@ class GridFunction:
         )
 
 
-def _marginals(wx, wy, wz, vals):
-    F = np.einsum("k,ijk->ij", wz, vals)
-    G = np.einsum("j,ijk->ik", wy, vals)
-    H = np.einsum("i,ijk->jk", wx, vals)
+def _conditionals(w, vals: np.ndarray):
+    """E(phi|x,y), E(phi|x,z) and E(phi|y,z) of a (..., nx, ny, nz) stack."""
+    wx, wy, wz = w
+    *lead, nx, ny, nz = vals.shape
+    F = vals @ wz
+    G = wy @ vals
+    H = (wx @ vals.reshape(*lead, nx, ny * nz)).reshape(*lead, ny, nz)
     return F, G, H
+
+
+def _T(w, F: np.ndarray, G: np.ndarray, H: np.ndarray):
+    """T = sum_ij wx_i wy_j F_ij GH_ij per stacked function, and the factor
+    GH[..., i, j] = sum_k wz_k G_ik H_jk, which _bracket reuses."""
+    wx, wy, wz = w
+    GH = (G * wz) @ H.swapaxes(-1, -2)
+    return ((F * GH) @ wy) @ wx, GH
+
+
+def _bracket(w, F, G, H, GH) -> np.ndarray:
+    """dT/dphi at each cell divided by the cell's weight wx_a wy_b wz_c."""
+    wx, wy, _ = w
+    through_z = (F * wy) @ H
+    through_x = (F.swapaxes(-1, -2) * wx) @ G
+    return GH[..., :, :, None] + through_z[..., :, None, :] + through_x[..., None, :, :]
 
 
 def evaluate_T(phi: GridFunction) -> float:
     """E[E(phi|X,Y) E(phi|X,Z) E(phi|Y,Z)] under the product measure.
 
-    The three conditionals are plain weighted axis sums, so the whole thing
-    is four einsum contractions; the result lands in [0, 1].
+    The three conditionals are plain weighted axis sums, and T is their
+    weighted triple product; the result lands in [0, 1].
     """
-    wx, wy, wz = phi.weights_x, phi.weights_y, phi.weights_z
-    F, G, H = _marginals(wx, wy, wz, phi.values)
-    return float(np.einsum("i,j,k,ij,ik,jk->", wx, wy, wz, F, G, H))
+    w = (phi.weights_x, phi.weights_y, phi.weights_z)
+    return float(_T(w, *_conditionals(w, phi.values))[0])
 
 
 def gradient_T(phi: GridFunction) -> np.ndarray:
@@ -150,13 +169,11 @@ def gradient_T(phi: GridFunction) -> np.ndarray:
     is the weight of the cell times the sum of the three products of the
     complementary conditionals through that cell.
     """
-    wx, wy, wz = phi.weights_x, phi.weights_y, phi.weights_z
-    F, G, H = _marginals(wx, wy, wz, phi.values)
-    t1 = np.einsum("k,ik,jk->ij", wz, G, H)
-    t2 = np.einsum("j,ij,jk->ik", wy, F, H)
-    t3 = np.einsum("i,ij,ik->jk", wx, F, G)
-    weight = np.einsum("i,j,k->ijk", wx, wy, wz)
-    return weight * (t1[:, :, None] + t2[:, None, :] + t3[None, :, :])
+    w = (phi.weights_x, phi.weights_y, phi.weights_z)
+    F, G, H = _conditionals(w, phi.values)
+    _, GH = _T(w, F, G, H)
+    weight = np.einsum("i,j,k->ijk", *w)
+    return weight * _bracket(w, F, G, H, GH)
 
 
 def _project_to_slice(vals: np.ndarray, alpha: float) -> np.ndarray:
@@ -195,12 +212,9 @@ def _project_to_slice(vals: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def _slab_threshold(n: int, quantile: float) -> int:
-    """Smallest t with P(i+j+k <= t) >= quantile under uniform weights."""
-    idx = np.arange(n)
-    sums = idx[:, None, None] + idx[None, :, None] + idx[None, None, :]
-    hist = np.bincount(sums.ravel(), minlength=3 * n - 2)
-    cum = np.cumsum(hist) / float(n**3)
+def _slab_threshold(sums: np.ndarray, quantile: float) -> int:
+    """Smallest t with P(sums <= t) >= quantile under uniform weights."""
+    cum = np.cumsum(np.bincount(sums.ravel())) / float(sums.size)
     return int(np.searchsorted(cum, quantile))
 
 
@@ -209,11 +223,9 @@ def _restart_start(r: int, n: int, seed: int, restarts: int) -> np.ndarray:
     if r <= 3:
         return np.random.default_rng([seed, r]).random((n, n, n))
     slabs = max(1, restarts - 4)
-    q = (r - 3) / (slabs + 1)
-    t = _slab_threshold(n, q)
     idx = np.arange(n)
     sums = idx[:, None, None] + idx[None, :, None] + idx[None, None, :]
-    return (sums <= t).astype(float)
+    return (sums <= _slab_threshold(sums, (r - 3) / (slabs + 1))).astype(float)
 
 
 class MinimizeResult(NamedTuple):
@@ -225,30 +237,6 @@ class MinimizeResult(NamedTuple):
     iterations: tuple[int, ...]
 
 
-def _lane_marginals(phi: np.ndarray):
-    """Uniform-weight conditionals of a (B, n, n, n) stack, plus G H^T per lane."""
-    n = phi.shape[1]
-    F = phi.sum(axis=3) / n
-    G = phi.sum(axis=2) / n
-    H = phi.sum(axis=1) / n
-    return F, G, H, G @ H.swapaxes(1, 2)
-
-
-def _lane_T(F: np.ndarray, GH: np.ndarray) -> np.ndarray:
-    """T of each lane: the mean over (i, j) of F_ij (G H^T)_ij / n."""
-    n = F.shape[1]
-    return (F * GH).sum(axis=(1, 2)) / n**3
-
-
-def _lane_bracket(F: np.ndarray, G: np.ndarray, H: np.ndarray, GH: np.ndarray) -> np.ndarray:
-    """Derivative of T per lane in the uniform inner product (no n^-3 prefactor)."""
-    n = F.shape[1]
-    t1 = GH / n
-    t2 = F @ H / n
-    t3 = F.swapaxes(1, 2) @ G / n
-    return t1[:, :, :, None] + t2[:, :, None, :] + t3[:, None, :, :]
-
-
 def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projected descent from each (n, n, n) start of a stack, all in lockstep.
 
@@ -256,25 +244,27 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, 
     by more than _DECREASE_FLOOR, otherwise the lane halves its step.  A lane
     leaves the batch once its step drops below _STEP_FLOOR or after
     _DESCENT_CAP candidates, so each iteration works on the live lanes only.
-    The marginals of a lane's last accepted point give its next bracket.
+    The conditionals of a lane's last accepted point give its next bracket,
+    from the kernel of evaluate_T with uniform weights 1/n.
     Returns the final points, their T values and the candidates per lane.
     """
     shape = starts.shape
-    lanes = shape[0]
+    lanes, n = shape[0], shape[1]
+    w = (np.full(n, 1.0 / n),) * 3
     phi = _project_to_slice(starts.reshape(lanes, -1), alpha).reshape(shape)
-    F, G, H, GH = _lane_marginals(phi)
-    t = _lane_T(F, GH)
+    F, G, H = _conditionals(w, phi)
+    t, GH = _T(w, F, G, H)
     step = np.full(lanes, _INITIAL_STEP)
     live = np.arange(lanes)
     iterations = np.zeros(lanes, dtype=int)
     final_phi = np.empty(shape)
     final_t = np.empty(lanes)
     for it in range(1, _DESCENT_CAP + 1):
-        direction = _lane_bracket(F, G, H, GH)
+        direction = _bracket(w, F, G, H, GH)
         moved = phi - step[:, None, None, None] * direction
         cand = _project_to_slice(moved.reshape(live.size, -1), alpha).reshape(phi.shape)
-        cF, cG, cH, cGH = _lane_marginals(cand)
-        tc = _lane_T(cF, cGH)
+        cF, cG, cH = _conditionals(w, cand)
+        tc, cGH = _T(w, cF, cG, cH)
         better = tc < t - _DECREASE_FLOOR
         if better.any():
             phi[better], t[better] = cand[better], tc[better]
@@ -314,7 +304,8 @@ def minimize_T(
 
     The constant start is a stationary point (its gradient is constant on
     the slice), so restart 0 is answered in closed form as alpha^3 with no
-    descent.  The other restarts run as one (restarts - 1, n, n, n) batch;
+    descent.  The other restarts run as one (restarts - 1, n, n, n) batch
+    through the weighted kernel of evaluate_T, with uniform weights;
     iterations records the candidates each restart evaluated (0 for
     restart 0).  Ties go to the lowest restart index.
 
@@ -552,17 +543,15 @@ def T_of_box(inst: BoxInstance) -> float:
     """Box-level surrogate for T built from the raw cell densities.
 
     Conditionals are weighted fiber means of the raw densities; cells with a
-    small inner part are dropped.  Truncation and zeroing only shrink the
-    grid function's conditionals, so T of the truncated grid function never
-    exceeds this value, which is asserted.
+    small inner part are dropped by zeroing their outer weights (the fiber
+    mask is a product of per-axis cutoffs).  Truncation and zeroing only
+    shrink the grid function's conditionals, so T of the truncated grid
+    function never exceeds this value, which is asserted.
     """
     raw, grid = phi_from_partition(inst)
-    dx, dy, dz = inst.delta_x, inst.delta_y, inst.delta_z
-    F, G, H = _marginals(dx, dy, dz, raw)
-    mask = inst.fiber_mask().astype(float)
-    t_v = float(
-        np.einsum("i,j,k,ijk,ij,ik,jk->", dx, dy, dz, mask, F, G, H)
-    )
+    d = (inst.delta_x, inst.delta_y, inst.delta_z)
+    th = inst.eps * inst.eps / inst.m
+    t_v = float(_T(tuple(v * (v >= th) for v in d), *_conditionals(d, raw))[0])
     t_phi = evaluate_T(grid)
     if t_phi > t_v + 1e-12:
         raise BoundViolation(f"truncated value {t_phi!r} exceeds box surrogate {t_v!r}")

@@ -128,6 +128,87 @@ def test_gradient_matches_central_differences():
         assert abs(grad[idx] - fd) / denom <= 1e-5
 
 
+# -------------------------------------------------------------------- kernel
+
+
+def _loop_T_and_gradient(wx, wy, wz, v):
+    """T and its gradient by literal loops: the three conditionals, the triple
+    sum, and the product rule applied term by term."""
+    nx, ny, nz = v.shape
+    F = np.zeros((nx, ny))
+    G = np.zeros((nx, nz))
+    H = np.zeros((ny, nz))
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                F[i, j] += wz[k] * v[i, j, k]
+                G[i, k] += wy[j] * v[i, j, k]
+                H[j, k] += wx[i] * v[i, j, k]
+    T = 0.0
+    grad = np.zeros(v.shape)
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                cell = wx[i] * wy[j] * wz[k]
+                T += cell * F[i, j] * G[i, k] * H[j, k]
+                for c in range(nz):  # F[i, j] depends on v[i, j, c]
+                    grad[i, j, c] += cell * G[i, k] * H[j, k] * wz[c]
+                for b in range(ny):  # G[i, k] depends on v[i, b, k]
+                    grad[i, b, k] += cell * F[i, j] * H[j, k] * wy[b]
+                for a in range(nx):  # H[j, k] depends on v[a, j, k]
+                    grad[a, j, k] += cell * F[i, j] * G[i, k] * wx[a]
+    return T, grad
+
+
+def _einsum_T_of_box(inst):
+    """T_of_box as one seven-operand contraction over the fiber mask."""
+    raw, _ = phi_from_partition(inst)
+    dx, dy, dz = inst.delta_x, inst.delta_y, inst.delta_z
+    F = np.einsum("k,ijk->ij", dz, raw)
+    G = np.einsum("j,ijk->ik", dy, raw)
+    H = np.einsum("i,ijk->jk", dx, raw)
+    mask = inst.fiber_mask().astype(float)
+    return float(np.einsum("i,j,k,ijk,ij,ik,jk->", dx, dy, dz, mask, F, G, H))
+
+
+@st.composite
+def _axis_weights(draw, size):
+    """A probability vector with some zero entries allowed (one entry stays positive)."""
+    raw = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.35, 1.0, 2.5]), min_size=size, max_size=size))
+    raw[draw(st.integers(0, size - 1))] = draw(st.floats(0.05, 1.0))
+    w = np.array(raw)
+    return w / w.sum()
+
+
+_CELL_VALUES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
+def test_kernel_matches_literal_loops_on_weighted_stacks(data, B, nx, ny, nz):
+    w = tuple(data.draw(_axis_weights(size)) for size in (nx, ny, nz))
+    cells = data.draw(st.lists(_CELL_VALUES, min_size=B * nx * ny * nz, max_size=B * nx * ny * nz))
+    stack = np.array(cells).reshape(B, nx, ny, nz)
+    F, G, H = V._conditionals(w, stack)
+    T, GH = V._T(w, F, G, H)
+    grad = np.einsum("i,j,k->ijk", *w) * V._bracket(w, F, G, H, GH)
+    assert T.shape == (B,) and grad.shape == stack.shape
+    for lane in range(B):
+        ref_T, ref_grad = _loop_T_and_gradient(*w, stack[lane])
+        assert abs(T[lane] - ref_T) <= 1e-14
+        assert np.max(np.abs(grad[lane] - ref_grad)) <= 1e-14
+        phi = GridFunction(*w, stack[lane])
+        assert abs(evaluate_T(phi) - ref_T) <= 1e-14
+        assert np.max(np.abs(gradient_T(phi) - ref_grad)) <= 1e-14
+    # the box surrogate of a mass layout with these axis weights
+    mass = 0.5
+    cell_masses = np.einsum("i,j,k->ijk", *w) * mass * stack[0]
+    eps = data.draw(st.sampled_from([0.05, 0.2, 0.3, 0.5, 1.0]))
+    m = data.draw(st.integers(1, 5))
+    inst = make_instance(cell_masses, mass, eps=eps, m=m, weights=w)
+    assert abs(T_of_box(inst) - _einsum_T_of_box(inst)) <= 1e-14
+
+
 # ---------------------------------------------------------------- projection
 
 
@@ -224,19 +305,22 @@ def test_minimize_validation():
 
 def _serial_restart_values(alpha, n, restarts, seed):
     """One restart at a time with the descent rule of minimize_T, as plain loops."""
+    w = (np.full(n, 1.0 / n),) * 3
     values, counts = [alpha**3], [0]
     for r in range(1, restarts):
         start = V._restart_start(r, n, seed, restarts)
         phi = V._project_to_slice(start.reshape(1, -1), alpha).reshape(1, n, n, n)
-        F, G, H, GH = V._lane_marginals(phi)
-        t = V._lane_T(F, GH)[0]
+        F, G, H = V._conditionals(w, phi)
+        t, GH = V._T(w, F, G, H)
+        t = t[0]
         step, used = V._INITIAL_STEP, 0
         for _ in range(V._DESCENT_CAP):
             used += 1
-            moved = phi - step * V._lane_bracket(F, G, H, GH)
+            moved = phi - step * V._bracket(w, F, G, H, GH)
             cand = V._project_to_slice(moved.reshape(1, -1), alpha).reshape(phi.shape)
-            cF, cG, cH, cGH = V._lane_marginals(cand)
-            tc = V._lane_T(cF, cGH)[0]
+            cF, cG, cH = V._conditionals(w, cand)
+            tc, cGH = V._T(w, cF, cG, cH)
+            tc = tc[0]
             if tc < t - V._DECREASE_FLOOR:
                 phi, t, F, G, H, GH = cand, tc, cF, cG, cH, cGH
             else:
@@ -254,18 +338,6 @@ def test_batched_descent_matches_one_restart_at_a_time(alpha, n, seed):
     values, counts = _serial_restart_values(alpha, n, 6, seed)
     assert np.max(np.abs(np.array(res.restart_values) - values)) <= 1e-12
     assert res.iterations == tuple(counts)
-
-
-def test_lane_kernels_match_the_public_functional():
-    rng = np.random.default_rng(64)
-    stack = rng.random((3, 4, 4, 4))
-    F, G, H, GH = V._lane_marginals(stack)
-    t = V._lane_T(F, GH)
-    grad = V._lane_bracket(F, G, H, GH) / 4**3
-    for lane in range(3):
-        phi = GridFunction.uniform(stack[lane])
-        assert abs(t[lane] - evaluate_T(phi)) <= 1e-14
-        assert np.max(np.abs(grad[lane] - gradient_T(phi))) <= 1e-15
 
 
 @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.3, 1 / 3, 0.5, 0.9, 1 - 1e-9])
