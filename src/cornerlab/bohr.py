@@ -7,12 +7,12 @@ with exact rational arithmetic so that strict inequalities and half-open
 interval labels are deterministic.  The companion partition splits G by
 rounding each xi(x) down to a width-delta interval.
 
-The verifiers measure, exhaustively where feasible, how often translates of a
-small Bohr set escape a single part of a coarse partition, and how often a
+The verifiers measure, exhaustively over the group, how often translates of
+a small Bohr set escape a single part of a coarse partition, and how often a
 fine part poking out of a translate spoils absorption.  They return measured
 fractions; pinned multiples of the driving ratio (8 for translate
 containment, 4 for absorption) are asserted only when the resulting bound is
-informative (< 1) and the check was exhaustive.
+informative (< 1).
 """
 from __future__ import annotations
 
@@ -23,13 +23,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    BoundViolation,
-    CapExceededError,
-    GroupMismatchError,
-    ValidationError,
-    check_seed,
-)
+from .errors import BoundViolation, CapExceededError, GroupMismatchError, ValidationError
 from .fourier import GroupFunction, convolve, lp_norm
 from .groups import Character, Element, GroupSpec, torus_norm_fraction
 
@@ -85,11 +79,11 @@ class BohrSet:
     def __contains__(self, x: Element) -> bool:
         return self.member(x)
 
-    def mask(self, cap: int = _EXHAUSTIVE_CAP) -> np.ndarray:
+    def mask(self) -> np.ndarray:
         """Boolean membership array over the whole group, exact integer tests."""
         n = self.group.order
-        if n > cap:
-            raise CapExceededError(f"group order {n} exceeds enumeration cap {cap}")
+        if n > _EXHAUSTIVE_CAP:
+            raise CapExceededError(f"group order {n} exceeds enumeration cap {_EXHAUSTIVE_CAP}")
         keep = np.ones(n, dtype=bool)
         L = self.group.exponent_lcm
         p, q = self.radius.numerator, self.radius.denominator
@@ -99,16 +93,16 @@ class BohrSet:
             keep &= dist * q < p * L
         return keep
 
-    def indices(self, cap: int = _EXHAUSTIVE_CAP) -> np.ndarray:
-        return np.nonzero(self.mask(cap))[0]
+    def indices(self) -> np.ndarray:
+        return np.nonzero(self.mask())[0]
 
-    def measure(self, cap: int = _EXHAUSTIVE_CAP) -> Fraction:
+    def measure(self) -> Fraction:
         """mu(B) = |B| / |G| as an exact fraction."""
-        return Fraction(int(self.mask(cap).sum()), self.group.order)
+        return Fraction(int(self.mask().sum()), self.group.order)
 
-    def mu(self, cap: int = _EXHAUSTIVE_CAP) -> GroupFunction:
+    def mu(self) -> GroupFunction:
         """The mean-one normalized indicator used as a convolution kernel."""
-        return GroupFunction.normalized_indicator(self.group, self.mask(cap))
+        return GroupFunction.normalized_indicator(self.group, self.mask())
 
 
 def volume_lower_bound(s: int, rho: RationalLike) -> Fraction:
@@ -158,11 +152,11 @@ class BohrPartition:
             out.append(1 + (N * t.numerator) // t.denominator)
         return tuple(out)
 
-    def label_matrix(self, cap: int = _EXHAUSTIVE_CAP) -> np.ndarray:
+    def label_matrix(self) -> np.ndarray:
         """(|G|, |S|) int64 array of interval labels, whole group at once."""
         n = self.group.order
-        if n > cap:
-            raise CapExceededError(f"group order {n} exceeds enumeration cap {cap}")
+        if n > _EXHAUSTIVE_CAP:
+            raise CapExceededError(f"group order {n} exceeds enumeration cap {_EXHAUSTIVE_CAP}")
         N = self.resolution
         L = self.group.exponent_lcm
         cols = [1 + (N * xi.residue_vector()) // L for xi in self.freqs]
@@ -170,9 +164,9 @@ class BohrPartition:
             return np.zeros((n, 0), dtype=np.int64)
         return np.stack(cols, axis=1)
 
-    def part_ids(self, cap: int = _EXHAUSTIVE_CAP) -> tuple[np.ndarray, list[tuple[int, ...]], np.ndarray]:
+    def part_ids(self) -> tuple[np.ndarray, list[tuple[int, ...]], np.ndarray]:
         """Compact ids: (ids over G, sorted distinct labels, part sizes)."""
-        mat = self.label_matrix(cap)
+        mat = self.label_matrix()
         if mat.shape[1] == 0:
             return (
                 np.zeros(self.group.order, dtype=np.int64),
@@ -183,16 +177,16 @@ class BohrPartition:
         labels = [tuple(int(v) for v in row) for row in uniq]
         return inverse.ravel().astype(np.int64), labels, counts.astype(np.int64)
 
-    def parts(self, cap: int = _EXHAUSTIVE_CAP) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    def parts(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
         """Nonempty parts as (label, element indices), label-lexicographic."""
-        ids, labels, _ = self.part_ids(cap)
+        ids, labels, _ = self.part_ids()
         return [(lab, np.nonzero(ids == k)[0]) for k, lab in enumerate(labels)]
 
-    def project(self, f: GroupFunction, cap: int = _EXHAUSTIVE_CAP) -> GroupFunction:
+    def project(self, f: GroupFunction) -> GroupFunction:
         """Conditional expectation of f given the partition (per-part mean)."""
         if f.group != self.group:
             raise GroupMismatchError("function lives on a different group")
-        ids, _, counts = self.part_ids(cap)
+        ids, _, counts = self.part_ids()
         vals = np.asarray(f.values)
         if np.iscomplexobj(vals):
             means = (
@@ -216,48 +210,31 @@ def part_absorption_bound(s: int, rho: RationalLike, delta_prime: RationalLike) 
     return 4 * _as_fraction(delta_prime, "delta_prime") * s / (r * C)
 
 
-def _sample_indices(n: int, sample_size, seed: int) -> tuple[np.ndarray, bool]:
-    """All indices, or a seeded subset; second item flags exhaustiveness."""
-    check_seed(seed)
-    if sample_size is None or sample_size >= n:
-        return np.arange(n, dtype=np.int64), True
-    if sample_size <= 0:
-        raise ValidationError("sample_size must be positive")
-    rng = np.random.default_rng(seed)
-    picked = rng.choice(n, size=sample_size, replace=False)
-    return np.sort(picked.astype(np.int64)), False
-
-
 def verify_translate_containment(
     group: GroupSpec,
     freqs: Sequence[Character],
     delta: RationalLike,
     rho: RationalLike,
-    sample_size: int | None = None,
-    seed: int = 0,
-    cap: int = _EXHAUSTIVE_CAP,
 ) -> Fraction:
     """Fraction of x whose translate x + B(S, rho) meets two parts of
     the width-delta partition.
 
-    Exhaustive over x when sample_size is None.  When exhaustive and the
-    pinned prediction 8*rho*|S|/delta is < 1, a violation of it raises
-    BoundViolation rather than passing silently.
+    Exhaustive over x.  When the pinned prediction 8*rho*|S|/delta is < 1,
+    a violation of it raises BoundViolation rather than passing silently.
     """
     S = _canonical_freqs(group, freqs)
     B = BohrSet(group, S, rho)
     partition = BohrPartition(group, S, delta)
-    ids, _, _ = partition.part_ids(cap)
-    b_idx = B.indices(cap)
-    xs, exhaustive = _sample_indices(group.order, sample_size, seed)
+    ids, _, _ = partition.part_ids()
+    b_idx = B.indices()
     bad = 0
-    for x in xs:
+    for x in range(group.order):
         labs = ids[group.add_indices(x, b_idx)]
         if labs.min() != labs.max():
             bad += 1
-    fraction = Fraction(bad, len(xs))
+    fraction = Fraction(bad, group.order)
     bound = translate_containment_bound(len(S), rho, delta)
-    if exhaustive and bound < 1 and fraction > bound:
+    if bound < 1 and fraction > bound:
         raise BoundViolation(
             f"translate containment failed on {fraction} of translates; "
             f"pinned bound 8*rho*|S|/delta = {bound}"
@@ -271,15 +248,12 @@ def verify_part_absorption(
     fine_freqs: Sequence[Character],
     rho: RationalLike,
     delta_prime: RationalLike,
-    sample_size: int | None = None,
-    seed: int = 0,
-    cap: int = _EXHAUSTIVE_CAP,
 ) -> Fraction:
     """Worst case over x of the fraction of y in B(S, rho) for which the fine
     part containing x + y is not a subset of x + B(S, rho).
 
-    Requires S to be a subset of S'.  Exhaustive over x when sample_size is
-    None; the pinned prediction 4*delta'*|S|/(rho*C) is asserted when < 1.
+    Requires S to be a subset of S'.  Exhaustive over x; the pinned
+    prediction 4*delta'*|S|/(rho*C) is asserted when < 1.
     """
     S = _canonical_freqs(group, freqs)
     S_fine = _canonical_freqs(group, fine_freqs)
@@ -288,15 +262,14 @@ def verify_part_absorption(
         raise ValidationError("the fine frequency set must contain the coarse one")
     B = BohrSet(group, S, rho)
     fine = BohrPartition(group, S_fine, delta_prime)
-    ids, labels, _ = fine.part_ids(cap)
+    ids, labels, _ = fine.part_ids()
     n_parts = len(labels)
-    mask_B = B.mask(cap)
+    mask_B = B.mask()
     b_idx = np.nonzero(mask_B)[0]
     neg = group.negation_permutation()
     everything = np.arange(group.order, dtype=np.int64)
-    xs, exhaustive = _sample_indices(group.order, sample_size, seed)
     worst = Fraction(0)
-    for x in xs:
+    for x in range(group.order):
         in_translate = mask_B[group.add_indices(neg[x], everything)]  # g in x + B  <=>  g - x in B
         uncovered = np.bincount(ids[~in_translate], minlength=n_parts) > 0
         bad = int(uncovered[ids[group.add_indices(x, b_idx)]].sum())
@@ -304,7 +277,7 @@ def verify_part_absorption(
         if frac > worst:
             worst = frac
     bound = part_absorption_bound(len(S), rho, delta_prime)
-    if exhaustive and bound < 1 and worst > bound:
+    if bound < 1 and worst > bound:
         raise BoundViolation(
             f"part absorption failed on a {worst} fraction; "
             f"pinned bound 4*delta'*|S|/(rho*C) = {bound}"
@@ -343,7 +316,6 @@ def box_approximation(
     z0: Element,
     eps0: float,
     delta_prime: RationalLike,
-    cap: int = _BOX_CAP,
 ) -> BoxDecomposition:
     """Cover {(x, y): x + y + z0 in B} by product boxes of fine parts.
 
@@ -355,16 +327,20 @@ def box_approximation(
     """
     if not (0 < eps0 < 1):
         raise ValidationError("eps0 must lie in (0, 1)")
+    group = target.group if isinstance(target, BohrSet) else target[0].group
+    n = group.order
+    if n > _BOX_CAP:
+        raise CapExceededError(f"group order {n} exceeds box-approximation cap {_BOX_CAP}")
     if isinstance(target, BohrSet):
-        group, S = target.group, target.freqs
-        mask_B = target.mask(cap)
+        S = target.freqs
+        mask_B = target.mask()
         smallness = (
             float(volume_lower_bound(len(S), target.radius)) * eps0 / max(1, len(S))
         )
     else:
         partition, label = target
-        group, S = partition.group, partition.freqs
-        ids, labels, _ = partition.part_ids(cap)
+        S = partition.freqs
+        ids, labels, _ = partition.part_ids()
         try:
             k = labels.index(tuple(label))
         except ValueError:
@@ -374,14 +350,11 @@ def box_approximation(
         smallness = (
             eps0 * float(partition.width) ** len(S) * eps0 / max(1, len(S))
         )
-    n = group.order
-    if n > cap:
-        raise CapExceededError(f"group order {n} exceeds box-approximation cap {cap}")
     if z0.group != group:
         raise GroupMismatchError("z0 belongs to a different group")
 
     fine = BohrPartition(group, S, delta_prime)
-    ids_fine, labels_fine, counts = fine.part_ids(cap)
+    ids_fine, labels_fine, counts = fine.part_ids()
     P = len(labels_fine)
 
     # inside[x, y] <=> x + y + z0 in B
@@ -430,7 +403,6 @@ def check_convolution_smoothing(
     delta: RationalLike,
     delta_prime: RationalLike,
     rho: RationalLike,
-    cap: int = _EXHAUSTIVE_CAP,
 ) -> SmoothingCheck:
     """Measure both smoothing deviations for f: G -> [0, 1].
 
@@ -449,9 +421,9 @@ def check_convolution_smoothing(
     B = BohrSet(group, S, rho)
     coarse = BohrPartition(group, S, delta)
     fine = BohrPartition(group, S_fine, delta_prime)
-    mu_B = B.mu(cap)
-    f_coarse = coarse.project(f, cap)
-    f_fine = fine.project(f, cap)
+    mu_B = B.mu()
+    f_coarse = coarse.project(f)
+    f_fine = fine.project(f)
     e1 = lp_norm(
         GroupFunction(group, f_coarse.values - convolve(mu_B, f_coarse).values), 2
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -226,7 +226,7 @@ def _cyclic_split(group: GroupSpec) -> tuple[np.ndarray, GroupSpec]:
     return group.index_of_coords(coords), H
 
 
-def corner_count_by_difference(A: PlaneSet, cap: int = PROFILE_CAP) -> CornerProfile:
+def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
     """Exact N(d) for every d, via packed-row AND/popcount.
 
     For fixed d the three constraints are the bit matrix itself, its columns
@@ -247,8 +247,6 @@ def corner_count_by_difference(A: PlaneSet, cap: int = PROFILE_CAP) -> CornerPro
     """
     group = A.group
     n = group.order
-    if n > cap:
-        raise CapExceededError(f"group order {n} exceeds profile cap {cap}")
     labels, H = _cyclic_split(group)
     m, nh = labels.shape
     words = -(-n // 64)
@@ -318,23 +316,20 @@ def popular_difference(A: PlaneSet, profile: CornerProfile | None = None) -> tup
     return group.element(d), int(tail[d - 1])
 
 
-def weighted_corner_count(
-    A: PlaneSet,
-    nu: GroupFunction,
-    profile: CornerProfile | None = None,
-    cap: int = PROFILE_CAP,
-) -> float:
-    """(1/|G|^3) sum_d nu(d) N(d) for a mean-one difference measure nu."""
-    group = A.group
+def _check_nu(group: GroupSpec, nu: GroupFunction) -> None:
+    """nu must live on group and have mean one."""
     if nu.group != group:
         raise GroupMismatchError("nu lives on a different group")
     mean = nu.mean()
     if abs(mean - 1.0) > _MEAN_ONE_TOL:
         raise ValidationError(f"nu must have mean 1 (got {mean})")
-    if profile is None:
-        profile = corner_count_by_difference(A, cap=cap)
+
+
+def weighted_corner_count(A: PlaneSet, nu: GroupFunction) -> float:
+    """(1/|G|^3) sum_d nu(d) N(d) for a mean-one difference measure nu."""
+    _check_nu(A.group, nu)
     values = np.asarray(nu.values, dtype=np.float64)
-    return float(values @ profile.counts) / group.order**3
+    return float(values @ corner_count_by_difference(A).counts) / A.group.order**3
 
 
 def hyperplane_views(A: PlaneSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -355,12 +350,11 @@ def triple_sum_from_views(
     views: tuple[np.ndarray, np.ndarray, np.ndarray],
     group: GroupSpec,
     nu: GroupFunction,
-    cap: int = _TRIPLE_SUM_CAP,
 ) -> float:
     """(1/|G|^3) sum_{x,y,z} f(x,y) g(x,z) h(y,z) nu(-x-y-z), literally."""
     n = group.order
-    if n > cap:
-        raise CapExceededError(f"group order {n} exceeds triple-sum cap {cap}")
+    if n > _TRIPLE_SUM_CAP:
+        raise CapExceededError(f"group order {n} exceeds triple-sum cap {_TRIPLE_SUM_CAP}")
     if nu.group != group:
         raise GroupMismatchError("nu lives on a different group")
     f, g, h = (np.asarray(v, dtype=np.float64) for v in views)
@@ -375,16 +369,14 @@ def triple_sum_from_views(
     return total / n**3
 
 
-def weighted_corner_count_direct(A: PlaneSet, nu: GroupFunction, cap: int = _TRIPLE_SUM_CAP) -> float:
+def weighted_corner_count_direct(A: PlaneSet, nu: GroupFunction) -> float:
     """Independent evaluation of the weighted count through the hyperplane
     triple sum; the oracle for weighted_corner_count."""
-    mean = nu.mean()
-    if abs(mean - 1.0) > _MEAN_ONE_TOL:
-        raise ValidationError(f"nu must have mean 1 (got {mean})")
-    return triple_sum_from_views(hyperplane_views(A), A.group, nu, cap=cap)
+    _check_nu(A.group, nu)
+    return triple_sum_from_views(hyperplane_views(A), A.group, nu)
 
 
-def corner_count_fourier_check(A: PlaneSet, nu: GroupFunction, cap: int = _TRIPLE_SUM_CAP) -> float:
+def corner_count_fourier_check(A: PlaneSet, nu: GroupFunction) -> float:
     """Second independent path: per-d correlations in float arithmetic.
 
     N(d) is the inner product of the row-wise product A . A_colshift with the
@@ -393,13 +385,9 @@ def corner_count_fourier_check(A: PlaneSet, nu: GroupFunction, cap: int = _TRIPL
     """
     group = A.group
     n = group.order
-    if n > cap:
-        raise CapExceededError(f"group order {n} exceeds check cap {cap}")
-    if nu.group != group:
-        raise GroupMismatchError("nu lives on a different group")
-    mean = nu.mean()
-    if abs(mean - 1.0) > _MEAN_ONE_TOL:
-        raise ValidationError(f"nu must have mean 1 (got {mean})")
+    if n > _TRIPLE_SUM_CAP:
+        raise CapExceededError(f"group order {n} exceeds check cap {_TRIPLE_SUM_CAP}")
+    _check_nu(group, nu)
     bits = A.bits.astype(np.float64)
     nu_vals = np.asarray(nu.values, dtype=np.float64)
     total = 0.0
@@ -423,22 +411,11 @@ class IntegerScan(NamedTuple):
     profile: dict[int, int]
 
 
-def _signed_candidates(
-    n: int, extra_freqs: Sequence[Character], rho: Fraction
-) -> tuple[GroupSpec, list[int]]:
-    """Nonzero members of B({x -> x/n} union extras, rho), as signed ints."""
+def _signed_candidates(n: int, rho: Fraction) -> list[int]:
+    """Nonzero members of B({x -> x/n}, rho) on Z_n, as signed ints."""
     group = GroupSpec((n,))
-    freqs = [Character(group, (1,))]
-    for xi in extra_freqs:
-        if xi.group != group:
-            raise GroupMismatchError(f"extra frequency must live on Z{n}")
-        freqs.append(xi)
-    B = BohrSet(group, freqs, rho)
-    out = []
-    for d in range(1, n):
-        if B.member(group.element(d)):
-            out.append(d if 2 * d <= n else d - n)
-    return group, out
+    B = BohrSet(group, [Character(group, (1,))], rho)
+    return [d if 2 * d <= n else d - n for d in np.flatnonzero(B.mask()).tolist() if d]
 
 
 def _valid_count(padded: np.ndarray, words: int, d: int) -> int:
@@ -459,16 +436,12 @@ def _valid_count(padded: np.ndarray, words: int, d: int) -> int:
     return int(np.bitwise_count(block).sum())
 
 
-def integer_corner_scan(
-    bits: np.ndarray,
-    extra_freqs: Sequence[Character] = (),
-    rho: RationalLike = Fraction(1, 4),
-) -> IntegerScan:
+def integer_corner_scan(bits: np.ndarray, rho: RationalLike = Fraction(1, 4)) -> IntegerScan:
     """Scan A in [n]^2 for the best difference among Bohr-set candidates.
 
     The grid embeds into (Z/nZ)^2 and candidate differences are the nonzero
-    members of a Bohr set whose frequencies always include x -> x/n, so every
-    candidate pulls back to a signed integer of magnitude below rho*n.
+    members of the Bohr set B({x -> x/n}, rho), so every candidate pulls
+    back to a signed integer of magnitude below rho*n.
     Corners are then counted directly on the grid, which silently drops every
     triple that would wrap around an edge.
     """
@@ -481,7 +454,7 @@ def integer_corner_scan(
     r = _as_fraction(rho, "rho")
     if not (0 < r <= Fraction(1, 4)):
         raise ValidationError(f"rho must lie in (0, 1/4], got {r}")
-    _, candidates = _signed_candidates(n, extra_freqs, r)
+    candidates = _signed_candidates(n, r)
     words = -(-n // 64)
     padded = _pack_rows(bits, 2 * words)
     profile = {d: _valid_count(padded, words, d) for d in candidates}

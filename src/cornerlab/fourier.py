@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BoundViolation, CapExceededError, GroupMismatchError, ValidationError
 from .groups import Character, GroupSpec
 
-DEFAULT_TRANSFORM_CAP = 2**20
+TRANSFORM_CAP = 2**20
 _DIRECT_ORACLE_CAP = 2**12
 
 
@@ -92,17 +92,17 @@ def _check_transform_cap(group: GroupSpec, cap: int) -> None:
         raise CapExceededError(f"group order {group.order} exceeds transform cap {cap}")
 
 
-def dft(f: GroupFunction, cap: int = DEFAULT_TRANSFORM_CAP) -> Spectrum:
+def dft(f: GroupFunction) -> Spectrum:
     """Mean-normalized transform, factored per cyclic axis via an FFT."""
-    _check_transform_cap(f.group, cap)
+    _check_transform_cap(f.group, TRANSFORM_CAP)
     cube = f.values.reshape(f.group.moduli)
     coeffs = np.fft.fftn(cube).ravel() / f.group.order
     return Spectrum(f.group, coeffs)
 
 
-def inverse_dft(spectrum: Spectrum, cap: int = DEFAULT_TRANSFORM_CAP) -> GroupFunction:
+def inverse_dft(spectrum: Spectrum) -> GroupFunction:
     """f(x) = sum_xi fhat(xi) e(xi(x)); exact inverse of dft up to rounding."""
-    _check_transform_cap(spectrum.group, cap)
+    _check_transform_cap(spectrum.group, TRANSFORM_CAP)
     cube = spectrum.coefficients.reshape(spectrum.group.moduli)
     values = np.fft.ifftn(cube).ravel() * spectrum.group.order
     if np.abs(values.imag).max(initial=0.0) < 1e-12 * max(1.0, np.abs(values.real).max(initial=0.0)):
@@ -122,11 +122,11 @@ def dft_direct(f: GroupFunction) -> Spectrum:
     return Spectrum(group, coeffs)
 
 
-def convolve(f: GroupFunction, g: GroupFunction, cap: int = DEFAULT_TRANSFORM_CAP) -> GroupFunction:
+def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     """(f*g)(x) = (1/|G|) sum_y f(y) g(x-y), evaluated through the transform."""
     if f.group != g.group:
         raise GroupMismatchError("convolution operands live on different groups")
-    _check_transform_cap(f.group, cap)
+    _check_transform_cap(f.group, TRANSFORM_CAP)
     shape = f.group.moduli
     fc = np.fft.fftn(f.values.reshape(shape))
     gc = np.fft.fftn(g.values.reshape(shape))
@@ -156,7 +156,7 @@ def convolve_direct(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     return GroupFunction(group, out)
 
 
-def large_spectrum(f: GroupFunction, threshold: float, cap: int = DEFAULT_TRANSFORM_CAP) -> set[Character]:
+def large_spectrum(f: GroupFunction, threshold: float) -> set[Character]:
     """Frequencies with |fhat(xi)| >= threshold.
 
     Plancherel forces |result| <= ||f||_{L2}^2 / threshold^2; a larger result
@@ -164,7 +164,7 @@ def large_spectrum(f: GroupFunction, threshold: float, cap: int = DEFAULT_TRANSF
     """
     if threshold <= 0:
         raise ValidationError("large-spectrum threshold must be positive")
-    spec = dft(f, cap=cap)
+    spec = dft(f)
     hits = np.nonzero(np.abs(spec.coefficients) >= threshold)[0]
     bound = lp_norm(f, 2) ** 2 / threshold**2
     if len(hits) > bound + 1e-9:

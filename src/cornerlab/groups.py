@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CapExceededError, GroupMismatchError, ValidationError
 
 MAX_GROUP_ORDER = 2**32
-DEFAULT_ENUMERATION_CAP = 2**24
+ENUMERATION_CAP = 2**24
 
 
 def torus_norm(t: float) -> float:
@@ -94,10 +94,12 @@ class GroupSpec:
             coords.append((index // s) % n)
         return Element(self, tuple(coords))
 
-    def enumerate(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list["Element"]:
-        """All elements in mixed-radix order; raises if the order exceeds cap."""
-        if self.order > cap:
-            raise CapExceededError(f"group order {self.order} exceeds enumeration cap {cap}")
+    def enumerate(self) -> list["Element"]:
+        """All elements in mixed-radix order; raises above ENUMERATION_CAP."""
+        if self.order > ENUMERATION_CAP:
+            raise CapExceededError(
+                f"group order {self.order} exceeds enumeration cap {ENUMERATION_CAP}"
+            )
         return [self.element(i) for i in range(self.order)]
 
     def __iter__(self) -> Iterator["Element"]:

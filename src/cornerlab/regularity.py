@@ -319,7 +319,6 @@ def weak_regularity(
     initial: Partition | None = None,
     restarts: int = CUT_RESTARTS,
     seed: int = 0,
-    cap: int = _WEAK_CAP,
 ) -> WeakRegularityResult:
     """Refine a partition until every f is eps-close to its box averages.
 
@@ -336,7 +335,7 @@ def weak_regularity(
     _check_eps(eps)
     check_seed(seed)
     _check_restarts(restarts)
-    arrays = _check_plane_inputs(fs, group, cap)
+    arrays = _check_plane_inputs(fs, group, _WEAK_CAP)
     part = initial if initial is not None else Partition.trivial(group)
     if part.group != group:
         raise ValidationError("initial partition lives on a different group")
@@ -416,8 +415,6 @@ def bohr_regularize(
     fns: Sequence[GroupFunction],
     F: GrowthFunction,
     eps: float = 1.0,
-    m: int | None = None,
-    cap: int = _BOHR_CAP,
 ) -> BohrDecomposition:
     """Iteratively regularize [0,1]-valued functions against Bohr partitions.
 
@@ -427,7 +424,7 @@ def bohr_regularize(
     reaches 1/F(|F_i|/delta_i), set the next radius to 1/F(|S_{i+1}|/delta_i),
     and stop as soon as every input moves by at most 1/F(1) in L2 between
     consecutive projections.  Telescoping orthogonality forces termination
-    within m*F(1)^2 rounds; running longer raises BoundViolation.
+    within m*F(1)^2 rounds, m = len(fns); running longer raises BoundViolation.
 
     eps plays no computational role here: the growth function is chosen in
     terms of it by the caller.  It is recorded in the history for traceability.
@@ -436,22 +433,18 @@ def bohr_regularize(
         raise ValidationError("need at least one function")
     group = fns[0].group
     n = group.order
-    if n > cap:
-        raise CapExceededError(f"group order {n} exceeds cap {cap}")
+    if n > _BOHR_CAP:
+        raise CapExceededError(f"group order {n} exceeds cap {_BOHR_CAP}")
     for f in fns:
         if f.group != group:
             raise ValidationError("all functions must live on the same group")
         vals = np.asarray(f.values)
         if np.iscomplexobj(vals) or vals.min() < -1e-12 or vals.max() > 1 + 1e-12:
             raise ValidationError("inputs must take values in [0, 1]")
-    if m is None:
-        m = len(fns)
-    elif m != len(fns):
-        raise ValidationError(f"m = {m} does not match the {len(fns)} inputs")
 
     L = group.exponent_lcm
     exit_tol = 1.0 / F(1.0)
-    max_rounds = m * F(1.0) ** 2
+    max_rounds = len(fns) * F(1.0) ** 2
 
     S: list[Character] = []
     S_coeffs: set = set()
@@ -589,10 +582,8 @@ def double_regularity(
     eps: float,
     F: GrowthFunction,
     group: GroupSpec,
-    t: int | None = None,
     restarts: int = CUT_RESTARTS,
     seed: int = 0,
-    cap: int = DOUBLE_CAP,
 ) -> DoubleRegularityResult:
     """Alternate spectral and weak regularity until box averages stabilize.
 
@@ -601,7 +592,8 @@ def double_regularity(
     partition, then applies weak regularity at threshold 1/F(|Pi|) to the
     plane functions.  The loop exits when no f moves more than 1/F(1/eps)
     in L2 between consecutive box averages; the telescoping argument bounds
-    the outer rounds by t*F(1/eps)^2; running longer raises BoundViolation.
+    the outer rounds by t*F(1/eps)^2, t = len(fs); running longer raises
+    BoundViolation.
 
     f2 = f - f|_{Pi' x Pi'} is the residual the last weak run stopped on, so
     f2_cut_estimates are that run's residuals: exact and certified when
@@ -610,19 +602,15 @@ def double_regularity(
     _check_eps(eps)
     check_seed(seed)
     _check_restarts(restarts)
-    arrays = _check_plane_inputs(fs, group, cap)
-    if t is None:
-        t = len(arrays)
-    elif len(arrays) > t:
-        raise ValidationError(f"at most t = {t} functions allowed, got {len(arrays)}")
+    arrays = _check_plane_inputs(fs, group, DOUBLE_CAP)
     exit_tol = 1.0 / F(1.0 / eps)
-    max_rounds = t * F(1.0 / eps) ** 2
+    max_rounds = len(arrays) * F(1.0 / eps) ** 2
     pi_i = Partition.trivial(group)
     records: list[dict] = []
     i = 0
     while True:
         indicators = pi_i.indicator_functions()
-        bohr = bohr_regularize(indicators, F, eps=eps, m=len(indicators))
+        bohr = bohr_regularize(indicators, F, eps=eps)
         pi = pi_i.common_refinement(Partition.from_bohr(bohr.partition))
         weak = weak_regularity(
             arrays,

@@ -29,7 +29,7 @@ import numpy as np
 from .bohr import BohrSet
 from .corners import PlaneSet, hyperplane_views, weighted_corner_count
 from .errors import BoundViolation, CapExceededError, ValidationError, check_seed
-from .regularity import CUT_RESTARTS, GrowthFunction, Partition, double_regularity
+from .regularity import CUT_RESTARTS, DOUBLE_CAP, GrowthFunction, Partition, double_regularity
 
 _MEAN_FEASIBLE_TOL = 1e-10
 _DESCENT_CAP = 10_000
@@ -44,7 +44,6 @@ _STEP_FLOOR = 1e-10
 _DECREASE_FLOOR = 1e-12
 _LOWER_SLACK = 1e-6
 _UPPER_SLACK = 1e-9
-PIPELINE_CAP = 2**7
 DESCENT_RESTARTS = 8
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -570,7 +569,6 @@ def pipeline_lower_bound(
     F: GrowthFunction | None = None,
     restarts: int = CUT_RESTARTS,
     seed: int = 0,
-    cap: int = PIPELINE_CAP,
 ) -> dict:
     """End-to-end comparison of a weighted corner count with its box models.
 
@@ -585,15 +583,13 @@ def pipeline_lower_bound(
     """
     group = A.group
     n = group.order
-    if n > cap:
-        raise CapExceededError(f"group order {n} exceeds pipeline cap {cap}")
+    if n > DOUBLE_CAP:
+        raise CapExceededError(f"group order {n} exceeds pipeline cap {DOUBLE_CAP}")
     if F is None:
         F = GrowthFunction("polynomial", c=2.0, k=1.0)
     views = hyperplane_views(A)
     arrays = [v.astype(float) for v in views]
-    dr = double_regularity(
-        arrays, eps=eps, F=F, group=group, restarts=restarts, seed=seed, cap=cap
-    )
+    dr = double_regularity(arrays, eps=eps, F=F, group=group, restarts=restarts, seed=seed)
 
     freqs = dr.bohr.bohr_set.freqs
     width = dr.bohr.partition.width

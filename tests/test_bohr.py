@@ -12,6 +12,7 @@ import pytest
 from cornerlab import (
     BohrPartition,
     BohrSet,
+    CapExceededError,
     Character,
     GroupFunction,
     ValidationError,
@@ -283,6 +284,20 @@ def test_box_approximation_boxes_are_disjoint():
                 cells.add((int(x), int(y)))
     covered = len(cells) / 24**2
     assert abs(covered - box.covered_measure) <= 1e-12
+
+
+def test_box_approximation_checks_its_cap_before_any_mask(monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("built a mask above the box-approximation cap")
+
+    monkeypatch.setattr(BohrSet, "mask", refuse)
+    monkeypatch.setattr(BohrPartition, "part_ids", refuse)
+    G = parse_group_spec("Z1025")
+    xi = Character(G, (1,))
+    targets = [BohrSet(G, [xi], Fraction(1, 4)), (BohrPartition(G, [xi], Fraction(1, 4)), (1,))]
+    for target in targets:
+        with pytest.raises(CapExceededError):
+            box_approximation(target, G.zero(), 0.5, Fraction(1, 8))
 
 
 # ---------------------------------------------------------------- smoothing

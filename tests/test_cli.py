@@ -5,11 +5,13 @@ and compared; one subprocess test confirms the installed entry point.
 """
 
 import ast
+import inspect
 import json
 import string
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cornerlab
 from cornerlab import (
     PlaneSet,
     ValidationError,
@@ -360,6 +363,34 @@ def test_package_has_no_assert_invariants():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_public_signatures_have_no_size_or_sampling_knobs():
+    # size caps are module constants checked at call time; the naive oracle
+    # alone keeps a per-call cap
+    banned = {"cap", "sample_size", "extra_freqs"}
+    offenders = []
+    for name, obj in vars(cornerlab).items():
+        if name.startswith("_") or not callable(obj) or inspect.ismodule(obj):
+            continue
+        if inspect.isclass(obj) and issubclass(obj, BaseException):
+            continue
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [
+                (f"{name}.{attr}", getattr(obj, attr))
+                for attr, raw in vars(obj).items()
+                if not attr.startswith("_")
+                and isinstance(raw, (types.FunctionType, classmethod, staticmethod))
+            ]
+        for label, fn in members:
+            for param in inspect.signature(fn).parameters:
+                if param in banned and label != "corner_count_naive":
+                    offenders.append(f"{label}({param})")
+    assert offenders == []
+    assert "m" not in inspect.signature(cornerlab.bohr_regularize).parameters
+    assert "t" not in inspect.signature(cornerlab.double_regularity).parameters
+    assert "cap" in inspect.signature(cornerlab.corner_count_naive).parameters
 
 
 # -------------------------------------------------------------- determinism

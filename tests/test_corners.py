@@ -192,13 +192,6 @@ def test_profile_invariants():
     assert abs(prof.total_density - prof.total / 12**3) <= 1e-15
 
 
-def test_profile_cap():
-    G = parse_group_spec("Z64")
-    A = PlaneSet.empty(G)
-    with pytest.raises(CapExceededError):
-        corner_count_by_difference(A, cap=32)
-
-
 # ---------------------------------------------------------- popular difference
 
 

@@ -24,6 +24,7 @@ from cornerlab import (
     lp_norm,
     parse_group_spec,
 )
+from cornerlab import fourier
 from fractions import Fraction
 
 GROUPS = ("Z16", "Z2xZ3xZ5", "Z5xZ5", "Z2xZ2xZ2xZ2")
@@ -188,8 +189,9 @@ def test_bohr_measure_spectrum_is_bounded_by_one():
     assert np.max(np.abs(spec.coefficients)) <= 1 + 1e-12
 
 
-def test_transform_cap():
+def test_transform_cap(monkeypatch):
+    monkeypatch.setattr(fourier, "TRANSFORM_CAP", 16)
     G = parse_group_spec("Z32")
     f = GroupFunction.constant(G, 1.0)
     with pytest.raises(CapExceededError):
-        dft(f, cap=16)
+        dft(f)

@@ -17,6 +17,7 @@ from cornerlab import (
     torus_norm,
     torus_norm_fraction,
 )
+from cornerlab import groups
 
 
 def test_parse_group_spec_formats():
@@ -48,10 +49,11 @@ def test_enumeration_is_a_bijection():
         assert G.element(i) == e
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(groups, "ENUMERATION_CAP", 59)
     G = parse_group_spec("Z6xZ10")
     with pytest.raises(CapExceededError):
-        G.enumerate(cap=59)
+        G.enumerate()
 
 
 def test_element_arithmetic_mod_moduli():
