@@ -83,8 +83,8 @@ def _to_float_list(value: str, key: str) -> list[float]:
 
 def _read_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}")
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

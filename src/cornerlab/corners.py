@@ -96,8 +96,10 @@ class PlaneSet:
 
     def to_text(self) -> str:
         header = f"group {self.group.spec_string()} density {self.density!r}"
-        rows = ["".join("1" if b else "0" for b in row) for row in self.bits]
-        return "\n".join([header] + rows) + "\n"
+        n = self.group.order
+        rows = np.full((n, n + 1), ord("\n"), dtype=np.uint8)
+        rows[:, :n] = np.where(self.bits, np.uint8(ord("1")), np.uint8(ord("0")))
+        return header + "\n" + rows.tobytes().decode("ascii")
 
     def save(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -114,7 +116,10 @@ class PlaneSet:
                 "header must read 'group <spec> density <alpha>', got " + lines[0]
             )
         group = parse_group_spec(head[1])
-        declared = float(head[3])
+        try:
+            declared = float(head[3])
+        except ValueError:
+            raise ValidationError(f"header density must be a number, got {head[3]!r}")
         n = group.order
         if len(lines) - 1 != n:
             raise ValidationError(f"expected {n} rows, found {len(lines) - 1}")
@@ -125,7 +130,7 @@ class PlaneSet:
                 raise ValidationError(f"row {x} must be {n} characters of 0/1")
             bits[x] = np.frombuffer(row.encode("ascii"), dtype=np.uint8) == ord("1")
         result = cls(group, bits)
-        if abs(result.density - declared) > 1e-9:
+        if not abs(result.density - declared) <= 1e-9:  # a nan density fails too
             raise ValidationError(
                 f"header density {declared} does not match the bits ({result.density})"
             )
@@ -134,7 +139,11 @@ class PlaneSet:
     @classmethod
     def load(cls, path) -> "PlaneSet":
         with open(path, "r", encoding="ascii") as fh:
-            return cls.from_text(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"plane-set file {path} is not ASCII: {exc}")
+        return cls.from_text(text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,14 +467,10 @@ def integer_corner_scan(bits: np.ndarray, rho: RationalLike = Fraction(1, 4)) ->
     words = -(-n // 64)
     padded = _pack_rows(bits, 2 * words)
     profile = {d: _valid_count(padded, words, d) for d in candidates}
-    best_d, best_count = 0, -1
-    # candidate order follows element enumeration, so the first maximum wins
-    for d in candidates:
-        if profile[d] > best_count:
-            best_d, best_count = d, profile[d]
-    if best_count < 0:
-        best_d, best_count = 0, 0  # no nonzero candidate at this radius
-    return IntegerScan(best_d, best_count, profile)
+    # candidate order follows element enumeration, so the first maximum wins;
+    # with no nonzero candidate at this radius the scan reports d = 0, count 0
+    best_d = max(candidates, key=profile.__getitem__, default=0)
+    return IntegerScan(best_d, profile.get(best_d, 0), profile)
 
 
 def integer_corner_scan_naive(bits: np.ndarray, rho: RationalLike = Fraction(1, 4)) -> IntegerScan:

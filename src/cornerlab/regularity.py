@@ -302,13 +302,17 @@ def cut_norm_witness(
 @dataclass
 class WeakRegularityResult:
     """Partition certified (or estimated) to make all residual cut norms
-    small, with the per-round energy bookkeeping that bounds the rounds."""
+    small, with the per-round energy bookkeeping that bounds the rounds.
+
+    initial_projections are the box averages f|_{P x P} on the initial
+    partition, projections those on the returned one."""
 
     partition: Partition
     rounds: int
-    energy_history: list[list[float]]
     residuals: list[float]
     certified: bool
+    initial_projections: list[np.ndarray]
+    projections: list[np.ndarray]
     round_records: list[dict] = field(default_factory=list)
 
 
@@ -341,8 +345,7 @@ def weak_regularity(
         raise ValidationError("initial partition lives on a different group")
     round_bound = len(arrays) * math.ceil(1.0 / eps**2)
     # one projection per function and partition gives its energy and residual
-    projections = [part.project_plane(f) for f in arrays]
-    energy_history = [[float((p**2).mean()) for p in projections]]
+    projections = initial_projections = [part.project_plane(f) for f in arrays]
     records: list[dict] = []
     rounds = 0
     while True:
@@ -358,7 +361,7 @@ def weak_regularity(
                 "part_count": part.part_count,
                 "worst_value": worst_val,
                 "worst_function": worst_j,
-                "energies": energy_history[-1],
+                "energies": [float((p**2).mean()) for p in projections],
             }
         )
         if worst_val <= eps:
@@ -366,14 +369,14 @@ def weak_regularity(
         part = part.refine_with_mask(worst_g).refine_with_mask(worst_h)
         rounds += 1
         projections = [part.project_plane(f) for f in arrays]
-        energy_history.append([float((p**2).mean()) for p in projections])
         if rounds > round_bound:
             raise BoundViolation(
                 f"weak regularity exceeded its energy-increment bound of {round_bound} rounds"
             )
     residuals = [w[0] for w in witnesses]
     return WeakRegularityResult(
-        part, rounds, energy_history, residuals, _cut_is_exact(group.order), records
+        part, rounds, residuals, _cut_is_exact(group.order), initial_projections, projections,
+        records,
     )
 
 
@@ -404,8 +407,6 @@ class BohrDecomposition:
     achieved_linf: float
     linf_bound: float
     linf_hypothesis: bool
-    exit_gap: float
-    exit_tolerance: float
     rounds: int
     history: list[dict]
     degenerate: bool
@@ -447,7 +448,6 @@ def bohr_regularize(
     max_rounds = len(fns) * F(1.0) ** 2
 
     S: list[Character] = []
-    S_coeffs: set = set()
     rho = Fraction(1)  # rho_0 = 1; only 1/rho enters the width rule
     N_i, width_capped = _capped_width_denominator(F.ceil_value(1.0), 1, L)
     history: list[dict] = []
@@ -470,11 +470,10 @@ def bohr_regularize(
             for xi in large_spectrum(f, threshold):
                 harvested.add(xi.coeffs)
         new_coeffs = sorted(
-            (c for c in harvested if c not in S_coeffs),
+            harvested - {xi.coeffs for xi in S},
             key=lambda c: Character(group, c).index,
         )
         S_next = S + [Character(group, c) for c in new_coeffs]
-        coeffs_next = S_coeffs | set(new_coeffs)
 
         rho_den_req = F.ceil_value(len(S_next) * N_i)
         rho_den = min(max(rho_den_req, 2), 2 * L)
@@ -517,7 +516,7 @@ def bohr_regularize(
             raise BoundViolation(
                 f"regularization ran {i} rounds, beyond the telescoping bound {max_rounds}"
             )
-        S, S_coeffs, rho, N_i, width_capped = S_next, coeffs_next, rho_next, N_next, next_capped
+        S, rho, N_i, width_capped = S_next, rho_next, N_next, next_capped
         P_i, projections_i = P_next, projections_next
 
     mu = B_next.mu()
@@ -551,8 +550,6 @@ def bohr_regularize(
         achieved_linf=worst_linf,
         linf_bound=linf_bound,
         linf_hypothesis=hypothesis,
-        exit_gap=gap,
-        exit_tolerance=exit_tol,
         rounds=i,
         history=history,
         degenerate=degenerate,
@@ -565,7 +562,6 @@ class DoubleRegularityResult:
     decomposition of the final inner partition's indicators."""
 
     bohr: BohrDecomposition
-    pi_entry: Partition
     pi: Partition
     pi_next: Partition
     f_components: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -621,9 +617,11 @@ def double_regularity(
             seed=seed + 31 * i,
         )
         pi_next = weak.partition
-        f0s = [pi.project_plane(f) for f in arrays]
-        fps = [pi_next.project_plane(f) for f in arrays]
-        gap = max(float(np.sqrt(((fp - f0) ** 2).mean())) for f0, fp in zip(f0s, fps))
+        f1_norms = [
+            float(np.sqrt(((fp - f0) ** 2).mean()))
+            for f0, fp in zip(weak.initial_projections, weak.projections)
+        ]
+        gap = max(f1_norms)
         records.append(
             {
                 "round": i,
@@ -645,16 +643,12 @@ def double_regularity(
             raise BoundViolation(
                 f"double regularity ran {i} rounds, beyond the bound {max_rounds}"
             )
-    f_components = []
-    f1_norms = []
-    for f, f0, fp in zip(arrays, f0s, fps):
-        f1 = fp - f0
-        f2 = f - fp
-        f_components.append((f0, f1, f2))
-        f1_norms.append(float(np.sqrt((f1**2).mean())))
+    f_components = [
+        (f0, fp - f0, f - fp)
+        for f, f0, fp in zip(arrays, weak.initial_projections, weak.projections)
+    ]
     return DoubleRegularityResult(
         bohr=bohr,
-        pi_entry=pi_i,
         pi=pi,
         pi_next=pi_next,
         f_components=f_components,

@@ -454,7 +454,6 @@ class BoxInstance:
     hyperplane_mass: float
     eps: float
     m: int
-    outer_label: tuple[int, int, int] | None = None
 
     def __init__(
         self,
@@ -465,7 +464,6 @@ class BoxInstance:
         hyperplane_mass: float,
         eps: float,
         m: int,
-        outer_label: tuple[int, int, int] | None = None,
     ):
         dx = _check_weights(delta_x, "delta_x")
         dy = _check_weights(delta_y, "delta_y")
@@ -493,7 +491,6 @@ class BoxInstance:
         object.__setattr__(self, "hyperplane_mass", float(hyperplane_mass))
         object.__setattr__(self, "eps", float(eps))
         object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "outer_label", outer_label)
 
     @property
     def set_mass(self) -> float:
@@ -557,12 +554,6 @@ def T_of_box(inst: BoxInstance) -> float:
     return t_v
 
 
-def _block_value_matrix(labels: np.ndarray, part_count: int, projected: np.ndarray) -> np.ndarray:
-    out = np.zeros((part_count, part_count))
-    out[labels[:, None], labels[None, :]] = projected
-    return out
-
-
 def pipeline_lower_bound(
     A: PlaneSet,
     eps: float = 0.25,
@@ -605,9 +596,8 @@ def pipeline_lower_bound(
     outer = Partition.from_bohr(dr.bohr.partition)
     labels = pi.labels
     m = pi.part_count
-    f0 = _block_value_matrix(labels, m, dr.f_components[0][0])
-    g0 = _block_value_matrix(labels, m, dr.f_components[1][0])
-    h0 = _block_value_matrix(labels, m, dr.f_components[2][0])
+    reps = np.unique(labels, return_index=True)[1]
+    f0, g0, h0 = (proj[np.ix_(reps, reps)] for proj, _, _ in dr.f_components)
 
     idx = np.arange(n)
     add = group.add_indices(idx[:, None], idx)
@@ -625,13 +615,11 @@ def pipeline_lower_bound(
     negadd = neg[add]
     z_label = labels[negadd]
     trip_key = (labels[:, None] * m + labels[None, :]) * m + z_label
-    hyp_counts = np.bincount(trip_key.ravel(), minlength=m**3).reshape(m, m, m)
     set_counts = np.bincount(
         trip_key[A.bits].ravel(), minlength=m**3
     ).reshape(m, m, m)
 
     outer_labels = outer.labels
-    reps = np.unique(labels, return_index=True)[1]
     part_outer = outer_labels[reps]
     M = outer.part_count
     outer_trip_key = (
@@ -654,12 +642,11 @@ def pipeline_lower_bound(
             hyperplane_mass=outer_hyp[ob, oc, od] / n2,
             eps=eps,
             m=max(px.size, py.size, pz.size),
-            outer_label=(int(ob), int(oc), int(od)),
         )
         box_model += inst.hyperplane_mass * T_of_box(inst)
         evaluated += 1
 
-    nu_mask = nu_set.mask()
+    support = int(np.count_nonzero(nu.values))
     report = {
         "group": group.spec_string(),
         "order": n,
@@ -679,8 +666,8 @@ def pipeline_lower_bound(
         "inner_partition": {"parts": m},
         "nu": {
             "radius": str(rho_prime),
-            "support": int(nu_mask.sum()),
-            "measure": float(nu_set.measure()),
+            "support": support,
+            "measure": support / n,
         },
         "weighted_count": float(exact),
         "box_sum": box_sum,

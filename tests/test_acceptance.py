@@ -249,7 +249,6 @@ def test_c10_partition_bridge():
                             hyperplane_mass=plane_pts / n**2,
                             eps=0.25,
                             m=3,
-                            outer_label=(0, 0, 0),
                         )
                         raw, phi = cl.phi_from_partition(inst)
                         w = np.einsum(

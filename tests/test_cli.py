@@ -271,6 +271,25 @@ def test_missing_set_file_is_a_clean_error(capsys, tmp_path):
     assert "cornerlab:" in err
 
 
+@pytest.mark.parametrize(
+    "flag, content",
+    [
+        ("--set-file", b"group Z2 density abc\n10\n01\n"),
+        ("--set-file", b"group Z2 density nan\n10\n01\n"),
+        ("--set-file", b"group Z2 density 0.5\n1\xc3\xa9\n01\n"),
+        ("--config", b"seed = 1\n# caf\xe9\n"),
+    ],
+    ids=["set-file-density-not-a-number", "set-file-density-nan", "set-file-not-ascii",
+         "config-not-utf8"],
+)
+def test_unreadable_input_file_exits_2(capsys, tmp_path, flag, content):
+    path = tmp_path / "input.txt"
+    path.write_bytes(content)
+    code, _, err = run_cli(capsys, "scan", flag, str(path))
+    assert code == 2
+    assert err.startswith("cornerlab: invalid input:")
+
+
 def test_set_file_group_mismatch(capsys, tmp_path):
     A = PlaneSet.random(parse_group_spec("Z8"), 0.4, 1)
     path = tmp_path / "set.txt"

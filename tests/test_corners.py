@@ -392,6 +392,25 @@ def test_plane_set_text_round_trip():
     assert np.array_equal(B.bits, A.bits)
 
 
+def test_plane_set_text_is_pinned():
+    bits = np.array(
+        [
+            [1, 1, 0, 1, 0, 0],
+            [0, 1, 1, 0, 1, 0],
+            [0, 0, 1, 1, 0, 1],
+            [1, 0, 0, 1, 1, 0],
+            [0, 1, 0, 0, 1, 1],
+            [1, 0, 1, 0, 0, 1],
+        ],
+        dtype=bool,
+    )
+    A = PlaneSet(parse_group_spec("Z2xZ3"), bits)
+    assert A.to_text() == (
+        "group Z2xZ3 density 0.5\n"
+        "110100\n011010\n001101\n100110\n010011\n101001\n"
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(1, 6), min_size=1, max_size=3),

@@ -205,7 +205,7 @@ def test_weak_regularity_splits_a_block():
     assert res.residuals[0] <= 1e-12  # splitting at 8 makes f block-constant
     assert res.certified
     # energy is nondecreasing and jumps when the split lands
-    first, last = res.energy_history[0], res.energy_history[-1]
+    first, last = res.round_records[0]["energies"], res.round_records[-1]["energies"]
     assert last[0] >= first[0]
 
 
@@ -391,6 +391,43 @@ def test_double_regularity_seeded_z32():
     assert dd.pi_next.is_refinement_of(dd.pi)
     for rec in dd.round_records:
         assert {"round", "gap", "pi_parts", "weak_rounds"} <= rec.keys()
+
+
+def test_double_regularity_projects_each_function_once_per_partition(monkeypatch):
+    # the weak run's first and stopping projections are the double driver's
+    # f|_{Pi x Pi} and f|_{Pi' x Pi'}, so it projects nothing itself
+    rng = np.random.default_rng(8)
+    G = parse_group_spec("Z32")
+    idx = np.arange(32)
+    stripes = ((idx[:, None] + idx[None, :]) % 8) < 4
+    block = np.outer(idx < 12, idx < 20)
+    fs = [
+        np.where(rng.random((32, 32)) < 0.8, stripes, ~stripes).astype(float),
+        (block | (rng.random((32, 32)) < 0.2)).astype(float),
+    ]
+    calls = []
+    project_plane = Partition.project_plane
+
+    def counted(self, f):
+        calls.append(self.part_count)
+        return project_plane(self, f)
+
+    monkeypatch.setattr(Partition, "project_plane", counted)
+    dd = double_regularity(fs, 0.2, GrowthFunction("polynomial", c=8.0, k=2.0), G)
+    assert [rec["weak_rounds"] for rec in dd.round_records] == [1, 0]
+    assert len(calls) == sum(len(fs) * (1 + rec["weak_rounds"]) for rec in dd.round_records)
+
+
+def test_weak_regularity_returns_its_first_and_stopping_projections():
+    rng = np.random.default_rng(8)
+    G = parse_group_spec("Z32")
+    fs = [(rng.random((32, 32)) < p).astype(float) for p in (0.3, 0.5)]
+    initial = Partition(G, np.arange(32) % 4)
+    res = weak_regularity(fs, 0.05, G, initial=initial)
+    assert res.rounds >= 1
+    for f, p0, p in zip(fs, res.initial_projections, res.projections):
+        assert np.array_equal(p0, initial.project_plane(f))
+        assert np.array_equal(p, res.partition.project_plane(f))
 
 
 def test_double_regularity_round_records_follow_the_loop():

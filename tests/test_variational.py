@@ -419,7 +419,6 @@ def make_instance(cells, hyperplane_mass, eps=0.25, m=3, weights=None):
         hyperplane_mass=hyperplane_mass,
         eps=eps,
         m=m,
-        outer_label=(1, 1, 1),
     )
 
 
@@ -479,7 +478,7 @@ def test_box_instance_rejects_mass_on_zero_weight_cells():
     with pytest.raises(ValidationError):
         BoxInstance(
             delta_x=wx, delta_y=wy, delta_z=wz, cell_masses=cells,
-            hyperplane_mass=0.1, eps=0.25, m=2, outer_label=(1, 1, 1),
+            hyperplane_mass=0.1, eps=0.25, m=2,
         )
 
 
