@@ -21,6 +21,7 @@ express, so the cap changes nothing except keeping integers bounded.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -195,7 +196,13 @@ def _check_eps(eps: float) -> None:
 
 
 def _check_restarts(restarts: int) -> None:
-    if restarts < 1:
+    try:
+        count = operator.index(restarts)
+    except TypeError:
+        count = None
+    if count is None or isinstance(restarts, bool):
+        raise ValidationError(f"cut-norm restarts must be an integer, got {restarts!r}")
+    if count < 1:
         raise ValidationError(f"need at least one cut-norm restart, got {restarts!r}")
 
 
@@ -227,16 +234,21 @@ def _exact_witness(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     Enumerates every row set g once; for either sign the optimal h given g
     keeps exactly the columns whose g-weighted sums have that sign, so one
     product scores both signs.  Within a sign the first maximum wins, and +
-    wins ties between the signs, so results are stable.
+    wins ties between the signs, so results are stable.  Row sets go in
+    chunks of 2^10 rows of one bit table, built once per call; between
+    chunks only the columns above bit 10 change.  A chunk's product then
+    has at most 2^18 multiply-adds, which OpenBLAS runs on the calling
+    thread: a 2^13-row product went to a second BLAS thread and took about
+    twice as long whenever another process held the other core.
     """
     n = M.shape[0]
-    powers = np.arange(n, dtype=np.uint64)
     best = [(-math.inf, 0), (-math.inf, 0)]  # (value, g) for the signs +, -
-    chunk = 1 << 13
+    low = min(n, 10)
+    chunk = 1 << low
+    bits = np.empty((chunk, n), dtype=np.float64)
+    bits[:, :low] = (np.arange(chunk)[:, None] >> np.arange(low)) & 1
     for lo in range(0, 1 << n, chunk):
-        hi = min(lo + chunk, 1 << n)
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        bits = ((idx[:, None] >> powers[None, :]) & 1).astype(np.float64)
+        bits[:, low:] = (lo >> np.arange(low, n)) & 1
         colsums = bits @ M
         for s, signed in enumerate((colsums, -colsums)):
             vals = np.clip(signed, 0.0, None).sum(axis=1)
@@ -254,25 +266,47 @@ def _alternating_witness(
     M: np.ndarray, restarts: int, seed: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Seeded alternating ascent over both signs; a lower estimate of the
-    exact witness value.  One generator serves the + restarts, then the -."""
+    exact witness value.
+
+    All 2 * restarts ascents step together as rows of one boolean stack, in
+    the lane order + all-ones, + random starts, - all-ones, - random starts;
+    each step answers every lane's column set h with its best row set g, then
+    g with its best h, under the lane's sign.  Two facts make this the same
+    as running the ascents one at a time:
+
+    - the random starts are one draw of 2 * (restarts - 1) rows, the same
+      stream, in the same order, as one draw per restart;
+    - the stack steps until no lane changes, at most 64 times, and a lane
+      that stopped changing sits at a fixed point, so further steps leave it
+      where a lane stepped on its own would stop.
+
+    Every product is a stack of matrix-vector products (matmul over a
+    leading lane axis), so each lane's sums are rounded exactly as a single
+    matrix-vector product rounds them; one matrix-matrix product sums in
+    another order and flips signs of sums that cancel exactly.  The first
+    lane with the largest positive value wins.
+    """
     n = M.shape[0]
     rng = np.random.default_rng(seed)
-    best = (0.0, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
-    for sign in (1.0, -1.0):
-        A = sign * M
-        for r in range(restarts):
-            h = np.ones(n, dtype=bool) if r == 0 else rng.random(n) < 0.5
-            g = np.zeros(n, dtype=bool)
-            for _ in range(64):
-                g_new = (A @ h.astype(np.float64)) > 0
-                h_new = (g_new.astype(np.float64) @ A) > 0
-                if np.array_equal(g_new, g) and np.array_equal(h_new, h):
-                    break
-                g, h = g_new, h_new
-            val = float(g.astype(np.float64) @ A @ h.astype(np.float64)) / n**2
-            if val > best[0]:
-                best = (val, g, h)
-    return best
+    random_starts = rng.random((2 * (restarts - 1), n)) < 0.5
+    ones = np.ones((1, n), dtype=bool)
+    H = np.concatenate(
+        [ones, random_starts[: restarts - 1], ones, random_starts[restarts - 1 :]]
+    )
+    G = np.zeros_like(H)
+    sign = np.repeat([1.0, -1.0], restarts)
+    for _ in range(64):
+        G_new = sign[:, None] * (M @ H[:, :, None].astype(np.float64))[:, :, 0] > 0
+        H_new = sign[:, None] * (G_new[:, None, :].astype(np.float64) @ M)[:, 0, :] > 0
+        if np.array_equal(G_new, G) and np.array_equal(H_new, H):
+            break
+        G, H = G_new, H_new
+    rows = G[:, None, :].astype(np.float64) @ M
+    vals = sign * (rows @ H[:, :, None].astype(np.float64))[:, 0, 0] / n**2
+    lane = int(np.argmax(vals))
+    if vals[lane] > 0.0:
+        return float(vals[lane]), G[lane], H[lane]
+    return 0.0, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
 
 
 def cut_norm_witness(
@@ -288,8 +322,8 @@ def cut_norm_witness(
     ascents per sign, a lower estimate of the exact value.
     """
     M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError("cut norm needs a square matrix")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise ValidationError("cut norm needs a non-empty square matrix")
     if not np.all(np.isfinite(M)):
         raise ValidationError("cut norm input must be finite")
     check_seed(seed)

@@ -372,7 +372,7 @@ def test_package_has_no_assert_invariants():
     # would also vanish under python -O
     package = Path(cli.__file__).parent
     offenders = []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             raised = getattr(node, "exc", None)
             if isinstance(raised, ast.Call):

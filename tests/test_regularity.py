@@ -151,6 +151,80 @@ def _square_matrices(max_n):
     )
 
 
+def _alternating_reference(M, restarts, seed):
+    """Oracle: the alternating ascent one sign and one restart at a time."""
+    n = M.shape[0]
+    rng = np.random.default_rng(seed)
+    best = (0.0, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
+    for sign in (1.0, -1.0):
+        A = sign * M
+        for r in range(restarts):
+            h = np.ones(n, dtype=bool) if r == 0 else rng.random(n) < 0.5
+            g = np.zeros(n, dtype=bool)
+            for _ in range(64):
+                g_new = (A @ h.astype(np.float64)) > 0
+                h_new = (g_new.astype(np.float64) @ A) > 0
+                if np.array_equal(g_new, g) and np.array_equal(h_new, h):
+                    break
+                g, h = g_new, h_new
+            val = float(g.astype(np.float64) @ A @ h.astype(np.float64)) / n**2
+            if val > best[0]:
+                best = (val, g, h)
+    return best
+
+
+def _exact_reference(M):
+    """Oracle: the exact enumeration with a fresh bit table for every chunk."""
+    n = M.shape[0]
+    powers = np.arange(n, dtype=np.uint64)
+    best = [(-np.inf, 0), (-np.inf, 0)]
+    chunk = 1 << 13
+    for lo in range(0, 1 << n, chunk):
+        hi = min(lo + chunk, 1 << n)
+        idx = np.arange(lo, hi, dtype=np.uint64)
+        bits = ((idx[:, None] >> powers[None, :]) & 1).astype(np.float64)
+        colsums = bits @ M
+        for s, signed in enumerate((colsums, -colsums)):
+            vals = np.clip(signed, 0.0, None).sum(axis=1)
+            j = int(np.argmax(vals))
+            if vals[j] > best[s][0]:
+                best[s] = (float(vals[j]), lo + j)
+    sign = 1.0 if best[0][0] >= best[1][0] else -1.0
+    best_val, best_g = best[0] if sign > 0 else best[1]
+    g = ((best_g >> np.arange(n)) & 1).astype(bool)
+    h = sign * (g.astype(np.float64) @ M) > 0
+    return best_val / n**2, g, h
+
+
+def _assert_same_witness(got, want):
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+def _seeded_residuals(n, seed):
+    # a random set and a blocky one, each minus its box averages on a few
+    # partitions; then 0/1 sets minus 1/5 and 1/10, whose subset sums cancel
+    # in exact arithmetic, so rounding alone decides their signs: a product
+    # that sums in another order than one matrix-vector product flips them
+    rng = np.random.default_rng(seed)
+    G = parse_group_spec(f"Z{n}")
+    idx = np.arange(n)
+    fs = [
+        (rng.random((n, n)) < 0.3).astype(float),
+        np.outer(idx < n // 3, idx % 3 == 0) * rng.random((n, n)),
+    ]
+    parts = [Partition.trivial(G), Partition(G, idx % 4), Partition(G, rng.integers(0, 3, n))]
+    ties = [(rng.random((n, n)) < c) - c for c in (0.2, 0.2, 0.1, 0.1)]
+    return [f - P.project_plane(f) for f in fs for P in parts] + ties
+
+
+def _striped_residuals(n):
+    G, fs = _striped_views(n)
+    idx = np.arange(n)
+    parts = [Partition.trivial(G), Partition(G, idx % 2), Partition(G, idx % 8)]
+    return [f - P.project_plane(f) for f in fs for P in parts]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_square_matrices(5))
 def test_exact_witness_matches_brute_force(M):
@@ -160,6 +234,7 @@ def test_exact_witness_matches_brute_force(M):
     value, g, h = regularity._exact_witness(M)
     assert abs(value - brute / n**2) <= 1e-12
     assert abs(abs(float(g @ M @ h)) / n**2 - value) <= 1e-12
+    _assert_same_witness((value, g, h), _exact_reference(M))
 
 
 @settings(max_examples=100, deadline=None)
@@ -169,6 +244,58 @@ def test_alternating_witness_never_exceeds_exact(M, restarts, seed):
     alt, g, h = regularity._alternating_witness(M, restarts, seed)
     assert alt <= exact + 1e-12
     assert abs(abs(float(g @ M @ h)) / M.size - alt) <= 1e-12
+    _assert_same_witness((alt, g, h), _alternating_reference(M, restarts, seed))
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 32])
+@pytest.mark.parametrize("n", [17, 32, 60, 64, 128])
+def test_batched_ascent_matches_the_per_lane_loop_on_residuals(n, restarts):
+    for k, M in enumerate(_seeded_residuals(n, seed=n + restarts)):
+        seed = 1000 * n + k
+        _assert_same_witness(
+            regularity._alternating_witness(M, restarts, seed),
+            _alternating_reference(M, restarts, seed),
+        )
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 32])
+def test_batched_ascent_matches_the_per_lane_loop_on_the_striped_set(restarts):
+    for seed, M in enumerate(_striped_residuals(32)):
+        _assert_same_witness(
+            regularity._alternating_witness(M, restarts, seed),
+            _alternating_reference(M, restarts, seed),
+        )
+
+
+def test_exact_witness_matches_the_per_chunk_enumeration():
+    rng = np.random.default_rng(12)
+    matrices = [rng.normal(size=(n, n)) for n in range(1, 17)]
+    matrices += _seeded_residuals(16, seed=5) + _striped_residuals(16)
+    for M in matrices:
+        _assert_same_witness(regularity._exact_witness(M), _exact_reference(M))
+
+
+def test_cut_norm_rejects_an_empty_matrix():
+    with pytest.raises(ValidationError, match="non-empty"):
+        cut_norm_witness(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("n", [8, 20])
+@pytest.mark.parametrize("restarts", [2.5, True, "3", None])
+def test_cut_norm_rejects_non_integer_restarts(n, restarts):
+    G = parse_group_spec(f"Z{n}")
+    M = np.full((n, n), 0.5)
+    with pytest.raises(ValidationError, match="restarts must be an integer"):
+        cut_norm_witness(M, restarts=restarts)
+    with pytest.raises(ValidationError, match="restarts must be an integer"):
+        weak_regularity([M], 0.25, G, restarts=restarts)
+    with pytest.raises(ValidationError, match="restarts must be an integer"):
+        double_regularity([M], 0.25, F_POLY, G, restarts=restarts)
+
+
+def test_cut_norm_accepts_numpy_integer_restarts():
+    M = np.random.default_rng(3).normal(size=(20, 20))
+    _assert_same_witness(cut_norm_witness(M, restarts=np.int64(3)), cut_norm_witness(M, restarts=3))
 
 
 @pytest.mark.parametrize("n", [8, 20])
