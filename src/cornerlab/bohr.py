@@ -86,11 +86,13 @@ class BohrSet:
             raise CapExceededError(f"group order {n} exceeds enumeration cap {_EXHAUSTIVE_CAP}")
         keep = np.ones(n, dtype=bool)
         L = self.group.exponent_lcm
-        p, q = self.radius.numerator, self.radius.denominator
+        # an integer distance d has d < rho * L exactly when d < ceil(rho * L),
+        # a Python int at most L / 2 however large rho's denominator is
+        limit = -(-self.radius.numerator * L // self.radius.denominator)
         for xi in self.freqs:
             r = xi.residue_vector()
             dist = np.minimum(r, L - r)  # torus distance in units of 1/L
-            keep &= dist * q < p * L
+            keep &= dist < limit
         return keep
 
     def indices(self) -> np.ndarray:

@@ -1,11 +1,15 @@
 """Command-line front end: set I/O, seeded generation, experiment drivers.
 
-Every command resolves its parameters from (in increasing precedence)
-built-in defaults, an optional key=value config file, and command-line
-flags, then emits CSV or JSON prefixed with comment lines that record the
-resolved configuration.  Output formatting is locale-free with round-trip
-float reprs, and every computation runs serially in input order, so a rerun
-with the same configuration is byte-identical.
+One table, _FLAGS, holds every config key with its default and help text;
+the config-file keys, the defaults and the flags (--key, with _ spelled -)
+all come from it, and every command takes the same flags, before or after
+the command name.  `cornerlab --help` lists the commands and each flag's
+default.  Every command resolves its parameters from (in increasing
+precedence) those defaults, an optional key=value config file, and
+command-line flags, then emits CSV or JSON prefixed with comment lines that
+record the resolved configuration.  Output formatting is locale-free with
+round-trip float reprs, and every computation runs serially in input order,
+so a rerun with the same configuration is byte-identical.
 
 Exit codes: 0 on success, 2 for validation or I/O problems, 3 when a size
 cap is exceeded, 4 when a hard bound fails (BoundViolation).
@@ -31,26 +35,26 @@ from .groups import parse_group_spec
 from .regularity import CUT_RESTARTS, DOUBLE_CAP, double_regularity, parse_growth_spec
 from .variational import DESCENT_RESTARTS, minimize_T, pipeline_lower_bound, sweep_and_envelope
 
-_KNOWN_KEYS = (
-    "group",
-    "density",
-    "seed",
-    "set_file",
-    "rho",
-    "eps",
-    "growth",
-    "grid_n",
-    "restarts",
-    "out",
-)
-
-_DEFAULTS = {
-    "seed": "0",
-    "rho": "1/4",
-    "eps": "0.25",
-    "growth": "poly:2,1",
-    "grid_n": "6",
+# config key -> (default, help); a key without a default stays unset unless
+# a config file or a flag sets it
+_FLAGS = {
+    "group": (None, "group spec such as Z12 or Z2xZ2xZ3"),
+    "density": (None, "density in [0,1]; comma list for sweeps"),
+    "seed": ("0", "RNG seed"),
+    "set_file": (None, "read the set from this file"),
+    "rho": ("1/4", "radius bound for zscan candidates"),
+    "eps": ("0.25", "regularity accuracy target"),
+    "growth": ("poly:2,1", "growth spec poly:c,k or exp:c"),
+    "grid_n": ("6", "grid points per axis"),
+    "restarts": (
+        None,
+        f"descent restarts per sample (default {DESCENT_RESTARTS}); cut-norm "
+        f"restarts for regularize and pipeline (default {CUT_RESTARTS})",
+    ),
+    "out": (None, "output path (default stdout)"),
 }
+_KNOWN_KEYS = tuple(_FLAGS)
+_DEFAULTS = {key: default for key, (default, _) in _FLAGS.items() if default is not None}
 
 
 def _to_int(value: str, key: str) -> int:
@@ -105,10 +109,8 @@ def _resolve(args) -> dict[str, str]:
     resolved = dict(_DEFAULTS)
     if args.config is not None:
         resolved.update(_read_config_file(args.config))
-    for key in _KNOWN_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
+    flags = vars(args)
+    resolved.update({key: flags[key] for key in _KNOWN_KEYS if flags[key] is not None})
     return resolved
 
 
@@ -185,38 +187,35 @@ def _element_repr(element) -> str:
     return ":".join(str(c) for c in element.coords)
 
 
-def cmd_scan(resolved: dict[str, str]) -> int:
-    A, source = _load_plane_set(resolved)
-    group = A.group
+def _popular_summary(A: PlaneSet):
+    """The difference profile of A and its five popular-difference key=value fields."""
     profile = corner_count_by_difference(A)
     d_star, best = popular_difference(A, profile)
     alpha = A.density
-    rows = ["d_index,d_repr,count"]
-    for d in range(group.order):
-        rows.append(f"{d},{_element_repr(group.element(d))},{int(profile.counts[d])}")
-    summary = (
-        f"# summary alpha={_fmt(alpha)} d_star_index={d_star.index}"
-        f" d_star={_element_repr(d_star)} count={best}"
-        f" alpha3_bound={_fmt(alpha**3 * group.order**2)}"
-    )
-    body = "\n".join(rows + [summary]) + "\n"
-    _emit(resolved.get("out"), _header("scan", source) + body)
-    return 0
-
-
-def cmd_popular(resolved: dict[str, str]) -> int:
-    A, source = _load_plane_set(resolved)
-    profile = corner_count_by_difference(A)
-    d_star, best = popular_difference(A, profile)
-    alpha = A.density
-    lines = [
+    return profile, [
         f"alpha={_fmt(alpha)}",
         f"d_star_index={d_star.index}",
         f"d_star={_element_repr(d_star)}",
         f"count={best}",
         f"alpha3_bound={_fmt(alpha**3 * A.group.order**2)}",
     ]
-    _emit(resolved.get("out"), _header("popular", source) + "\n".join(lines) + "\n")
+
+
+def cmd_scan(resolved: dict[str, str]) -> int:
+    A, source = _load_plane_set(resolved)
+    profile, fields = _popular_summary(A)
+    rows = ["d_index,d_repr,count"]
+    for d in range(A.group.order):
+        rows.append(f"{d},{_element_repr(A.group.element(d))},{int(profile.counts[d])}")
+    body = "\n".join(rows + ["# summary " + " ".join(fields)]) + "\n"
+    _emit(resolved.get("out"), _header("scan", source) + body)
+    return 0
+
+
+def cmd_popular(resolved: dict[str, str]) -> int:
+    A, source = _load_plane_set(resolved)
+    _, fields = _popular_summary(A)
+    _emit(resolved.get("out"), _header("popular", source) + "\n".join(fields) + "\n")
     return 0
 
 
@@ -239,27 +238,26 @@ def cmd_zscan(resolved: dict[str, str]) -> int:
     return 0
 
 
-def _sweep_entries(alphas: list[float], n: int, restarts: int, seed: int):
-    return [
-        ("density", ",".join(repr(a) for a in alphas)),
-        ("grid_n", str(n)),
-        ("restarts", str(restarts)),
-        ("seed", str(seed)),
-    ]
-
-
 def _run_sweep(resolved: dict[str, str]):
+    """Densities, grid size, restarts and seed, plus the header entries that
+    record them."""
     if "density" not in resolved:
         raise ValidationError("need --density with one or more samples")
     alphas = _to_float_list(resolved["density"], "density")
     n = _to_int(resolved["grid_n"], "grid_n")
     restarts = _to_int(resolved.get("restarts", str(DESCENT_RESTARTS)), "restarts")
     seed = _to_int(resolved["seed"], "seed")
-    return alphas, n, restarts, seed
+    entries = [
+        ("density", ",".join(repr(a) for a in alphas)),
+        ("grid_n", str(n)),
+        ("restarts", str(restarts)),
+        ("seed", str(seed)),
+    ]
+    return alphas, n, restarts, seed, entries
 
 
 def cmd_variational(resolved: dict[str, str]) -> int:
-    alphas, n, restarts, seed = _run_sweep(resolved)
+    alphas, n, restarts, seed, entries = _run_sweep(resolved)
     rows = ["alpha,m_hat,envelope,alpha3,alpha4,n,restarts,seed"]
     if len(alphas) == 1:
         a = alphas[0]
@@ -276,20 +274,18 @@ def cmd_variational(resolved: dict[str, str]) -> int:
             f"{_fmt(a)},{_fmt(m_hat)},{_fmt(env_val)},{_fmt(a**3)},{_fmt(a**4)},"
             f"{n},{restarts},{row_seed}"
         )
-    entries = _sweep_entries(alphas, n, restarts, seed)
     _emit(resolved.get("out"), _header("variational", entries) + "\n".join(rows) + "\n")
     return 0
 
 
 def cmd_envelope(resolved: dict[str, str]) -> int:
-    alphas, n, restarts, seed = _run_sweep(resolved)
+    alphas, n, restarts, seed, entries = _run_sweep(resolved)
     if len(alphas) < 2:
         raise ValidationError("envelope needs at least two density samples")
     env = sweep_and_envelope(alphas, n, restarts=restarts, seed=seed)
     rows = ["alpha,envelope"]
     for a, v in zip(env.hull_alphas, env.hull_values):
         rows.append(f"{_fmt(a)},{_fmt(v)}")
-    entries = _sweep_entries(alphas, n, restarts, seed)
     _emit(resolved.get("out"), _header("envelope", entries) + "\n".join(rows) + "\n")
     return 0
 
@@ -359,59 +355,44 @@ def cmd_pipeline(resolved: dict[str, str]) -> int:
 
 
 _COMMANDS = {
-    "scan": cmd_scan,
-    "popular": cmd_popular,
-    "zscan": cmd_zscan,
-    "variational": cmd_variational,
-    "envelope": cmd_envelope,
-    "regularize": cmd_regularize,
-    "pipeline": cmd_pipeline,
+    "scan": (cmd_scan, "full difference profile N(d) of a plane set, as CSV"),
+    "popular": (cmd_popular, "most popular nonzero difference of a plane set"),
+    "zscan": (cmd_zscan, "wraparound-free corner scan of a set in [n]^2"),
+    "variational": (cmd_variational, "estimate the grid functional minimum over a density grid"),
+    "envelope": (cmd_envelope, "lower convex envelope knots of a density sweep"),
+    "regularize": (cmd_regularize, "double regularity report for a plane set, as JSON"),
+    "pipeline": (cmd_pipeline, "end-to-end count vs box-model comparison, as JSON"),
 }
 
 
 def _build_parser():
     import argparse
 
+    width = max(map(len, _COMMANDS))
     parser = argparse.ArgumentParser(
         prog="cornerlab",
+        usage="%(prog)s command [flags]",
         description="corner statistics, regularization, and grid functional drivers",
+        epilog="commands:\n"
+        + "\n".join(f"  {name:<{width}}  {text}" for name, (_, text) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "scan": "full difference profile N(d) of a plane set, as CSV",
-        "popular": "most popular nonzero difference of a plane set",
-        "zscan": "wraparound-free corner scan of a set in [n]^2",
-        "variational": "estimate the grid functional minimum over a density grid",
-        "envelope": "lower convex envelope knots of a density sweep",
-        "regularize": "double regularity report for a plane set, as JSON",
-        "pipeline": "end-to-end count vs box-model comparison, as JSON",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="key=value parameter file; flags win")
-        p.add_argument("--group", help="group spec such as Z12 or Z2xZ2xZ3")
-        p.add_argument("--density", help="density in [0,1]; comma list for sweeps")
-        p.add_argument("--seed", help="RNG seed (default 0)")
-        p.add_argument("--set-file", dest="set_file", help="read the set from this file")
-        p.add_argument("--rho", help="radius bound for zscan candidates (default 1/4)")
-        p.add_argument("--eps", help="regularity accuracy target (default 0.25)")
-        p.add_argument("--growth", help="growth spec poly:c,k or exp:c (default poly:2,1)")
-        p.add_argument("--grid-n", dest="grid_n", help="grid points per axis (default 6)")
-        p.add_argument(
-            "--restarts",
-            help=f"descent restarts per sample (default {DESCENT_RESTARTS}); cut-norm "
-            f"restarts for regularize and pipeline (default {CUT_RESTARTS})",
-        )
-        p.add_argument("--out", help="output path (default stdout)")
+    parser.add_argument(
+        "command", choices=_COMMANDS, metavar="command", help="one of the commands below"
+    )
+    parser.add_argument("--config", help="key=value parameter file; flags win")
+    for key, (default, text) in _FLAGS.items():
+        if default is not None:
+            text += f" (default {default})"
+        parser.add_argument("--" + key.replace("_", "-"), help=text)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        resolved = _resolve(args)
-        return _COMMANDS[args.command](resolved)
+        handler, _ = _COMMANDS[args.command]
+        return handler(_resolve(args))
     except BoundViolation as exc:
         print(f"cornerlab: bound violated: {exc}", file=sys.stderr)
         return 4

@@ -39,6 +39,8 @@ _BOHR_CAP = 2**10
 DOUBLE_CAP = 2**7
 _SPECTRUM_FLOOR = 1e-15
 CUT_RESTARTS = 32
+# cells of one float64 stack of the alternating ascent, 2 * restarts * n
+_ASCENT_CELLS_CAP = 2**22
 
 
 @dataclass(frozen=True)
@@ -195,15 +197,25 @@ def _check_eps(eps: float) -> None:
         raise ValidationError(f"eps must be finite and positive, got {eps!r}")
 
 
-def _check_restarts(restarts: int) -> None:
+def _check_restarts(restarts: int, kind: str = "cut-norm") -> None:
     try:
         count = operator.index(restarts)
     except TypeError:
         count = None
     if count is None or isinstance(restarts, bool):
-        raise ValidationError(f"cut-norm restarts must be an integer, got {restarts!r}")
+        raise ValidationError(f"{kind} restarts must be an integer, got {restarts!r}")
     if count < 1:
-        raise ValidationError(f"need at least one cut-norm restart, got {restarts!r}")
+        raise ValidationError(f"need at least one {kind} restart, got {restarts!r}")
+
+
+def _check_ascent_size(restarts: int, n: int) -> None:
+    """Refuse an alternating ascent whose lane stacks exceed _ASCENT_CELLS_CAP."""
+    cells = 2 * int(restarts) * n
+    if not _cut_is_exact(n) and cells > _ASCENT_CELLS_CAP:
+        raise CapExceededError(
+            f"{restarts} cut-norm restarts at order {n} need {cells} cells per stack, "
+            f"above the cap {_ASCENT_CELLS_CAP}"
+        )
 
 
 def _check_plane_inputs(fs: Sequence[np.ndarray], group: GroupSpec, cap: int) -> list[np.ndarray]:
@@ -328,6 +340,7 @@ def cut_norm_witness(
         raise ValidationError("cut norm input must be finite")
     check_seed(seed)
     _check_restarts(restarts)
+    _check_ascent_size(restarts, M.shape[0])
     if _cut_is_exact(M.shape[0]):
         return _exact_witness(M)
     return _alternating_witness(M, restarts, seed)
@@ -377,7 +390,10 @@ def weak_regularity(
     part = initial if initial is not None else Partition.trivial(group)
     if part.group != group:
         raise ValidationError("initial partition lives on a different group")
-    round_bound = len(arrays) * math.ceil(1.0 / eps**2)
+    # the bound saturates at inf once eps^2 underflows or 1/eps^2 overflows
+    eps_sq = eps * eps
+    per_f = 1.0 / eps_sq if eps_sq > 0 else math.inf
+    round_bound = len(arrays) * math.ceil(per_f) if math.isfinite(per_f) else math.inf
     # one projection per function and partition gives its energy and residual
     projections = initial_projections = [part.project_plane(f) for f in arrays]
     records: list[dict] = []
@@ -478,8 +494,9 @@ def bohr_regularize(
             raise ValidationError("inputs must take values in [0, 1]")
 
     L = group.exponent_lcm
-    exit_tol = 1.0 / F(1.0)
-    max_rounds = len(fns) * F(1.0) ** 2
+    F1 = F(1.0)
+    exit_tol = 1.0 / F1
+    max_rounds = len(fns) * (F1 * F1)  # x * x saturates at inf where x**2 raises
 
     S: list[Character] = []
     rho = Fraction(1)  # rho_0 = 1; only 1/rho enters the width rule
@@ -633,8 +650,10 @@ def double_regularity(
     check_seed(seed)
     _check_restarts(restarts)
     arrays = _check_plane_inputs(fs, group, DOUBLE_CAP)
-    exit_tol = 1.0 / F(1.0 / eps)
-    max_rounds = len(arrays) * F(1.0 / eps) ** 2
+    _check_ascent_size(restarts, group.order)
+    F_inv = F(1.0 / eps)
+    exit_tol = 1.0 / F_inv
+    max_rounds = len(arrays) * (F_inv * F_inv)  # x * x saturates at inf where x**2 raises
     pi_i = Partition.trivial(group)
     records: list[dict] = []
     i = 0

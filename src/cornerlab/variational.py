@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -29,7 +30,14 @@ import numpy as np
 from .bohr import BohrSet
 from .corners import PlaneSet, hyperplane_views, weighted_corner_count
 from .errors import BoundViolation, CapExceededError, ValidationError, check_seed
-from .regularity import CUT_RESTARTS, DOUBLE_CAP, GrowthFunction, Partition, double_regularity
+from .regularity import (
+    CUT_RESTARTS,
+    DOUBLE_CAP,
+    GrowthFunction,
+    Partition,
+    _check_restarts,
+    double_regularity,
+)
 
 _MEAN_FEASIBLE_TOL = 1e-10
 _DESCENT_CAP = 10_000
@@ -45,6 +53,9 @@ _DECREASE_FLOOR = 1e-12
 _LOWER_SLACK = 1e-6
 _UPPER_SLACK = 1e-9
 DESCENT_RESTARTS = 8
+# cells of one float64 descent stack, (restarts - 1) * n^3, and at least the
+# n^3 of the constant start
+_DESCENT_CELLS_CAP = 2**22
 
 _WEIGHT_SUM_TOL = 1e-12
 _VALUE_TOL = 1e-9
@@ -306,7 +317,8 @@ def minimize_T(
     descent.  The other restarts run as one (restarts - 1, n, n, n) batch
     through the weighted kernel of evaluate_T, with uniform weights;
     iterations records the candidates each restart evaluated (0 for
-    restart 0).  Ties go to the lowest restart index.
+    restart 0).  Ties go to the lowest restart index.  A batch above
+    _DESCENT_CELLS_CAP cells raises CapExceededError before any allocation.
 
     The result is checked against the universal bracket
     [alpha^4 - 1e-6, alpha^3 + 1e-9]: the cube is attained by the constant
@@ -314,11 +326,18 @@ def minimize_T(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha!r}")
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise ValidationError(f"grid size n must be an integer, got {n!r}")
     if n < 2:
         raise ValidationError("grid needs n >= 2 points per axis")
-    if restarts < 1:
-        raise ValidationError("at least one restart required")
+    _check_restarts(restarts, "descent")
     check_seed(seed)
+    cells = max(int(restarts) - 1, 1) * int(n) ** 3
+    if cells > _DESCENT_CELLS_CAP:
+        raise CapExceededError(
+            f"{restarts} descent restarts at grid size {n} need {cells} cells per stack, "
+            f"above the cap {_DESCENT_CELLS_CAP}"
+        )
     if alpha in (0.0, 1.0):
         end = float(alpha)
         return MinimizeResult(

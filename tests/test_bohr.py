@@ -67,6 +67,19 @@ def test_radius_one_half_membership():
     assert sorted(int(i) for i in B.indices()) == [0, 1, 2, 3, 5, 6, 7]
 
 
+@pytest.mark.parametrize("radius", [
+    Fraction(1, 10**30), Fraction(1, 12) + Fraction(1, 10**25), Fraction(10**20 + 1, 6 * 10**20),
+    Fraction(1, 12), Fraction(1, 5),
+])
+def test_mask_is_exact_for_radii_with_huge_denominators(radius):
+    # the mask compares distances with ceil(rho * L) in Python integers, so
+    # a denominator past int64 neither overflows nor rounds
+    G = parse_group_spec("Z4xZ6")
+    S = G.characters()[1:4]
+    B = BohrSet(G, S, radius)
+    assert np.array_equal(B.mask(), [B.member(x) for x in G.enumerate()])
+
+
 def test_radius_validation():
     G = parse_group_spec("Z8")
     with pytest.raises(ValidationError):

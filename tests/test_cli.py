@@ -102,10 +102,69 @@ def test_zscan_runs_above_the_old_512_cap(capsys):
     assert f"# summary best_d={scan.difference} count={scan.count}" in out
 
 
+def test_zscan_takes_a_radius_with_a_huge_denominator(capsys):
+    code, out, err = run_cli(capsys, "zscan", "--group", "Z64", "--density", "0.5",
+                             "--rho", f"1/{10**23}")
+    assert code == 0 and err == ""
+    assert out.endswith("# summary best_d=0 count=0 candidates=0\n")
+
+
 def test_zscan_needs_rank_one_group(capsys):
     code, out, err = run_cli(capsys, "zscan", "--group", "Z2xZ3", "--density", "0.4")
     assert code == 2
     assert "cornerlab:" in err
+
+
+_PINNED = {
+    ("scan", "Z2xZ3", "1"): """\
+# cornerlab scan
+# group=Z2xZ3
+# density=0.5
+# seed=1
+d_index,d_repr,count
+0,0:0,17
+1,0:1,4
+2,0:2,4
+3,1:0,1
+4,1:1,4
+5,1:2,4
+# summary alpha=0.4722222222222222 d_star_index=1 d_star=0:1 count=4 alpha3_bound=3.7908950617283947
+""",
+    ("popular", "Z2xZ3", "1"): """\
+# cornerlab popular
+# group=Z2xZ3
+# density=0.5
+# seed=1
+alpha=0.4722222222222222
+d_star_index=1
+d_star=0:1
+count=4
+alpha3_bound=3.7908950617283947
+""",
+    ("zscan", "Z12", "2"): """\
+# cornerlab zscan
+# group=Z12
+# density=0.5
+# seed=2
+# rho=1/4
+d,count
+-2,8
+-1,16
+1,14
+2,9
+# summary best_d=-1 count=16 candidates=4
+""",
+}
+
+
+@pytest.mark.parametrize("command, group, seed", list(_PINNED))
+def test_whole_output_is_pinned(capsys, command, group, seed):
+    # counts and pure-Python float arithmetic only: no BLAS summation order
+    flags = ["--group", group, "--density", "0.5", "--seed", seed]
+    code, out, err = run_cli(capsys, command, *flags)
+    assert (code, out, err) == (0, _PINNED[command, group, seed], "")
+    # flags may also come before the command
+    assert run_cli(capsys, *flags, command) == (0, out, "")
 
 
 def test_variational_rows_match_library(capsys):
@@ -191,6 +250,19 @@ def test_report_commands_pass_restarts_through(capsys, monkeypatch, command, tar
     assert "# restarts=1\n" in out
     run_cli(capsys, command, "--group", "Z32", "--density", "0.5")
     assert seen == [1, 32]
+
+
+def test_top_level_help_lists_commands_flags_and_defaults(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps long help lines
+    for name, (_, description) in cli._COMMANDS.items():
+        assert f"{name} {description}" in text
+    for key in cli._KNOWN_KEYS:
+        assert f"--{key.replace('_', '-')} " in text
+    for key, default in cli._DEFAULTS.items():
+        assert f"(default {default})" in text
 
 
 # ------------------------------------------------------------ configuration
@@ -356,6 +428,54 @@ def test_restarts_below_one_map_to_exit_two(capsys, monkeypatch, command, restar
     )
     assert code == 2 and out == ""
     assert "restart" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("regularize", "--eps", "1e-170"),
+    ("pipeline", "--eps", "1e-170"),
+    ("regularize", "--growth", "poly:2,400"),
+    ("pipeline", "--growth", "poly:2,400"),
+    ("regularize", "--growth", "exp:1e300"),
+    ("pipeline", "--growth", "exp:1e300"),
+], ids=" ".join)
+def test_round_bounds_saturate_instead_of_overflowing(capsys, argv):
+    # 1/eps^2 and F(.)^2 pass the float range here; the bounds become inf
+    code, out, err = run_cli(capsys, *argv, "--group", "Z16", "--density", "0.5")
+    assert code == 0 and err == ""
+    assert json.loads(strip_comments(out))["rounds"] <= 1
+
+
+@pytest.mark.parametrize("command, flags, cells", [
+    ("variational", ("--grid-n", "3"), 7 * 27),
+    ("variational", ("--grid-n", "3", "--restarts", "1"), 27),
+    ("envelope", ("--grid-n", "3", "--restarts", "3"), 2 * 27),
+])
+def test_descent_stack_above_its_cap_exits_3(capsys, monkeypatch, command, flags, cells):
+    from cornerlab import variational
+
+    argv = (command, "--density", "0.3,0.5", *flags)
+    monkeypatch.setattr(variational, "_DESCENT_CELLS_CAP", cells - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert f"need {cells} cells" in err
+    monkeypatch.setattr(variational, "_DESCENT_CELLS_CAP", cells)
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("command", ["regularize", "pipeline"])
+def test_cut_ascent_above_its_cap_exits_3_before_regularizing(capsys, monkeypatch, command):
+    cells = 2 * 5 * 32
+    monkeypatch.setattr(regularity, "_ASCENT_CELLS_CAP", cells - 1)
+    monkeypatch.setattr(
+        regularity, "bohr_regularize", lambda *a, **k: pytest.fail("ran before the cap check")
+    )
+    argv = (command, "--group", "Z32", "--density", "0.5", "--restarts", "5")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert f"need {cells} cells" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(regularity, "_ASCENT_CELLS_CAP", cells)
+    assert run_cli(capsys, *argv)[0] == 0
 
 
 def test_regularize_checks_the_cap_before_building_views(capsys, monkeypatch):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from cornerlab import (
     BoundViolation,
+    CapExceededError,
     GroupFunction,
     GrowthFunction,
     Partition,
@@ -311,6 +312,22 @@ def test_cut_norm_rejects_fewer_than_one_restart(n, restarts):
         double_regularity([M], 0.25, F_POLY, G, restarts=restarts)
 
 
+def test_cut_ascent_above_its_cap_is_refused_before_any_allocation(monkeypatch):
+    M = np.random.default_rng(4).normal(size=(20, 20))
+    monkeypatch.setattr(regularity, "_ASCENT_CELLS_CAP", 2 * 3 * 20 - 1)
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("allocated"))
+    with pytest.raises(CapExceededError, match="need 120 cells"):
+        cut_norm_witness(M, restarts=3)
+    with pytest.raises(CapExceededError):
+        double_regularity([np.full((20, 20), 0.5)], 0.25, F_POLY, parse_group_spec("Z20"),
+                          restarts=3)
+    # the exact enumeration at n <= 16 runs no ascent, so no cap applies
+    cut_norm_witness(M[:16, :16], restarts=10**9)
+    monkeypatch.undo()
+    monkeypatch.setattr(regularity, "_ASCENT_CELLS_CAP", 2 * 3 * 20)
+    assert cut_norm_witness(M, restarts=3)[0] > 0
+
+
 # ----------------------------------------------------------- weak regularity
 
 
@@ -334,6 +351,16 @@ def test_weak_regularity_splits_a_block():
     # energy is nondecreasing and jumps when the split lands
     first, last = res.round_records[0]["energies"], res.round_records[-1]["energies"]
     assert last[0] >= first[0]
+
+
+def test_round_bounds_saturate_at_tiny_eps():
+    # eps^2 underflows to 0 and F(1/eps)^2 passes the float range; both
+    # bounds become inf instead of raising
+    G = parse_group_spec("Z16")
+    block = np.outer(np.arange(16) < 8, np.arange(16) < 8).astype(float)
+    res = weak_regularity([block], 1e-170, G)
+    assert res.rounds == 1 and res.residuals == [0.0]
+    assert double_regularity([block], 1e-170, F_POLY, G).rounds <= 1
 
 
 def test_weak_regularity_seeded_z16():

@@ -303,6 +303,35 @@ def test_minimize_validation():
         minimize_T(0.5, 3, restarts=1, seed=-1)
 
 
+@pytest.mark.parametrize("restarts", [2.5, True, "3", None, 0])
+def test_minimize_validates_restarts_like_the_cut_norm(restarts):
+    with pytest.raises(ValidationError, match="descent restart"):
+        minimize_T(0.5, 3, restarts=restarts)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+def test_minimize_needs_an_integer_grid_size(n):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        minimize_T(0.5, n, restarts=2)
+
+
+def test_minimize_accepts_numpy_integers():
+    a = minimize_T(0.3, np.int64(3), restarts=np.int64(3), seed=1)
+    assert a.restart_values == minimize_T(0.3, 3, restarts=3, seed=1).restart_values
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize("n, restarts, cells", [(3, 8, 7 * 27), (4, 1, 64)])
+def test_descent_stack_above_its_cap_is_refused(monkeypatch, alpha, n, restarts, cells):
+    monkeypatch.setattr(V, "_DESCENT_CELLS_CAP", cells - 1)
+    with pytest.raises(CapExceededError, match=f"need {cells} cells"):
+        minimize_T(alpha, n, restarts=restarts)
+    with pytest.raises(CapExceededError):
+        sweep_and_envelope([alpha, 0.5], n, restarts=restarts)
+    monkeypatch.setattr(V, "_DESCENT_CELLS_CAP", cells)
+    assert len(minimize_T(alpha, n, restarts=restarts).restart_values) == restarts
+
+
 def _serial_restart_values(alpha, n, restarts, seed):
     """One restart at a time with the descent rule of minimize_T, as plain loops."""
     w = (np.full(n, 1.0 / n),) * 3
