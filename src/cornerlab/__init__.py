@@ -9,9 +9,7 @@ from .bohr import (
     BohrPartition,
     BohrSet,
     BoxDecomposition,
-    SmoothingCheck,
     box_approximation,
-    check_convolution_smoothing,
     part_absorption_bound,
     translate_containment_bound,
     verify_part_absorption,
@@ -23,7 +21,6 @@ from .corners import (
     IntegerScan,
     PlaneSet,
     corner_count_by_difference,
-    corner_count_fourier_check,
     corner_count_naive,
     hyperplane_views,
     integer_corner_scan,

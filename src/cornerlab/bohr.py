@@ -16,15 +16,14 @@ informative (< 1).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import BoundViolation, CapExceededError, GroupMismatchError, ValidationError
-from .fourier import GroupFunction, convolve, lp_norm
+from .fourier import GroupFunction
 from .groups import Character, Element, GroupSpec, torus_norm_fraction
 
 RationalLike = Union[Fraction, int, float, str]
@@ -386,56 +385,3 @@ def box_approximation(
             "despite the fine-width hypothesis"
         )
     return BoxDecomposition(tuple(boxes), residual, target_measure)
-
-
-class SmoothingCheck(NamedTuple):
-    """L2 deviations of the two convolution-smoothing identities, plus the
-    smallest eps0 each hypothesis supports (0 when S is empty)."""
-
-    e1: float
-    e2: float
-    eps0_coarse: float
-    eps0_fine: float
-
-
-def check_convolution_smoothing(
-    f: GroupFunction,
-    freqs: Sequence[Character],
-    fine_freqs: Sequence[Character],
-    delta: RationalLike,
-    delta_prime: RationalLike,
-    rho: RationalLike,
-) -> SmoothingCheck:
-    """Measure both smoothing deviations for f: G -> [0, 1].
-
-    e1 = || f|_B - mu_B * f|_B ||_{L2}   (coarse projection is conv-stable)
-    e2 = || mu_B * f - mu_B * f|_B' ||_{L2}   (fine projection then convolve)
-
-    eps0_coarse solves rho = eps0^2 * delta / |S|; eps0_fine solves
-    delta' = eps0 * C_{|S|,rho} / |S|.  Values are reported, not enforced.
-    """
-    group = f.group
-    S = _canonical_freqs(group, freqs)
-    S_fine = _canonical_freqs(group, fine_freqs)
-    fine_coeffs = {xi.coeffs for xi in S_fine}
-    if any(xi.coeffs not in fine_coeffs for xi in S):
-        raise ValidationError("the fine frequency set must contain the coarse one")
-    B = BohrSet(group, S, rho)
-    coarse = BohrPartition(group, S, delta)
-    fine = BohrPartition(group, S_fine, delta_prime)
-    mu_B = B.mu()
-    f_coarse = coarse.project(f)
-    f_fine = fine.project(f)
-    e1 = lp_norm(
-        GroupFunction(group, f_coarse.values - convolve(mu_B, f_coarse).values), 2
-    )
-    e2 = lp_norm(
-        GroupFunction(group, convolve(mu_B, f).values - convolve(mu_B, f_fine).values), 2
-    )
-    s = len(S)
-    rho_f = _as_fraction(rho, "rho")
-    delta_f = _as_fraction(delta, "delta")
-    dp_f = _as_fraction(delta_prime, "delta_prime")
-    eps0_coarse = math.sqrt(float(rho_f * s / delta_f)) if s else 0.0
-    eps0_fine = float(dp_f * s / volume_lower_bound(s, rho_f)) if s else 0.0
-    return SmoothingCheck(e1, e2, eps0_coarse, eps0_fine)

@@ -385,28 +385,6 @@ def weighted_corner_count_direct(A: PlaneSet, nu: GroupFunction) -> float:
     return triple_sum_from_views(hyperplane_views(A), A.group, nu)
 
 
-def corner_count_fourier_check(A: PlaneSet, nu: GroupFunction) -> float:
-    """Second independent path: per-d correlations in float arithmetic.
-
-    N(d) is the inner product of the row-wise product A . A_colshift with the
-    row-shifted matrix; everything stays below 2^53 so the float sums are
-    exact integers.
-    """
-    group = A.group
-    n = group.order
-    if n > _TRIPLE_SUM_CAP:
-        raise CapExceededError(f"group order {n} exceeds check cap {_TRIPLE_SUM_CAP}")
-    _check_nu(group, nu)
-    bits = A.bits.astype(np.float64)
-    nu_vals = np.asarray(nu.values, dtype=np.float64)
-    total = 0.0
-    for d in range(n):
-        perm = group.translate_permutation(d)
-        pair = bits * bits[:, perm]
-        total += nu_vals[d] * float(np.einsum("xy,xy->", pair, bits[perm]))
-    return total / n**3
-
-
 class IntegerScan(NamedTuple):
     """Best wraparound-free difference on the integer grid.
 

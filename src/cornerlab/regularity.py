@@ -640,7 +640,8 @@ def double_regularity(
     plane functions.  The loop exits when no f moves more than 1/F(1/eps)
     in L2 between consecutive box averages; the telescoping argument bounds
     the outer rounds by t*F(1/eps)^2, t = len(fs); running longer raises
-    BoundViolation.
+    BoundViolation.  A growth F that overflows at |Pi| parts, so that the
+    threshold 1/F(|Pi|) is 0, raises ValidationError naming F.
 
     f2 = f - f|_{Pi' x Pi'} is the residual the last weak run stopped on, so
     f2_cut_estimates are that run's residuals: exact and certified when
@@ -661,9 +662,15 @@ def double_regularity(
         indicators = pi_i.indicator_functions()
         bohr = bohr_regularize(indicators, F, eps=eps)
         pi = pi_i.common_refinement(Partition.from_bohr(bohr.partition))
+        threshold = 1.0 / F(float(pi.part_count))
+        if not threshold > 0.0:
+            raise ValidationError(
+                f"growth {F.spec_string()} overflows at {pi.part_count} parts: "
+                f"the weak regularity threshold 1/F({pi.part_count}) is 0"
+            )
         weak = weak_regularity(
             arrays,
-            eps=1.0 / F(float(pi.part_count)),
+            eps=threshold,
             group=group,
             initial=pi,
             restarts=restarts,

@@ -4,7 +4,9 @@ Radii and widths are exact rationals throughout, so every membership and
 label decision in here is reproducible bit for bit.
 """
 
+import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from cornerlab import (
     GroupFunction,
     ValidationError,
     box_approximation,
-    check_convolution_smoothing,
+    convolve,
+    lp_norm,
     parse_group_spec,
     part_absorption_bound,
     translate_containment_bound,
@@ -314,6 +317,36 @@ def test_box_approximation_checks_its_cap_before_any_mask(monkeypatch):
 
 
 # ---------------------------------------------------------------- smoothing
+
+
+class SmoothingCheck(NamedTuple):
+    e1: float
+    e2: float
+    eps0_coarse: float
+    eps0_fine: float
+
+
+def check_convolution_smoothing(f, freqs, fine_freqs, delta, delta_prime, rho):
+    """Both convolution-smoothing deviations of f: G -> [0, 1].
+
+    e1 = || f|_B - mu_B * f|_B ||_{L2}   (coarse projection is conv-stable)
+    e2 = || mu_B * f - mu_B * f|_B' ||_{L2}   (fine projection then convolve)
+
+    eps0_coarse solves rho = eps0^2 * delta / |S|; eps0_fine solves
+    delta' = eps0 * C_{|S|,rho} / |S|.
+    """
+    group = f.group
+    B = BohrSet(group, freqs, rho)
+    mu_B = B.mu()
+    f_coarse = BohrPartition(group, freqs, delta).project(f)
+    f_fine = BohrPartition(group, fine_freqs, delta_prime).project(f)
+    e1 = lp_norm(GroupFunction(group, f_coarse.values - convolve(mu_B, f_coarse).values), 2)
+    e2 = lp_norm(GroupFunction(group, convolve(mu_B, f).values - convolve(mu_B, f_fine).values), 2)
+    s = len(B.freqs)
+    eps0_coarse = math.sqrt(float(Fraction(rho) * s / Fraction(delta))) if s else 0.0
+    eps0_fine = float(Fraction(delta_prime) * s / volume_lower_bound(s, Fraction(rho))) if s else 0.0
+    return SmoothingCheck(e1, e2, eps0_coarse, eps0_fine)
+
 
 
 def test_smoothing_constant_function():

@@ -445,6 +445,14 @@ def test_round_bounds_saturate_instead_of_overflowing(capsys, argv):
     assert json.loads(strip_comments(out))["rounds"] <= 1
 
 
+@pytest.mark.parametrize("command", ["regularize", "pipeline"])
+def test_growth_overflow_at_the_part_count_exits_2_naming_the_growth(capsys, command):
+    code, out, err = run_cli(capsys, command, "--group", "Z32", "--density", "0.5",
+                             "--growth", "exp:1e300")
+    assert code == 2 and out == ""
+    assert "growth exp:1e+300 overflows at 32 parts" in err and "eps" not in err
+
+
 @pytest.mark.parametrize("command, flags, cells", [
     ("variational", ("--grid-n", "3"), 7 * 27),
     ("variational", ("--grid-n", "3", "--restarts", "1"), 27),

@@ -16,7 +16,6 @@ from cornerlab import (
     PlaneSet,
     ValidationError,
     corner_count_by_difference,
-    corner_count_fourier_check,
     corner_count_naive,
     hyperplane_views,
     integer_corner_scan,
@@ -303,6 +302,25 @@ def test_hyperplane_views_consistency_identity():
 
 
 # ------------------------------------------------------- fourier cross-check
+
+
+def corner_count_fourier_check(A, nu):
+    """Weighted corner count by a second path: per-d correlations in floats.
+
+    N(d) is the inner product of the row-wise product A . A_colshift with the
+    row-shifted matrix; every sum stays below 2^53, so the float sums are
+    exact integers.
+    """
+    group = A.group
+    n = group.order
+    bits = A.bits.astype(np.float64)
+    total = 0.0
+    for d in range(n):
+        perm = group.translate_permutation(d)
+        pair = bits * bits[:, perm]
+        total += nu.values[d] * float(np.einsum("xy,xy->", pair, bits[perm]))
+    return total / n**3
+
 
 
 def test_fourier_check_trivial_sets():

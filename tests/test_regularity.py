@@ -363,6 +363,16 @@ def test_round_bounds_saturate_at_tiny_eps():
     assert double_regularity([block], 1e-170, F_POLY, G).rounds <= 1
 
 
+def test_growth_overflow_at_the_part_count_names_the_growth():
+    # exp:1e300 is finite at 1/eps = 4 but overflows at the 32 parts of the
+    # first refined partition, so the weak threshold 1/F(|Pi|) would be 0
+    G = parse_group_spec("Z32")
+    M = (np.random.default_rng(3).random((32, 32)) < 0.5).astype(float)
+    with pytest.raises(ValidationError, match=r"growth exp:1e\+300 overflows at 32 parts") as err:
+        double_regularity([M], 0.25, parse_growth_spec("exp:1e300"), G)
+    assert "eps" not in str(err.value)
+
+
 def test_weak_regularity_seeded_z16():
     rng = np.random.default_rng(77)
     G = parse_group_spec("Z16")

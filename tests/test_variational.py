@@ -258,6 +258,24 @@ def test_projection_checks_the_achieved_mean():
         V._project_to_slice(np.zeros((2, 5)), 1.5)
 
 
+@pytest.mark.parametrize("n", [3, 6])
+def test_projection_meets_its_mean_at_the_largest_descent_input(n):
+    # The descent projects phi - step * bracket with phi in [0, 1], a step
+    # of at most _STEP_MAX and a bracket in [0, 3] (each of its three terms
+    # is a product of conditionals in [0, 1]): inputs reach -3 * _STEP_MAX.
+    rng = np.random.default_rng(n)
+    cells = n**3
+    brackets = np.vstack([
+        3.0 * rng.random((4, cells)),
+        np.where(rng.random((4, cells)) < 0.5, 0.0, 3.0),  # both ends at once
+        np.eye(2, cells, k=cells // 2) * 3.0,  # one cell at the far end
+    ])
+    phi = rng.random(brackets.shape)
+    for alpha in (1e-9, 1e-3, 0.3, 0.5, 0.9, 1.0 - 1e-9):
+        out = V._project_to_slice(phi - V._STEP_MAX * brackets, alpha)
+        assert np.max(np.abs(out.mean(axis=1) - alpha)) <= V._MEAN_FEASIBLE_TOL
+
+
 # ---------------------------------------------------------------- minimizing
 
 
@@ -332,41 +350,74 @@ def test_descent_stack_above_its_cap_is_refused(monkeypatch, alpha, n, restarts,
     assert len(minimize_T(alpha, n, restarts=restarts).restart_values) == restarts
 
 
-def _serial_restart_values(alpha, n, restarts, seed):
-    """One restart at a time with the descent rule of minimize_T, as plain loops."""
+def _sorted_fw_gap(g, phi, alpha):
+    """Frank-Wolfe gap of one lane, with the linear oracle read off a full sort."""
+    N = g.size
+    k = min(int(alpha * N), N - 1)
+    low = np.sort(g)
+    return ((g * phi).sum() - low[:k].sum() - (alpha * N - k) * low[k]) / N
+
+
+def _serial_spg(alpha, n, start):
+    """One lane of spectral projected gradient as a plain loop: value, T
+    evaluations and final gap."""
     w = (np.full(n, 1.0 / n),) * 3
-    values, counts = [alpha**3], [0]
-    for r in range(1, restarts):
-        start = V._restart_start(r, n, seed, restarts)
-        phi = V._project_to_slice(start.reshape(1, -1), alpha).reshape(1, n, n, n)
-        F, G, H = V._conditionals(w, phi)
+
+    def value_and_bracket(x):
+        F, G, H = V._conditionals(w, x.reshape(1, n, n, n))
         t, GH = V._T(w, F, G, H)
-        t = t[0]
-        step, used = V._INITIAL_STEP, 0
-        for _ in range(V._DESCENT_CAP):
-            used += 1
-            moved = phi - step * V._bracket(w, F, G, H, GH)
-            cand = V._project_to_slice(moved.reshape(1, -1), alpha).reshape(phi.shape)
-            cF, cG, cH = V._conditionals(w, cand)
-            tc, cGH = V._T(w, cF, cG, cH)
-            tc = tc[0]
-            if tc < t - V._DECREASE_FLOOR:
-                phi, t, F, G, H, GH = cand, tc, cF, cG, cH, cGH
-            else:
-                step *= 0.5
-                if step < V._STEP_FLOOR:
-                    break
-        values.append(float(t))
-        counts.append(used)
-    return values, counts
+        return float(t[0]), V._bracket(w, F, G, H, GH).reshape(-1)
+
+    phi = V._project_to_slice(start.reshape(1, -1), alpha)[0]
+    t, g = value_and_bracket(phi)
+    gap = _sorted_fw_gap(g, phi, alpha)
+    step, recent, evals = 1.0, [t] * V._GLL_MEMORY, 0
+    while gap > V._GAP_TOL and evals < V._DESCENT_CAP:
+        d = V._project_to_slice((phi - step * g)[None, :], alpha)[0] - phi
+        slope = (g * d).sum() / d.size
+        a = 1.0
+        while evals < V._DESCENT_CAP:
+            trial = phi + a * d
+            tt, new_g = value_and_bracket(trial)
+            evals += 1
+            if tt <= max(recent) + V._ARMIJO * a * slope:
+                break
+            a *= 0.5
+        else:  # the cap came before an accepted trial: keep the last point
+            break
+        s = trial - phi
+        sy = (s * (new_g - g)).sum()
+        step = min(max((s * s).sum() / sy, V._STEP_MIN), V._STEP_MAX) if sy > 0 else V._STEP_MAX
+        phi, t, g = trial, tt, new_g
+        recent = [t] + recent[:-1]
+        gap = _sorted_fw_gap(g, phi, alpha)
+    return t, evals, gap
+
+
+def _serial_restarts(alpha, n, restarts, seed):
+    """Every restart of minimize_T one at a time, restart 0 in closed form."""
+    runs = [(alpha**3, 0, 0.0)]
+    runs += [_serial_spg(alpha, n, V._restart_start(r, n, seed, restarts)) for r in range(1, restarts)]
+    return [list(col) for col in zip(*runs)]
 
 
 @pytest.mark.parametrize("alpha, n, seed", [(0.3, 3, 0), (0.55, 3, 4), (0.2, 4, 1), (0.7, 4, 2)])
 def test_batched_descent_matches_one_restart_at_a_time(alpha, n, seed):
     res = minimize_T(alpha, n, restarts=6, seed=seed)
-    values, counts = _serial_restart_values(alpha, n, 6, seed)
+    values, counts, gaps = _serial_restarts(alpha, n, 6, seed)
     assert np.max(np.abs(np.array(res.restart_values) - values)) <= 1e-12
     assert res.iterations == tuple(counts)
+    assert np.max(np.abs(np.array(res.gaps) - gaps)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_every_lane_ends_stationary_or_at_the_cap(n, seed):
+    alpha = float(np.random.default_rng([n, seed]).uniform(0.05, 0.95))
+    res = minimize_T(alpha, n, restarts=8, seed=seed)
+    assert res.gaps[0] == 0.0 and res.iterations[0] == 0
+    for gap, evals in zip(res.gaps[1:], res.iterations[1:]):
+        assert gap <= V._GAP_TOL or evals == V._DESCENT_CAP, (alpha, gap, evals)
 
 
 @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.3, 1 / 3, 0.5, 0.9, 1 - 1e-9])
@@ -378,7 +429,7 @@ def test_constant_restart_is_alpha_cubed_exactly(alpha):
 
 def test_single_restart_returns_the_constant():
     res = minimize_T(0.4, 3, restarts=1)
-    assert res.value == 0.4**3 and res.iterations == (0,)
+    assert res.value == 0.4**3 and res.iterations == (0,) and res.gaps == (0.0,)
     assert np.array_equal(res.phi.values, np.full((3, 3, 3), 0.4))
 
 
@@ -388,7 +439,8 @@ def test_iteration_counts_are_per_restart_and_capped():
     assert res.iterations[0] == 0
     assert all(1 <= c <= V._DESCENT_CAP for c in res.iterations[1:])
     for alpha in (0.0, 1.0):
-        assert minimize_T(alpha, 3, restarts=2).iterations == (0, 0)
+        ends = minimize_T(alpha, 3, restarts=2)
+        assert ends.iterations == (0, 0) and ends.gaps == (0.0, 0.0)
 
 
 # ------------------------------------------------------------------- sweeps
