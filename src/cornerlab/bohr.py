@@ -183,20 +183,6 @@ class BohrPartition:
         ids, labels, _ = self.part_ids()
         return [(lab, np.nonzero(ids == k)[0]) for k, lab in enumerate(labels)]
 
-    def project(self, f: GroupFunction) -> GroupFunction:
-        """Conditional expectation of f given the partition (per-part mean)."""
-        if f.group != self.group:
-            raise GroupMismatchError("function lives on a different group")
-        ids, _, counts = self.part_ids()
-        vals = np.asarray(f.values)
-        if np.iscomplexobj(vals):
-            means = (
-                np.bincount(ids, weights=vals.real) + 1j * np.bincount(ids, weights=vals.imag)
-            ) / counts
-        else:
-            means = np.bincount(ids, weights=vals) / counts
-        return GroupFunction(self.group, means[ids])
-
 
 def translate_containment_bound(s: int, rho: RationalLike, delta: RationalLike) -> Fraction:
     """Pinned prediction 8 * rho * |S| / delta for the translate check."""

@@ -326,9 +326,11 @@ def popular_difference(A: PlaneSet, profile: CornerProfile | None = None) -> tup
 
 
 def _check_nu(group: GroupSpec, nu: GroupFunction) -> None:
-    """nu must live on group and have mean one."""
+    """nu must live on group, be real and have mean one."""
     if nu.group != group:
         raise GroupMismatchError("nu lives on a different group")
+    if np.iscomplexobj(nu.values):
+        raise ValidationError("nu must be real-valued")
     mean = nu.mean()
     if abs(mean - 1.0) > _MEAN_ONE_TOL:
         raise ValidationError(f"nu must have mean 1 (got {mean})")

@@ -162,7 +162,7 @@ def large_spectrum(f: GroupFunction, threshold: float) -> set[Character]:
     Plancherel forces |result| <= ||f||_{L2}^2 / threshold^2; a larger result
     raises BoundViolation.
     """
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValidationError("large-spectrum threshold must be positive")
     spec = dft(f)
     hits = np.nonzero(np.abs(spec.coefficients) >= threshold)[0]

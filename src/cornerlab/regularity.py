@@ -462,11 +462,7 @@ class BohrDecomposition:
     degenerate: bool
 
 
-def bohr_regularize(
-    fns: Sequence[GroupFunction],
-    F: GrowthFunction,
-    eps: float = 1.0,
-) -> BohrDecomposition:
+def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDecomposition:
     """Iteratively regularize [0,1]-valued functions against Bohr partitions.
 
     Round i: take the partition P_i of width delta_i (an integer reciprocal,
@@ -476,9 +472,8 @@ def bohr_regularize(
     and stop as soon as every input moves by at most 1/F(1) in L2 between
     consecutive projections.  Telescoping orthogonality forces termination
     within m*F(1)^2 rounds, m = len(fns); running longer raises BoundViolation.
-
-    eps plays no computational role here: the growth function is chosen in
-    terms of it by the caller.  It is recorded in the history for traceability.
+    Each Bohr partition is labelled once, as a Partition that projects every
+    input.
     """
     if not fns:
         raise ValidationError("need at least one function")
@@ -492,6 +487,7 @@ def bohr_regularize(
         vals = np.asarray(f.values)
         if np.iscomplexobj(vals) or vals.min() < -1e-12 or vals.max() > 1 + 1e-12:
             raise ValidationError("inputs must take values in [0, 1]")
+    values = [f.values for f in fns]
 
     L = group.exponent_lcm
     F1 = F(1.0)
@@ -505,17 +501,14 @@ def bohr_regularize(
     i = 0
     degenerate = False
     P_i = BohrPartition(group, S, Fraction(1, N_i))
-    projections_i = [P_i.project(I) for I in fns]
+    part_i = Partition.from_bohr(P_i)
+    projections_i = [part_i.project_line(v) for v in values]
     while True:
-        ids, labels, _ = P_i.part_ids()
-        part_count = len(labels)
+        ids, part_count = part_i.labels, part_i.part_count
         products = [
-            GroupFunction(group, np.asarray(I.values) * (ids == k))
-            for I in fns
-            for k in range(part_count)
+            GroupFunction(group, v * (ids == k)) for v in values for k in range(part_count)
         ]
-        n_products = len(products)
-        threshold = max(1.0 / F(n_products * N_i), _SPECTRUM_FLOOR)
+        threshold = max(1.0 / F(len(products) * N_i), _SPECTRUM_FLOOR)
         harvested: set = set()
         for f in products:
             for xi in large_spectrum(f, threshold):
@@ -534,17 +527,16 @@ def bohr_regularize(
 
         N_next, next_capped = _capped_width_denominator(F.ceil_value(rho_den), N_i, L)
         P_next = BohrPartition(group, S_next, Fraction(1, N_next))
+        part_next = Partition.from_bohr(P_next)
 
-        projections_next = [P_next.project(I) for I in fns]
-        gaps = [
-            lp_norm(GroupFunction(group, b.values - a.values), 2)
+        projections_next = [part_next.project_line(v) for v in values]
+        gap = max(
+            float(np.sqrt(((b - a) ** 2).mean()))
             for a, b in zip(projections_i, projections_next)
-        ]
-        gap = max(gaps)
+        )
         history.append(
             {
                 "round": i,
-                "eps": eps,
                 "freq_count": len(S),
                 "rho": str(rho),
                 "delta": f"1/{N_i}",
@@ -553,7 +545,7 @@ def bohr_regularize(
                 "new_frequencies": len(new_coeffs),
                 "rho_next": str(rho_next),
                 "delta_next": f"1/{N_next}",
-                "energies": [float((p.values**2).mean()) for p in projections_i],
+                "energies": [float((p**2).mean()) for p in projections_i],
                 "gap": gap,
                 "width_capped": width_capped or next_capped,
                 "radius_capped": radius_capped,
@@ -568,17 +560,17 @@ def bohr_regularize(
                 f"regularization ran {i} rounds, beyond the telescoping bound {max_rounds}"
             )
         S, rho, N_i, width_capped = S_next, rho_next, N_next, next_capped
-        P_i, projections_i = P_next, projections_next
+        P_i, part_i, projections_i = P_next, part_next, projections_next
 
     mu = B_next.mu()
     components = []
     worst_l2 = 0.0
     worst_linf = 0.0
-    for I, proj in zip(fns, projections_i):
-        conv = convolve(mu, I)
-        I0 = proj
-        I1 = GroupFunction(group, conv.values - proj.values)
-        I2 = GroupFunction(group, np.asarray(I.values, dtype=np.float64) - conv.values)
+    for I, v, proj in zip(fns, values, projections_i):
+        conv = convolve(mu, I).values
+        I0 = GroupFunction(group, proj)
+        I1 = GroupFunction(group, conv - proj)
+        I2 = GroupFunction(group, v - conv)
         components.append((I0, I1, I2))
         worst_l2 = max(worst_l2, lp_norm(I1, 2))
         for k in range(part_count):
@@ -660,7 +652,7 @@ def double_regularity(
     i = 0
     while True:
         indicators = pi_i.indicator_functions()
-        bohr = bohr_regularize(indicators, F, eps=eps)
+        bohr = bohr_regularize(indicators, F)
         pi = pi_i.common_refinement(Partition.from_bohr(bohr.partition))
         threshold = 1.0 / F(float(pi.part_count))
         if not threshold > 0.0:

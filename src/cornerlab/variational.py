@@ -21,6 +21,7 @@ with its two structured approximations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
@@ -563,10 +564,10 @@ class BoxInstance:
             )
         if not np.all(np.isfinite(cells)) or cells.min() < -1e-15:
             raise ValidationError("cell masses must be finite and nonnegative")
-        if hyperplane_mass < 0:
-            raise ValidationError("hyperplane mass must be nonnegative")
-        if eps <= 0:
-            raise ValidationError("eps must be positive")
+        if not (math.isfinite(hyperplane_mass) and hyperplane_mass >= 0):
+            raise ValidationError("hyperplane mass must be finite and nonnegative")
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValidationError("eps must be finite and positive")
         if m < 1:
             raise ValidationError("m must be at least 1")
         support = np.einsum("i,j,k->ijk", dx, dy, dz) > 0

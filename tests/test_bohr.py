@@ -17,6 +17,7 @@ from cornerlab import (
     CapExceededError,
     Character,
     GroupFunction,
+    Partition,
     ValidationError,
     box_approximation,
     convolve,
@@ -173,9 +174,9 @@ def test_partition_project_preserves_mean_and_is_idempotent():
     G = parse_group_spec("Z24")
     P = BohrPartition(G, [first_char(G)], Fraction(1, 4))
     f = GroupFunction(G, rng.random(24))
-    pf = P.project(f)
+    pf = GroupFunction(G, Partition.from_bohr(P).project_line(f.values))
     assert abs(pf.mean() - f.mean()) <= 1e-12
-    again = P.project(pf)
+    again = GroupFunction(G, Partition.from_bohr(P).project_line(pf.values))
     assert np.max(np.abs(again.values - pf.values)) <= 1e-12
 
 
@@ -338,8 +339,13 @@ def check_convolution_smoothing(f, freqs, fine_freqs, delta, delta_prime, rho):
     group = f.group
     B = BohrSet(group, freqs, rho)
     mu_B = B.mu()
-    f_coarse = BohrPartition(group, freqs, delta).project(f)
-    f_fine = BohrPartition(group, fine_freqs, delta_prime).project(f)
+    f_coarse = GroupFunction(
+        group, Partition.from_bohr(BohrPartition(group, freqs, delta)).project_line(f.values)
+    )
+    f_fine = GroupFunction(
+        group,
+        Partition.from_bohr(BohrPartition(group, fine_freqs, delta_prime)).project_line(f.values),
+    )
     e1 = lp_norm(GroupFunction(group, f_coarse.values - convolve(mu_B, f_coarse).values), 2)
     e2 = lp_norm(GroupFunction(group, convolve(mu_B, f).values - convolve(mu_B, f_fine).values), 2)
     s = len(B.freqs)
@@ -367,7 +373,7 @@ def test_smoothing_point_mass_bohr_set():
     chk = check_convolution_smoothing(f, [xi], [xi], Fraction(1, 4), Fraction(1, 8), Fraction(1, 16))
     assert chk.e1 <= 1e-12
     fine = BohrPartition(G, [xi], Fraction(1, 8))
-    resid = f.values - fine.project(f).values
+    resid = f.values - Partition.from_bohr(fine).project_line(f.values)
     expected = float(np.sqrt(np.mean(resid**2)))
     assert abs(chk.e2 - expected) <= 1e-12
 

@@ -258,6 +258,14 @@ def test_weighted_count_rejects_unnormalized_weights():
         weighted_corner_count(A, GroupFunction.constant(A.group, 0.5))
 
 
+@pytest.mark.parametrize("count", [weighted_corner_count, weighted_corner_count_direct])
+def test_weighted_count_rejects_complex_weights(count):
+    A = seeded_set("Z8", 0.4, 5)
+    nu = GroupFunction(A.group, np.full(8, 1.0 + 0.5j))  # real part has mean one
+    with pytest.raises(ValidationError, match="real"):
+        count(A, nu)
+
+
 def test_weighted_count_monotone_in_the_set():
     G = parse_group_spec("Z9")
     B = BohrSet(G, [G.characters()[1]], Fraction(1, 4))

@@ -162,6 +162,12 @@ def test_large_spectrum_rejects_nonpositive_threshold():
         large_spectrum(GroupFunction.constant(G, 1.0), 0.0)
 
 
+def test_large_spectrum_rejects_nan_threshold():
+    G = parse_group_spec("Z8")
+    with pytest.raises(ValidationError):
+        large_spectrum(GroupFunction.constant(G, 1.0), float("nan"))
+
+
 def test_lp_norms():
     G = parse_group_spec("Z10")
     ones = GroupFunction.constant(G, 1.0)

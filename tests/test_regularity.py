@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from cornerlab import (
     BoundViolation,
     CapExceededError,
+    Character,
     GroupFunction,
     GrowthFunction,
     Partition,
@@ -513,6 +514,33 @@ def test_bohr_regularize_multiple_functions_round_cap():
     assert dec.rounds <= 3 * F_POLY(1.0) ** 2
     for f, (I0, I1, I2) in zip(fs, dec.components):
         assert np.max(np.abs(I0.values + I1.values + I2.values - f.values)) <= 1e-12
+
+
+# Low-order driving characters: the final partition has parts of 3 to 20
+# elements, and the seeded noise varies every input inside every part.
+I0_DRIVERS = {"Z32": [(8,), (16,), (24,)], "Z64": [(16,), (8,), (48,)],
+              "Z6xZ10": [(2, 0), (0, 5), (3, 5)]}
+
+
+@pytest.mark.parametrize("spec", sorted(I0_DRIVERS))
+@pytest.mark.parametrize("count", [1, 3])
+def test_bohr_regularize_I0_is_the_per_part_mean(spec, count):
+    G = parse_group_spec(spec)
+    rng = np.random.default_rng(G.order + count)
+    fs = []
+    for coeffs in I0_DRIVERS[spec][:count]:
+        xi = Character(G, coeffs)
+        t = np.array([float(xi.eval_fraction(G.element(i))) for i in range(G.order)])
+        noise = 0.1 * (2 * rng.random(G.order) - 1)
+        fs.append(GroupFunction(G, 0.5 + 0.4 * np.cos(2 * np.pi * t) + noise))
+    dec = bohr_regularize(fs, F_POLY)
+    parts: dict[tuple, list[int]] = {}
+    for i in range(G.order):
+        parts.setdefault(dec.partition.label_of(G.element(i)), []).append(i)
+    assert 1 < len(parts) < G.order
+    for f, (I0, _, _) in zip(fs, dec.components):
+        for idx in parts.values():
+            assert np.max(np.abs(I0.values[idx] - f.values[idx].mean())) <= 1e-12
 
 
 # ----------------------------------------------------------- double driver

@@ -563,6 +563,14 @@ def test_box_instance_rejects_mass_on_zero_weight_cells():
         )
 
 
+@pytest.mark.parametrize("name", ["eps", "hyperplane_mass"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_box_instance_rejects_non_finite_eps_and_mass(name, value):
+    params = {"hyperplane_mass": 0.1, "eps": 0.25, name: value}
+    with pytest.raises(ValidationError, match="finite"):
+        make_instance(np.full((2, 2, 2), 0.01), **params)
+
+
 def test_T_of_box_constant_coverage():
     weights = np.einsum("i,j,k->ijk", *[np.full(2, 0.5)] * 3)
     mass = 0.125
