@@ -448,9 +448,11 @@ class BohrDecomposition:
     components[j] = (I0, I1, I2) for the j-th input, where I0 is the exact
     average over the final Bohr partition, I1 = I * mu_B - I0 is L2-small, and
     I2 = I - I * mu_B has small Fourier coefficients on every part.
+    labelled is the final partition's Partition, labelled once by the loop.
     """
 
     partition: BohrPartition
+    labelled: Partition
     bohr_set: BohrSet
     components: list[tuple[GroupFunction, GroupFunction, GroupFunction]]
     achieved_l2: float
@@ -587,6 +589,7 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
     degenerate = degenerate or part_count == n or len(S_next) == n
     return BohrDecomposition(
         partition=P_i,
+        labelled=part_i,
         bohr_set=B_next,
         components=components,
         achieved_l2=worst_l2,
@@ -653,7 +656,7 @@ def double_regularity(
     while True:
         indicators = pi_i.indicator_functions()
         bohr = bohr_regularize(indicators, F)
-        pi = pi_i.common_refinement(Partition.from_bohr(bohr.partition))
+        pi = pi_i.common_refinement(bohr.labelled)
         threshold = 1.0 / F(float(pi.part_count))
         if not threshold > 0.0:
             raise ValidationError(

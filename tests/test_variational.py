@@ -358,56 +358,101 @@ def _sorted_fw_gap(g, phi, alpha):
     return ((g * phi).sum() - low[:k].sum() - (alpha * N - k) * low[k]) / N
 
 
-def _serial_spg(alpha, n, start):
-    """One lane of spectral projected gradient as a plain loop: value, T
-    evaluations and final gap."""
+def _serial_descent(alpha, n, start):
+    """One lane of the descent as a plain loop: spectral projected gradient,
+    then, for a lane that needs a new direction after V._SPG_BUDGET
+    evaluations, projected Newton steps until one fails.  Returns the value,
+    T evaluations, final gap, accepted Newton steps and last curvature."""
     w = (np.full(n, 1.0 / n),) * 3
+    N = n**3
 
     def value_and_bracket(x):
         F, G, H = V._conditionals(w, x.reshape(1, n, n, n))
         t, GH = V._T(w, F, G, H)
         return float(t[0]), V._bracket(w, F, G, H, GH).reshape(-1)
 
+    def newton_direction(phi, g):
+        free = V._free_cells(phi, g)
+        k = int(free.sum())
+        if k < 2 or 2 * k * N > V._DESCENT_CELLS_CAP or evals + 2 * k >= V._DESCENT_CAP:
+            return None, 0, np.nan
+        face = phi[free]
+        target, curvature = V._newton_target(V._face_hessian(w, phi, free), face, g[free])
+        if target is None:
+            return None, 2 * k, curvature
+        d = np.zeros(N)
+        d[free] = V._project_to_slice(target[None, :], face.sum() / k)[0] - face
+        return (d if (g * d).sum() / N < 0.0 else None), 2 * k, curvature
+
     phi = V._project_to_slice(start.reshape(1, -1), alpha)[0]
     t, g = value_and_bracket(phi)
     gap = _sorted_fw_gap(g, phi, alpha)
     step, recent, evals = 1.0, [t] * V._GLL_MEMORY, 0
+    newton_ok, steps, curvature = True, 0, np.nan
     while gap > V._GAP_TOL and evals < V._DESCENT_CAP:
-        d = V._project_to_slice((phi - step * g)[None, :], alpha)[0] - phi
-        slope = (g * d).sum() / d.size
-        a = 1.0
+        d = None
+        if newton_ok and evals >= V._SPG_BUDGET:
+            d, cost, got = newton_direction(phi, g)
+            evals += cost
+            if cost:
+                curvature = got
+            newton_ok = d is not None
+        newton = d is not None
+        if d is None:
+            d = V._project_to_slice((phi - step * g)[None, :], alpha)[0] - phi
+        slope = (g * d).sum() / N
+        a, accepted = 1.0, False
         while evals < V._DESCENT_CAP:
             trial = phi + a * d
             tt, new_g = value_and_bracket(trial)
             evals += 1
             if tt <= max(recent) + V._ARMIJO * a * slope:
+                accepted = True
                 break
             a *= 0.5
-        else:  # the cap came before an accepted trial: keep the last point
-            break
+            if newton and a < V._NEWTON_MIN_STEP:
+                newton_ok = False
+                break
+        if not accepted:  # the cap, or a failed Newton search: keep the last point
+            continue
         s = trial - phi
         sy = (s * (new_g - g)).sum()
         step = min(max((s * s).sum() / sy, V._STEP_MIN), V._STEP_MAX) if sy > 0 else V._STEP_MAX
         phi, t, g = trial, tt, new_g
         recent = [t] + recent[:-1]
         gap = _sorted_fw_gap(g, phi, alpha)
-    return t, evals, gap
+        steps += newton
+    return t, evals, gap, steps, curvature
 
 
 def _serial_restarts(alpha, n, restarts, seed):
     """Every restart of minimize_T one at a time, restart 0 in closed form."""
-    runs = [(alpha**3, 0, 0.0)]
-    runs += [_serial_spg(alpha, n, V._restart_start(r, n, seed, restarts)) for r in range(1, restarts)]
+    runs = [(alpha**3, 0, 0.0, 0, np.nan)]
+    runs += [_serial_descent(alpha, n, V._restart_start(r, n, seed, restarts)) for r in range(1, restarts)]
     return [list(col) for col in zip(*runs)]
+
+
+def _check_against_serial(alpha, n, seed, restarts):
+    res = minimize_T(alpha, n, restarts=restarts, seed=seed)
+    values, counts, gaps, steps, curvature = _serial_restarts(alpha, n, restarts, seed)
+    assert np.max(np.abs(np.array(res.restart_values) - values)) <= 1e-12
+    assert res.iterations == tuple(counts)
+    assert np.max(np.abs(np.array(res.gaps) - gaps)) <= 1e-12
+    assert res.newton_steps == tuple(steps)
+    assert np.allclose(res.curvature, curvature, rtol=0.0, atol=1e-12, equal_nan=True)
+    return res
 
 
 @pytest.mark.parametrize("alpha, n, seed", [(0.3, 3, 0), (0.55, 3, 4), (0.2, 4, 1), (0.7, 4, 2)])
 def test_batched_descent_matches_one_restart_at_a_time(alpha, n, seed):
-    res = minimize_T(alpha, n, restarts=6, seed=seed)
-    values, counts, gaps = _serial_restarts(alpha, n, 6, seed)
-    assert np.max(np.abs(np.array(res.restart_values) - values)) <= 1e-12
-    assert res.iterations == tuple(counts)
-    assert np.max(np.abs(np.array(res.gaps) - gaps)) <= 1e-12
+    _check_against_serial(alpha, n, seed, 6)
+
+
+def test_batched_newton_finish_matches_one_restart_at_a_time():
+    # restart 7 of this density-sweep sample needs 2,621 SPG evaluations, so
+    # the run crosses the SPG budget and its slow lanes finish by Newton steps
+    res = _check_against_serial(0.85, 6, 0, 8)
+    assert max(res.iterations) > V._SPG_BUDGET and max(res.newton_steps) > 0
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -420,6 +465,68 @@ def test_every_lane_ends_stationary_or_at_the_cap(n, seed):
         assert gap <= V._GAP_TOL or evals == V._DESCENT_CAP, (alpha, gap, evals)
 
 
+@pytest.mark.parametrize("alpha, seed", [(0.5, 10), (0.8, 16)])
+def test_lanes_past_the_spg_budget_end_stationary_or_at_the_cap(alpha, seed):
+    # two samples of the acceptance sweep whose slow lanes crawled to the
+    # cap or near it under SPG alone
+    res = minimize_T(alpha, 6, restarts=8, seed=seed)
+    assert max(res.newton_steps) > 0
+    for gap, evals, steps, curvature in zip(res.gaps, res.iterations, res.newton_steps, res.curvature):
+        assert gap <= V._GAP_TOL or evals == V._DESCENT_CAP, (gap, evals)
+        if evals <= V._SPG_BUDGET:
+            assert steps == 0 and np.isnan(curvature)
+
+
+def test_no_room_for_a_hessian_leaves_spg_alone(monkeypatch):
+    # the descent stack of 7 lanes fits, but no Hessian stack of 2k rows
+    # with k >= 4 does, so every lane runs spectral steps to the end
+    monkeypatch.setattr(V, "_DESCENT_CELLS_CAP", 7 * 6**3)
+    res = minimize_T(0.85, 6, restarts=8, seed=0)
+    assert res.iterations == (0, 195, 305, 223, 564, 179, 512, 2621)
+    assert res.newton_steps == (0,) * 8 and np.all(np.isnan(res.curvature))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_face_hessian_is_symmetric_and_the_gradient_difference(n):
+    # T is cubic, so (grad(phi + v) - grad(phi - v)) / 2 is the Hessian
+    # times v exactly; gradient_T is the bracket times the cell weight 1/N
+    rng = np.random.default_rng(n)
+    w = (np.full(n, 1.0 / n),) * 3
+    N = n**3
+    for _ in range(3):
+        phi = rng.uniform(0.2, 0.8, N)
+        hess = V._face_hessian(w, phi, np.ones(N, dtype=bool))
+        assert np.max(np.abs(hess - hess.T)) <= 1e-14
+        v = rng.uniform(-0.1, 0.1, N)
+        up = gradient_T(GridFunction.uniform((phi + v).reshape(n, n, n))).ravel()
+        down = gradient_T(GridFunction.uniform((phi - v).reshape(n, n, n))).ravel()
+        assert np.max(np.abs(hess @ v - N * (up - down) / 2.0)) <= 1e-13
+        free = rng.random(N) < 0.5
+        sub = V._face_hessian(w, phi, free)
+        assert np.max(np.abs(sub - hess[np.ix_(free, free)])) <= 1e-14
+
+
+def test_newton_step_solves_the_mean_constrained_model():
+    # on a positive definite model the step is the KKT solution: sum-zero,
+    # and hess s + grad constant across cells (the mean multiplier)
+    rng = np.random.default_rng(3)
+    m = rng.random((7, 7))
+    hess = m @ m.T + np.eye(7)
+    grad = rng.random(7)
+    s, curvature = V._newton_step(hess, grad)
+    assert abs(s.sum()) <= 1e-14
+    assert np.ptp(hess @ s + grad) <= 1e-12
+    assert curvature > 0.0
+
+
+def test_newton_step_follows_negative_curvature_downhill():
+    hess = np.diag([1.0, -1.0, 0.0])
+    grad = np.array([0.3, -0.2, 0.1])
+    s, curvature = V._newton_step(hess, grad)
+    assert abs(s.sum()) <= 1e-15 and curvature < 0.0
+    assert grad @ s < 0.0
+
+
 @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.3, 1 / 3, 0.5, 0.9, 1 - 1e-9])
 def test_constant_restart_is_alpha_cubed_exactly(alpha):
     res = minimize_T(alpha, 3, restarts=3, seed=0)
@@ -430,6 +537,7 @@ def test_constant_restart_is_alpha_cubed_exactly(alpha):
 def test_single_restart_returns_the_constant():
     res = minimize_T(0.4, 3, restarts=1)
     assert res.value == 0.4**3 and res.iterations == (0,) and res.gaps == (0.0,)
+    assert res.newton_steps == (0,) and np.isnan(res.curvature[0])
     assert np.array_equal(res.phi.values, np.full((3, 3, 3), 0.4))
 
 
@@ -441,6 +549,9 @@ def test_iteration_counts_are_per_restart_and_capped():
     for alpha in (0.0, 1.0):
         ends = minimize_T(alpha, 3, restarts=2)
         assert ends.iterations == (0, 0) and ends.gaps == (0.0, 0.0)
+        assert ends.newton_steps == (0, 0) and np.all(np.isnan(ends.curvature))
+    # the Newton fields come after gaps, so positional readers keep their places
+    assert res[3] is res.iterations and res[4] is res.gaps
 
 
 # ------------------------------------------------------------------- sweeps
