@@ -204,9 +204,9 @@ def _popular_summary(A: PlaneSet):
 def cmd_scan(resolved: dict[str, str]) -> int:
     A, source = _load_plane_set(resolved)
     profile, fields = _popular_summary(A)
+    reprs = (":".join(map(str, coords)) for coords in A.group.coords_matrix().tolist())
     rows = ["d_index,d_repr,count"]
-    for d in range(A.group.order):
-        rows.append(f"{d},{_element_repr(A.group.element(d))},{int(profile.counts[d])}")
+    rows += [f"{d},{r},{c}" for d, (r, c) in enumerate(zip(reprs, profile.counts.tolist()))]
     body = "\n".join(rows + ["# summary " + " ".join(fields)]) + "\n"
     _emit(resolved.get("out"), _header("scan", source) + body)
     return 0

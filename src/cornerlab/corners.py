@@ -7,16 +7,19 @@ largest cycle that the Chinese remainder theorem forms from pairwise coprime
 moduli and H is the product of the other factors.  Rows are packed once into
 64-bit words with C as the slow axis of the columns, so y -> y+d is an
 H-translation inside each block of |H| columns, gathered and packed once per
-H-part, then a cyclic word shift of the doubled rows.  An H-part costs
-O(|G|^2) byte work and a difference O(|G|^2 / 64) word work; a cyclic group
-is the case |H| = 1.  A literal triple loop serves as the oracle the packed
-path is checked against.
+H-part, then a cyclic word shift of the doubled rows.  Packed planes are
+stored word-major, as a (words, |G|) array whose slab w holds word w of
+every row, so a shift by e bits reads two contiguous slabs and a row
+permutation is one gather along the second axis.  An H-part costs O(|G|^2)
+byte work and a difference O(|G|^2 / 64) word work; a cyclic group is the
+case |H| = 1.  A literal triple loop serves as the oracle the packed path is
+checked against.
 
 Weighted counts integrate the profile against a mean-one measure nu on the
 differences, which equals the triple integral over the hyperplane
 x + y + z = 0 of the three pairwise projections of A.  The integer-grid scan
-uses the same word shift on zero-padded rows, which discards every triple
-that wraps around the edge of [n]^2.
+uses the same word-major shift on zero-padded rows, which discards every
+triple that wraps around the edge of [n]^2.
 """
 from __future__ import annotations
 
@@ -123,13 +126,16 @@ class PlaneSet:
         n = group.order
         if len(lines) - 1 != n:
             raise ValidationError(f"expected {n} rows, found {len(lines) - 1}")
-        bits = np.zeros((n, n), dtype=bool)
-        for x, line in enumerate(lines[1:]):
-            row = line.strip()
-            if len(row) != n or set(row) - {"0", "1"}:
-                raise ValidationError(f"row {x} must be {n} characters of 0/1")
-            bits[x] = np.frombuffer(row.encode("ascii"), dtype=np.uint8) == ord("1")
-        result = cls(group, bits)
+        rows = [line.strip() for line in lines[1:]]
+        lengths = np.array([len(row) for row in rows])
+        # one byte per character: a character outside latin-1 reads as "?"
+        chars = np.frombuffer("".join(rows).encode("latin-1", "replace"), dtype=np.uint8)
+        stray = np.flatnonzero((chars != ord("0")) & (chars != ord("1")))[:1]
+        bad = np.flatnonzero(lengths != n)[:1].tolist()
+        bad += np.searchsorted(np.cumsum(lengths), stray, side="right").tolist()
+        if bad:
+            raise ValidationError(f"row {min(bad)} must be {n} characters of 0/1")
+        result = cls(group, (chars == ord("1")).reshape(n, n))
         if not abs(result.density - declared) <= 1e-9:  # a nan density fails too
             raise ValidationError(
                 f"header density {declared} does not match the bits ({result.density})"
@@ -165,44 +171,44 @@ class CornerProfile:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    @property
-    def total_density(self) -> float:
-        return self.total / self.group.order**3
-
 
 def _pack_rows(bits: np.ndarray, words: int) -> np.ndarray:
-    """Rows of a bit matrix as `words` little-endian uint64 words each.
+    """Rows of a bit matrix packed word-major: a (words, rows) uint64 array.
 
-    Bit j of a row is bit j % 64 of word j // 64; bits past the row are zero.
+    Bit j of row x is bit j % 64 of entry [j // 64, x]; bits past the row are
+    zero.  Word w of every row sits in one contiguous slab, out[w].
     """
     packed = np.packbits(bits, axis=1, bitorder="little")
     out = np.zeros((bits.shape[0], 8 * words), dtype=np.uint8)
     out[:, : packed.shape[1]] = packed
-    return out.view("<u8")
+    return np.ascontiguousarray(out.view("<u8").T)
 
 
 def _shift_rows(rows: np.ndarray, e: int, words: int) -> np.ndarray:
-    """Bits e, e+1, ... of each packed row, as a new array of `words` words.
+    """Bits e, e+1, ... of each word-major packed row, as a new (words, rows) array.
 
-    Rows must hold at least e // 64 + words + 1 words.  On doubled rows this
-    is a cyclic shift by e; on zero-padded rows it is a shift with zero fill.
+    rows must hold at least e // 64 + words + 1 words.  The result reads the
+    two contiguous slabs rows[q : q + words] and rows[q + 1 : q + words + 1],
+    q = e // 64.  On doubled rows this is a cyclic shift by e; on zero-padded
+    rows it is a shift with zero fill.
     """
     q, r = divmod(e, 64)
     if r == 0:
-        return rows[:, q : q + words].copy()
-    out = rows[:, q : q + words] >> r
-    out |= rows[:, q + 1 : q + words + 1] << (64 - r)
+        return rows[q : q + words].copy()
+    out = rows[q : q + words] >> r
+    out |= rows[q + 1 : q + words + 1] << (64 - r)
     return out
 
 
 def _double_rows(rows: np.ndarray, n: int, words: int) -> np.ndarray:
-    """Packed rows of n bits followed by the same n bits again, in 2 * words words."""
-    out = np.zeros((rows.shape[0], 2 * words), dtype=np.uint64)
-    out[:, :words] = rows
+    """Word-major packed rows of n bits followed by the same n bits again,
+    as a (2 * words, rows) array."""
+    out = np.zeros((2 * words, rows.shape[1]), dtype=np.uint64)
+    out[:words] = rows
     q, r = divmod(n, 64)
-    out[:, q : q + words] |= rows << r
+    out[q : q + words] |= rows << r
     if r:
-        out[:, q + 1 : q + words + 1] |= rows >> (64 - r)
+        out[q + 1 : q + words + 1] |= rows >> (64 - r)
     return out
 
 
@@ -244,7 +250,10 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
 
     The columns are laid out once by _cyclic_split: position c * |H| + h
     holds the element that is c on the cycle C and h on the complement H,
-    and rows are packed into 64-bit words with a zero tail.  Then y -> y+d
+    and rows are packed into 64-bit words with a zero tail.  The packed rows
+    are word-major, a (words, |G|) array with word w of row x at [w, x], so
+    a shift reads two contiguous slabs of rows and the row permutation is
+    one gather along the second axis.  Then y -> y+d
     is a translation by d's H-part inside every block of |H| columns,
     followed by a cyclic shift of the whole row by c_d * |H| bits, where c_d
     is d's C-part.  The map over d runs in H-grouped order: for each H-part
@@ -278,7 +287,7 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
         d, e, doubled = item
         both = _shift_rows(doubled, e, words)
         both &= packed
-        both &= packed[group.translate_permutation(d)]
+        both &= np.take(packed, group.translate_permutation(d), axis=1)
         return int(np.bitwise_count(both).sum())
 
     counts = np.empty(n, dtype=np.int64)
@@ -410,18 +419,19 @@ def _signed_candidates(n: int, rho: Fraction) -> list[int]:
 def _valid_count(padded: np.ndarray, words: int, d: int) -> int:
     """Corners of difference d, 0 < |d| < n, inside [n]^2.
 
-    padded holds the rows packed into 2 * words words each, zero past column
-    n-1.  The shift y -> y+|d| reads those zeros, which drops every triple
-    that leaves the grid on the column side; row slices drop the rest.
+    padded holds the rows packed word-major, a (2 * words, n) array, zero
+    past column n-1.  The shift y -> y+|d| reads those zeros, which drops
+    every triple that leaves the grid on the column side; slicing the row
+    axis (the second) of every word slab drops the rest.
     """
-    n = padded.shape[0]
+    n = padded.shape[1]
     e = abs(d)
-    rows = padded[:, :words]
+    rows = padded[:words]
     shifted = _shift_rows(padded, e, words)
     if d > 0:
-        block = rows[: n - e] & shifted[: n - e] & rows[e:]
+        block = rows[:, : n - e] & shifted[:, : n - e] & rows[:, e:]
     else:
-        block = shifted[e:] & rows[e:] & shifted[: n - e]
+        block = shifted[:, e:] & rows[:, e:] & shifted[:, : n - e]
     return int(np.bitwise_count(block).sum())
 
 

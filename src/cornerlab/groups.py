@@ -144,11 +144,35 @@ class GroupSpec:
             out += digit
         return out
 
+    @cached_property
+    def _digit_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per factor i: the digit column coords[:, i] and the doubled table
+        (arange(2 n_i) % n_i) * stride_i; both read-only."""
+        return tuple(
+            (
+                _read_only(np.ascontiguousarray(self._coords[:, i])),
+                _read_only(np.arange(2 * n, dtype=np.int64) % n * s),
+            )
+            for i, (n, s) in enumerate(zip(self.moduli, self._strides))
+        )
+
     def translate_permutation(self, d_index: int) -> np.ndarray:
-        """Permutation array P with P[i] = index(element(i) + element(d_index))."""
+        """Permutation array P with P[i] = index(element(i) + element(d_index)).
+
+        Each digit of the sum is one gather: the window of factor i's doubled
+        table that starts at d's digit, read at the digit column.  The result
+        is a fresh array the caller may modify.
+        """
         if not 0 <= d_index < self.order:
             raise ValidationError(f"index {d_index} out of range for group of order {self.order}")
-        return self.add_indices(np.arange(self.order, dtype=np.int64), d_index)
+        parts = [
+            np.take(table[d_index // s % n :][:n], digits)
+            for n, s, (digits, table) in zip(self.moduli, self._strides, self._digit_tables)
+        ]
+        perm = parts[0]
+        for part in parts[1:]:
+            perm += part
+        return perm
 
     def negation_permutation(self) -> np.ndarray:
         """Read-only permutation array N with N[i] = index(-element(i))."""
@@ -216,9 +240,6 @@ class Element:
     def index(self) -> int:
         return sum(c * s for c, s in zip(self.coords, self.group._strides))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
 
 @dataclass(frozen=True)
 class Character:
@@ -234,9 +255,6 @@ class Character:
             )
         reduced = tuple(a % n for a, n in zip(self.coeffs, self.group.moduli))
         object.__setattr__(self, "coeffs", reduced)
-
-    def is_trivial(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
 
     @property
     def index(self) -> int:

@@ -68,6 +68,19 @@ def test_scan_matches_library_profile(capsys):
     assert f"alpha={A.density!r}" in summary[0]
 
 
+@pytest.mark.parametrize("spec", ["Z2xZ3xZ4", "Z1xZ5"])
+def test_scan_rows_format_each_element(capsys, spec):
+    code, out, _ = run_cli(capsys, "scan", "--group", spec, "--density", "0.5", "--seed", "4")
+    assert code == 0
+    G = parse_group_spec(spec)
+    counts = corner_count_by_difference(PlaneSet.random(G, 0.5, 4)).counts
+    expected = [
+        f"{d},{':'.join(str(c) for c in G.element(d).coords)},{int(counts[d])}"
+        for d in range(G.order)
+    ]
+    assert data_lines(out)[1:] == expected
+
+
 def test_popular_matches_library(capsys):
     code, out, err = run_cli(capsys, "popular", "--group", "Z8", "--density", "0.4", "--seed", "3")
     assert code == 0

@@ -116,7 +116,7 @@ def test_profile_edge_inputs_on_product_groups(spec):
 
 
 def test_profile_raises_when_n0_is_not_the_set_size(monkeypatch):
-    monkeypatch.setattr(corners, "_shift_rows", lambda rows, e, words: np.zeros_like(rows[:, :words]))
+    monkeypatch.setattr(corners, "_shift_rows", lambda rows, e, words: np.zeros_like(rows[:words]))
     with pytest.raises(BoundViolation):
         corner_count_by_difference(seeded_set("Z4xZ6", 0.5, 1))
 
@@ -179,6 +179,10 @@ def test_cyclic_split_labels_are_a_translation_compatible_bijection(moduli):
     assert got == labels[(c + c2) % m, H.add_indices(h, h2)]
 
 
+def total_density(profile):
+    return profile.total / profile.group.order**3
+
+
 def test_profile_invariants():
     A = seeded_set("Z12", 0.35, 9)
     prof = corner_count_by_difference(A)
@@ -188,7 +192,7 @@ def test_profile_invariants():
     # Transposing the set permutes corners but keeps the total.
     prof_t = corner_count_by_difference(A.transpose())
     assert prof.total == prof_t.total
-    assert abs(prof.total_density - prof.total / 12**3) <= 1e-15
+    assert abs(total_density(prof) - prof.total / 12**3) <= 1e-15
 
 
 # ---------------------------------------------------------- popular difference
@@ -399,6 +403,24 @@ def test_integer_scan_equals_naive_on_random_grids(n, density, rho, seed):
     assert integer_corner_scan(bits, rho=rho) == integer_corner_scan_naive(bits, rho=rho)
 
 
+def grid_count(bits, d):
+    """Corners of signed difference d inside [n]^2, by slicing the grid."""
+    n, e = len(bits), abs(d)
+    if d > 0:
+        return int((bits[: n - e, : n - e] & bits[: n - e, e:] & bits[e:, : n - e]).sum())
+    return int((bits[e:, e:] & bits[e:, : n - e] & bits[: n - e, e:]).sum())
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 192, 320])
+def test_integer_scan_equals_grid_slices_on_multi_word_rows(n):
+    bits = np.random.default_rng(n).random((n, n)) < 0.5
+    scan = integer_corner_scan(bits)
+    assert min(scan.profile) < 0 < max(scan.profile)
+    assert scan.profile == {d: grid_count(bits, d) for d in scan.profile}
+    best = max(scan.profile, key=scan.profile.__getitem__)
+    assert (scan.difference, scan.count) == (best, scan.profile[best])
+
+
 def test_integer_scan_rejects_bad_rho():
     bits = np.ones((8, 8), dtype=bool)
     with pytest.raises(ValidationError):
@@ -449,6 +471,25 @@ def test_plane_set_text_round_trip_on_random_sets(moduli, density, seed):
     assert B.group == A.group
     assert np.array_equal(B.bits, A.bits)
     assert B.to_text() == A.to_text()
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0101", "011", "0101", "1111"], "row 1 must be 4 characters of 0/1"),  # short
+        (["0101", "0101", "01011", "1111"], "row 2 must be 4 characters of 0/1"),  # long
+        (["0101", "0101", "0101", "01x1"], "row 3 must be 4 characters of 0/1"),  # stray
+        (["010", "01011", "0101", "1111"], "row 0 must be 4 characters of 0/1"),  # lengths even out
+        (["0101", "01 1", "010", "1111"], "row 1 must be 4 characters of 0/1"),  # stray, then short
+        (["0101", "0101", "01\u27131", "1111"], "row 2 must be 4 characters of 0/1"),  # not latin-1
+        (["0101", "0101", "1111"], "expected 4 rows, found 3"),
+    ],
+)
+def test_plane_set_text_names_the_first_bad_row(rows, message):
+    text = "group Z4 density 0.5\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ValidationError) as exc:
+        PlaneSet.from_text(text)
+    assert str(exc.value) == message
 
 
 def test_plane_set_file_round_trip(tmp_path):

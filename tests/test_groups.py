@@ -56,6 +56,14 @@ def test_enumeration_cap(monkeypatch):
         G.enumerate()
 
 
+def is_zero(x):
+    return all(c == 0 for c in x.coords)
+
+
+def is_trivial(xi):
+    return all(a == 0 for a in xi.coeffs)
+
+
 def test_element_arithmetic_mod_moduli():
     G = parse_group_spec("Z4xZ6")
     x = Element(G, (3, 5))
@@ -63,7 +71,7 @@ def test_element_arithmetic_mod_moduli():
     assert (x + y).coords == (1, 3)
     assert (-x).coords == (1, 1)
     assert (x - y).coords == (1, 1)
-    assert (x - x).is_zero()
+    assert is_zero(x - x)
 
 
 def test_permutations_match_element_arithmetic():
@@ -77,6 +85,27 @@ def test_permutations_match_element_arithmetic():
             assert perm[i] == (G.element(i) + delta).index
     for i in range(n):
         assert neg[i] == (-G.element(i)).index
+
+
+@pytest.mark.parametrize("spec", ["Z7", "Z3xZ4", "Z1xZ4xZ2"])
+def test_translate_permutation_is_a_fresh_writable_array(spec):
+    G = parse_group_spec(spec)
+    d = G.order - 1
+    perm = G.translate_permutation(d)
+    expected = G.add_indices(np.arange(G.order), d)
+    assert np.array_equal(perm, expected)
+    assert perm.flags.writeable
+    perm[:] = -1
+    assert np.array_equal(G.translate_permutation(d), expected)
+
+
+def test_cached_digit_tables_reject_writes():
+    G = parse_group_spec("Z3xZ4")
+    G.translate_permutation(5)
+    for digits, table in G._digit_tables:
+        for cached in (digits, table):
+            with pytest.raises(ValueError):
+                cached[0] = 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -117,7 +146,7 @@ def test_index_law_matches_element_arithmetic(case):
 def test_trivial_character_evaluates_to_zero():
     G = parse_group_spec("Z5xZ7")
     xi = G.characters()[0]
-    assert xi.is_trivial()
+    assert is_trivial(xi)
     for x in G.enumerate():
         assert xi.eval_fraction(x) == 0
 
