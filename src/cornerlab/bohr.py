@@ -75,9 +75,6 @@ class BohrSet:
             torus_norm_fraction(xi.eval_fraction(x)) < self.radius for xi in self.freqs
         )
 
-    def __contains__(self, x: Element) -> bool:
-        return self.member(x)
-
     def mask(self) -> np.ndarray:
         """Boolean membership array over the whole group, exact integer tests."""
         n = self.group.order
@@ -288,14 +285,6 @@ class BoxDecomposition:
     def __post_init__(self):
         if self.residual_measure < -1e-12:
             raise ValidationError("residual measure cannot be negative")
-
-    @property
-    def box_count(self) -> int:
-        return len(self.boxes)
-
-    @property
-    def covered_measure(self) -> float:
-        return self.target_measure - self.residual_measure
 
 
 def box_approximation(

@@ -122,25 +122,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _plain(x):
-    """Recursively convert numpy scalars and Fractions for json emission."""
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return [_plain(v) for v in x.tolist()]
-    return x
-
-
 def _header(command: str, entries: list[tuple[str, str]]) -> str:
     lines = [f"# cornerlab {command}"]
     lines += [f"# {k}={v}" for k, v in entries]
@@ -183,8 +164,8 @@ def _load_plane_set(resolved: dict[str, str]) -> tuple[PlaneSet, list[tuple[str,
     ]
 
 
-def _element_repr(element) -> str:
-    return ":".join(str(c) for c in element.coords)
+def _coords_repr(coords) -> str:
+    return ":".join(map(str, coords))
 
 
 def _popular_summary(A: PlaneSet):
@@ -195,7 +176,7 @@ def _popular_summary(A: PlaneSet):
     return profile, [
         f"alpha={_fmt(alpha)}",
         f"d_star_index={d_star.index}",
-        f"d_star={_element_repr(d_star)}",
+        f"d_star={_coords_repr(d_star.coords)}",
         f"count={best}",
         f"alpha3_bound={_fmt(alpha**3 * A.group.order**2)}",
     ]
@@ -204,7 +185,7 @@ def _popular_summary(A: PlaneSet):
 def cmd_scan(resolved: dict[str, str]) -> int:
     A, source = _load_plane_set(resolved)
     profile, fields = _popular_summary(A)
-    reprs = (":".join(map(str, coords)) for coords in A.group.coords_matrix().tolist())
+    reprs = map(_coords_repr, A.group.coords_matrix().tolist())
     rows = ["d_index,d_repr,count"]
     rows += [f"{d},{r},{c}" for d, (r, c) in enumerate(zip(reprs, profile.counts.tolist()))]
     body = "\n".join(rows + ["# summary " + " ".join(fields)]) + "\n"
@@ -341,7 +322,7 @@ def cmd_regularize(resolved: dict[str, str]) -> int:
         "f2_cut_estimates": dr.f2_cut_estimates,
         "cut_certified": dr.cut_certified,
     }
-    body = json.dumps(_plain(report), indent=2) + "\n"
+    body = json.dumps(report, indent=2) + "\n"
     _emit(resolved.get("out"), _header("regularize", entries) + body)
     return 0
 
@@ -349,7 +330,7 @@ def cmd_regularize(resolved: dict[str, str]) -> int:
 def cmd_pipeline(resolved: dict[str, str]) -> int:
     A, eps, growth, seed, restarts, entries = _regularity_params(resolved)
     report = pipeline_lower_bound(A, eps=eps, F=growth, restarts=restarts, seed=seed)
-    body = json.dumps(_plain(report), indent=2) + "\n"
+    body = json.dumps(report, indent=2) + "\n"
     _emit(resolved.get("out"), _header("pipeline", entries) + body)
     return 0
 

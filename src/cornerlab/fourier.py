@@ -175,25 +175,23 @@ def large_spectrum(f: GroupFunction, threshold: float) -> set[Character]:
     return {Character(f.group, tuple(int(c) for c in coords[i])) for i in hits}
 
 
-def lp_norm(f: GroupFunction, p) -> float:
-    """L^p norm with the mean normalization; p in {1, 2, inf}."""
-    absvals = np.abs(f.values)
+def _lp(values: np.ndarray, p, reduce) -> float:
+    """(reduce |v|^p)^(1/p) for p in {1, 2}, max |v| for p = inf."""
+    absvals = np.abs(values)
     if p == 1:
-        return float(absvals.mean())
+        return float(reduce(absvals))
     if p == 2:
-        return float(np.sqrt((absvals**2).mean()))
+        return float(np.sqrt(reduce(absvals**2)))
     if p in (np.inf, "inf", float("inf")):
         return float(absvals.max(initial=0.0))
     raise ValidationError(f"unsupported exponent {p!r}; use 1, 2 or inf")
+
+
+def lp_norm(f: GroupFunction, p) -> float:
+    """L^p norm with the mean normalization; p in {1, 2, inf}."""
+    return _lp(f.values, p, np.ndarray.mean)
 
 
 def lp_dual_norm(spectrum: Spectrum, p) -> float:
     """l^p norm with the sum normalization; p in {1, 2, inf}."""
-    absvals = np.abs(spectrum.coefficients)
-    if p == 1:
-        return float(absvals.sum())
-    if p == 2:
-        return float(np.sqrt((absvals**2).sum()))
-    if p in (np.inf, "inf", float("inf")):
-        return float(absvals.max(initial=0.0))
-    raise ValidationError(f"unsupported exponent {p!r}; use 1, 2 or inf")
+    return _lp(spectrum.coefficients, p, np.ndarray.sum)

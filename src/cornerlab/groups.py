@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,9 +102,6 @@ class GroupSpec:
             )
         return [self.element(i) for i in range(self.order)]
 
-    def __iter__(self) -> Iterator["Element"]:
-        return iter(self.enumerate())
-
     @cached_property
     def _coords(self) -> np.ndarray:
         idx = np.arange(self.order, dtype=np.int64)
@@ -131,17 +128,17 @@ class GroupSpec:
     def add_indices(self, a, b) -> np.ndarray:
         """index(element(a) + element(b)) for broadcasting integer index arrays.
 
-        The group law on indices: each mixed-radix digit is summed mod n_i in
-        turn, so no (..., rank) coordinate array is built.
+        The group law on indices, read from the digit tables: digit i of the
+        sum is table_i[digits_i[a] + digits_i[b]], so no division runs and no
+        (..., rank) coordinate array is built.  The result is int64 with the
+        broadcast shape of a and b, 0-d for two scalars.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        for n, s in zip(self.moduli, self._strides):
-            digit = a // s + b // s
-            digit %= n
-            digit *= s
-            out += digit
+        (digits, table), *rest = self._digit_tables
+        out = table[digits[a] + digits[b]]
+        for digits, table in rest:
+            out += table[digits[a] + digits[b]]
         return out
 
     @cached_property
@@ -159,9 +156,10 @@ class GroupSpec:
     def translate_permutation(self, d_index: int) -> np.ndarray:
         """Permutation array P with P[i] = index(element(i) + element(d_index)).
 
-        Each digit of the sum is one gather: the window of factor i's doubled
-        table that starts at d's digit, read at the digit column.  The result
-        is a fresh array the caller may modify.
+        add_indices(arange(order), d_index) with one operand fixed: each digit
+        of the sum is one gather, the window of factor i's doubled table that
+        starts at d's digit, read at the digit column.  The result is a fresh
+        array the caller may modify.
         """
         if not 0 <= d_index < self.order:
             raise ValidationError(f"index {d_index} out of range for group of order {self.order}")

@@ -128,10 +128,6 @@ class Partition:
         return cls(group, np.zeros(group.order, dtype=np.int64))
 
     @classmethod
-    def discrete(cls, group: GroupSpec) -> "Partition":
-        return cls(group, np.arange(group.order, dtype=np.int64))
-
-    @classmethod
     def from_bohr(cls, bp: BohrPartition) -> "Partition":
         ids, _, _ = bp.part_ids()
         return cls(bp.group, ids)
@@ -179,11 +175,6 @@ class Partition:
         cell = np.outer(self._sizes, self._sizes).ravel().astype(np.float64)
         means = sums / cell
         return means[comb]
-
-    def plane_energy(self, f: np.ndarray) -> float:
-        """||f|_{P x P}||_{L2}^2 with the mean normalization."""
-        proj = self.project_plane(f)
-        return float((proj**2).mean())
 
     def indicator_functions(self) -> list[GroupFunction]:
         return [
@@ -511,15 +502,8 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
             GroupFunction(group, v * (ids == k)) for v in values for k in range(part_count)
         ]
         threshold = max(1.0 / F(len(products) * N_i), _SPECTRUM_FLOOR)
-        harvested: set = set()
-        for f in products:
-            for xi in large_spectrum(f, threshold):
-                harvested.add(xi.coeffs)
-        new_coeffs = sorted(
-            harvested - {xi.coeffs for xi in S},
-            key=lambda c: Character(group, c).index,
-        )
-        S_next = S + [Character(group, c) for c in new_coeffs]
+        harvested = set().union(*(large_spectrum(f, threshold) for f in products))
+        S_next = S + sorted(harvested - set(S), key=lambda xi: xi.index)
 
         rho_den_req = F.ceil_value(len(S_next) * N_i)
         rho_den = min(max(rho_den_req, 2), 2 * L)
@@ -544,7 +528,7 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
                 "delta": f"1/{N_i}",
                 "part_count": part_count,
                 "threshold": threshold,
-                "new_frequencies": len(new_coeffs),
+                "new_frequencies": len(S_next) - len(S),
                 "rho_next": str(rho_next),
                 "delta_next": f"1/{N_next}",
                 "energies": [float((p**2).mean()) for p in projections_i],

@@ -144,10 +144,6 @@ class GridFunction:
             raise ValidationError("n must be at least 1")
         return cls.uniform(np.full((n, n, n), float(c)))
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.weights_x.size, self.weights_y.size, self.weights_z.size)
-
     def mean(self) -> float:
         return float(
             np.einsum(

@@ -58,7 +58,7 @@ def test_zero_always_member_and_symmetry():
             S = [chars[int(i)] for i in picks]
             rho = Fraction(1, int(rng.integers(2, 9)))
             B = BohrSet(G, S, rho)
-            assert G.zero() in B
+            assert B.member(G.zero())
             mask = B.mask()
             neg = G.negation_permutation()
             assert np.array_equal(mask, mask[neg])
@@ -254,10 +254,18 @@ def test_degenerate_absorption_regime_still_reports():
 # --------------------------------------------------------- box approximation
 
 
+def box_count(box):
+    return len(box.boxes)
+
+
+def covered_measure(box):
+    return box.target_measure - box.residual_measure
+
+
 def test_box_approximation_trivial_target():
     G = parse_group_spec("Z6")
     box = box_approximation(BohrSet(G, [], Fraction(1, 2)), G.zero(), 0.5, Fraction(1, 2))
-    assert box.box_count == 1
+    assert box_count(box) == 1
     assert box.residual_measure <= 1e-12
     rows, cols = box.boxes[0]
     assert len(rows) == 6 and len(cols) == 6
@@ -267,7 +275,7 @@ def test_box_approximation_singleton_bohr_set():
     G = parse_group_spec("Z8")
     B = BohrSet(G, [first_char(G)], Fraction(1, 8))  # just {0}
     box = box_approximation(B, G.zero(), 0.5, Fraction(1, 8))
-    assert box.box_count == 8
+    assert box_count(box) == 8
     assert box.residual_measure <= 1e-12
     for rows, cols in box.boxes:
         assert len(rows) == 1 and len(cols) == 1
@@ -300,7 +308,7 @@ def test_box_approximation_boxes_are_disjoint():
                 assert (int(x), int(y)) not in cells
                 cells.add((int(x), int(y)))
     covered = len(cells) / 24**2
-    assert abs(covered - box.covered_measure) <= 1e-12
+    assert abs(covered - covered_measure(box)) <= 1e-12
 
 
 def test_box_approximation_checks_its_cap_before_any_mask(monkeypatch):

@@ -182,6 +182,21 @@ def test_lp_norms():
         lp_norm(f, 3)
 
 
+@pytest.mark.parametrize("spec", ["Z12", "Z3xZ4"])
+def test_dual_norms_of_a_flat_spectrum(spec):
+    # dft of a point mass: every |fhat(xi)| is 1/|G|
+    G = parse_group_spec(spec)
+    mask = np.zeros(G.order, dtype=bool)
+    mask[0] = True
+    fhat = dft(GroupFunction.indicator(G, mask))
+    n = G.order
+    assert abs(lp_dual_norm(fhat, 1) - 1.0) <= 1e-12
+    assert abs(lp_dual_norm(fhat, 2) - n**-0.5) <= 1e-12
+    assert abs(lp_dual_norm(fhat, np.inf) - 1 / n) <= 1e-12
+    with pytest.raises(ValidationError):
+        lp_dual_norm(fhat, 3)
+
+
 def test_normalized_indicator_has_mean_one():
     G = parse_group_spec("Z20")
     mu = GroupFunction.normalized_indicator(G, np.arange(20) % 4 == 0)

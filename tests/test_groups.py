@@ -87,9 +87,12 @@ def test_permutations_match_element_arithmetic():
         assert neg[i] == (-G.element(i)).index
 
 
-@pytest.mark.parametrize("spec", ["Z7", "Z3xZ4", "Z1xZ4xZ2"])
+@pytest.mark.parametrize("spec", ["Z7", "Z3xZ4", "Z1xZ4xZ2", "Z2xZ3xZ4", "Z4xZ4"])
 def test_translate_permutation_is_a_fresh_writable_array(spec):
     G = parse_group_spec(spec)
+    # add_indices with one operand fixed, for every d
+    for d in range(G.order):
+        assert np.array_equal(G.translate_permutation(d), G.add_indices(np.arange(G.order), d))
     d = G.order - 1
     perm = G.translate_permutation(d)
     expected = G.add_indices(np.arange(G.order), d)
@@ -97,6 +100,24 @@ def test_translate_permutation_is_a_fresh_writable_array(spec):
     assert perm.flags.writeable
     perm[:] = -1
     assert np.array_equal(G.translate_permutation(d), expected)
+
+
+@pytest.mark.parametrize("spec", ["Z7", "Z1xZ5", "Z2xZ1xZ3", "Z4xZ4"])
+def test_add_indices_is_int64_with_the_broadcast_shape(spec):
+    G = parse_group_spec(spec)
+    idx = np.arange(G.order)
+    for a, b in [(idx[:, None], idx), (idx, idx[::-1]), (idx[:2, None, None], idx[None, :3]),
+                 (3 % G.order, idx), (idx[:, None], np.int64(G.order - 1))]:
+        out = G.add_indices(a, b)
+        assert out.dtype == np.int64
+        assert out.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
+        want = [(G.element(int(x)) + G.element(int(y))).index
+                for x, y in zip(*(v.ravel() for v in np.broadcast_arrays(a, b)))]
+        assert out.ravel().tolist() == want
+    last = G.order - 1
+    scalar = G.add_indices(last, last)
+    assert scalar.dtype == np.int64 and scalar.shape == ()
+    assert int(scalar) == (G.element(last) + G.element(last)).index
 
 
 def test_cached_digit_tables_reject_writes():

@@ -35,9 +35,13 @@ from cornerlab import (
 # -------------------------------------------------------------- grid function
 
 
+def dims(g):
+    return (g.weights_x.size, g.weights_y.size, g.weights_z.size)
+
+
 def test_grid_function_validation():
     good = GridFunction.uniform(np.zeros((2, 3, 4)))
-    assert good.dims == (2, 3, 4)
+    assert dims(good) == (2, 3, 4)
     with pytest.raises(ValidationError):
         GridFunction(
             np.array([0.7, 0.7]),  # does not sum to 1
@@ -733,6 +737,28 @@ def test_pipeline_report_is_self_consistent():
     assert boxes["evaluated"] + boxes["zero_mass"] == boxes["total"]
     assert rep["outer_partition"]["parts"] >= 1
     assert rep["nu"]["measure"] > 0
+
+
+def _json_leaf_types(value):
+    """Exact types of every leaf in a nest of dicts and lists."""
+    if type(value) is dict:
+        assert all(type(k) is str for k in value)
+        return set().union(*map(_json_leaf_types, value.values()))
+    if type(value) is list:
+        return set().union(*map(_json_leaf_types, value))
+    return {type(value)}
+
+
+@pytest.mark.parametrize("spec, density, growth", [
+    ("Z1", 1.0, "poly:2,1"), ("Z16", 0.4, "poly:2,1"), ("Z6xZ10", 0.3, "poly:2,1"),
+    ("Z16", 0.3, "exp:2"),
+])
+def test_pipeline_report_holds_only_json_types(spec, density, growth):
+    # the command line dumps the report with json.dumps as it stands
+    A = PlaneSet.random(parse_group_spec(spec), density, 3)
+    rep = pipeline_lower_bound(A, eps=0.25, F=parse_growth_spec(growth), restarts=4, seed=0)
+    assert type(rep) is dict
+    assert _json_leaf_types(rep) <= {str, int, float, bool}
 
 
 def test_pipeline_striped_set_collapses_exactly():
