@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import BoundViolation, CapExceededError, GroupMismatchError, ValidationError
+from .errors import BoundViolation, GroupMismatchError, ValidationError, check_cap
 from .fourier import GroupFunction
 from .groups import Character, Element, GroupSpec, torus_norm_fraction
 
@@ -78,8 +78,7 @@ class BohrSet:
     def mask(self) -> np.ndarray:
         """Boolean membership array over the whole group, exact integer tests."""
         n = self.group.order
-        if n > _EXHAUSTIVE_CAP:
-            raise CapExceededError(f"group order {n} exceeds enumeration cap {_EXHAUSTIVE_CAP}")
+        check_cap(n, _EXHAUSTIVE_CAP, "group order {size} exceeds enumeration cap {cap}")
         keep = np.ones(n, dtype=bool)
         L = self.group.exponent_lcm
         # an integer distance d has d < rho * L exactly when d < ceil(rho * L),
@@ -153,8 +152,7 @@ class BohrPartition:
     def label_matrix(self) -> np.ndarray:
         """(|G|, |S|) int64 array of interval labels, whole group at once."""
         n = self.group.order
-        if n > _EXHAUSTIVE_CAP:
-            raise CapExceededError(f"group order {n} exceeds enumeration cap {_EXHAUSTIVE_CAP}")
+        check_cap(n, _EXHAUSTIVE_CAP, "group order {size} exceeds enumeration cap {cap}")
         N = self.resolution
         L = self.group.exponent_lcm
         cols = [1 + (N * xi.residue_vector()) // L for xi in self.freqs]
@@ -305,8 +303,7 @@ def box_approximation(
         raise ValidationError("eps0 must lie in (0, 1)")
     group = target.group if isinstance(target, BohrSet) else target[0].group
     n = group.order
-    if n > _BOX_CAP:
-        raise CapExceededError(f"group order {n} exceeds box-approximation cap {_BOX_CAP}")
+    check_cap(n, _BOX_CAP, "group order {size} exceeds box-approximation cap {cap}")
     if isinstance(target, BohrSet):
         S = target.freqs
         mask_B = target.mask()

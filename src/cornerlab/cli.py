@@ -7,9 +7,11 @@ the command name.  `cornerlab --help` lists the commands and each flag's
 default.  Every command resolves its parameters from (in increasing
 precedence) those defaults, an optional key=value config file, and
 command-line flags, then emits CSV or JSON prefixed with comment lines that
-record the resolved configuration.  Output formatting is locale-free with
-round-trip float reprs, and every computation runs serially in input order,
-so a rerun with the same configuration is byte-identical.
+record the resolved configuration.  Handlers return those entries and their
+body lines; main alone writes the text, once, to stdout or --out.  Output
+formatting is locale-free with round-trip float reprs, and every computation
+runs serially in input order, so a rerun with the same configuration is
+byte-identical.
 
 Exit codes: 0 on success, 2 for validation or I/O problems, 3 when a size
 cap is exceeded, 4 when a hard bound fails (BoundViolation).
@@ -30,7 +32,7 @@ from .corners import (
     integer_corner_scan,
     popular_difference,
 )
-from .errors import BoundViolation, CapExceededError, GroupMismatchError, ValidationError
+from .errors import BoundViolation, CapExceededError, GroupMismatchError, ValidationError, check_cap
 from .groups import parse_group_spec
 from .regularity import CUT_RESTARTS, DOUBLE_CAP, double_regularity, parse_growth_spec
 from .variational import DESCENT_RESTARTS, minimize_T, pipeline_lower_bound, sweep_and_envelope
@@ -122,19 +124,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _header(command: str, entries: list[tuple[str, str]]) -> str:
-    lines = [f"# cornerlab {command}"]
-    lines += [f"# {k}={v}" for k, v in entries]
-    return "\n".join(lines) + "\n"
-
-
-def _emit(out_path: str | None, text: str) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        Path(out_path).write_text(text)
-
-
 def _load_plane_set(resolved: dict[str, str]) -> tuple[PlaneSet, list[tuple[str, str]]]:
     """Build the input set and the header entries describing its source."""
     set_file = resolved.get("set_file")
@@ -182,25 +171,22 @@ def _popular_summary(A: PlaneSet):
     ]
 
 
-def cmd_scan(resolved: dict[str, str]) -> int:
+def cmd_scan(resolved: dict[str, str]) -> tuple[list, list[str]]:
     A, source = _load_plane_set(resolved)
     profile, fields = _popular_summary(A)
     reprs = map(_coords_repr, A.group.coords_matrix().tolist())
     rows = ["d_index,d_repr,count"]
     rows += [f"{d},{r},{c}" for d, (r, c) in enumerate(zip(reprs, profile.counts.tolist()))]
-    body = "\n".join(rows + ["# summary " + " ".join(fields)]) + "\n"
-    _emit(resolved.get("out"), _header("scan", source) + body)
-    return 0
+    return source, rows + ["# summary " + " ".join(fields)]
 
 
-def cmd_popular(resolved: dict[str, str]) -> int:
+def cmd_popular(resolved: dict[str, str]) -> tuple[list, list[str]]:
     A, source = _load_plane_set(resolved)
     _, fields = _popular_summary(A)
-    _emit(resolved.get("out"), _header("popular", source) + "\n".join(fields) + "\n")
-    return 0
+    return source, fields
 
 
-def cmd_zscan(resolved: dict[str, str]) -> int:
+def cmd_zscan(resolved: dict[str, str]) -> tuple[list, list[str]]:
     A, source = _load_plane_set(resolved)
     if A.group.rank != 1:
         raise ValidationError("integer scan needs a rank-one group Zn")
@@ -209,14 +195,11 @@ def cmd_zscan(resolved: dict[str, str]) -> int:
     rows = ["d,count"]
     for d in sorted(result.profile):
         rows.append(f"{d},{result.profile[d]}")
-    summary = (
+    rows.append(
         f"# summary best_d={result.difference} count={result.count}"
         f" candidates={len(result.profile)}"
     )
-    body = "\n".join(rows + [summary]) + "\n"
-    entries = source + [("rho", str(rho))]
-    _emit(resolved.get("out"), _header("zscan", entries) + body)
-    return 0
+    return source + [("rho", str(rho))], rows
 
 
 def _run_sweep(resolved: dict[str, str]):
@@ -237,7 +220,7 @@ def _run_sweep(resolved: dict[str, str]):
     return alphas, n, restarts, seed, entries
 
 
-def cmd_variational(resolved: dict[str, str]) -> int:
+def cmd_variational(resolved: dict[str, str]) -> tuple[list, list[str]]:
     alphas, n, restarts, seed, entries = _run_sweep(resolved)
     rows = ["alpha,m_hat,envelope,alpha3,alpha4,n,restarts,seed"]
     if len(alphas) == 1:
@@ -255,11 +238,10 @@ def cmd_variational(resolved: dict[str, str]) -> int:
             f"{_fmt(a)},{_fmt(m_hat)},{_fmt(env_val)},{_fmt(a**3)},{_fmt(a**4)},"
             f"{n},{restarts},{row_seed}"
         )
-    _emit(resolved.get("out"), _header("variational", entries) + "\n".join(rows) + "\n")
-    return 0
+    return entries, rows
 
 
-def cmd_envelope(resolved: dict[str, str]) -> int:
+def cmd_envelope(resolved: dict[str, str]) -> tuple[list, list[str]]:
     alphas, n, restarts, seed, entries = _run_sweep(resolved)
     if len(alphas) < 2:
         raise ValidationError("envelope needs at least two density samples")
@@ -267,8 +249,7 @@ def cmd_envelope(resolved: dict[str, str]) -> int:
     rows = ["alpha,envelope"]
     for a, v in zip(env.hull_alphas, env.hull_values):
         rows.append(f"{_fmt(a)},{_fmt(v)}")
-    _emit(resolved.get("out"), _header("envelope", entries) + "\n".join(rows) + "\n")
-    return 0
+    return entries, rows
 
 
 def _regularity_params(resolved: dict[str, str]):
@@ -285,10 +266,9 @@ def _regularity_params(resolved: dict[str, str]):
     return A, eps, growth, seed, restarts, entries
 
 
-def cmd_regularize(resolved: dict[str, str]) -> int:
+def cmd_regularize(resolved: dict[str, str]) -> tuple[list, list[str]]:
     A, eps, growth, seed, restarts, entries = _regularity_params(resolved)
-    if A.group.order > DOUBLE_CAP:
-        raise CapExceededError(f"group order {A.group.order} exceeds cap {DOUBLE_CAP}")
+    check_cap(A.group.order, DOUBLE_CAP, "group order {size} exceeds cap {cap}")
     views = [v.astype(float) for v in hyperplane_views(A)]
     dr = double_regularity(
         views, eps=eps, F=growth, group=A.group, restarts=restarts, seed=seed
@@ -322,17 +302,13 @@ def cmd_regularize(resolved: dict[str, str]) -> int:
         "f2_cut_estimates": dr.f2_cut_estimates,
         "cut_certified": dr.cut_certified,
     }
-    body = json.dumps(report, indent=2) + "\n"
-    _emit(resolved.get("out"), _header("regularize", entries) + body)
-    return 0
+    return entries, [json.dumps(report, indent=2)]
 
 
-def cmd_pipeline(resolved: dict[str, str]) -> int:
+def cmd_pipeline(resolved: dict[str, str]) -> tuple[list, list[str]]:
     A, eps, growth, seed, restarts, entries = _regularity_params(resolved)
     report = pipeline_lower_bound(A, eps=eps, F=growth, restarts=restarts, seed=seed)
-    body = json.dumps(report, indent=2) + "\n"
-    _emit(resolved.get("out"), _header("pipeline", entries) + body)
-    return 0
+    return entries, [json.dumps(report, indent=2)]
 
 
 _COMMANDS = {
@@ -373,7 +349,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         handler, _ = _COMMANDS[args.command]
-        return handler(_resolve(args))
+        resolved = _resolve(args)
+        entries, lines = handler(resolved)
+        header = [f"# cornerlab {args.command}"] + [f"# {k}={v}" for k, v in entries]
+        text = "\n".join(header + lines) + "\n"
+        if "out" in resolved:
+            Path(resolved["out"]).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except BoundViolation as exc:
         print(f"cornerlab: bound violated: {exc}", file=sys.stderr)
         return 4

@@ -31,13 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bohr import BohrSet, RationalLike, _as_fraction
-from .errors import (
-    BoundViolation,
-    CapExceededError,
-    GroupMismatchError,
-    ValidationError,
-    check_seed,
-)
+from .errors import BoundViolation, GroupMismatchError, ValidationError, check_cap, check_int
 from .fourier import GroupFunction
 from .groups import Character, Element, GroupSpec, parse_group_spec
 from .parallel import deterministic_map
@@ -57,8 +51,7 @@ class PlaneSet:
 
     def __post_init__(self):
         n = self.group.order
-        if n > PROFILE_CAP:
-            raise CapExceededError(f"plane sets are capped at |G| <= {PROFILE_CAP}, got {n}")
+        check_cap(n, PROFILE_CAP, "plane sets are capped at |G| <= {cap}, got {size}")
         bits = np.asarray(self.bits)
         if bits.shape != (n, n):
             raise ValidationError(f"bit matrix must be {n} x {n}, got {bits.shape}")
@@ -69,11 +62,8 @@ class PlaneSet:
         """Bernoulli(density) per cell from numpy's default PCG64 stream."""
         if not (0 <= density <= 1):
             raise ValidationError(f"density must lie in [0, 1], got {density}")
-        check_seed(seed)
-        if group.order > PROFILE_CAP:
-            raise CapExceededError(
-                f"plane sets are capped at |G| <= {PROFILE_CAP}, got {group.order}"
-            )
+        seed = check_int(seed, "seed", 0)
+        check_cap(group.order, PROFILE_CAP, "plane sets are capped at |G| <= {cap}, got {size}")
         rng = np.random.default_rng(seed)
         bits = rng.random((group.order, group.order)) < density
         return cls(group, bits)
@@ -302,8 +292,7 @@ def corner_count_naive(A: PlaneSet, cap: int = _NAIVE_CAP) -> CornerProfile:
     """Literal triple loop over (d, x, y); the oracle for the packed path."""
     group = A.group
     n = group.order
-    if n > cap:
-        raise CapExceededError(f"group order {n} exceeds naive-oracle cap {cap}")
+    check_cap(n, cap, "group order {size} exceeds naive-oracle cap {cap}")
     bits = A.bits
     counts = np.zeros(n, dtype=np.int64)
     idx = np.arange(n)
@@ -373,8 +362,7 @@ def triple_sum_from_views(
 ) -> float:
     """(1/|G|^3) sum_{x,y,z} f(x,y) g(x,z) h(y,z) nu(-x-y-z), literally."""
     n = group.order
-    if n > _TRIPLE_SUM_CAP:
-        raise CapExceededError(f"group order {n} exceeds triple-sum cap {_TRIPLE_SUM_CAP}")
+    check_cap(n, _TRIPLE_SUM_CAP, "group order {size} exceeds triple-sum cap {cap}")
     if nu.group != group:
         raise GroupMismatchError("nu lives on a different group")
     f, g, h = (np.asarray(v, dtype=np.float64) for v in views)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolation, CapExceededError, GroupMismatchError, ValidationError
+from .errors import BoundViolation, GroupMismatchError, ValidationError, check_cap
 from .groups import Character, GroupSpec
 
 TRANSFORM_CAP = 2**20
@@ -87,14 +87,9 @@ class Spectrum:
         return complex(self.coefficients[xi.index])
 
 
-def _check_transform_cap(group: GroupSpec, cap: int) -> None:
-    if group.order > cap:
-        raise CapExceededError(f"group order {group.order} exceeds transform cap {cap}")
-
-
 def dft(f: GroupFunction) -> Spectrum:
     """Mean-normalized transform, factored per cyclic axis via an FFT."""
-    _check_transform_cap(f.group, TRANSFORM_CAP)
+    check_cap(f.group.order, TRANSFORM_CAP, "group order {size} exceeds transform cap {cap}")
     cube = f.values.reshape(f.group.moduli)
     coeffs = np.fft.fftn(cube).ravel() / f.group.order
     return Spectrum(f.group, coeffs)
@@ -102,7 +97,7 @@ def dft(f: GroupFunction) -> Spectrum:
 
 def inverse_dft(spectrum: Spectrum) -> GroupFunction:
     """f(x) = sum_xi fhat(xi) e(xi(x)); exact inverse of dft up to rounding."""
-    _check_transform_cap(spectrum.group, TRANSFORM_CAP)
+    check_cap(spectrum.group.order, TRANSFORM_CAP, "group order {size} exceeds transform cap {cap}")
     cube = spectrum.coefficients.reshape(spectrum.group.moduli)
     values = np.fft.ifftn(cube).ravel() * spectrum.group.order
     if np.abs(values.imag).max(initial=0.0) < 1e-12 * max(1.0, np.abs(values.real).max(initial=0.0)):
@@ -112,7 +107,7 @@ def inverse_dft(spectrum: Spectrum) -> GroupFunction:
 
 def dft_direct(f: GroupFunction) -> Spectrum:
     """O(|G|^2) direct summation; the oracle the fast path is checked against."""
-    _check_transform_cap(f.group, _DIRECT_ORACLE_CAP)
+    check_cap(f.group.order, _DIRECT_ORACLE_CAP, "group order {size} exceeds transform cap {cap}")
     group = f.group
     coords = group.coords_matrix().astype(np.float64)
     scaled = coords / np.asarray(group.moduli, dtype=np.float64)
@@ -126,7 +121,7 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     """(f*g)(x) = (1/|G|) sum_y f(y) g(x-y), evaluated through the transform."""
     if f.group != g.group:
         raise GroupMismatchError("convolution operands live on different groups")
-    _check_transform_cap(f.group, TRANSFORM_CAP)
+    check_cap(f.group.order, TRANSFORM_CAP, "group order {size} exceeds transform cap {cap}")
     shape = f.group.moduli
     fc = np.fft.fftn(f.values.reshape(shape))
     gc = np.fft.fftn(g.values.reshape(shape))
@@ -141,8 +136,9 @@ def convolve_direct(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     if f.group != g.group:
         raise GroupMismatchError("convolution operands live on different groups")
     group = f.group
-    if group.order > _DIRECT_ORACLE_CAP:
-        raise CapExceededError("direct convolution oracle is limited to small groups")
+    check_cap(
+        group.order, _DIRECT_ORACLE_CAP, "direct convolution oracle is limited to small groups"
+    )
     n = group.order
     out = np.zeros(n, dtype=np.complex128)
     neg = group.negation_permutation()

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, GroupMismatchError, ValidationError
+from .errors import GroupMismatchError, ValidationError, check_cap, check_int
 
 MAX_GROUP_ORDER = 2**32
 ENUMERATION_CAP = 2**24
@@ -52,11 +52,9 @@ class GroupSpec:
     _strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, moduli: Sequence[int]):
-        moduli = tuple(int(n) for n in moduli)
+        moduli = tuple(check_int(n, "cyclic factor order", 1) for n in moduli)
         if not moduli:
             raise ValidationError("group needs at least one cyclic factor")
-        if any(n < 1 for n in moduli):
-            raise ValidationError(f"cyclic factor orders must be >= 1, got {moduli}")
         order = math.prod(moduli)
         if order > MAX_GROUP_ORDER:
             raise ValidationError(
@@ -87,7 +85,8 @@ class GroupSpec:
 
     def element(self, index: int) -> "Element":
         """Element at a given enumeration index (inverse of Element.index)."""
-        if not 0 <= index < self.order:
+        index = check_int(index, "index", 0)
+        if index >= self.order:
             raise ValidationError(f"index {index} out of range for group of order {self.order}")
         coords = []
         for n, s in zip(self.moduli, self._strides):
@@ -96,10 +95,7 @@ class GroupSpec:
 
     def enumerate(self) -> list["Element"]:
         """All elements in mixed-radix order; raises above ENUMERATION_CAP."""
-        if self.order > ENUMERATION_CAP:
-            raise CapExceededError(
-                f"group order {self.order} exceeds enumeration cap {ENUMERATION_CAP}"
-            )
+        check_cap(self.order, ENUMERATION_CAP, "group order {size} exceeds enumeration cap {cap}")
         return [self.element(i) for i in range(self.order)]
 
     @cached_property

@@ -21,7 +21,6 @@ express, so the cap changes nothing except keeping integers bounded.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -29,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .bohr import BohrPartition, BohrSet
-from .errors import BoundViolation, CapExceededError, ValidationError, check_seed
+from .errors import BoundViolation, ValidationError, check_cap, check_int
 from .fourier import GroupFunction, convolve, dft, large_spectrum, lp_norm
 from .groups import Character, GroupSpec
 
@@ -188,31 +187,20 @@ def _check_eps(eps: float) -> None:
         raise ValidationError(f"eps must be finite and positive, got {eps!r}")
 
 
-def _check_restarts(restarts: int, kind: str = "cut-norm") -> None:
-    try:
-        count = operator.index(restarts)
-    except TypeError:
-        count = None
-    if count is None or isinstance(restarts, bool):
-        raise ValidationError(f"{kind} restarts must be an integer, got {restarts!r}")
-    if count < 1:
-        raise ValidationError(f"need at least one {kind} restart, got {restarts!r}")
-
-
 def _check_ascent_size(restarts: int, n: int) -> None:
     """Refuse an alternating ascent whose lane stacks exceed _ASCENT_CELLS_CAP."""
-    cells = 2 * int(restarts) * n
-    if not _cut_is_exact(n) and cells > _ASCENT_CELLS_CAP:
-        raise CapExceededError(
-            f"{restarts} cut-norm restarts at order {n} need {cells} cells per stack, "
-            f"above the cap {_ASCENT_CELLS_CAP}"
+    if not _cut_is_exact(n):
+        check_cap(
+            2 * restarts * n,
+            _ASCENT_CELLS_CAP,
+            f"{restarts} cut-norm restarts at order {n} need {{size}} cells per stack, "
+            "above the cap {cap}",
         )
 
 
 def _check_plane_inputs(fs: Sequence[np.ndarray], group: GroupSpec, cap: int) -> list[np.ndarray]:
     n = group.order
-    if n > cap:
-        raise CapExceededError(f"group order {n} exceeds cap {cap}")
+    check_cap(n, cap, "group order {size} exceeds cap {cap}")
     out = []
     for j, f in enumerate(fs):
         arr = np.asarray(f, dtype=np.float64)
@@ -329,8 +317,8 @@ def cut_norm_witness(
         raise ValidationError("cut norm needs a non-empty square matrix")
     if not np.all(np.isfinite(M)):
         raise ValidationError("cut norm input must be finite")
-    check_seed(seed)
-    _check_restarts(restarts)
+    seed = check_int(seed, "seed", 0)
+    restarts = check_int(restarts, "cut-norm restarts", 1)
     _check_ascent_size(restarts, M.shape[0])
     if _cut_is_exact(M.shape[0]):
         return _exact_witness(M)
@@ -375,8 +363,8 @@ def weak_regularity(
     certified, being exact, when |G| <= 16.
     """
     _check_eps(eps)
-    check_seed(seed)
-    _check_restarts(restarts)
+    seed = check_int(seed, "seed", 0)
+    restarts = check_int(restarts, "cut-norm restarts", 1)
     arrays = _check_plane_inputs(fs, group, _WEAK_CAP)
     part = initial if initial is not None else Partition.trivial(group)
     if part.group != group:
@@ -472,8 +460,7 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
         raise ValidationError("need at least one function")
     group = fns[0].group
     n = group.order
-    if n > _BOHR_CAP:
-        raise CapExceededError(f"group order {n} exceeds cap {_BOHR_CAP}")
+    check_cap(n, _BOHR_CAP, "group order {size} exceeds cap {cap}")
     for f in fns:
         if f.group != group:
             raise ValidationError("all functions must live on the same group")
@@ -627,8 +614,8 @@ def double_regularity(
     |G| <= 16, seeded alternating lower estimates above.
     """
     _check_eps(eps)
-    check_seed(seed)
-    _check_restarts(restarts)
+    seed = check_int(seed, "seed", 0)
+    restarts = check_int(restarts, "cut-norm restarts", 1)
     arrays = _check_plane_inputs(fs, group, DOUBLE_CAP)
     _check_ascent_size(restarts, group.order)
     F_inv = F(1.0 / eps)

@@ -28,19 +28,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bohr import BohrSet
 from .corners import PlaneSet, hyperplane_views, weighted_corner_count
-from .errors import BoundViolation, CapExceededError, ValidationError, check_seed
+from .errors import BoundViolation, ValidationError, check_cap, check_int
 from .regularity import (
     CUT_RESTARTS,
     DOUBLE_CAP,
     GrowthFunction,
-    _check_restarts,
     double_regularity,
 )
 
@@ -110,11 +108,11 @@ class GridFunction:
     weights_z: np.ndarray
     values: np.ndarray
 
-    def __init__(self, weights_x, weights_y, weights_z, values):
-        wx = _check_weights(weights_x, "weights_x")
-        wy = _check_weights(weights_y, "weights_y")
-        wz = _check_weights(weights_z, "weights_z")
-        vals = np.asarray(values, dtype=float)
+    def __post_init__(self):
+        wx = _check_weights(self.weights_x, "weights_x")
+        wy = _check_weights(self.weights_y, "weights_y")
+        wz = _check_weights(self.weights_z, "weights_z")
+        vals = np.asarray(self.values, dtype=float)
         if vals.shape != (wx.size, wy.size, wz.size):
             raise ValidationError(
                 f"values shape {vals.shape} does not match axis sizes "
@@ -140,8 +138,7 @@ class GridFunction:
 
     @classmethod
     def constant(cls, n: int, c: float) -> "GridFunction":
-        if n < 1:
-            raise ValidationError("n must be at least 1")
+        n = check_int(n, "n", 1)
         return cls.uniform(np.full((n, n, n), float(c)))
 
     def mean(self) -> float:
@@ -551,18 +548,15 @@ def minimize_T(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha!r}")
-    if isinstance(n, bool) or not isinstance(n, Integral):
-        raise ValidationError(f"grid size n must be an integer, got {n!r}")
-    if n < 2:
-        raise ValidationError("grid needs n >= 2 points per axis")
-    _check_restarts(restarts, "descent")
-    check_seed(seed)
-    cells = max(int(restarts) - 1, 1) * int(n) ** 3
-    if cells > _DESCENT_CELLS_CAP:
-        raise CapExceededError(
-            f"{restarts} descent restarts at grid size {n} need {cells} cells per stack, "
-            f"above the cap {_DESCENT_CELLS_CAP}"
-        )
+    n = check_int(n, "grid size n", 2)
+    restarts = check_int(restarts, "descent restarts", 1)
+    seed = check_int(seed, "seed", 0)
+    check_cap(
+        max(restarts - 1, 1) * n**3,
+        _DESCENT_CELLS_CAP,
+        f"{restarts} descent restarts at grid size {n} need {{size}} cells per stack, "
+        "above the cap {cap}",
+    )
     if alpha in (0.0, 1.0):
         end = float(alpha)
         return MinimizeResult(
@@ -704,32 +698,22 @@ class BoxInstance:
     eps: float
     m: int
 
-    def __init__(
-        self,
-        delta_x,
-        delta_y,
-        delta_z,
-        cell_masses,
-        hyperplane_mass: float,
-        eps: float,
-        m: int,
-    ):
-        dx = _check_weights(delta_x, "delta_x")
-        dy = _check_weights(delta_y, "delta_y")
-        dz = _check_weights(delta_z, "delta_z")
-        cells = np.asarray(cell_masses, dtype=float)
+    def __post_init__(self):
+        dx = _check_weights(self.delta_x, "delta_x")
+        dy = _check_weights(self.delta_y, "delta_y")
+        dz = _check_weights(self.delta_z, "delta_z")
+        cells = np.asarray(self.cell_masses, dtype=float)
         if cells.shape != (dx.size, dy.size, dz.size):
             raise ValidationError(
                 f"cell_masses shape {cells.shape} does not match axis sizes"
             )
         if not np.all(np.isfinite(cells)) or cells.min() < -1e-15:
             raise ValidationError("cell masses must be finite and nonnegative")
-        if not (math.isfinite(hyperplane_mass) and hyperplane_mass >= 0):
+        if not (math.isfinite(self.hyperplane_mass) and self.hyperplane_mass >= 0):
             raise ValidationError("hyperplane mass must be finite and nonnegative")
-        if not (math.isfinite(eps) and eps > 0):
+        if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValidationError("eps must be finite and positive")
-        if m < 1:
-            raise ValidationError("m must be at least 1")
+        m = check_int(self.m, "m", 1)
         support = np.einsum("i,j,k->ijk", dx, dy, dz) > 0
         if np.any(cells[~support] > 1e-15):
             raise ValidationError("positive cell mass on a zero-weight cell")
@@ -737,9 +721,9 @@ class BoxInstance:
         object.__setattr__(self, "delta_y", dy)
         object.__setattr__(self, "delta_z", dz)
         object.__setattr__(self, "cell_masses", np.clip(cells, 0.0, None))
-        object.__setattr__(self, "hyperplane_mass", float(hyperplane_mass))
-        object.__setattr__(self, "eps", float(eps))
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "hyperplane_mass", float(self.hyperplane_mass))
+        object.__setattr__(self, "eps", float(self.eps))
+        object.__setattr__(self, "m", m)
 
     @property
     def set_mass(self) -> float:
@@ -823,8 +807,7 @@ def pipeline_lower_bound(
     """
     group = A.group
     n = group.order
-    if n > DOUBLE_CAP:
-        raise CapExceededError(f"group order {n} exceeds pipeline cap {DOUBLE_CAP}")
+    check_cap(n, DOUBLE_CAP, "group order {size} exceeds pipeline cap {cap}")
     if F is None:
         F = GrowthFunction("polynomial", c=2.0, k=1.0)
     views = hyperplane_views(A)

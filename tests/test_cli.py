@@ -564,9 +564,21 @@ def test_scan_bytes_stable_across_reruns_and_threads(capsys):
     assert "threads" not in first
 
 
-def test_out_flag_writes_identical_bytes(capsys, tmp_path):
-    target = tmp_path / "scan.csv"
-    args = ("scan", "--group", "Z12", "--density", "0.35", "--seed", "6")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("scan", "--group", "Z12", "--density", "0.35", "--seed", "6"),
+        ("popular", "--group", "Z12", "--density", "0.35", "--seed", "6"),
+        ("zscan", "--group", "Z24", "--density", "0.4", "--seed", "2"),
+        ("variational", "--density", "0.3", "--grid-n", "3", "--restarts", "2"),
+        ("envelope", "--density", "0.2,0.6", "--grid-n", "3", "--restarts", "2"),
+        ("regularize", "--group", "Z8", "--density", "0.5", "--seed", "1"),
+        ("pipeline", "--group", "Z6", "--density", "0.5", "--seed", "1", "--restarts", "4"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_out_flag_writes_identical_bytes(capsys, tmp_path, args):
+    target = tmp_path / "out.txt"
     code, piped, _ = run_cli(capsys, *args)
     code2, silent, _ = run_cli(capsys, *args, "--out", str(target))
     assert code == code2 == 0

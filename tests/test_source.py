@@ -18,3 +18,34 @@ def test_no_bare_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def _is_direct_cap_raise(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+    return name == "CapExceededError"
+
+
+def _uses_operator_index(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "index" and getattr(node.value, "id", None) == "operator"
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "operator" and any(a.name == "index" for a in node.names)
+    return False
+
+
+def test_caps_and_integer_arguments_are_checked_only_in_errors():
+    # every size cap goes through errors.check_cap and every integer argument
+    # through errors.check_int, so each refusal is decided in one place
+    files = sorted(Path(cornerlab.__file__).parent.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _is_direct_cap_raise(node) or _uses_operator_index(node)
+    ]
+    assert not found, found

@@ -331,7 +331,7 @@ def test_minimize_validates_restarts_like_the_cut_norm(restarts):
         minimize_T(0.5, 3, restarts=restarts)
 
 
-@pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
 def test_minimize_needs_an_integer_grid_size(n):
     with pytest.raises(ValidationError, match="must be an integer"):
         minimize_T(0.5, n, restarts=2)
