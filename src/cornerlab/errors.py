@@ -3,8 +3,9 @@
 The CLI maps these onto its exit codes: ValidationError -> 2,
 CapExceededError -> 3, BoundViolation -> 4.  Every size cap in the package
 is enforced through check_cap and every integer argument (seeds, restart
-counts, grid sizes, group moduli and indices) through check_int, so each
-kind of refusal is decided in one place.
+counts, grid sizes, group moduli and indices, element coordinates and
+character coefficients) through check_int, so each kind of refusal is
+decided in one place.
 """
 import operator
 

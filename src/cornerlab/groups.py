@@ -217,7 +217,10 @@ class Element:
             raise ValidationError(
                 f"element has {len(self.coords)} coordinates, group has rank {self.group.rank}"
             )
-        reduced = tuple(c % n for c, n in zip(self.coords, self.group.moduli))
+        reduced = tuple(
+            check_int(c, "coordinate", -math.inf) % n
+            for c, n in zip(self.coords, self.group.moduli)
+        )
         object.__setattr__(self, "coords", reduced)
 
     def __add__(self, other: "Element") -> "Element":
@@ -247,7 +250,10 @@ class Character:
             raise ValidationError(
                 f"character has {len(self.coeffs)} coefficients, group has rank {self.group.rank}"
             )
-        reduced = tuple(a % n for a, n in zip(self.coeffs, self.group.moduli))
+        reduced = tuple(
+            check_int(a, "coefficient", -math.inf) % n
+            for a, n in zip(self.coeffs, self.group.moduli)
+        )
         object.__setattr__(self, "coeffs", reduced)
 
     @property

@@ -219,6 +219,47 @@ def _cut_is_exact(order: int) -> bool:
     return order <= _CUT_AUTO_EXACT
 
 
+def _pairwise_order(n: int) -> list[int]:
+    """The row order in which _pairwise_column_sums adds n <= 16 rows.
+
+    numpy's .sum(axis=1) adds a row of n < 8 values one at a time, in order.
+    A row of 8 <= n <= 16 values goes into eight running sums r_k = a_k
+    (+ a_{k+8} when n = 16), joined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5)
+    + (r6 + r7)), and then a_8 .. a_{n-1} are added in turn when n < 16.
+    Placing each block of eight in bit-reversed order turns every level of
+    that tree into the sum of two contiguous halves.
+    """
+    if n < 8:
+        return list(range(n))
+    tree = [0, 4, 2, 6, 1, 5, 3, 7]
+    return tree + ([8 + k for k in tree] if n == 16 else list(range(8, n)))
+
+
+def _pairwise_column_sums(X: np.ndarray) -> np.ndarray:
+    """B.sum(axis=1) bit for bit, signed zeros included, for a block B of
+    row sets given as X = B.T[_pairwise_order(n)]; X is overwritten.
+
+    Each running sum is a whole row, so a block of row sets is summed in a
+    few vector additions instead of one short reduction per row set.  The
+    reduction adds its result to 0.0 at the end, as numpy's does.
+    """
+    n = len(X)
+    if n < 8:
+        total = X[0] + 0.0
+        for row in X[1:]:
+            total += row
+        return total
+    if n == 16:
+        np.add(X[:8], X[8:], out=X[:8])
+    np.add(X[:4], X[4:8], out=X[:4])
+    np.add(X[:2], X[2:4], out=X[:2])
+    total = X[0] + X[1]
+    for row in X[8 : n % 16]:
+        total += row
+    total += 0.0
+    return total
+
+
 def _exact_witness(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Best two-sided (g, h) in {0,1}^n x {0,1}^n for (1/n^2) sum (+-M) g h, exactly.
 
@@ -226,23 +267,36 @@ def _exact_witness(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     keeps exactly the columns whose g-weighted sums have that sign, so one
     product scores both signs.  Within a sign the first maximum wins, and +
     wins ties between the signs, so results are stable.  Row sets go in
-    chunks of 2^10 rows of one bit table, built once per call; between
-    chunks only the columns above bit 10 change.  A chunk's product then
-    has at most 2^18 multiply-adds, which OpenBLAS runs on the calling
-    thread: a 2^13-row product went to a second BLAS thread and took about
-    twice as long whenever another process held the other core.
+    chunks of 2^10, the columns of one (n, 2^10) bit table built once per
+    call; between chunks only the rows above bit 10 change.  A chunk's
+    product then has at most 2^18 multiply-adds, which OpenBLAS runs on the
+    calling thread: a 2^13-row product went to a second BLAS thread and took
+    about twice as long whenever another process held the other core.
+
+    The chunk's sums are laid out column-major, one row per column of M in
+    _pairwise_order.  That product adds each entry's exact 0/1 multiples as
+    the row-major product bits.T @ M does, bit for bit, and
+    _pairwise_column_sums adds a row set's clipped sums as .sum(axis=1) adds
+    them, so every value and every first-maximum tie is that of the
+    row-major enumeration.
     """
     n = M.shape[0]
     best = [(-math.inf, 0), (-math.inf, 0)]  # (value, g) for the signs +, -
     low = min(n, 10)
     chunk = 1 << low
-    bits = np.empty((chunk, n), dtype=np.float64)
-    bits[:, :low] = (np.arange(chunk)[:, None] >> np.arange(low)) & 1
-    for lo in range(0, 1 << n, chunk):
-        bits[:, low:] = (lo >> np.arange(low, n)) & 1
-        colsums = bits @ M
-        for s, signed in enumerate((colsums, -colsums)):
-            vals = np.clip(signed, 0.0, None).sum(axis=1)
+    bits = np.empty((n, chunk), dtype=np.float64)
+    bits[:low] = (np.arange(chunk) >> np.arange(low)[:, None]) & 1
+    starts = range(0, 1 << n, chunk)
+    high_bits = ((np.array(starts) >> np.arange(low, n)[:, None]) & 1).astype(np.float64)
+    MT = M.T[_pairwise_order(n)]
+    clipped = np.empty((n, chunk))
+    for c, lo in enumerate(starts):
+        bits[low:] = high_bits[:, c, None]
+        colsums = MT @ bits
+        for s in range(2):
+            if s:
+                np.negative(colsums, out=colsums)
+            vals = _pairwise_column_sums(np.maximum(colsums, 0.0, out=clipped))
             j = int(np.argmax(vals))
             if vals[j] > best[s][0]:
                 best[s] = (float(vals[j]), lo + j)
@@ -251,6 +305,60 @@ def _exact_witness(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     g = ((best_g >> np.arange(n)) & 1).astype(bool)
     h = sign * (g.astype(np.float64) @ M) > 0
     return best_val / n**2, g, h
+
+
+def _sums_are_exact(M: np.ndarray) -> bool:
+    """Whether every order of adding a 0/1 subset of a row or a column of M
+    gives the exact sum.
+
+    It does when n max |M_ij| < 2^e and every entry is a multiple of
+    2^(e-53): every partial sum is then a multiple of 2^(e-53) below 2^e in
+    magnitude, so representable.  The float product n max |M_ij| stays at
+    or above 2^e when the exact one does.  M = 0 is such a matrix, and so is
+    a 0/1 set minus its box averages over parts whose sizes are powers of
+    two, as on the trivial partition of a group of order 2^k.
+    """
+    top = M.shape[0] * float(np.abs(M).max())
+    if not math.isfinite(top):
+        return False
+    scaled = np.ldexp(M, 53 - math.frexp(top)[1])
+    return np.array_equal(scaled, np.rint(scaled))
+
+
+def _sign_bounds(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Margins past which two orders of adding a 0/1 subset of a row (or a
+    column) of M give the sign of the exact sum, for rows and for columns.
+
+    Each term is exact (0 or an entry), and any order of adding n terms
+    lands within gamma_n sum |terms| of the exact sum, gamma_n = n u / (1 -
+    n u) with u = 2^-53 (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 4).  So a sum farther than 2 gamma_n sum_j |M_ij| from 0
+    and the exact sum, and every other order's sum, share one nonzero sign.
+    The margins hold with the rounding of their own computation: gamma_n
+    covers gamma_{n-1}, the bound for n terms, with room to spare.
+    """
+    n = M.shape[0]
+    u = 2.0**-53
+    gamma = n * u / (1 - n * u)
+    abs_M = np.abs(M)
+    return 2 * gamma * abs_M.sum(axis=1), 2 * gamma * abs_M.sum(axis=0)
+
+
+def _certified_signs(X, A, bound, lane_sums, out) -> None:
+    """out = X @ A > 0, each lane deciding as its own product lane_sums would.
+
+    X is a stack of signed 0/1 lanes.  The one matrix product decides every
+    sign whose magnitude exceeds its bound, or all of them when bound is
+    None (the sums are exact).  A lane with any entry at or under its bound
+    takes its decisions from lane_sums, the stacked matrix-vector products.
+    """
+    S = X @ A
+    np.greater(S, 0.0, out=out)
+    if bound is not None:
+        certain = np.abs(S, out=S) > bound
+        if not certain.all():
+            unsure = ~certain.all(axis=1)
+            out[unsure] = lane_sums(X[unsure]) > 0
 
 
 def _alternating_witness(
@@ -262,20 +370,27 @@ def _alternating_witness(
     All 2 * restarts ascents step together as rows of one boolean stack, in
     the lane order + all-ones, + random starts, - all-ones, - random starts;
     each step answers every lane's column set h with its best row set g, then
-    g with its best h, under the lane's sign.  Two facts make this the same
-    as running the ascents one at a time:
+    g with its best h, under the lane's sign.  Three facts make this the
+    same as running the ascents one at a time:
 
     - the random starts are one draw of 2 * (restarts - 1) rows, the same
       stream, in the same order, as one draw per restart;
-    - the stack steps until no lane changes, at most 64 times, and a lane
-      that stopped changing sits at a fixed point, so further steps leave it
-      where a lane stepped on its own would stop.
+    - a lane whose g and h both came back unchanged sits at a fixed point.
+      Once at least half the stepping lanes have stopped, they are written
+      back and leave the stack.  The loop ends when no lane moves, or after
+      64 steps;
+    - every g and h is decided by the sign a matrix-vector product gives.
 
-    Every product is a stack of matrix-vector products (matmul over a
-    leading lane axis), so each lane's sums are rounded exactly as a single
-    matrix-vector product rounds them; one matrix-matrix product sums in
-    another order and flips signs of sums that cancel exactly.  The first
-    lane with the largest positive value wins.
+    For the last fact, each half-step is one matrix product of the signed
+    stack, with M.T for the rows and M for the columns.  Its signs are
+    those of the exact sums, and so of each lane's own matrix-vector
+    product, wherever they lie past the _sign_bounds margins, and
+    everywhere when _sums_are_exact(M).  A lane with any other sign, as on
+    sums that cancel exactly, re-runs the half-step as a stack of
+    matrix-vector products (matmul over a leading lane axis); negating a
+    lane's set negates its sums exactly.  The reported rows and values are
+    stacked matrix-vector products too.  The first lane with the largest
+    positive value wins.
     """
     n = M.shape[0]
     rng = np.random.default_rng(seed)
@@ -284,14 +399,30 @@ def _alternating_witness(
     H = np.concatenate(
         [ones, random_starts[: restarts - 1], ones, random_starts[restarts - 1 :]]
     )
-    G = np.zeros_like(H)
     sign = np.repeat([1.0, -1.0], restarts)
+    row_bound, col_bound = (None, None) if _sums_are_exact(M) else _sign_bounds(M)
+    GH = np.zeros((len(H), 2 * n), dtype=bool)  # each lane's g and h, side by side
+    GH[:, n:] = H
+    live, stack, lane_sign = np.arange(len(GH)), GH, sign[:, None]
     for _ in range(64):
-        G_new = sign[:, None] * (M @ H[:, :, None].astype(np.float64))[:, :, 0] > 0
-        H_new = sign[:, None] * (G_new[:, None, :].astype(np.float64) @ M)[:, 0, :] > 0
-        if np.array_equal(G_new, G) and np.array_equal(H_new, H):
+        step = np.empty_like(stack)
+        _certified_signs(
+            stack[:, n:] * lane_sign, M.T, row_bound,
+            lambda X: (M @ X[:, :, None])[:, :, 0], step[:, :n],
+        )
+        _certified_signs(
+            step[:, :n] * lane_sign, M, col_bound,
+            lambda X: (X[:, None, :] @ M)[:, 0, :], step[:, n:],
+        )
+        moved = (step != stack).any(axis=1)
+        if not moved.any():
             break
-        G, H = G_new, H_new
+        stack = step
+        if 2 * np.count_nonzero(moved) <= len(moved):
+            GH[live] = stack
+            live, stack, lane_sign = live[moved], stack[moved], lane_sign[moved]
+    GH[live] = stack
+    G, H = GH[:, :n], GH[:, n:]
     rows = G[:, None, :].astype(np.float64) @ M
     vals = sign * (rows @ H[:, :, None].astype(np.float64))[:, 0, 0] / n**2
     lane = int(np.argmax(vals))

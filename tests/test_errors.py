@@ -1,16 +1,21 @@
 """The integer boundary: every integer argument is refused or taken the same way.
 
-Seeds, grid sizes, BoxInstance.m, group moduli and element indices all pass
-through errors.check_int, so a float, bool, string or None raises
-ValidationError wherever it enters, and numpy integers are accepted.
+Seeds, grid sizes, BoxInstance.m, group moduli, element indices, element
+coordinates and character coefficients all pass through errors.check_int, so
+a float, bool, string or None raises ValidationError wherever it enters, and
+numpy integers are accepted.
 Restart counts are covered by the cut-norm and descent restart tests.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cornerlab import (
     BoxInstance,
+    Character,
+    Element,
     GridFunction,
     GroupSpec,
     PlaneSet,
@@ -31,6 +36,8 @@ INTEGER_ARGUMENTS = {
     "BoxInstance m": lambda v: BoxInstance(HALF, HALF, HALF, np.zeros((2, 2, 2)), 0.1, 0.25, v),
     "GroupSpec moduli": lambda v: GroupSpec([2, v]),
     "GroupSpec.element": lambda v: G6.element(v),
+    "Element coordinates": lambda v: Element(G6, (v,)),
+    "Character coefficients": lambda v: Character(GroupSpec([4, 6]), (1, v)),
 }
 
 
@@ -45,3 +52,10 @@ def test_integer_arguments_refuse_non_integers(call, value):
 def test_integer_arguments_accept_numpy_integers(call):
     call(np.int64(3))
 
+
+
+@pytest.mark.parametrize("value, reduced", [(-1, 5), (13, 1), (np.int64(-7), 5)])
+def test_coordinates_and_coefficients_reduce_to_python_ints(value, reduced):
+    for stored in (Element(G6, (value,)).coords, Character(G6, (value,)).coeffs):
+        assert stored == (reduced,) and type(stored[0]) is int
+    assert Character(G6, (value,)).eval_fraction(Element(G6, (1,))) == Fraction(reduced, 6)

@@ -286,6 +286,71 @@ def test_exact_witness_matches_the_per_chunk_enumeration():
         _assert_same_witness(regularity._exact_witness(M), _exact_reference(M))
 
 
+def _signed_stack(n, rng):
+    return (rng.random((64, n)) < 0.5) * np.repeat([1.0, -1.0], 32)[:, None]
+
+
+def _products_and_lane_products(M, X):
+    # (one matrix product, the stacked matrix-vector products) for rows, then columns
+    yield X @ M.T, (M @ X[:, :, None])[:, :, 0]
+    yield X @ M, (X[:, None, :] @ M)[:, 0, :]
+
+
+@pytest.mark.parametrize("n", [17, 32, 60, 128])
+def test_product_signs_past_the_margins_are_the_matrix_vector_signs(n):
+    rng = np.random.default_rng(n)
+    seeded = _seeded_residuals(n, seed=n)
+    under = []  # entries at or under the margin, per matrix
+    for M in seeded + _striped_residuals(n):
+        under.append(0)
+        for _ in range(4):
+            products = _products_and_lane_products(M, _signed_stack(n, rng))
+            for bound, (S, lane) in zip(regularity._sign_bounds(M), products):
+                certain = np.abs(S) > bound
+                assert np.array_equal(np.sign(S[certain]), np.sign(lane[certain]))
+                assert np.all(lane[certain] != 0)
+                under[-1] += np.count_nonzero(~certain)
+    # sums of the tie and striped residuals cancel exactly, so the fallback runs
+    ties, striped = under[len(seeded) - 4 : len(seeded)], under[len(seeded) :]
+    assert min(ties) > 0 and sum(striped) > 0
+
+
+@pytest.mark.parametrize("n", [17, 32, 60, 128])
+def test_exact_sum_matrices_give_the_lane_sums_in_one_product(n):
+    rng = np.random.default_rng(n)
+    seeded = _seeded_residuals(n, seed=n)
+    ties, striped = seeded[-4:], _striped_residuals(n)
+    assert not any(regularity._sums_are_exact(M) for M in ties)
+    if n in (32, 128):  # stripes of period 8 and parts of 2^k points
+        assert all(regularity._sums_are_exact(M) for M in striped)
+    for M in seeded + striped + [np.zeros((n, n))]:
+        if regularity._sums_are_exact(M):
+            for S, lane in _products_and_lane_products(M, _signed_stack(n, rng)):
+                assert np.array_equal(S, lane)
+
+
+def test_sums_are_exact_needs_every_entry_on_a_common_grid():
+    assert regularity._sums_are_exact(np.array([[0.5, -0.25], [0.75, 0.0]]))
+    assert not regularity._sums_are_exact(np.array([[1.0, 2.0**-60], [0.0, 0.0]]))
+    assert not regularity._sums_are_exact(np.array([[0.1, 0.2], [0.0, 0.0]]))
+    assert not regularity._sums_are_exact(np.full((2, 2), 1e308))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_pairwise_column_sums_match_numpy_row_sums(n):
+    rng = np.random.default_rng(n)
+    block = rng.normal(size=(512, n)) * np.exp2(rng.integers(-60, 60, size=(512, n)))
+    block[rng.random(block.shape) < 0.2] = 0.0
+    block[rng.random(block.shape) < 0.2] = -0.0
+    block[:4] = -0.0
+    block[4:8] = 0.0
+    block[8:12, : n // 2] = -0.0
+    block[8:12, n // 2 :] = 0.0
+    want = block.sum(axis=1)
+    got = regularity._pairwise_column_sums(block.T[regularity._pairwise_order(n)].copy())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_cut_norm_rejects_an_empty_matrix():
     with pytest.raises(ValidationError, match="non-empty"):
         cut_norm_witness(np.zeros((0, 0)))
