@@ -240,8 +240,9 @@ def _pairwise_column_sums(X: np.ndarray) -> np.ndarray:
     row sets given as X = B.T[_pairwise_order(n)]; X is overwritten.
 
     Each running sum is a whole row, so a block of row sets is summed in a
-    few vector additions instead of one short reduction per row set.  The
-    reduction adds its result to 0.0 at the end, as numpy's does.
+    few vector additions instead of one short reduction per row set.  As in
+    numpy, a sum of n < 8 values starts from 0.0, and the tree's result is
+    added to 0.0 at the end, which turns -0.0 into 0.0.
     """
     n = len(X)
     if n < 8:
