@@ -152,21 +152,12 @@ class GroupSpec:
     def translate_permutation(self, d_index: int) -> np.ndarray:
         """Permutation array P with P[i] = index(element(i) + element(d_index)).
 
-        add_indices(arange(order), d_index) with one operand fixed: each digit
-        of the sum is one gather, the window of factor i's doubled table that
-        starts at d's digit, read at the digit column.  The result is a fresh
-        array the caller may modify.
+        add_indices(arange(order), d_index): a fresh array the caller may modify.
         """
-        if not 0 <= d_index < self.order:
+        d_index = check_int(d_index, "index", 0)
+        if d_index >= self.order:
             raise ValidationError(f"index {d_index} out of range for group of order {self.order}")
-        parts = [
-            np.take(table[d_index // s % n :][:n], digits)
-            for n, s, (digits, table) in zip(self.moduli, self._strides, self._digit_tables)
-        ]
-        perm = parts[0]
-        for part in parts[1:]:
-            perm += part
-        return perm
+        return self.add_indices(np.arange(self.order), d_index)
 
     def negation_permutation(self) -> np.ndarray:
         """Read-only permutation array N with N[i] = index(-element(i))."""

@@ -152,13 +152,14 @@ class Partition:
         return Partition(self.group, 2 * self.labels + mask)
 
     def is_refinement_of(self, other: "Partition") -> bool:
-        for k in range(self.part_count):
-            if len(np.unique(other.labels[self.labels == k])) != 1:
-                return False
-        return True
+        """Whether every part lies inside one part of other, that is, whether
+        meeting other splits no part."""
+        return self.common_refinement(other).part_count == self.part_count
 
     def project_line(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
+        if values.shape != (self.group.order,):
+            raise ValidationError(f"line function must have {self.group.order} values")
         means = np.bincount(self.labels, weights=values) / self._sizes
         return means[self.labels]
 

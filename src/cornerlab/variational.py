@@ -16,12 +16,14 @@ stacks.
 
 The second half connects grids back to plane sets.  A BoxInstance records how
 a set's hyperplane mass distributes over the inner cells of one outer box of
-a partition pair; phi_from_partition normalizes those masses into a grid
-function, T_of_box evaluates the box-level surrogate that dominates T of the
-truncated grid function, and pipeline_lower_bound runs the whole chain on a
-small group: regularize the three plane views, build the smoothing measure
-from the final frequency set, and compare the exact weighted corner count
-with its two structured approximations.
+a partition pair.  One box-model kernel normalizes those masses into raw and
+truncated densities and evaluates the box-level surrogate that dominates T of
+the truncated values; phi_from_partition and T_of_box read it for a
+BoxInstance, and pipeline_lower_bound calls it on its own arrays for every
+outer box while it runs the whole chain on a small group: regularize the
+three plane views, build the smoothing measure from the final frequency set,
+and compare the exact weighted corner count with its two structured
+approximations.
 """
 from __future__ import annotations
 
@@ -725,66 +727,68 @@ class BoxInstance:
         object.__setattr__(self, "eps", float(self.eps))
         object.__setattr__(self, "m", m)
 
-    @property
-    def set_mass(self) -> float:
-        """Hyperplane mass of the set inside the whole outer box."""
-        return float(self.cell_masses.sum())
-
     def fiber_mask(self) -> np.ndarray:
         """Cells whose three inner parts all clear the eps^2/m cutoff."""
-        th = self.eps * self.eps / self.m
-        return (
-            (self.delta_x[:, None, None] >= th)
-            & (self.delta_y[None, :, None] >= th)
-            & (self.delta_z[None, None, :] >= th)
-        )
+        return _fiber_cut((self.delta_x, self.delta_y, self.delta_z), self.eps, self.m)[1]
+
+
+def _fiber_cut(d, eps: float, m: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Per axis, the inner parts at or above eps^2/m; and the cells of three such."""
+    th = eps * eps / m
+    kx, ky, kz = (v >= th for v in d)
+    return (kx, ky, kz), kx[:, None, None] & ky[:, None] & kz
+
+
+def _box_model(d, cells: np.ndarray, hyperplane_mass: float, eps: float, m: int):
+    """Raw densities, truncated values and box surrogate t_v of one outer box.
+
+    d holds the inner parts' shares of their outer parts, cells the set's
+    hyperplane mass in each inner cell.  A raw value divides a cell's mass by
+    the cell's expected share of hyperplane_mass, so the weighted mean of raw
+    is the set's mass ratio exactly, which is checked.  The truncated values
+    zero every cell below the cutoff and cap the rest at 1; t_v takes the
+    conditionals of raw with the cut parts' weights zeroed.  Truncation and
+    zeroing only shrink conditionals, so T(values) <= t_v, also checked.
+    """
+    if hyperplane_mass <= 0:
+        raise ValidationError("outer box carries no hyperplane mass")
+    weight = np.einsum("i,j,k->ijk", *d)
+    denom = weight * hyperplane_mass
+    raw = np.divide(cells, denom, out=np.zeros_like(cells), where=denom > 0)
+    got = float(np.dot(weight.ravel(), raw.ravel()))
+    expected = float(cells.sum()) / hyperplane_mass
+    if abs(got - expected) > 1e-12:
+        raise BoundViolation(f"mean of raw densities {got!r} != mass ratio {expected!r}")
+    keep, mask = _fiber_cut(d, eps, m)
+    values = np.where(mask, np.minimum(raw, 1.0), 0.0)
+    t_v = float(_T(tuple(v * k for v, k in zip(d, keep)), *_conditionals(d, raw))[0])
+    t_phi = float(_T(d, *_conditionals(d, values))[0])
+    if t_phi > t_v + 1e-12:
+        raise BoundViolation(f"truncated value {t_phi!r} exceeds box surrogate {t_v!r}")
+    return raw, values, t_v
 
 
 def phi_from_partition(inst: BoxInstance) -> tuple[np.ndarray, GridFunction]:
     """Normalized cell densities and their truncated grid function.
 
-    The raw value on a cell divides its set mass by the cell's expected share
-    of the outer box's hyperplane mass; its weighted mean therefore equals
-    set_mass / hyperplane_mass exactly, which is asserted.  The grid function
-    zeroes every cell with an inner part below the eps^2/m cutoff and caps
-    the rest at 1.
+    A raw value is a cell's set mass over the cell's expected share of the
+    box's hyperplane mass; the grid function zeroes every cell with an inner
+    part below the eps^2/m cutoff and caps the rest at 1.
     """
-    if inst.hyperplane_mass <= 0:
-        raise ValidationError("outer box carries no hyperplane mass")
-    weight = np.einsum("i,j,k->ijk", inst.delta_x, inst.delta_y, inst.delta_z)
-    denom = weight * inst.hyperplane_mass
-    raw = np.divide(
-        inst.cell_masses,
-        denom,
-        out=np.zeros_like(inst.cell_masses),
-        where=denom > 0,
-    )
-    got = float(np.dot(weight.ravel(), raw.ravel()))
-    expected = inst.set_mass / inst.hyperplane_mass
-    if abs(got - expected) > 1e-12:
-        raise BoundViolation(f"mean of raw densities {got!r} != mass ratio {expected!r}")
-    phi_vals = np.where(inst.fiber_mask(), np.minimum(raw, 1.0), 0.0)
-    grid = GridFunction(inst.delta_x, inst.delta_y, inst.delta_z, phi_vals)
-    return raw, grid
+    d = (inst.delta_x, inst.delta_y, inst.delta_z)
+    raw, values, _ = _box_model(d, inst.cell_masses, inst.hyperplane_mass, inst.eps, inst.m)
+    return raw, GridFunction(*d, values)
 
 
 def T_of_box(inst: BoxInstance) -> float:
     """Box-level surrogate for T built from the raw cell densities.
 
-    Conditionals are weighted fiber means of the raw densities; cells with a
-    small inner part are dropped by zeroing their outer weights (the fiber
-    mask is a product of per-axis cutoffs).  Truncation and zeroing only
-    shrink the grid function's conditionals, so T of the truncated grid
-    function never exceeds this value, which is asserted.
+    Conditionals are weighted fiber means of the raw densities, with the
+    outer weights of inner parts below the cutoff zeroed; T of the truncated
+    grid function never exceeds this value, which is checked.
     """
-    raw, grid = phi_from_partition(inst)
     d = (inst.delta_x, inst.delta_y, inst.delta_z)
-    th = inst.eps * inst.eps / inst.m
-    t_v = float(_T(tuple(v * (v >= th) for v in d), *_conditionals(d, raw))[0])
-    t_phi = evaluate_T(grid)
-    if t_phi > t_v + 1e-12:
-        raise BoundViolation(f"truncated value {t_phi!r} exceeds box surrogate {t_v!r}")
-    return t_v
+    return _box_model(d, inst.cell_masses, inst.hyperplane_mass, inst.eps, inst.m)[2]
 
 
 def pipeline_lower_bound(
@@ -866,16 +870,13 @@ def pipeline_lower_bound(
     evaluated = 0
     for ob, oc, od in zip(*np.nonzero(outer_hyp)):
         px, py, pz = parts_in[ob], parts_in[oc], parts_in[od]
-        inst = BoxInstance(
-            delta_x=sizes[px] / sizes[px].sum(),
-            delta_y=sizes[py] / sizes[py].sum(),
-            delta_z=sizes[pz] / sizes[pz].sum(),
-            cell_masses=set_counts[np.ix_(px, py, pz)] / n2,
-            hyperplane_mass=outer_hyp[ob, oc, od] / n2,
-            eps=eps,
-            m=max(px.size, py.size, pz.size),
-        )
-        box_model += inst.hyperplane_mass * T_of_box(inst)
+        d = tuple(sizes[p] / sizes[p].sum() for p in (px, py, pz))
+        hyperplane_mass = outer_hyp[ob, oc, od] / n2
+        t_v = _box_model(
+            d, set_counts[np.ix_(px, py, pz)] / n2, hyperplane_mass,
+            eps, max(px.size, py.size, pz.size),
+        )[2]
+        box_model += hyperplane_mass * t_v
         evaluated += 1
 
     support = int(np.count_nonzero(nu.values))

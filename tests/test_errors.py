@@ -1,9 +1,9 @@
 """The integer boundary: every integer argument is refused or taken the same way.
 
-Seeds, grid sizes, BoxInstance.m, group moduli, element indices, element
-coordinates and character coefficients all pass through errors.check_int, so
-a float, bool, string or None raises ValidationError wherever it enters, and
-numpy integers are accepted.
+Seeds, grid sizes, BoxInstance.m, group moduli, element and translation
+indices, element coordinates and character coefficients all pass through
+errors.check_int, so a float, bool, string or None raises ValidationError
+wherever it enters, and numpy integers are accepted.
 Restart counts are covered by the cut-norm and descent restart tests.
 """
 
@@ -36,6 +36,7 @@ INTEGER_ARGUMENTS = {
     "BoxInstance m": lambda v: BoxInstance(HALF, HALF, HALF, np.zeros((2, 2, 2)), 0.1, 0.25, v),
     "GroupSpec moduli": lambda v: GroupSpec([2, v]),
     "GroupSpec.element": lambda v: G6.element(v),
+    "GroupSpec.translate_permutation": lambda v: G6.translate_permutation(v),
     "Element coordinates": lambda v: Element(G6, (v,)),
     "Character coefficients": lambda v: Character(GroupSpec([4, 6]), (1, v)),
 }

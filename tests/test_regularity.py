@@ -96,6 +96,19 @@ def test_partition_refinement_algebra():
     assert meet.is_refinement_of(halves) and meet.is_refinement_of(thirds)
 
 
+def test_partitions_on_different_groups_do_not_compare():
+    Z4 = Partition.trivial(parse_group_spec("Z4"))
+    for other in ("Z2xZ2", "Z6"):
+        with pytest.raises(ValidationError, match="different groups"):
+            Z4.is_refinement_of(Partition.trivial(parse_group_spec(other)))
+
+
+def test_project_line_refuses_a_wrong_length():
+    P = Partition(parse_group_spec("Z6"), np.arange(6) % 2)
+    with pytest.raises(ValidationError, match="6 values"):
+        P.project_line(np.zeros(5))
+
+
 def test_projection_orthogonality():
     # <f - f|_P, g> = 0 whenever g is constant on the parts of P.
     rng = np.random.default_rng(15)

@@ -21,6 +21,8 @@ from cornerlab import (
     GridFunction,
     PlaneSet,
     T_of_box,
+    double_regularity,
+    hyperplane_views,
     ValidationError,
     evaluate_T,
     gradient_T,
@@ -661,8 +663,9 @@ def test_phi_zeroes_thin_slabs():
 
 def test_phi_requires_positive_mass():
     inst = make_instance(np.zeros((2, 2, 2)), 0.0)
-    with pytest.raises(ValidationError):
-        phi_from_partition(inst)
+    for box_model in (phi_from_partition, T_of_box):
+        with pytest.raises(ValidationError):
+            box_model(inst)
 
 
 def test_box_instance_rejects_mass_on_zero_weight_cells():
@@ -774,6 +777,59 @@ def test_pipeline_striped_set_collapses_exactly():
     assert rep["outer_partition"]["parts"] > 1
     assert abs(a - b) <= 1e-9
     assert abs(b - c) <= 1e-9
+
+
+def _stripes(n, noise):
+    """(x + y) mod 8 < 4 on Z_n with a seeded share of cells flipped."""
+    idx = np.arange(n)
+    return ((idx[:, None] + idx) % 8 < 4) ^ (np.random.default_rng(11).random((n, n)) < noise)
+
+
+@pytest.mark.parametrize("spec, bits, growth", [
+    ("Z16", 0.3, "poly:2,1"),
+    ("Z6xZ10", 0.5, "poly:2,1"),
+    ("Z32", _stripes(32, 0.0), "poly:8,2"),
+    ("Z16", _stripes(16, 0.1), "poly:8,2"),
+    ("Z64", _stripes(64, 0.1), "poly:8,2"),
+], ids=["Z16", "Z6xZ10", "Z32-stripes", "Z16-noisy-stripes", "Z64-noisy-stripes"])
+def test_pipeline_box_model_matches_enumerated_boxes(spec, bits, growth):
+    # Rebuild every outer box of the pipeline's partition pair by walking the
+    # hyperplane x + y + z = 0 point by point with the Element group law.
+    G = parse_group_spec(spec)
+    n = G.order
+    A = PlaneSet.random(G, bits, 7) if isinstance(bits, float) else PlaneSet(G, bits)
+    F = parse_growth_spec(growth)
+    rep = pipeline_lower_bound(A, eps=0.25, F=F, restarts=8, seed=0)
+    views = [v.astype(float) for v in hyperplane_views(A)]
+    dr = double_regularity(views, eps=0.25, F=F, group=G, restarts=8, seed=0)
+    inner, outer = dr.pi, dr.bohr.labelled
+    assert inner.is_refinement_of(outer)
+    parts = [np.unique(inner.labels[outer.labels == ob]) for ob in range(outer.part_count)]
+    plane = {}
+    for x in range(n):
+        for y in range(n):
+            z = (-(G.element(x) + G.element(y))).index
+            box = plane.setdefault(tuple(outer.labels[[x, y, z]]), [0, []])
+            box[0] += 1
+            if A.bits[x, y]:
+                box[1].append(inner.labels[[x, y, z]])
+    sizes = inner.sizes
+    total = 0.0
+    for (ob, oc, od), (plane_pts, set_cells) in plane.items():
+        px, py, pz = parts[ob], parts[oc], parts[od]
+        cells = np.zeros((px.size, py.size, pz.size))
+        for i, j, k in set_cells:
+            cells[np.searchsorted(px, i), np.searchsorted(py, j), np.searchsorted(pz, k)] += 1
+        inst = BoxInstance(
+            *(sizes[p] / sizes[p].sum() for p in (px, py, pz)),
+            cell_masses=cells / n**2,
+            hyperplane_mass=plane_pts / n**2,
+            eps=0.25,
+            m=max(px.size, py.size, pz.size),
+        )
+        total += inst.hyperplane_mass * T_of_box(inst)
+    assert rep["outer_boxes"]["evaluated"] == len(plane)
+    assert abs(total - rep["box_model"]) <= 1e-12
 
 
 def test_pipeline_cap():
