@@ -339,13 +339,8 @@ def box_approximation(
     full = bad_per_pair == 0
 
     part_indices = [np.nonzero(ids_fine == k)[0] for k in range(P)]
-    boxes = []
-    covered_cells = 0
-    for a in range(P):
-        for b in range(P):
-            if full[a, b]:
-                boxes.append((part_indices[a], part_indices[b]))
-                covered_cells += int(counts[a]) * int(counts[b])
+    boxes = tuple((part_indices[a], part_indices[b]) for a, b in zip(*np.nonzero(full)))
+    covered_cells = int(counts @ full @ counts)
 
     target_cells = int(inside.sum())
     target_measure = target_cells / n**2
@@ -356,4 +351,4 @@ def box_approximation(
             f"box residual {residual} exceeds eps0 * mu(B) = {eps0 * mu_B} "
             "despite the fine-width hypothesis"
         )
-    return BoxDecomposition(tuple(boxes), residual, target_measure)
+    return BoxDecomposition(boxes, residual, target_measure)

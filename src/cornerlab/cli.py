@@ -18,6 +18,7 @@ cap is exceeded, 4 when a hard bound fails (BoundViolation).
 """
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -35,7 +36,7 @@ from .corners import (
 from .errors import BoundViolation, CapExceededError, GroupMismatchError, ValidationError, check_cap
 from .groups import parse_group_spec
 from .regularity import CUT_RESTARTS, DOUBLE_CAP, double_regularity, parse_growth_spec
-from .variational import DESCENT_RESTARTS, minimize_T, pipeline_lower_bound, sweep_and_envelope
+from .variational import DESCENT_RESTARTS, pipeline_lower_bound, sweep_and_envelope
 
 # config key -> (default, help); a key without a default stays unset unless
 # a config file or a flag sets it
@@ -222,21 +223,12 @@ def _run_sweep(resolved: dict[str, str]):
 
 def cmd_variational(resolved: dict[str, str]) -> tuple[list, list[str]]:
     alphas, n, restarts, seed, entries = _run_sweep(resolved)
+    env = sweep_and_envelope(alphas, n, restarts=restarts, seed=seed)
     rows = ["alpha,m_hat,envelope,alpha3,alpha4,n,restarts,seed"]
-    if len(alphas) == 1:
-        a = alphas[0]
-        value = minimize_T(a, n, restarts=restarts, seed=seed).value
-        samples = [(a, value, value, seed)]
-    else:
-        env = sweep_and_envelope(alphas, n, restarts=restarts, seed=seed)
-        samples = [
-            (a, env.values[i], env.envelope_at(a), seed + i)
-            for i, a in enumerate(alphas)
-        ]
-    for a, m_hat, env_val, row_seed in samples:
+    for i, a in enumerate(alphas):
         rows.append(
-            f"{_fmt(a)},{_fmt(m_hat)},{_fmt(env_val)},{_fmt(a**3)},{_fmt(a**4)},"
-            f"{n},{restarts},{row_seed}"
+            f"{_fmt(a)},{_fmt(env.values[i])},{_fmt(env.envelope_at(a))},{_fmt(a**3)},"
+            f"{_fmt(a**4)},{n},{restarts},{seed + i}"
         )
     return entries, rows
 
@@ -269,9 +261,8 @@ def _regularity_params(resolved: dict[str, str]):
 def cmd_regularize(resolved: dict[str, str]) -> tuple[list, list[str]]:
     A, eps, growth, seed, restarts, entries = _regularity_params(resolved)
     check_cap(A.group.order, DOUBLE_CAP, "group order {size} exceeds cap {cap}")
-    views = [v.astype(float) for v in hyperplane_views(A)]
     dr = double_regularity(
-        views, eps=eps, F=growth, group=A.group, restarts=restarts, seed=seed
+        hyperplane_views(A), eps=eps, F=growth, group=A.group, restarts=restarts, seed=seed
     )
     report = {
         "group": A.group.spec_string(),
@@ -322,6 +313,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
     import argparse
 

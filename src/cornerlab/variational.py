@@ -651,10 +651,12 @@ def sweep_and_envelope(
     point from density a2 down to a1 scales T by (a1/a2)^3, so the repaired
     value is still achieved by a feasible point and the sequence becomes
     monotone.  The envelope is the lower convex hull of the repaired samples.
+    One sample is its own envelope: its solver value is the raw value, the
+    repaired value and the single hull knot.
     """
     pts = [float(a) for a in alphas]
-    if len(pts) < 2:
-        raise ValidationError("need at least two density samples")
+    if not pts:
+        raise ValidationError("need at least one density sample")
     if any(b < a for a, b in zip(pts, pts[1:])):
         raise ValidationError("density samples must be sorted ascending")
     if pts[0] < 0.0 or pts[-1] > 1.0:
@@ -814,9 +816,9 @@ def pipeline_lower_bound(
     check_cap(n, DOUBLE_CAP, "group order {size} exceeds pipeline cap {cap}")
     if F is None:
         F = GrowthFunction("polynomial", c=2.0, k=1.0)
-    views = hyperplane_views(A)
-    arrays = [v.astype(float) for v in views]
-    dr = double_regularity(arrays, eps=eps, F=F, group=group, restarts=restarts, seed=seed)
+    dr = double_regularity(
+        hyperplane_views(A), eps=eps, F=F, group=group, restarts=restarts, seed=seed
+    )
 
     freqs = dr.bohr.bohr_set.freqs
     width = dr.bohr.partition.width

@@ -311,6 +311,56 @@ def test_box_approximation_boxes_are_disjoint():
     assert abs(covered - covered_measure(box)) <= 1e-12
 
 
+def _box_oracle(target, z0, delta_prime):
+    """Boxes, residual and target measure by a literal loop over fine-part pairs."""
+    if isinstance(target, BohrSet):
+        G, S, mask = target.group, target.freqs, target.mask()
+    else:
+        partition, label = target
+        G, S = partition.group, partition.freqs
+        ids, labels, _ = partition.part_ids()
+        mask = ids == labels.index(label)
+    n = G.order
+    elems = [G.element(i) for i in range(n)]
+
+    def inside(x, y):
+        return bool(mask[(elems[x] + elems[y] + z0).index])
+
+    ids, labels, _ = BohrPartition(G, S, delta_prime).part_ids()
+    parts = [[x for x in range(n) if ids[x] == k] for k in range(len(labels))]
+    boxes = []
+    covered = 0
+    for rows in parts:
+        for cols in parts:
+            if all(inside(x, y) for x in rows for y in cols):
+                boxes.append((rows, cols))
+                covered += len(rows) * len(cols)
+    target_cells = sum(inside(x, y) for x in range(n) for y in range(n))
+    return boxes, (target_cells - covered) / n**2, target_cells / n**2
+
+
+@pytest.mark.parametrize("spec, freq_coords, z0", [
+    ("Z60", [(1,), (7,)], 13),
+    ("Z6xZ10", [(1, 3), (0, 1)], 17),
+])
+@pytest.mark.parametrize("delta_prime", [Fraction(1, 8), Fraction(1, 64)])
+@pytest.mark.parametrize("kind", ["bohr_set", "partition_part"])
+def test_box_approximation_matches_a_double_loop(spec, freq_coords, z0, delta_prime, kind):
+    G = parse_group_spec(spec)
+    freqs = [Character(G, c) for c in freq_coords]
+    if kind == "bohr_set":
+        target = BohrSet(G, freqs, Fraction(1, 4))
+    else:
+        partition = BohrPartition(G, freqs, Fraction(1, 4))
+        target = (partition, partition.part_ids()[1][1])
+    box = box_approximation(target, G.element(z0), 0.5, delta_prime)
+    boxes, residual, target_measure = _box_oracle(target, G.element(z0), delta_prime)
+    assert [(r.tolist(), c.tolist()) for r, c in box.boxes] == boxes
+    assert boxes  # the loop found boxes to compare
+    assert box.residual_measure == residual
+    assert box.target_measure == target_measure
+
+
 def test_box_approximation_checks_its_cap_before_any_mask(monkeypatch):
     def refuse(*args, **kwargs):
         pytest.fail("built a mask above the box-approximation cap")

@@ -198,12 +198,17 @@ def test_variational_rows_match_library(capsys):
 
 
 def test_variational_single_sample_reports_itself_as_envelope(capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "variational", "--density", "0.3", "--grid-n", "3", "--restarts", "2",
+        "--seed", "5",
     )
-    assert code == 0
-    row = data_lines(out)[1].split(",")
-    assert row[1] == row[2]
+    value = minimize_T(0.3, 3, restarts=2, seed=5).value
+    assert (code, err) == (0, "")
+    assert out == (
+        "# cornerlab variational\n# density=0.3\n# grid_n=3\n# restarts=2\n# seed=5\n"
+        "alpha,m_hat,envelope,alpha3,alpha4,n,restarts,seed\n"
+        f"0.3,{value!r},{value!r},{0.3**3!r},{0.3**4!r},3,2,5\n"
+    )
 
 
 def test_envelope_emits_hull_knots(capsys):

@@ -49,3 +49,16 @@ def test_caps_and_integer_arguments_are_checked_only_in_errors():
         if _is_direct_cap_raise(node) or _uses_operator_index(node)
     ]
     assert not found, found
+
+
+def test_cli_reaches_the_solver_only_through_the_sweep():
+    # one entry into the solver: every variational and envelope op goes
+    # through sweep_and_envelope, whatever the number of densities
+    path = Path(cornerlab.__file__).parent / "cli.py"
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if "minimize_T" in {getattr(node, "id", None), getattr(node, "attr", None)}
+        or (isinstance(node, ast.alias) and node.name == "minimize_T")
+    ]
+    assert not found, found

@@ -582,9 +582,14 @@ def test_sweep_envelope_properties():
     assert np.all(np.diff(slopes) >= -1e-12)
 
 
-def test_sweep_needs_two_samples():
+def test_sweep_of_one_sample_is_its_own_envelope():
+    value = minimize_T(0.5, 3, restarts=2, seed=7).value
+    pts = sweep_and_envelope([0.5], 3, restarts=2, seed=7)
+    assert pts.raw_values == pts.values == pts.hull_values == (value,)
+    assert pts.hull_alphas == (0.5,)
+    assert pts.envelope_at(0.5) == value
     with pytest.raises(ValidationError):
-        sweep_and_envelope([0.5], 3)
+        sweep_and_envelope([], 3)
 
 
 @pytest.mark.parametrize(
