@@ -10,15 +10,17 @@ H-translation inside each block of |H| columns, gathered and packed once per
 H-part, then a cyclic word shift of the doubled rows.  Packed planes are
 stored word-major, as a (words, |G|) array whose slab w holds word w of
 every row, so a shift by e bits reads two contiguous slabs and a row
-permutation is one gather along the second axis.  An H-part costs O(|G|^2)
-byte work and a difference O(|G|^2 / 64) word work; a cyclic group is the
-case |H| = 1.  A literal triple loop serves as the oracle the packed path is
-checked against.
+permutation is one gather along the second axis.  The shifts take only 64
+bit residues e mod 64: each residue is shifted once, over every slab its
+offsets read, and each shift by e is a view of that plane at word e // 64.
+An H-part costs O(|G|^2) byte work and a difference O(|G|^2 / 64) word
+work; a cyclic group is the case |H| = 1.  A literal triple loop serves as
+the oracle the packed path is checked against.
 
 Weighted counts integrate the profile against a mean-one measure nu on the
 differences, which equals the triple integral over the hyperplane
 x + y + z = 0 of the three pairwise projections of A.  The integer-grid scan
-uses the same word-major shift on zero-padded rows, which discards every
+reads the same shifted views of zero-padded rows, which discards every
 triple that wraps around the edge of [n]^2.
 """
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,7 +80,7 @@ class PlaneSet:
 
     @property
     def size(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
     @property
     def density(self) -> float:
@@ -174,20 +176,29 @@ def _pack_rows(bits: np.ndarray, words: int) -> np.ndarray:
     return np.ascontiguousarray(out.view("<u8").T)
 
 
-def _shift_rows(rows: np.ndarray, e: int, words: int) -> np.ndarray:
-    """Bits e, e+1, ... of each word-major packed row, as a new (words, rows) array.
+def _shifted_views(
+    rows: np.ndarray, offsets: Sequence[int], words: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (i, bits e, e+1, ... of each word-major packed row), e = offsets[i].
 
-    rows must hold at least e // 64 + words + 1 words.  The result reads the
-    two contiguous slabs rows[q : q + words] and rows[q + 1 : q + words + 1],
-    q = e // 64.  On doubled rows this is a cyclic shift by e; on zero-padded
-    rows it is a shift with zero fill.
+    Each window is a (words, rows) view.  The offsets are grouped by residue
+    r = e % 64, and each residue is shifted once, over slabs lo .. hi of rows:
+    lo is the smallest e // 64 of its offsets and hi the largest plus words,
+    so rows must hold hi + 1 slabs.  On doubled rows a view is a cyclic shift
+    by e; on zero-padded rows it is a shift with zero fill.
     """
-    q, r = divmod(e, 64)
-    if r == 0:
-        return rows[q : q + words].copy()
-    out = rows[q : q + words] >> r
-    out |= rows[q + 1 : q + words + 1] << (64 - r)
-    return out
+    by_residue: dict[int, list[int]] = {}
+    for i, e in enumerate(offsets):
+        by_residue.setdefault(e % 64, []).append(i)
+    for r, members in by_residue.items():
+        qs = [offsets[i] // 64 for i in members]
+        lo, hi = min(qs), max(qs) + words
+        plane = rows[lo:hi]
+        if r:
+            plane = plane >> r
+            plane |= rows[lo + 1 : hi + 1] << (64 - r)
+        for i, q in zip(members, qs):
+            yield i, plane[q - lo : q - lo + words]
 
 
 def _double_rows(rows: np.ndarray, n: int, words: int) -> np.ndarray:
@@ -248,10 +259,11 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
     followed by a cyclic shift of the whole row by c_d * |H| bits, where c_d
     is d's C-part.  The map over d runs in H-grouped order: for each H-part
     the columns are gathered and packed once, an O(|G|^2) byte step, and the
-    packed rows doubled by two word shifts; each d of that H-part is read
-    from them as a word offset plus a bit shift, O(|G|^2 / 64) word work.
-    Only the doubled rows of the current H-part are kept.  A cyclic group is
-    the case |H| = 1: one gather and pack, then one shift per d.
+    packed rows doubled by two word shifts.  Each d of that H-part reads its
+    shift by c_d * |H| as a view from _shifted_views, which shifts once per
+    bit residue; then two ANDs into one buffer, the row gather and a popcount
+    into another, O(|G|^2 / 64) word work.  Only the doubled rows of the
+    current H-part are kept.  A cyclic group is the case |H| = 1.
     """
     group = A.group
     n = group.order
@@ -265,23 +277,25 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
         return _pack_rows(np.take(A.bits, cols, axis=1), words)
 
     packed = packed_cols(0)
+    both = np.empty((words, n), dtype=np.uint64)
+    ones = np.empty((words, n), dtype=np.uint8)
 
     def differences():
-        """(d, bit offset of its C-part, doubled rows of its H-part), H-part by H-part."""
+        """(d, its shifted rows), H-part by H-part and residue by residue."""
         for h in range(nh):
             doubled = _double_rows(packed if h == 0 else packed_cols(h), n, words)
-            for c in range(m):
-                yield int(labels[c, h]), c * nh, doubled
+            for c, view in _shifted_views(doubled, range(0, n, nh), words):
+                yield int(labels[c, h]), view
 
-    def count_one(item: tuple[int, int, np.ndarray]) -> int:
-        d, e, doubled = item
-        both = _shift_rows(doubled, e, words)
-        both &= packed
-        both &= np.take(packed, group.translate_permutation(d), axis=1)
-        return int(np.bitwise_count(both).sum())
+    def count_one(item: tuple[int, np.ndarray]) -> tuple[int, int]:
+        d, view = item
+        np.bitwise_and(view, packed, out=both)
+        np.bitwise_and(both, np.take(packed, group.translate_permutation(d), axis=1), out=both)
+        return d, int(np.bitwise_count(both, out=ones).sum(dtype=np.int32))
 
     counts = np.empty(n, dtype=np.int64)
-    counts[labels.T.ravel()] = deterministic_map(count_one, differences())
+    for d, count in deterministic_map(count_one, differences()):
+        counts[d] = count
     profile = CornerProfile(group, counts)
     if profile.counts[0] != A.size:
         raise BoundViolation("N(0) must equal |A|; packed path is inconsistent")
@@ -404,25 +418,6 @@ def _signed_candidates(n: int, rho: Fraction) -> list[int]:
     return [d if 2 * d <= n else d - n for d in np.flatnonzero(B.mask()).tolist() if d]
 
 
-def _valid_count(padded: np.ndarray, words: int, d: int) -> int:
-    """Corners of difference d, 0 < |d| < n, inside [n]^2.
-
-    padded holds the rows packed word-major, a (2 * words, n) array, zero
-    past column n-1.  The shift y -> y+|d| reads those zeros, which drops
-    every triple that leaves the grid on the column side; slicing the row
-    axis (the second) of every word slab drops the rest.
-    """
-    n = padded.shape[1]
-    e = abs(d)
-    rows = padded[:words]
-    shifted = _shift_rows(padded, e, words)
-    if d > 0:
-        block = rows[:, : n - e] & shifted[:, : n - e] & rows[:, e:]
-    else:
-        block = shifted[:, e:] & rows[:, e:] & shifted[:, : n - e]
-    return int(np.bitwise_count(block).sum())
-
-
 def integer_corner_scan(bits: np.ndarray, rho: RationalLike = Fraction(1, 4)) -> IntegerScan:
     """Scan A in [n]^2 for the best difference among Bohr-set candidates.
 
@@ -430,7 +425,9 @@ def integer_corner_scan(bits: np.ndarray, rho: RationalLike = Fraction(1, 4)) ->
     members of the Bohr set B({x -> x/n}, rho), so every candidate pulls
     back to a signed integer of magnitude below rho*n.
     Corners are then counted directly on the grid, which silently drops every
-    triple that would wrap around an edge.
+    triple that would wrap around an edge: the shifted rows (views from
+    _shifted_views) read zero words past column n-1, and slicing the row
+    axis drops the triples that leave the grid on the other side.
     """
     bits = np.asarray(bits).astype(bool)
     if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
@@ -444,7 +441,22 @@ def integer_corner_scan(bits: np.ndarray, rho: RationalLike = Fraction(1, 4)) ->
     candidates = _signed_candidates(n, r)
     words = -(-n // 64)
     padded = _pack_rows(bits, 2 * words)
-    profile = {d: _valid_count(padded, words, d) for d in candidates}
+    rows = padded[:words]
+    both = np.empty(words * n, dtype=np.uint64)
+    ones = np.empty(words * n, dtype=np.uint8)
+    profile = dict.fromkeys(candidates, 0)
+    for i, shifted in _shifted_views(padded, [abs(d) for d in candidates], words):
+        d = candidates[i]
+        e = abs(d)
+        size = words * (n - e)
+        block = both[:size].reshape(words, n - e)
+        if d > 0:
+            np.bitwise_and(rows[:, : n - e], shifted[:, : n - e], out=block)
+            np.bitwise_and(block, rows[:, e:], out=block)
+        else:
+            np.bitwise_and(shifted[:, e:], rows[:, e:], out=block)
+            np.bitwise_and(block, shifted[:, : n - e], out=block)
+        profile[d] = int(np.bitwise_count(both[:size], out=ones[:size]).sum(dtype=np.int32))
     # candidate order follows element enumeration, so the first maximum wins;
     # with no nonzero candidate at this radius the scan reports d = 0, count 0
     best_d = max(candidates, key=profile.__getitem__, default=0)

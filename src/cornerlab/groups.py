@@ -152,12 +152,19 @@ class GroupSpec:
     def translate_permutation(self, d_index: int) -> np.ndarray:
         """Permutation array P with P[i] = index(element(i) + element(d_index)).
 
-        add_indices(arange(order), d_index): a fresh array the caller may modify.
+        Equal to add_indices(arange(order), d_index), read straight from the
+        digit tables: digit i of P is table_i[digits_i + digits_i[d_index]],
+        with no arange and no gather of the digits.  A fresh int64 array the
+        caller may modify.
         """
         d_index = check_int(d_index, "index", 0)
         if d_index >= self.order:
             raise ValidationError(f"index {d_index} out of range for group of order {self.order}")
-        return self.add_indices(np.arange(self.order), d_index)
+        (digits, table), *rest = self._digit_tables
+        out = table[digits + digits[d_index]]
+        for digits, table in rest:
+            out += table[digits + digits[d_index]]
+        return out
 
     def negation_permutation(self) -> np.ndarray:
         """Read-only permutation array N with N[i] = index(-element(i))."""

@@ -98,7 +98,12 @@ def roll_profile(A):
 
 
 @pytest.mark.parametrize(
-    "spec", ["Z127", "Z128", "Z129", "Z1000", "Z8xZ63", "Z16xZ48", "Z2xZ4xZ64", "Z4xZ4xZ4xZ4"]
+    "spec",
+    [
+        "Z127", "Z128", "Z129", "Z1000", "Z8xZ63", "Z16xZ48", "Z2xZ4xZ64", "Z4xZ4xZ4xZ4",
+        # |H| = 6 does not divide 64; |H| = 4 puts each of 16 residues at 4 word offsets
+        "Z6xZ30", "Z2xZ2xZ64",
+    ],
 )
 def test_profile_equals_roll_reference(spec):
     A = seeded_set(spec, 0.5, 17)
@@ -116,9 +121,62 @@ def test_profile_edge_inputs_on_product_groups(spec):
 
 
 def test_profile_raises_when_n0_is_not_the_set_size(monkeypatch):
-    monkeypatch.setattr(corners, "_shift_rows", lambda rows, e, words: np.zeros_like(rows[:words]))
+    shifted_views = corners._shifted_views
+
+    def zero_views(rows, offsets, words):
+        for i, view in shifted_views(rows, offsets, words):
+            yield i, np.zeros_like(view)
+
+    monkeypatch.setattr(corners, "_shifted_views", zero_views)
     with pytest.raises(BoundViolation):
         corner_count_by_difference(seeded_set("Z4xZ6", 0.5, 1))
+
+
+def shifted_reference(rows, e, words):
+    """Bits e, e+1, ... of each word-major packed row, through Python ints."""
+    out = np.zeros((words, rows.shape[1]), dtype=np.uint64)
+    for x in range(rows.shape[1]):
+        value = sum(int(word) << (64 * w) for w, word in enumerate(rows[:, x])) >> e
+        for w in range(words):
+            out[w, x] = (value >> (64 * w)) & (2**64 - 1)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.sampled_from(["increasing", "zscan", "one residue", "multiples of 64", "last slab"]),
+    st.data(),
+)
+def test_shifted_views_equal_a_python_int_reference(words, extra, cols, kind, data):
+    # rows hold words + extra slabs, so every offset below 64 * extra has its
+    # window and carry word inside them; 64 * extra - 1 reaches the last slab
+    span = 64 * extra
+    some_words = st.lists(st.integers(0, extra - 1), min_size=1, max_size=6)
+    if kind == "increasing":
+        offsets = sorted(data.draw(st.sets(st.integers(0, span - 1), min_size=1, max_size=20)))
+    elif kind == "zscan":
+        # positive candidates, then the negatives from the most negative up
+        pos, neg = data.draw(st.integers(1, span)), data.draw(st.integers(1, span))
+        offsets = list(range(1, pos)) + list(range(neg - 1, 0, -1))
+    elif kind == "one residue":
+        r = data.draw(st.integers(0, 63))
+        offsets = [64 * q + r for q in data.draw(some_words)]
+    elif kind == "multiples of 64":
+        offsets = [64 * q for q in data.draw(some_words)]
+    else:
+        offsets = data.draw(st.lists(st.integers(0, span - 1), max_size=8)) + [span - 1]
+        offsets = data.draw(st.permutations(offsets))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    rows = rng.integers(0, 2**64, size=(words + extra, cols), dtype=np.uint64)
+    seen = []
+    for i, view in corners._shifted_views(rows, offsets, words):
+        seen.append(i)
+        assert view.shape == (words, cols)
+        assert np.array_equal(view, shifted_reference(rows, offsets[i], words))
+    assert sorted(seen) == list(range(len(offsets)))
 
 
 def crt_labels(group):
@@ -416,6 +474,20 @@ def test_integer_scan_equals_grid_slices_on_multi_word_rows(n):
     bits = np.random.default_rng(n).random((n, n)) < 0.5
     scan = integer_corner_scan(bits)
     assert min(scan.profile) < 0 < max(scan.profile)
+    assert scan.profile == {d: grid_count(bits, d) for d in scan.profile}
+    best = max(scan.profile, key=scan.profile.__getitem__)
+    assert (scan.difference, scan.count) == (best, scan.profile[best])
+
+
+@pytest.mark.parametrize("rho", [Fraction(1, 4), Fraction(1, 8)])
+@pytest.mark.parametrize("n", [129, 200, 320])
+def test_integer_scan_equals_grid_slices_where_residues_repeat(n, rho):
+    # each bit residue serves both signs of |d|, on rows of 3 to 5 words; at
+    # n = 320, rho = 1/4 a residue also serves the word offsets 0 and 1
+    bits = np.random.default_rng(n * rho.denominator).random((n, n)) < 0.4
+    scan = integer_corner_scan(bits, rho=rho)
+    signed = [d if 2 * d <= n else d - n for d in range(1, n)]
+    assert list(scan.profile) == [d for d in signed if Fraction(abs(d), n) < rho]
     assert scan.profile == {d: grid_count(bits, d) for d in scan.profile}
     best = max(scan.profile, key=scan.profile.__getitem__)
     assert (scan.difference, scan.count) == (best, scan.profile[best])

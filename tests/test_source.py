@@ -62,3 +62,25 @@ def test_cli_reaches_the_solver_only_through_the_sweep():
         or (isinstance(node, ast.alias) and node.name == "minimize_T")
     ]
     assert not found, found
+
+
+def test_profile_and_scan_shift_through_one_helper():
+    # every shift of packed rows goes through corners._shifted_views, once
+    # per bit residue, so no per-difference shift path comes back
+    path = Path(cornerlab.__file__).parent / "corners.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stale = {"_shift_rows", "_valid_count"}
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if stale & {getattr(node, key, None) for key in ("id", "attr", "name")}
+    ]
+    assert not found, found
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_shifted_views"
+    }
+    assert {"corner_count_by_difference", "integer_corner_scan"} <= callers
