@@ -33,7 +33,14 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .bohr import BohrSet, RationalLike, _as_fraction
-from .errors import BoundViolation, GroupMismatchError, ValidationError, check_cap, check_int
+from .errors import (
+    BoundViolation,
+    GroupMismatchError,
+    ValidationError,
+    check_cap,
+    check_int,
+    check_real,
+)
 from .fourier import GroupFunction
 from .groups import Character, Element, GroupSpec, parse_group_spec
 from .parallel import deterministic_map
@@ -62,6 +69,7 @@ class PlaneSet:
     @classmethod
     def random(cls, group: GroupSpec, density: float, seed: int) -> "PlaneSet":
         """Bernoulli(density) per cell from numpy's default PCG64 stream."""
+        density = check_real(density, "density")
         if not (0 <= density <= 1):
             raise ValidationError(f"density must lie in [0, 1], got {density}")
         seed = check_int(seed, "seed", 0)

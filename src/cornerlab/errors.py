@@ -1,12 +1,14 @@
-"""Exception hierarchy shared by all cornerlab modules, and the two input checks.
+"""Exception hierarchy shared by all cornerlab modules, and the three input checks.
 
 The CLI maps these onto its exit codes: ValidationError -> 2,
 CapExceededError -> 3, BoundViolation -> 4.  Every size cap in the package
-is enforced through check_cap and every integer argument (seeds, restart
+is enforced through check_cap, every integer argument (seeds, restart
 counts, grid sizes, group moduli and indices, element coordinates and
-character coefficients) through check_int, so each kind of refusal is
-decided in one place.
+character coefficients) through check_int, and every density argument
+(minimize_T's alpha, the samples of sweep_and_envelope, PlaneSet.random's
+density) through check_real, so each kind of refusal is decided in one place.
 """
+import numbers
 import operator
 
 
@@ -55,3 +57,15 @@ def check_int(value, name: str, least: int) -> int:
     if number < least:
         raise ValidationError(f"{name} must be >= {least}, got {number}")
     return number
+
+
+def check_real(value, name: str) -> float:
+    """The Python float value of a real-number argument.
+
+    Anything that is not a numbers.Real (strings, None) and bools raise
+    ValidationError, so a density of "0.5" or True never reaches the solver.
+    The range stays with each caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return float(value)

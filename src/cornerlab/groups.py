@@ -203,6 +203,15 @@ def _check_same_group(a, b) -> None:
         raise GroupMismatchError(f"operands live on different groups: {a.group} vs {b.group}")
 
 
+def _reduce(group: GroupSpec, values, what: str, name: str) -> tuple[int, ...]:
+    """The coordinates or coefficients of an element or character (what),
+    reduced mod each factor's order as Python ints; a count of values other
+    than the group's rank raises ValidationError."""
+    if len(values) != group.rank:
+        raise ValidationError(f"{what} has {len(values)} {name}s, group has rank {group.rank}")
+    return tuple(check_int(v, name, -math.inf) % n for v, n in zip(values, group.moduli))
+
+
 @dataclass(frozen=True)
 class Element:
     """A group element, stored as a reduced residue vector."""
@@ -211,14 +220,7 @@ class Element:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coords) != self.group.rank:
-            raise ValidationError(
-                f"element has {len(self.coords)} coordinates, group has rank {self.group.rank}"
-            )
-        reduced = tuple(
-            check_int(c, "coordinate", -math.inf) % n
-            for c, n in zip(self.coords, self.group.moduli)
-        )
+        reduced = _reduce(self.group, self.coords, "element", "coordinate")
         object.__setattr__(self, "coords", reduced)
 
     def __add__(self, other: "Element") -> "Element":
@@ -244,14 +246,7 @@ class Character:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.group.rank:
-            raise ValidationError(
-                f"character has {len(self.coeffs)} coefficients, group has rank {self.group.rank}"
-            )
-        reduced = tuple(
-            check_int(a, "coefficient", -math.inf) % n
-            for a, n in zip(self.coeffs, self.group.moduli)
-        )
+        reduced = _reduce(self.group, self.coeffs, "character", "coefficient")
         object.__setattr__(self, "coeffs", reduced)
 
     @property

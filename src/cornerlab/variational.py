@@ -9,10 +9,11 @@ from a fixed family of starts, each run to a Frank-Wolfe stationarity gap.
 A start that spectral steps have not finished within a fixed budget of T
 evaluations finishes by projected Newton steps on its face, with the exact
 Hessian (T is cubic), and returns to spectral steps for good if a Newton
-step fails.  sweep_and_envelope turns a grid of densities into the lower
-convex envelope of the estimates.  evaluate_T, gradient_T, the descent, its
-Hessian and T_of_box share one kernel over weighted (..., nx, ny, nz)
-stacks.
+step fails; its result is assembled from one table of per-restart rows.
+sweep_and_envelope turns a grid of densities into the lower convex envelope
+of the estimates.  evaluate_T, gradient_T, the descent, its Hessian and the
+box model take T and the bracket's parts from one kernel pass (_kernel) over
+weighted (..., nx, ny, nz) stacks.
 
 The second half connects grids back to plane sets.  A BoxInstance records how
 a set's hyperplane mass distributes over the inner cells of one outer box of
@@ -36,7 +37,7 @@ import numpy as np
 
 from .bohr import BohrSet
 from .corners import PlaneSet, hyperplane_views, weighted_corner_count
-from .errors import BoundViolation, ValidationError, check_cap, check_int
+from .errors import BoundViolation, ValidationError, check_cap, check_int, check_real
 from .regularity import (
     CUT_RESTARTS,
     DOUBLE_CAP,
@@ -96,6 +97,22 @@ def _check_weights(w, name: str) -> np.ndarray:
     return np.clip(arr, 0.0, None)
 
 
+def _check_grid(obj, axes: tuple[str, str, str], grid: str) -> np.ndarray:
+    """Check and store the three axis weight vectors of a weighted grid
+    dataclass, and return its grid field as a finite float array of the axes'
+    shape; the caller checks the range and stores it."""
+    w = [_check_weights(getattr(obj, name), name) for name in axes]
+    cells = np.asarray(getattr(obj, grid), dtype=float)
+    sizes = tuple(v.size for v in w)
+    if cells.shape != sizes:
+        raise ValidationError(f"{grid} shape {cells.shape} does not match axis sizes {sizes}")
+    if not np.all(np.isfinite(cells)):
+        raise ValidationError(f"{grid} must be finite")
+    for name, v in zip(axes, w):
+        object.__setattr__(obj, name, v)
+    return cells
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """A [0,1]-valued function on a product of three weighted finite axes.
@@ -111,22 +128,9 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        wx = _check_weights(self.weights_x, "weights_x")
-        wy = _check_weights(self.weights_y, "weights_y")
-        wz = _check_weights(self.weights_z, "weights_z")
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (wx.size, wy.size, wz.size):
-            raise ValidationError(
-                f"values shape {vals.shape} does not match axis sizes "
-                f"({wx.size}, {wy.size}, {wz.size})"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("values must be finite")
+        vals = _check_grid(self, ("weights_x", "weights_y", "weights_z"), "values")
         if vals.min() < -_VALUE_TOL or vals.max() > 1.0 + _VALUE_TOL:
             raise ValidationError("values must lie in [0, 1]")
-        object.__setattr__(self, "weights_x", wx)
-        object.__setattr__(self, "weights_y", wy)
-        object.__setattr__(self, "weights_z", wz)
         object.__setattr__(self, "values", np.clip(vals, 0.0, 1.0))
 
     @classmethod
@@ -173,6 +177,14 @@ def _T(w, F: np.ndarray, G: np.ndarray, H: np.ndarray):
     return ((F * GH) @ wy) @ wx, GH
 
 
+def _kernel(w, vals: np.ndarray):
+    """T of each function of a (..., nx, ny, nz) stack, and the parts
+    (F, G, H, GH) that _bracket takes."""
+    F, G, H = _conditionals(w, vals)
+    t, GH = _T(w, F, G, H)
+    return t, (F, G, H, GH)
+
+
 def _bracket(w, F, G, H, GH) -> np.ndarray:
     """dT/dphi at each cell divided by the cell's weight wx_a wy_b wz_c."""
     wx, wy, _ = w
@@ -188,7 +200,7 @@ def evaluate_T(phi: GridFunction) -> float:
     weighted triple product; the result lands in [0, 1].
     """
     w = (phi.weights_x, phi.weights_y, phi.weights_z)
-    return float(_T(w, *_conditionals(w, phi.values))[0])
+    return float(_kernel(w, phi.values)[0])
 
 
 def gradient_T(phi: GridFunction) -> np.ndarray:
@@ -199,10 +211,8 @@ def gradient_T(phi: GridFunction) -> np.ndarray:
     complementary conditionals through that cell.
     """
     w = (phi.weights_x, phi.weights_y, phi.weights_z)
-    F, G, H = _conditionals(w, phi.values)
-    _, GH = _T(w, F, G, H)
     weight = np.einsum("i,j,k->ijk", *w)
-    return weight * _bracket(w, F, G, H, GH)
+    return weight * _bracket(w, *_kernel(w, phi.values)[1])
 
 
 def _project_to_slice(vals: np.ndarray, alpha: float) -> np.ndarray:
@@ -317,9 +327,7 @@ def _face_hessian(w, phi: np.ndarray, free: np.ndarray) -> np.ndarray:
     at = np.arange(k)
     rows[at, cols] += 1.0
     rows[k + at, cols] -= 1.0
-    F, G, H = _conditionals(w, rows.reshape(-1, n, n, n))
-    _, GH = _T(w, F, G, H)
-    b = _bracket(w, F, G, H, GH).reshape(2 * k, -1)[:, cols]
+    b = _bracket(w, *_kernel(w, rows.reshape(-1, n, n, n))[1]).reshape(2 * k, -1)[:, cols]
     return (b[:k] - b[k:]).T / 2.0
 
 
@@ -402,8 +410,8 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
 
     A lane leaves the batch once its Frank-Wolfe gap is at most _GAP_TOL or
     after _DESCENT_CAP T evaluations, so each pass works on the live lanes
-    only.  Every pass evaluates one trial per live lane through the kernel of
-    evaluate_T with uniform weights 1/n.  Returns the final points, their T
+    only.  Every pass evaluates one trial per live lane through _kernel with
+    uniform weights 1/n.  Returns the final points, their T
     values, the T evaluations per lane, the final gaps, the accepted Newton
     steps per lane and the smallest reduced Hessian eigenvalue of each lane's
     last Newton face (nan for a lane that took none).
@@ -413,16 +421,11 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
     cells = n**3
     w = (np.full(n, 1.0 / n),) * 3
 
-    def evaluate(rows):
-        F, G, H = _conditionals(w, rows.reshape(-1, n, n, n))
-        t, GH = _T(w, F, G, H)
-        return t, (F, G, H, GH)
-
     def bracket(parts, rows):
         return _bracket(w, *(x[rows] for x in parts)).reshape(-1, cells)
 
     phi = _project_to_slice(starts.reshape(lanes, -1), alpha)
-    t, parts = evaluate(phi)
+    t, parts = _kernel(w, phi.reshape(-1, n, n, n))
     grad = bracket(parts, slice(None))
     gap = _fw_gap(grad, phi, alpha)
     step = np.ones(lanes)
@@ -439,17 +442,12 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
     a = np.empty(lanes)
     slope = np.empty(lanes)
     live = np.arange(lanes)
-    final_phi = np.empty_like(phi)
-    final_t, final_evals, final_gap = np.empty(lanes), np.empty(lanes, dtype=int), np.empty(lanes)
-    final_steps, final_curvature = np.empty(lanes, dtype=int), np.empty(lanes)
+    final = tuple(np.empty_like(x) for x in (phi, t, evals, gap, steps, curvature))
     while True:
         done = (gap <= _GAP_TOL) | (evals >= _DESCENT_CAP)
         if done.any():
-            out = live[done]
-            final_phi[out], final_t[out], final_evals[out], final_gap[out] = (
-                phi[done], t[done], evals[done], gap[done]
-            )
-            final_steps[out], final_curvature[out] = steps[done], curvature[done]
+            for out, x in zip(final, (phi, t, evals, gap, steps, curvature)):
+                out[live[done]] = x[done]
             if done.all():
                 break
             keep = ~done
@@ -485,7 +483,7 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
                 a[sel] = 1.0
                 slope[sel] = (grad[sel] * d[sel]).sum(axis=1) / cells
         trial = phi + a[:, None] * d
-        tt, parts = evaluate(trial)
+        tt, parts = _kernel(w, trial.reshape(-1, n, n, n))
         evals += 1
         ok = tt <= recent.max(axis=1) + _ARMIJO * a * slope
         a[~ok] *= 0.5
@@ -506,8 +504,7 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
             recent[np.flatnonzero(ok), slot[sel]] = tt[sel]
             slot[sel] = (slot[sel] + 1) % _GLL_MEMORY
             gap[sel] = _fw_gap(new_grad, phi[sel], alpha)
-    return (final_phi.reshape(shape), final_t, final_evals, final_gap, final_steps,
-            final_curvature)
+    return (final[0].reshape(shape),) + final[1:]
 
 
 def minimize_T(
@@ -537,17 +534,19 @@ def minimize_T(
 
     The constant start is a stationary point (its gradient is constant on
     the slice), so restart 0 is answered in closed form as alpha^3 with no
-    descent and gap 0.0.  The other restarts run as one (restarts - 1, n, n,
-    n) batch through the weighted kernel of evaluate_T, with uniform weights;
-    iterations records the T evaluations each restart made, backtracks
-    included, and 2k for each Hessian on k free cells (0 for restart 0).
-    Ties go to the lowest restart index.  A batch above _DESCENT_CELLS_CAP
+    descent and gap 0.0, and so is every restart at alpha 0 or 1.  The other
+    restarts run as one (restarts - 1, n, n, n) batch through _kernel, with
+    uniform weights; iterations records the T evaluations each restart made,
+    backtracks included, and 2k for each Hessian on k free cells (0 for a
+    closed-form restart).  Every restart is one row of a table that the
+    result unzips.  Ties go to the lowest restart index.  A batch above _DESCENT_CELLS_CAP
     cells raises CapExceededError before any allocation.
 
     The result is checked against the universal bracket
     [alpha^4 - 1e-6, alpha^3 + 1e-9]: the cube is attained by the constant
     start, and the fourth power lower-bounds T on the whole slice.
     """
+    alpha = check_real(alpha, "alpha")
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha!r}")
     n = check_int(n, "grid size n", 2)
@@ -559,27 +558,17 @@ def minimize_T(
         f"{restarts} descent restarts at grid size {n} need {{size}} cells per stack, "
         "above the cap {cap}",
     )
+    # one row per restart, in _descend's field order
+    rows = [(np.full((n, n, n), alpha), alpha**3, 0, 0.0, 0, math.nan)]
     if alpha in (0.0, 1.0):
-        end = float(alpha)
-        return MinimizeResult(
-            GridFunction.constant(n, end), end, (end,) * restarts, (0,) * restarts,
-            (0.0,) * restarts, (0,) * restarts, (math.nan,) * restarts,
-        )
-
-    per_restart = [alpha**3]
-    points = [np.full((n, n, n), alpha)]
-    iterations, gaps, newton_steps, curvature = [0], [0.0], [0], [math.nan]
-    if restarts > 1:
+        rows *= restarts
+    elif restarts > 1:
         starts = np.stack([_restart_start(r, n, seed, restarts) for r in range(1, restarts)])
-        phis, values, counts, final_gaps, steps, curv = _descend(starts, alpha)
-        per_restart += [float(v) for v in values]
-        points += list(phis)
-        iterations += [int(c) for c in counts]
-        gaps += [float(g) for g in final_gaps]
-        newton_steps += [int(c) for c in steps]
-        curvature += [float(c) for c in curv]
-    best = int(np.argmin(per_restart))  # first minimum wins
-    best_t = per_restart[best]
+        phis, *fields = _descend(starts, alpha)
+        rows += zip(phis, *(x.tolist() for x in fields))
+    points, values, iterations, gaps, steps, curvature = zip(*rows)
+    best = int(np.argmin(values))  # first minimum wins
+    best_t = values[best]
     lower = alpha**4 - _LOWER_SLACK
     upper = alpha**3 + _UPPER_SLACK
     if not lower <= best_t <= upper:
@@ -587,8 +576,7 @@ def minimize_T(
             f"estimate {best_t!r} escaped [{lower!r}, {upper!r}] at alpha={alpha!r}"
         )
     return MinimizeResult(
-        GridFunction.uniform(points[best]), best_t, tuple(per_restart), tuple(iterations),
-        tuple(gaps), tuple(newton_steps), tuple(curvature),
+        GridFunction.uniform(points[best]), best_t, values, iterations, gaps, steps, curvature
     )
 
 
@@ -654,7 +642,7 @@ def sweep_and_envelope(
     One sample is its own envelope: its solver value is the raw value, the
     repaired value and the single hull knot.
     """
-    pts = [float(a) for a in alphas]
+    pts = [check_real(a, "density sample") for a in alphas]
     if not pts:
         raise ValidationError("need at least one density sample")
     if any(b < a for a, b in zip(pts, pts[1:])):
@@ -703,27 +691,17 @@ class BoxInstance:
     m: int
 
     def __post_init__(self):
-        dx = _check_weights(self.delta_x, "delta_x")
-        dy = _check_weights(self.delta_y, "delta_y")
-        dz = _check_weights(self.delta_z, "delta_z")
-        cells = np.asarray(self.cell_masses, dtype=float)
-        if cells.shape != (dx.size, dy.size, dz.size):
-            raise ValidationError(
-                f"cell_masses shape {cells.shape} does not match axis sizes"
-            )
-        if not np.all(np.isfinite(cells)) or cells.min() < -1e-15:
+        cells = _check_grid(self, ("delta_x", "delta_y", "delta_z"), "cell_masses")
+        if cells.min() < -1e-15:
             raise ValidationError("cell masses must be finite and nonnegative")
         if not (math.isfinite(self.hyperplane_mass) and self.hyperplane_mass >= 0):
             raise ValidationError("hyperplane mass must be finite and nonnegative")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValidationError("eps must be finite and positive")
         m = check_int(self.m, "m", 1)
-        support = np.einsum("i,j,k->ijk", dx, dy, dz) > 0
+        support = np.einsum("i,j,k->ijk", self.delta_x, self.delta_y, self.delta_z) > 0
         if np.any(cells[~support] > 1e-15):
             raise ValidationError("positive cell mass on a zero-weight cell")
-        object.__setattr__(self, "delta_x", dx)
-        object.__setattr__(self, "delta_y", dy)
-        object.__setattr__(self, "delta_z", dz)
         object.__setattr__(self, "cell_masses", np.clip(cells, 0.0, None))
         object.__setattr__(self, "hyperplane_mass", float(self.hyperplane_mass))
         object.__setattr__(self, "eps", float(self.eps))
@@ -764,7 +742,7 @@ def _box_model(d, cells: np.ndarray, hyperplane_mass: float, eps: float, m: int)
     keep, mask = _fiber_cut(d, eps, m)
     values = np.where(mask, np.minimum(raw, 1.0), 0.0)
     t_v = float(_T(tuple(v * k for v, k in zip(d, keep)), *_conditionals(d, raw))[0])
-    t_phi = float(_T(d, *_conditionals(d, values))[0])
+    t_phi = float(_kernel(d, values)[0])
     if t_phi > t_v + 1e-12:
         raise BoundViolation(f"truncated value {t_phi!r} exceeds box surrogate {t_v!r}")
     return raw, values, t_v
@@ -791,6 +769,13 @@ def T_of_box(inst: BoxInstance) -> float:
     """
     d = (inst.delta_x, inst.delta_y, inst.delta_z)
     return _box_model(d, inst.cell_masses, inst.hyperplane_mass, inst.eps, inst.m)[2]
+
+
+def _hyperplane_counts(labels, parts: int, negadd, points=slice(None)) -> np.ndarray:
+    """(parts, parts, parts) counts of the hyperplane points (x, y, -x-y)
+    selected by points, by the labels of x, y and -x-y."""
+    key = (labels[:, None] * parts + labels[None, :]) * parts + labels[negadd]
+    return np.bincount(key[points].ravel(), minlength=parts**3).reshape(parts, parts, parts)
 
 
 def pipeline_lower_bound(
@@ -839,31 +824,20 @@ def pipeline_lower_bound(
 
     idx = np.arange(n)
     add = group.add_indices(idx[:, None], idx)
-    neg = group.negation_permutation()
-    nuneg = nu.values[neg]
+    negadd = group.negation_permutation()[add]
     pair_key = (labels[:, None] * m + labels[None, :]) * n + add
     counts = np.bincount(pair_key.ravel(), minlength=m * m * n).reshape(m, m, n)
     z_ind = np.zeros((n, m))
     z_ind[np.arange(n), labels] = 1.0
-    mz = nuneg[add] @ z_ind
+    mz = nu.values[negadd] @ z_ind
     w_triple = np.tensordot(counts.astype(float), mz, axes=([2], [0])) / float(n) ** 3
     box_sum = float(np.einsum("pq,pr,qr,pqr->", f0, g0, h0, w_triple))
 
     # hyperplane points (x, y) force z = -x-y; masses are counts / n^2
-    negadd = neg[add]
-    z_label = labels[negadd]
-    trip_key = (labels[:, None] * m + labels[None, :]) * m + z_label
-    set_counts = np.bincount(
-        trip_key[A.bits].ravel(), minlength=m**3
-    ).reshape(m, m, m)
-
-    outer_labels = outer.labels
-    part_outer = outer_labels[reps]
+    set_counts = _hyperplane_counts(labels, m, negadd, A.bits)
     M = outer.part_count
-    outer_trip_key = (
-        outer_labels[:, None] * M + outer_labels[None, :]
-    ) * M + outer_labels[negadd]
-    outer_hyp = np.bincount(outer_trip_key.ravel(), minlength=M**3).reshape(M, M, M)
+    outer_hyp = _hyperplane_counts(outer.labels, M, negadd)
+    part_outer = outer.labels[reps]
 
     parts_in = [np.flatnonzero(part_outer == ob) for ob in range(M)]
     sizes = pi.sizes.astype(float)

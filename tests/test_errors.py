@@ -1,10 +1,13 @@
-"""The integer boundary: every integer argument is refused or taken the same way.
+"""The number boundary: every integer or density argument is refused or taken the same way.
 
 Seeds, grid sizes, BoxInstance.m, group moduli, element and translation
 indices, element coordinates and character coefficients all pass through
 errors.check_int, so a float, bool, string or None raises ValidationError
 wherever it enters, and numpy integers are accepted.
 Restart counts are covered by the cut-norm and descent restart tests.
+Densities (minimize_T's alpha, the samples of sweep_and_envelope and
+PlaneSet.random's density) pass through errors.check_real, which refuses a
+bool, string or None and takes any real number.
 """
 
 from fractions import Fraction
@@ -22,6 +25,7 @@ from cornerlab import (
     ValidationError,
     cut_norm_witness,
     minimize_T,
+    sweep_and_envelope,
 )
 
 G6 = GroupSpec([6])
@@ -42,6 +46,13 @@ INTEGER_ARGUMENTS = {
 }
 
 
+DENSITY_ARGUMENTS = {
+    "minimize_T alpha": lambda v: minimize_T(v, 3, restarts=2),
+    "sweep_and_envelope sample": lambda v: sweep_and_envelope([v], 3, restarts=2),
+    "PlaneSet.random density": lambda v: PlaneSet.random(GroupSpec([4]), v, 1),
+}
+
+
 @pytest.mark.parametrize("value", [2.5, True, "3", None])
 @pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS)
 def test_integer_arguments_refuse_non_integers(call, value):
@@ -53,6 +64,18 @@ def test_integer_arguments_refuse_non_integers(call, value):
 def test_integer_arguments_accept_numpy_integers(call):
     call(np.int64(3))
 
+
+@pytest.mark.parametrize("value", ["0.5", "a", True, False, None])
+@pytest.mark.parametrize("call", DENSITY_ARGUMENTS.values(), ids=DENSITY_ARGUMENTS)
+def test_density_arguments_refuse_non_numbers(call, value):
+    with pytest.raises(ValidationError, match="must be a real number"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.25), Fraction(1, 2), 0, 1])
+@pytest.mark.parametrize("call", DENSITY_ARGUMENTS.values(), ids=DENSITY_ARGUMENTS)
+def test_density_arguments_accept_real_numbers(call, value):
+    call(value)
 
 
 @pytest.mark.parametrize("value, reduced", [(-1, 5), (13, 1), (np.int64(-7), 5)])

@@ -84,3 +84,24 @@ def test_profile_and_scan_shift_through_one_helper():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_shifted_views"
     }
     assert {"corner_count_by_difference", "integer_corner_scan"} <= callers
+
+
+def test_variational_states_the_kernel_pass_and_the_restart_table_once():
+    # T and its parts come from one kernel pass, and minimize_T builds its
+    # result once, from one table of per-restart rows
+    path = Path(cornerlab.__file__).parent / "variational.py"
+    functions = [
+        fn
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(fn, ast.FunctionDef)
+    ]
+
+    def calls(fn, name):
+        return sum(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+            for node in ast.walk(fn)
+        )
+
+    assert {fn.name for fn in functions if calls(fn, "_conditionals")} == {"_kernel", "_box_model"}
+    (minimize,) = [fn for fn in functions if fn.name == "minimize_T"]
+    assert calls(minimize, "MinimizeResult") == 1

@@ -6,6 +6,8 @@ values, the projection/feasibility mechanics, and the box bookkeeping on
 grids small enough to check by hand.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -290,6 +292,27 @@ def test_minimize_endpoints_are_exact():
     assert lo.value == 0.0 and np.max(lo.phi.values) == 0.0
     hi = minimize_T(1.0, 3, restarts=2)
     assert hi.value == 1.0 and np.min(hi.phi.values) == 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.45, 0.0, 1.0])
+def test_minimize_result_fields_are_plain_python_numbers(alpha):
+    # every field comes out of one per-restart table as Python numbers
+    res = minimize_T(alpha, 4, restarts=8, seed=0)
+    assert type(res.value) is float
+    for field, kind in ((res.restart_values, float), (res.iterations, int), (res.gaps, float),
+                        (res.newton_steps, int), (res.curvature, float)):
+        assert type(field) is tuple and len(field) == 8
+        assert all(type(x) is kind for x in field), field
+    for evals, steps, curvature in zip(res.iterations, res.newton_steps, res.curvature):
+        if evals < V._SPG_BUDGET:
+            assert math.isnan(curvature)
+        if steps:
+            assert not math.isnan(curvature)
+    if alpha in (0.0, 1.0):
+        assert res.restart_values == (alpha,) * 8 and res.value == alpha
+        assert res.iterations == res.newton_steps == (0,) * 8 and res.gaps == (0.0,) * 8
+    else:
+        assert max(res.newton_steps) > 0
 
 
 def test_minimize_respects_bracket_and_feasibility():
