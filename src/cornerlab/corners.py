@@ -4,18 +4,20 @@ A corner is a triple {(x, y), (x, y+d), (x+d, y)}; the profile N(d) counts,
 for every difference d, the pairs (x, y) completing such a triple inside a
 set A.  One path serves every group: G splits as C x H, where C is the
 largest cycle that the Chinese remainder theorem forms from pairwise coprime
-moduli and H is the product of the other factors.  Rows are packed once into
-64-bit words with C as the slow axis of the columns, so y -> y+d is an
-H-translation inside each block of |H| columns, gathered and packed once per
-H-part, then a cyclic word shift of the doubled rows.  Packed planes are
-stored word-major, as a (words, |G|) array whose slab w holds word w of
-every row, so a shift by e bits reads two contiguous slabs and a row
-permutation is one gather along the second axis.  The shifts take only 64
-bit residues e mod 64: each residue is shifted once, over every slab its
-offsets read, and each shift by e is a view of that plane at word e // 64.
-An H-part costs O(|G|^2) byte work and a difference O(|G|^2 / 64) word
-work; a cyclic group is the case |H| = 1.  A literal triple loop serves as
-the oracle the packed path is checked against.
+moduli and H is the product of the other factors.  Rows are gathered and
+packed once into 64-bit words with C as the slow axis of the columns, so
+y -> y+d is an H-translation inside each block of |H| columns, then a cyclic
+word shift of the doubled rows.  The H-translations move bits inside the
+packed words: a unit step on one digit of H is two masked shifts of the
+whole rows.  Packed planes are stored word-major, as a (words, |G|) array
+whose slab w holds word w of every row, so a shift by e bits reads two
+contiguous slabs and a row permutation is one gather along the second axis.
+The shifts take only 64 bit residues e mod 64: each residue is shifted once,
+over every slab its offsets read, and each shift by e is a view of that
+plane at word e // 64.  An H-part and a difference each cost O(|G|^2 / 64)
+word work, after one O(|G|^2) byte gather per profile; a cyclic group is the
+case |H| = 1.  A literal triple loop serves as the oracle the packed path is
+checked against.
 
 Weighted counts integrate the profile against a mean-one measure nu on the
 differences, which equals the triple integral over the hyperplane
@@ -49,6 +51,7 @@ PROFILE_CAP = 2**12
 _NAIVE_CAP = 2**7
 _TRIPLE_SUM_CAP = 2**8
 _MEAN_ONE_TOL = 1e-9
+_DRAW_ROWS = 64  # rows per block of PlaneSet.random; any value gives the same bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +78,13 @@ class PlaneSet:
         seed = check_int(seed, "seed", 0)
         check_cap(group.order, PROFILE_CAP, "plane sets are capped at |G| <= {cap}, got {size}")
         rng = np.random.default_rng(seed)
-        bits = rng.random((group.order, group.order)) < density
+        n = group.order
+        bits = np.empty((n, n), dtype=bool)
+        # the stream fills rows in order, so drawing a block of rows at a
+        # time gives the bits of one (n, n) draw without its float64 array
+        for lo in range(0, n, _DRAW_ROWS):
+            block = bits[lo : lo + _DRAW_ROWS]
+            np.less(rng.random(block.shape), density, out=block)
         return cls(group, bits)
 
     @classmethod
@@ -209,16 +218,69 @@ def _shifted_views(
             yield i, plane[q - lo : q - lo + words]
 
 
+def _shift_bits(rows: np.ndarray, k: int, slabs: int, carry: bool = True) -> np.ndarray:
+    """Word-major packed rows moved k bit positions up (down for k < 0), with
+    zero fill, as a new (slabs, rows) array; bits moved past the last slab drop.
+
+    Bit b of word w lands in word w + q at bit b + r, or in word w + q + 1 at
+    bit b + r - 64, where (q, r) = divmod(k, 64).  carry=False keeps every bit
+    in its own word; pass it only when |k| < 64 and no set bit crosses a word.
+    """
+    q, r = divmod(k, 64)
+    terms = [(q, r), (q + 1, r - 64)] if r else [(q, 0)]
+    if not carry:
+        terms = [(0, k)]
+    out = np.zeros((slabs, rows.shape[1]), dtype=np.uint64)
+    for offset, e in terms:
+        lo, hi = max(0, offset), min(slabs, rows.shape[0] + offset)
+        if lo < hi:
+            part = rows[lo - offset : hi - offset]
+            out[lo:hi] |= part << e if e >= 0 else part >> -e
+    return out
+
+
 def _double_rows(rows: np.ndarray, n: int, words: int) -> np.ndarray:
     """Word-major packed rows of n bits followed by the same n bits again,
     as a (2 * words, rows) array."""
-    out = np.zeros((2 * words, rows.shape[1]), dtype=np.uint64)
-    out[:words] = rows
-    q, r = divmod(n, 64)
-    out[q : q + words] |= rows << r
-    if r:
-        out[q + 1 : q + words + 1] |= rows >> (64 - r)
+    out = _shift_bits(rows, n, 2 * words)
+    out[:words] |= rows
     return out
+
+
+def _h_translations(
+    packed: np.ndarray, H: GroupSpec, n: int, words: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (h, packed translated by h inside every block of |H| bits), h in order.
+
+    packed holds word-major rows of n bits in blocks of |H| = H.order, bit
+    c * |H| + p of a row standing for H's element p; the rows for h hold at
+    bit c * |H| + p the bit of packed at c * |H| + (p + h in H).  The rows for
+    h come from those for h - 1 by a unit step on each digit of H that the
+    increment changes.  A step on a digit of order a and stride s moves the
+    bits of digit 0 up by (a - 1) * s and the rest down by s: two masked
+    shifts of the whole rows, with one pair of (words, 1) masks per digit.
+    The masks are zero past bit n, so no bit leaves its block, and the rows
+    for h >= 1 hold nothing past bit n, whatever packed holds there.  When |H|
+    divides 64 no block straddles a word, so the shifts need no carry word.
+    """
+    nh = H.order
+    carry = 64 % nh != 0
+    steps = []
+    for j, a in enumerate(H.moduli):
+        if a > 1:
+            s = math.prod(H.moduli[j + 1 :])
+            digit = np.arange(n) % nh // s % a
+            masks = _pack_rows(np.stack([digit == 0, digit != 0]), words)
+            steps.append((s, (a - 1) * s, masks[:, :1], masks[:, 1:]))
+    rows = packed
+    yield 0, rows
+    for h in range(1, nh):
+        for s, up, low, rest in steps:
+            if h % s == 0:
+                moved = _shift_bits(rows & low, up, words, carry)
+                moved |= _shift_bits(rows & rest, -s, words, carry)
+                rows = moved
+        yield h, rows
 
 
 def _cyclic_split(group: GroupSpec) -> tuple[np.ndarray, GroupSpec]:
@@ -259,15 +321,16 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
 
     The columns are laid out once by _cyclic_split: position c * |H| + h
     holds the element that is c on the cycle C and h on the complement H,
-    and rows are packed into 64-bit words with a zero tail.  The packed rows
-    are word-major, a (words, |G|) array with word w of row x at [w, x], so
-    a shift reads two contiguous slabs of rows and the row permutation is
-    one gather along the second axis.  Then y -> y+d
-    is a translation by d's H-part inside every block of |H| columns,
-    followed by a cyclic shift of the whole row by c_d * |H| bits, where c_d
-    is d's C-part.  The map over d runs in H-grouped order: for each H-part
-    the columns are gathered and packed once, an O(|G|^2) byte step, and the
-    packed rows doubled by two word shifts.  Each d of that H-part reads its
+    and rows are gathered in that order and packed into 64-bit words with a
+    zero tail, the one O(|G|^2) byte step.  The packed rows are word-major,
+    a (words, |G|) array with word w of row x at [w, x], so a shift reads two
+    contiguous slabs of rows and the row permutation is one gather along the
+    second axis.  Then y -> y+d is a translation by d's H-part inside every
+    block of |H| columns, followed by a cyclic shift of the whole row by
+    c_d * |H| bits, where c_d is d's C-part.  The map over d runs in
+    H-grouped order: _h_translations makes the rows of each H-part from
+    those of the one before by masked shifts of the packed words, and the
+    rows are doubled by two word shifts.  Each d of that H-part reads its
     shift by c_d * |H| as a view from _shifted_views, which shifts once per
     bit residue; then two ANDs into one buffer, the row gather and a popcount
     into another, O(|G|^2 / 64) word work.  Only the doubled rows of the
@@ -276,22 +339,17 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
     group = A.group
     n = group.order
     labels, H = _cyclic_split(group)
-    m, nh = labels.shape
+    nh = H.order
     words = -(-n // 64)
 
-    def packed_cols(h: int) -> np.ndarray:
-        """Rows packed with the columns in layout order, translated by h in H."""
-        cols = labels[:, H.add_indices(np.arange(nh), h)].ravel()
-        return _pack_rows(np.take(A.bits, cols, axis=1), words)
-
-    packed = packed_cols(0)
+    packed = _pack_rows(np.take(A.bits, labels.ravel(), axis=1), words)
     both = np.empty((words, n), dtype=np.uint64)
     ones = np.empty((words, n), dtype=np.uint8)
 
     def differences():
         """(d, its shifted rows), H-part by H-part and residue by residue."""
-        for h in range(nh):
-            doubled = _double_rows(packed if h == 0 else packed_cols(h), n, words)
+        for h, rows in _h_translations(packed, H, n, words):
+            doubled = _double_rows(rows, n, words)
             for c, view in _shifted_views(doubled, range(0, n, nh), words):
                 yield int(labels[c, h]), view
 

@@ -69,6 +69,8 @@ _NON_CYCLIC = st.sampled_from([
     (2, 3, 4), (6, 10), (4, 3, 4), (2, 2, 15),
     # block offsets c_d * |H| that cross word boundaries
     (2, 64), (4, 24),
+    # elementary abelian: many H-parts, and |H| = 64 in Z2^7
+    (2,) * 6, (2,) * 7, (3,) * 4, (4,) * 3,
 ])
 
 
@@ -103,6 +105,8 @@ def roll_profile(A):
         "Z127", "Z128", "Z129", "Z1000", "Z8xZ63", "Z16xZ48", "Z2xZ4xZ64", "Z4xZ4xZ4xZ4",
         # |H| = 6 does not divide 64; |H| = 4 puts each of 16 residues at 4 word offsets
         "Z6xZ30", "Z2xZ2xZ64",
+        # |H| = 128 spans two words; |H| = 81 and 81 blocks straddle words
+        "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "Z3xZ3xZ3xZ3xZ3", "Z3xZ9xZ9",
     ],
 )
 def test_profile_equals_roll_reference(spec):
@@ -177,6 +181,51 @@ def test_shifted_views_equal_a_python_int_reference(words, extra, cols, kind, da
         assert view.shape == (words, cols)
         assert np.array_equal(view, shifted_reference(rows, offsets[i], words))
     assert sorted(seen) == list(range(len(offsets)))
+
+
+def translation_reference(bits, labels, H, h, words):
+    """The rows of one H-part by the column gather and a fresh pack."""
+    cols = labels[:, H.add_indices(np.arange(H.order), h)].ravel()
+    return corners._pack_rows(np.take(bits, cols, axis=1), words)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([
+        # |H| does not divide 64, so blocks straddle words
+        (6, 10), (3, 9), (4, 6), (2, 2, 3, 3),
+        # |H| of 64 or more: Z2^6, Z2^7 and Z3^4
+        (2,) * 7, (2,) * 8, (3,) * 5,
+        # n % 64 != 0 with |H| dividing 64, and Z1 factors
+        (2, 2, 5), (4, 4, 3), (1, 4, 2), (2, 1, 2, 2), (3, 1, 3), (4, 1),
+        # cyclic: the only H-part is h = 0
+        (5,), (1, 64),
+    ]),
+    st.sampled_from([0.1, 0.5, 0.9]),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+def test_h_translations_equal_the_gather_and_pack_reference(moduli, density, seed, junk_tail):
+    G = GroupSpec(moduli)
+    n = G.order
+    A = PlaneSet.random(G, density, seed)
+    labels, H = _cyclic_split(G)
+    words = -(-n // 64)
+    packed = translation_reference(A.bits, labels, H, 0, words)
+    if junk_tail and n % 64:
+        # every step clears what packed holds past bit n
+        packed[-1] |= np.uint64(2**64 - 2 ** (n % 64))
+    seen = []
+    for h, rows in corners._h_translations(packed, H, n, words):
+        seen.append(h)
+        if h == 0:
+            assert rows is packed
+            continue
+        assert rows.shape == (words, n)
+        assert np.array_equal(rows, translation_reference(A.bits, labels, H, h, words))
+        if n % 64:
+            assert not (rows[-1] >> np.uint64(n % 64)).any()  # nothing past bit n
+    assert seen == list(range(H.order))
 
 
 def crt_labels(group):
@@ -579,6 +628,15 @@ def test_plane_set_random_is_reproducible():
     assert np.array_equal(one.bits, two.bits)
     other = PlaneSet.random(G, 0.3, 100)
     assert not np.array_equal(one.bits, other.bits)
+
+
+@pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 100, 129, 768])
+@pytest.mark.parametrize("draw_rows", [1, 3, 64])
+def test_plane_set_random_equals_one_draw_of_the_whole_plane(monkeypatch, n, draw_rows):
+    monkeypatch.setattr(corners, "_DRAW_ROWS", draw_rows)
+    for density, seed in ((0.3, 7), (0.5, 2**31), (0.0, 1), (1.0, 2)):
+        one_shot = np.random.default_rng(seed).random((n, n)) < density
+        assert np.array_equal(PlaneSet.random(GroupSpec((n,)), density, seed).bits, one_shot)
 
 
 def test_plane_set_random_rejects_negative_seed():

@@ -105,3 +105,33 @@ def test_variational_states_the_kernel_pass_and_the_restart_table_once():
     assert {fn.name for fn in functions if calls(fn, "_conditionals")} == {"_kernel", "_box_model"}
     (minimize,) = [fn for fn in functions if fn.name == "minimize_T"]
     assert calls(minimize, "MinimizeResult") == 1
+
+
+def test_profile_gathers_the_bit_matrix_once():
+    # corner_count_by_difference reads A.bits in one place, outside every
+    # loop and nested function, and hands A itself to no helper: the plane is
+    # gathered and packed once, and each H-part is translated in packed words
+    path = Path(cornerlab.__file__).parent / "corners.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (fn,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "corner_count_by_difference"
+    ]
+    scopes = (ast.For, ast.While, ast.FunctionDef, ast.Lambda, ast.ListComp, ast.SetComp,
+              ast.DictComp, ast.GeneratorExp)
+    reads, bare = [], []
+
+    def visit(node, looped):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and getattr(child.value, "id", None) == "A":
+                if child.attr == "bits":
+                    reads.append((child.lineno, looped))
+                continue
+            if isinstance(child, ast.Name) and child.id == "A":
+                bare.append(child.lineno)
+            visit(child, looped or isinstance(child, scopes))
+
+    visit(fn, False)
+    assert [looped for _, looped in reads] == [False], reads
+    assert not bare, bare
