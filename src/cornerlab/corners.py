@@ -218,18 +218,15 @@ def _shifted_views(
             yield i, plane[q - lo : q - lo + words]
 
 
-def _shift_bits(rows: np.ndarray, k: int, slabs: int, carry: bool = True) -> np.ndarray:
+def _shift_bits(rows: np.ndarray, k: int, slabs: int) -> np.ndarray:
     """Word-major packed rows moved k bit positions up (down for k < 0), with
     zero fill, as a new (slabs, rows) array; bits moved past the last slab drop.
 
     Bit b of word w lands in word w + q at bit b + r, or in word w + q + 1 at
-    bit b + r - 64, where (q, r) = divmod(k, 64).  carry=False keeps every bit
-    in its own word; pass it only when |k| < 64 and no set bit crosses a word.
+    bit b + r - 64, where (q, r) = divmod(k, 64).
     """
     q, r = divmod(k, 64)
     terms = [(q, r), (q + 1, r - 64)] if r else [(q, 0)]
-    if not carry:
-        terms = [(0, k)]
     out = np.zeros((slabs, rows.shape[1]), dtype=np.uint64)
     for offset, e in terms:
         lo, hi = max(0, offset), min(slabs, rows.shape[0] + offset)
@@ -260,11 +257,9 @@ def _h_translations(
     bits of digit 0 up by (a - 1) * s and the rest down by s: two masked
     shifts of the whole rows, with one pair of (words, 1) masks per digit.
     The masks are zero past bit n, so no bit leaves its block, and the rows
-    for h >= 1 hold nothing past bit n, whatever packed holds there.  When |H|
-    divides 64 no block straddles a word, so the shifts need no carry word.
+    for h >= 1 hold nothing past bit n, whatever packed holds there.
     """
     nh = H.order
-    carry = 64 % nh != 0
     steps = []
     for j, a in enumerate(H.moduli):
         if a > 1:
@@ -277,8 +272,8 @@ def _h_translations(
     for h in range(1, nh):
         for s, up, low, rest in steps:
             if h % s == 0:
-                moved = _shift_bits(rows & low, up, words, carry)
-                moved |= _shift_bits(rows & rest, -s, words, carry)
+                moved = _shift_bits(rows & low, up, words)
+                moved |= _shift_bits(rows & rest, -s, words)
                 rows = moved
         yield h, rows
 
