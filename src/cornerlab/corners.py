@@ -339,20 +339,23 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
 
     packed = _pack_rows(np.take(A.bits, labels.ravel(), axis=1), words)
     both = np.empty((words, n), dtype=np.uint64)
-    ones = np.empty((words, n), dtype=np.uint8)
+    both_flat = both.reshape(-1)
+    ones = np.empty(words * n, dtype=np.uint8)
+    by_h = labels.T.tolist()  # by_h[h][c] = labels[c, h], as Python ints
 
     def differences():
         """(d, its shifted rows), H-part by H-part and residue by residue."""
         for h, rows in _h_translations(packed, H, n, words):
             doubled = _double_rows(rows, n, words)
+            ds = by_h[h]
             for c, view in _shifted_views(doubled, range(0, n, nh), words):
-                yield int(labels[c, h]), view
+                yield ds[c], view
 
     def count_one(item: tuple[int, np.ndarray]) -> tuple[int, int]:
         d, view = item
         np.bitwise_and(view, packed, out=both)
-        np.bitwise_and(both, np.take(packed, group.translate_permutation(d), axis=1), out=both)
-        return d, int(np.bitwise_count(both, out=ones).sum(dtype=np.int32))
+        np.bitwise_and(both, packed.take(group.translate_permutation(d), axis=1), out=both)
+        return d, int(np.add.reduce(np.bitwise_count(both_flat, out=ones), dtype=np.int32))
 
     counts = np.empty(n, dtype=np.int64)
     for d, count in deterministic_map(count_one, differences()):

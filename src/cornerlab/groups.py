@@ -9,6 +9,9 @@ Conventions used throughout the package:
 * Character values are computed as exact rationals over L = lcm(n_i), which
   makes torus comparisons (Bohr membership, partition labels) deterministic.
 * The Haar probability measure is uniform: integrals over G are means.
+* The group law on indices reads one window table per factor: W_i[y] is
+  stride_i * digit_i(y), so a sum of strided digits is reduced mod n_i by one
+  lookup, and a translation is a sum of contiguous slices of the tables.
 """
 from __future__ import annotations
 
@@ -49,6 +52,7 @@ class GroupSpec:
     """A finite abelian group given as an explicit product of cyclic factors."""
 
     moduli: tuple[int, ...]
+    order: int = field(init=False, repr=False, compare=False)
     _strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, moduli: Sequence[int]):
@@ -61,15 +65,12 @@ class GroupSpec:
                 f"group order {order} exceeds the supported maximum {MAX_GROUP_ORDER}"
             )
         object.__setattr__(self, "moduli", moduli)
+        object.__setattr__(self, "order", order)
         # mixed radix, last coordinate fastest
         strides = [1] * len(moduli)
         for i in range(len(moduli) - 2, -1, -1):
             strides[i] = strides[i + 1] * moduli[i + 1]
         object.__setattr__(self, "_strides", tuple(strides))
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.moduli)
 
     @property
     def rank(self) -> int:
@@ -124,46 +125,55 @@ class GroupSpec:
     def add_indices(self, a, b) -> np.ndarray:
         """index(element(a) + element(b)) for broadcasting integer index arrays.
 
-        The group law on indices, read from the digit tables: digit i of the
-        sum is table_i[digits_i[a] + digits_i[b]], so no division runs and no
-        (..., rank) coordinate array is built.  The result is int64 with the
-        broadcast shape of a and b, 0-d for two scalars.
+        The group law on indices, read from the window tables: the part of
+        the sum on factor i is W_i[W_i[a] + W_i[b]], so no division runs and
+        no (..., rank) coordinate array is built.  a and b index the first
+        |G| entries only, so an index >= |G| raises IndexError.  The result
+        is int64 with the broadcast shape of a and b, 0-d for two scalars.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        (digits, table), *rest = self._digit_tables
-        out = table[digits[a] + digits[b]]
-        for digits, table in rest:
-            out += table[digits[a] + digits[b]]
+        n = self.order
+        first, *rest = self._windows
+        out = first[first[:n][a] + first[:n][b]]
+        for window in rest:
+            out += window[window[:n][a] + window[:n][b]]
         return out
 
     @cached_property
-    def _digit_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per factor i: the digit column coords[:, i] and the doubled table
-        (arange(2 n_i) % n_i) * stride_i; both read-only."""
+    def _windows(self) -> tuple[np.ndarray, ...]:
+        """Per factor i of order n_i and stride s_i, the read-only window table
+        W_i[y] = s_i * ((y // s_i) % n_i) for y < |G| + s_i * (n_i - 1).
+
+        Adding s_i * c to an index moves digit i by c mod n_i, whatever it
+        carries into the slower digits, so W_i[x + W_i[d]] is the part on
+        factor i of index(element(x) + element(d)).  The length covers x < |G|
+        and the largest W_i[d], and also the largest W_i[a] + W_i[b].
+        """
+        n = self.order
         return tuple(
-            (
-                _read_only(np.ascontiguousarray(self._coords[:, i])),
-                _read_only(np.arange(2 * n, dtype=np.int64) % n * s),
-            )
-            for i, (n, s) in enumerate(zip(self.moduli, self._strides))
+            _read_only(np.arange(n + s * (m - 1), dtype=np.int64) // s % m * s)
+            for m, s in zip(self.moduli, self._strides)
         )
 
     def translate_permutation(self, d_index: int) -> np.ndarray:
         """Permutation array P with P[i] = index(element(i) + element(d_index)).
 
-        Equal to add_indices(arange(order), d_index), read straight from the
-        digit tables: digit i of P is table_i[digits_i + digits_i[d_index]],
-        with no arange and no gather of the digits.  A fresh int64 array the
-        caller may modify.
+        Equal to add_indices(arange(order), d_index), read from the window
+        tables as the sum over factors of the slices W_i[o_i : o_i + |G|],
+        o_i = W_i[d_index]: one copy and rank - 1 adds, with no gather.  A
+        fresh int64 array the caller may modify.
         """
         d_index = check_int(d_index, "index", 0)
-        if d_index >= self.order:
-            raise ValidationError(f"index {d_index} out of range for group of order {self.order}")
-        (digits, table), *rest = self._digit_tables
-        out = table[digits + digits[d_index]]
-        for digits, table in rest:
-            out += table[digits + digits[d_index]]
+        n = self.order
+        if d_index >= n:
+            raise ValidationError(f"index {d_index} out of range for group of order {n}")
+        first, *rest = self._windows
+        o = first.item(d_index)
+        out = first[o : o + n].copy()
+        for window in rest:
+            o = window.item(d_index)
+            out += window[o : o + n]
         return out
 
     def negation_permutation(self) -> np.ndarray:

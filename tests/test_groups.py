@@ -87,12 +87,23 @@ def test_permutations_match_element_arithmetic():
         assert neg[i] == (-G.element(i)).index
 
 
-@pytest.mark.parametrize("spec", ["Z7", "Z3xZ4", "Z1xZ4xZ2", "Z2xZ3xZ4", "Z4xZ4"])
+@pytest.mark.parametrize("spec", ["Z7", "Z3xZ4", "Z1xZ4xZ2", "Z2xZ3xZ4", "Z4xZ4", "Z16xZ48",
+                                  "Z8xZ8xZ8", "x".join(["Z2"] * 10), "x".join(["Z3"] * 6),
+                                  "Z4096"])
 def test_translate_permutation_is_a_fresh_writable_array(spec):
     G = parse_group_spec(spec)
-    # add_indices with one operand fixed, for every d
-    for d in range(G.order):
-        assert np.array_equal(G.translate_permutation(d), G.add_indices(np.arange(G.order), d))
+    coords = G.coords_matrix()
+    moduli = np.asarray(G.moduli)
+    if G.order <= 64:
+        ds = range(G.order)
+    else:
+        draws = np.random.default_rng(7).integers(0, G.order, size=16).tolist()
+        ds = [0, 1, G.order - 1, *draws]
+    # add_indices with one operand fixed, and coordinate arithmetic
+    for d in ds:
+        perm = G.translate_permutation(d)
+        assert np.array_equal(perm, G.index_of_coords((coords + coords[d]) % moduli))
+        assert np.array_equal(perm, G.add_indices(np.arange(G.order), d))
     d = G.order - 1
     perm = G.translate_permutation(d)
     expected = G.add_indices(np.arange(G.order), d)
@@ -120,13 +131,21 @@ def test_add_indices_is_int64_with_the_broadcast_shape(spec):
     assert int(scalar) == (G.element(last) + G.element(last)).index
 
 
-def test_cached_digit_tables_reject_writes():
+@pytest.mark.parametrize("spec, bad", [("Z3xZ4", 12), ("Z3xZ4", 23), ("Z7", 7)])
+def test_add_indices_rejects_an_index_past_the_group(spec, bad):
+    # the window tables run past |G|, so reading them raw would wrap bad
+    G = parse_group_spec(spec)
+    for a, b in [(bad, 0), (0, bad), (np.array([0, bad]), 1), (np.arange(G.order), [bad])]:
+        with pytest.raises(IndexError):
+            G.add_indices(a, b)
+
+
+def test_cached_window_tables_reject_writes():
     G = parse_group_spec("Z3xZ4")
     G.translate_permutation(5)
-    for digits, table in G._digit_tables:
-        for cached in (digits, table):
-            with pytest.raises(ValueError):
-                cached[0] = 1
+    for window in G._windows:
+        with pytest.raises(ValueError):
+            window[0] = 1
 
 
 @settings(max_examples=150, deadline=None)
