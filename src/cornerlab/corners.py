@@ -312,7 +312,8 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
 
     For fixed d the three constraints are the bit matrix itself, its columns
     permuted by y -> y+d, and its rows permuted by x -> x+d.  The row
-    permutation is a gather of packed rows by translate_permutation(d).
+    permutation is a gather of packed rows by translate_permutation(d),
+    which sums slices of the group's window tables and gathers nothing.
 
     The columns are laid out once by _cyclic_split: position c * |H| + h
     holds the element that is c on the cycle C and h on the complement H,

@@ -133,17 +133,17 @@ class GroupSpec:
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        n = self.order
-        first, *rest = self._windows
-        out = first[first[:n][a] + first[:n][b]]
-        for window in rest:
-            out += window[window[:n][a] + window[:n][b]]
+        (window, head), *rest = self._windows
+        out = window[head[a] + head[b]]
+        for window, head in rest:
+            out += window[head[a] + head[b]]
         return out
 
     @cached_property
-    def _windows(self) -> tuple[np.ndarray, ...]:
-        """Per factor i of order n_i and stride s_i, the read-only window table
-        W_i[y] = s_i * ((y // s_i) % n_i) for y < |G| + s_i * (n_i - 1).
+    def _windows(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per factor i of order n_i and stride s_i: the read-only window table
+        W_i[y] = s_i * ((y // s_i) % n_i) for y < |G| + s_i * (n_i - 1), and
+        its first |G| entries as a view, which add_indices indexes by a and b.
 
         Adding s_i * c to an index moves digit i by c mod n_i, whatever it
         carries into the slower digits, so W_i[x + W_i[d]] is the part on
@@ -151,10 +151,11 @@ class GroupSpec:
         and the largest W_i[d], and also the largest W_i[a] + W_i[b].
         """
         n = self.order
-        return tuple(
+        windows = (
             _read_only(np.arange(n + s * (m - 1), dtype=np.int64) // s % m * s)
             for m, s in zip(self.moduli, self._strides)
         )
+        return tuple((window, window[:n]) for window in windows)
 
     def translate_permutation(self, d_index: int) -> np.ndarray:
         """Permutation array P with P[i] = index(element(i) + element(d_index)).
@@ -168,10 +169,10 @@ class GroupSpec:
         n = self.order
         if d_index >= n:
             raise ValidationError(f"index {d_index} out of range for group of order {n}")
-        first, *rest = self._windows
+        (first, _), *rest = self._windows
         o = first.item(d_index)
         out = first[o : o + n].copy()
-        for window in rest:
+        for window, _ in rest:
             o = window.item(d_index)
             out += window[o : o + n]
         return out

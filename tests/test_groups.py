@@ -143,9 +143,10 @@ def test_add_indices_rejects_an_index_past_the_group(spec, bad):
 def test_cached_window_tables_reject_writes():
     G = parse_group_spec("Z3xZ4")
     G.translate_permutation(5)
-    for window in G._windows:
-        with pytest.raises(ValueError):
-            window[0] = 1
+    for window, head in G._windows:
+        for cached in (window, head):
+            with pytest.raises(ValueError):
+                cached[0] = 1
 
 
 @settings(max_examples=150, deadline=None)
