@@ -4,20 +4,22 @@ A corner is a triple {(x, y), (x, y+d), (x+d, y)}; the profile N(d) counts,
 for every difference d, the pairs (x, y) completing such a triple inside a
 set A.  One path serves every group: G splits as C x H, where C is the
 largest cycle that the Chinese remainder theorem forms from pairwise coprime
-moduli and H is the product of the other factors.  Rows are gathered and
-packed once into 64-bit words with C as the slow axis of the columns, so
+moduli and H is the product of the other factors.  Rows and columns are
+both laid out in C x H order and packed once into 64-bit words, so
 y -> y+d is an H-translation inside each block of |H| columns, then a cyclic
-word shift of the doubled rows.  The H-translations move bits inside the
-packed words: a unit step on one digit of H is two masked shifts of the
-whole rows.  Packed planes are stored word-major, as a (words, |G|) array
-whose slab w holds word w of every row, so a shift by e bits reads two
-contiguous slabs and a row permutation is one gather along the second axis.
-The shifts take only 64 bit residues e mod 64: each residue is shifted once,
-over every slab its offsets read, and each shift by e is a view of that
-plane at word e // 64.  An H-part and a difference each cost O(|G|^2 / 64)
-word work, after one O(|G|^2) byte gather per profile; a cyclic group is the
-case |H| = 1.  A literal triple loop serves as the oracle the packed path is
-checked against.
+word shift of the doubled rows, and x -> x+d is a translation of the layout
+group Z_m x H.  The H-translations move bits inside the packed words: a unit
+step on one digit of H is two masked shifts of the whole rows.  Packed
+planes are stored word-major, as a (words, |G|) array whose slab w holds
+word w of every row, so a shift by e bits reads two contiguous slabs and a
+row permutation is one gather along the second axis.  The d's of one H-part
+whose shifts share a bit residue mod 64 form a shift class: the class is
+shifted once, and its d's are counted together, their column shifts read as
+evenly spaced slab windows of that plane and their row translations as
+evenly spaced windows of one row gather.  A d costs O(|G|^2 / 64) word work
+and a class one row gather, after one O(|G|^2) byte gather per profile; a
+cyclic group is the case |H| = 1.  A literal triple loop serves as the
+oracle the packed path is checked against.
 
 Weighted counts integrate the profile against a mean-one measure nu on the
 differences, which equals the triple integral over the hyperplane
@@ -30,7 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from .errors import (
     check_real,
 )
 from .fourier import GroupFunction
-from .groups import Character, Element, GroupSpec, parse_group_spec
+from .groups import Character, Element, GroupSpec, _read_only, parse_group_spec
 from .parallel import deterministic_map
 
 PROFILE_CAP = 2**12
@@ -52,11 +55,20 @@ _NAIVE_CAP = 2**7
 _TRIPLE_SUM_CAP = 2**8
 _MEAN_ONE_TOL = 1e-9
 _DRAW_ROWS = 64  # rows per block of PlaneSet.random; any value gives the same bits
+# bytes of words per batched profile op, chosen by measurement on a core with
+# a 2 MiB L2: from Z512 to Z1024, 512 KiB ran level with or faster than
+# 256 KiB, 1 MiB and 4 MiB, and 64 KiB ran slower
+_CHUNK_BYTES = 2**19
 
 
 @dataclass(frozen=True, eq=False)
 class PlaneSet:
-    """A subset of G x G as a bit matrix; rows are x, columns are y."""
+    """A subset of G x G as a bit matrix; rows are x, columns are y.
+
+    A PlaneSet holds a read-only bool array.  A read-only bool array passed
+    in is kept as it is; any other input is copied once and then frozen, so
+    a caller's writeable array is never shared.
+    """
 
     group: GroupSpec
     bits: np.ndarray
@@ -64,10 +76,12 @@ class PlaneSet:
     def __post_init__(self):
         n = self.group.order
         check_cap(n, PROFILE_CAP, "plane sets are capped at |G| <= {cap}, got {size}")
-        bits = np.asarray(self.bits)
+        bits = self.bits
+        if not (isinstance(bits, np.ndarray) and bits.dtype == bool and not bits.flags.writeable):
+            bits = _read_only(np.array(bits, dtype=bool))
         if bits.shape != (n, n):
             raise ValidationError(f"bit matrix must be {n} x {n}, got {bits.shape}")
-        object.__setattr__(self, "bits", bits.astype(bool))
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def random(cls, group: GroupSpec, density: float, seed: int) -> "PlaneSet":
@@ -85,15 +99,15 @@ class PlaneSet:
         for lo in range(0, n, _DRAW_ROWS):
             block = bits[lo : lo + _DRAW_ROWS]
             np.less(rng.random(block.shape), density, out=block)
-        return cls(group, bits)
+        return cls(group, _read_only(bits))
 
     @classmethod
     def empty(cls, group: GroupSpec) -> "PlaneSet":
-        return cls(group, np.zeros((group.order, group.order), dtype=bool))
+        return cls(group, _read_only(np.zeros((group.order, group.order), dtype=bool)))
 
     @classmethod
     def full(cls, group: GroupSpec) -> "PlaneSet":
-        return cls(group, np.ones((group.order, group.order), dtype=bool))
+        return cls(group, _read_only(np.ones((group.order, group.order), dtype=bool)))
 
     @property
     def size(self) -> int:
@@ -144,7 +158,7 @@ class PlaneSet:
         bad += np.searchsorted(np.cumsum(lengths), stray, side="right").tolist()
         if bad:
             raise ValidationError(f"row {min(bad)} must be {n} characters of 0/1")
-        result = cls(group, (chars == ord("1")).reshape(n, n))
+        result = cls(group, _read_only((chars == ord("1")).reshape(n, n)))
         if not abs(result.density - declared) <= 1e-9:  # a nan density fails too
             raise ValidationError(
                 f"header density {declared} does not match the bits ({result.density})"
@@ -194,28 +208,37 @@ def _pack_rows(bits: np.ndarray, words: int) -> np.ndarray:
 
 
 def _shifted_views(
-    rows: np.ndarray, offsets: Sequence[int], words: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (i, bits e, e+1, ... of each word-major packed row), e = offsets[i].
+    rows: np.ndarray, offsets: range, words: int
+) -> Iterator[tuple[range, np.ndarray]]:
+    """Yield (members, views) per shift class of word-major packed rows.
 
-    Each window is a (words, rows) view.  The offsets are grouped by residue
-    r = e % 64, and each residue is shifted once, over slabs lo .. hi of rows:
-    lo is the smallest e // 64 of its offsets and hi the largest plus words,
-    so rows must hold hi + 1 slabs.  On doubled rows a view is a cyclic shift
-    by e; on zero-padded rows it is a shift with zero fill.
+    A shift class is one residue r = e % 64 of the offsets e: members is the
+    range of indices i with offsets[i] % 64 == r, and views is a
+    (len(members), words, rows) view whose item j holds bits e, e+1, ... of
+    each row, e = offsets[members[j]].  The offsets of a class step by
+    lcm(offsets.step, 64) bits, so the class is shifted once, over slabs
+    lo .. hi of rows, and its views are windows of that plane at evenly
+    spaced slabs: lo is the first offset's e // 64 and hi the last one's
+    plus words, so rows must hold hi + 1 slabs and be C-contiguous.  On
+    doubled rows a view is a cyclic shift by e; on zero-padded rows it is a
+    shift with zero fill.
     """
-    by_residue: dict[int, list[int]] = {}
-    for i, e in enumerate(offsets):
-        by_residue.setdefault(e % 64, []).append(i)
-    for r, members in by_residue.items():
-        qs = [offsets[i] // 64 for i in members]
-        lo, hi = min(qs), max(qs) + words
+    period = 64 // math.gcd(offsets.step, 64)
+    for first in range(min(period, len(offsets))):
+        es = offsets[first::period]
+        lo, r = divmod(es[0], 64)
+        hi = es[-1] // 64 + words
         plane = rows[lo:hi]
         if r:
             plane = plane >> r
             plane |= rows[lo + 1 : hi + 1] << (64 - r)
-        for i, q in zip(members, qs):
-            yield i, plane[q - lo : q - lo + words]
+        if len(es) == 1:  # the whole plane, a cheaper view than a strided stack
+            views = plane[None]
+        else:
+            slab = plane.strides[0]
+            strides = (es.step // 64 * slab, slab, plane.strides[1])
+            views = np.ndarray((len(es), words, rows.shape[1]), rows.dtype, plane, 0, strides)
+        yield range(first, len(offsets), period), views
 
 
 def _shift_bits(rows: np.ndarray, k: int, slabs: int) -> np.ndarray:
@@ -307,60 +330,109 @@ def _cyclic_split(group: GroupSpec) -> tuple[np.ndarray, GroupSpec]:
     return group.index_of_coords(coords), H
 
 
+@lru_cache(maxsize=32)
+def _layout(group: GroupSpec) -> tuple[np.ndarray, GroupSpec, GroupSpec]:
+    """(labels, H, L) of _cyclic_split, cached per group, labels read-only.
+
+    L = Z_k x H is the layout group of the rows: index c * |H| + h is c on a
+    cycle of order k and H's element h, and with the rows repeated k / m
+    times (m = |C|), row c * |H| + h holds the element that is c mod m on C.
+    So the first |G| + s entries of L.translate_permutation(p) gather the
+    rows x + p for x < |G| + s, read cyclically, for s <= (k - m) * |H|.
+    k = 2m when a shift class of the profile, whose c's step by
+    64 / gcd(|H|, 64), has more than one member, and k = m otherwise, so no
+    call builds |G| entries that nothing reads.  H's factors of order 1 are
+    left out, which changes no index.
+    """
+    labels, H = _cyclic_split(group)
+    m = group.order // H.order
+    k = 2 * m if m > 64 // math.gcd(H.order, 64) else m
+    L = GroupSpec((k,) + tuple(a for a in H.moduli if a > 1))
+    return _read_only(labels), H, L
+
+
 def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
     """Exact N(d) for every d, via packed-row AND/popcount.
 
     For fixed d the three constraints are the bit matrix itself, its columns
-    permuted by y -> y+d, and its rows permuted by x -> x+d.  The row
-    permutation is a gather of packed rows by translate_permutation(d),
-    which sums slices of the group's window tables and gathers nothing.
+    permuted by y -> y+d, and its rows permuted by x -> x+d.
 
-    The columns are laid out once by _cyclic_split: position c * |H| + h
-    holds the element that is c on the cycle C and h on the complement H,
-    and rows are gathered in that order and packed into 64-bit words with a
-    zero tail, the one O(|G|^2) byte step.  The packed rows are word-major,
-    a (words, |G|) array with word w of row x at [w, x], so a shift reads two
-    contiguous slabs of rows and the row permutation is one gather along the
-    second axis.  Then y -> y+d is a translation by d's H-part inside every
-    block of |H| columns, followed by a cyclic shift of the whole row by
-    c_d * |H| bits, where c_d is d's C-part.  The map over d runs in
-    H-grouped order: _h_translations makes the rows of each H-part from
-    those of the one before by masked shifts of the packed words, and the
-    rows are doubled by two word shifts.  Each d of that H-part reads its
-    shift by c_d * |H| as a view from _shifted_views, which shifts once per
-    bit residue; then two ANDs into one buffer, the row gather and a popcount
-    into another, O(|G|^2 / 64) word work.  Only the doubled rows of the
-    current H-part are kept.  A cyclic group is the case |H| = 1.
+    Rows and columns share one layout, from _cyclic_split: position
+    c * |H| + h holds the element that is c on the cycle C and h on the
+    complement H.  The columns are gathered in that order and packed into
+    64-bit words with a zero tail, the one O(|G|^2) byte step, and the packed
+    rows are then gathered in the same order.  The packed rows are
+    word-major, a (words, |G|) array with word w of row x at [w, x], so a
+    shift reads two contiguous slabs of rows and a row permutation is one
+    gather along the second axis.  Then y -> y+d is a translation by d's
+    H-part inside every block of |H| columns, followed by a cyclic shift of
+    the whole row by c_d * |H| bits, where c_d is d's C-part; and x -> x+d
+    is a translation of the layout group L of _layout.
+
+    The map runs over shift classes: the d's of one H-part whose shifts
+    c_d * |H| share one bit residue mod 64.  _h_translations makes the rows
+    of each H-part from those of the one before by masked shifts of the
+    packed words, the rows are doubled by two word shifts, and
+    _shifted_views shifts each class once and yields its members' column
+    views as one strided stack.  The members' c's are evenly spaced, so x+d
+    for every member is a window of one row gather per class, by
+    L.translate_permutation of its first d: member c reads it at row offset
+    (c - c0) * |H|.  Two ANDs, a popcount and one sum per member then run
+    over (k, words, |G|) stacks of at most _CHUNK_BYTES of words,
+    O(|G|^2 / 64) word work per d; a class of one d runs the same ops on
+    plain (words, |G|) arrays.  Only the doubled rows of the current H-part
+    are kept.  A cyclic group is the case |H| = 1.
     """
     group = A.group
     n = group.order
-    labels, H = _cyclic_split(group)
+    labels, H, layout = _layout(group)
     nh = H.order
     words = -(-n // 64)
+    order = labels.ravel()
 
-    packed = _pack_rows(np.take(A.bits, labels.ravel(), axis=1), words)
-    both = np.empty((words, n), dtype=np.uint64)
-    both_flat = both.reshape(-1)
-    ones = np.empty(words * n, dtype=np.uint8)
+    packed = _pack_rows(np.take(A.bits, order, axis=1), words).take(order, axis=1)
+    repeated = np.tile(packed, (1, layout.order // n))  # the rows of L
+    # members per batch: the largest class, whose c's step by 64 / gcd(|H|, 64),
+    # or fewer to stay within the budget
+    most = -(-(n // nh) // (64 // math.gcd(nh, 64)))
+    chunk = max(1, min(most, _CHUNK_BYTES // (8 * words * n)))
+    both = np.empty((chunk, words, n), dtype=np.uint64)
+    ones = np.empty((chunk, words * n), dtype=np.uint8)
+    one, one_flat, one_ones = both[0], both[0].reshape(-1), ones[0]
     by_h = labels.T.tolist()  # by_h[h][c] = labels[c, h], as Python ints
 
-    def differences():
-        """(d, its shifted rows), H-part by H-part and residue by residue."""
+    def classes():
+        """(d's of the H-part by c, h, cs, shifted rows of each c in cs): one
+        shift class per item."""
         for h, rows in _h_translations(packed, H, n, words):
             doubled = _double_rows(rows, n, words)
-            ds = by_h[h]
-            for c, view in _shifted_views(doubled, range(0, n, nh), words):
-                yield ds[c], view
+            for cs, views in _shifted_views(doubled, range(0, n, nh), words):
+                yield by_h[h], h, cs, views
 
-    def count_one(item: tuple[int, np.ndarray]) -> tuple[int, int]:
-        d, view = item
-        np.bitwise_and(view, packed, out=both)
-        np.bitwise_and(both, packed.take(group.translate_permutation(d), axis=1), out=both)
-        return d, int(np.add.reduce(np.bitwise_count(both_flat, out=ones), dtype=np.int32))
+    def count_class(item: tuple[list[int], int, range, np.ndarray]) -> list[tuple[int, int]]:
+        ds, h, cs, views = item
+        perm = layout.translate_permutation(cs[0] * nh + h)
+        if len(cs) == 1:
+            np.bitwise_and(views[0], packed, out=one)
+            np.bitwise_and(one, repeated.take(perm[:n], axis=1), out=one)
+            count = np.add.reduce(np.bitwise_count(one_flat, out=one_ones), dtype=np.int32)
+            return [(ds[cs[0]], int(count))]
+        step = cs.step * nh  # rows between members: x + d for c is row x + (c - c0) * |H|
+        block = repeated.take(perm[: n + (len(cs) - 1) * step], axis=1)
+        gathered = np.ndarray(views.shape, np.uint64, block, 0, (8 * step, block.strides[0], 8))
+        counts = []
+        for lo in range(0, len(cs), chunk):
+            k = min(chunk, len(cs) - lo)
+            np.bitwise_and(views[lo : lo + k], packed, out=both[:k])
+            np.bitwise_and(both[:k], gathered[lo : lo + k], out=both[:k])
+            np.bitwise_count(both[:k].reshape(k, -1), out=ones[:k])
+            counts += np.add.reduce(ones[:k], axis=1, dtype=np.int32).tolist()
+        return list(zip([ds[c] for c in cs], counts))
 
     counts = np.empty(n, dtype=np.int64)
-    for d, count in deterministic_map(count_one, differences()):
-        counts[d] = count
+    for pairs in deterministic_map(count_class, classes()):
+        for d, count in pairs:
+            counts[d] = count
     profile = CornerProfile(group, counts)
     if profile.counts[0] != A.size:
         raise BoundViolation("N(0) must equal |A|; packed path is inconsistent")
@@ -510,18 +582,18 @@ def integer_corner_scan(bits: np.ndarray, rho: RationalLike = Fraction(1, 4)) ->
     both = np.empty(words * n, dtype=np.uint64)
     ones = np.empty(words * n, dtype=np.uint8)
     profile = dict.fromkeys(candidates, 0)
-    for i, shifted in _shifted_views(padded, [abs(d) for d in candidates], words):
-        d = candidates[i]
-        e = abs(d)
-        size = words * (n - e)
-        block = both[:size].reshape(words, n - e)
-        if d > 0:
+    # the candidates are +-1 .. +-E, so each shift by e serves d = e and d = -e
+    for members, views in _shifted_views(padded, range(1, max(candidates, default=0) + 1), words):
+        for i, shifted in zip(members, views):
+            e = i + 1
+            size = words * (n - e)
+            block = both[:size].reshape(words, n - e)
             np.bitwise_and(rows[:, : n - e], shifted[:, : n - e], out=block)
             np.bitwise_and(block, rows[:, e:], out=block)
-        else:
+            profile[e] = int(np.bitwise_count(both[:size], out=ones[:size]).sum(dtype=np.int32))
             np.bitwise_and(shifted[:, e:], rows[:, e:], out=block)
             np.bitwise_and(block, shifted[:, : n - e], out=block)
-        profile[d] = int(np.bitwise_count(both[:size], out=ones[:size]).sum(dtype=np.int32))
+            profile[-e] = int(np.bitwise_count(both[:size], out=ones[:size]).sum(dtype=np.int32))
     # candidate order follows element enumeration, so the first maximum wins;
     # with no nonzero candidate at this radius the scan reports d = 0, count 0
     best_d = max(candidates, key=profile.__getitem__, default=0)

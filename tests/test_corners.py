@@ -1,5 +1,8 @@
 """Corner profiles, popular differences, weighted counts, and the grid scan."""
 
+import hashlib
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -124,12 +127,84 @@ def test_profile_edge_inputs_on_product_groups(spec):
         assert np.array_equal(corner_count_by_difference(S).counts, corner_count_naive(S).counts)
 
 
+@pytest.mark.parametrize("budget", [1, 64 * 2**20])
+@pytest.mark.parametrize("spec", ["Z6", "Z2xZ4", "Z6xZ10", "Z3xZ3xZ3xZ3"])
+def test_profile_matches_naive_oracle_at_either_chunk_extreme(monkeypatch, budget, spec):
+    # budget 1 counts one d per chunk; 64 MiB counts each shift class in one chunk
+    monkeypatch.setattr(corners, "_CHUNK_BYTES", budget)
+    A = seeded_set(spec, 0.5, 5)
+    assert np.array_equal(corner_count_by_difference(A).counts, corner_count_naive(A).counts)
+
+
+@pytest.mark.parametrize("budget", [1, 64 * 2**20])
+@pytest.mark.parametrize(
+    "spec",
+    # Z128: classes of two d's; the others: up to 12 d's a class, cyclic or on one
+    # or two H-digits
+    ["Z128", "Z512", "Z8xZ63", "Z16xZ48", "Z2xZ4xZ64"],
+)
+def test_profile_matches_roll_reference_at_either_chunk_extreme(monkeypatch, budget, spec):
+    monkeypatch.setattr(corners, "_CHUNK_BYTES", budget)
+    A = seeded_set(spec, 0.5, 23)
+    assert np.array_equal(corner_count_by_difference(A).counts, roll_profile(A))
+
+
+@st.composite
+def small_moduli(draw):
+    """Up to four cyclic factors, the group of order at most 128."""
+    moduli = []
+    for _ in range(draw(st.integers(1, 4))):
+        moduli.append(draw(st.integers(1, min(128 // math.prod(moduli), 64))))
+    return tuple(moduli)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_moduli(), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 2**32))
+def test_profile_equals_naive_oracle_on_random_moduli(moduli, density, seed):
+    A = PlaneSet.random(GroupSpec(moduli), density, seed)
+    assert np.array_equal(corner_count_by_difference(A).counts, corner_count_naive(A).counts)
+
+
+@pytest.mark.parametrize(
+    "spec, density, seed, digest",
+    [
+        # sha256 of the int64 little-endian counts, recorded from the per-d kernel
+        ("Z2048", 0.3, 11, "33c0d22432753eb5b5b203409e2002f9189c9a94af4ff2d43e7798f75a07866e"),
+        ("Z32xZ64", 0.5, 12, "6ecd110cd68d330eee12684601be2d2987fd7442d012bdac1daabff1eb4092d9"),
+    ],
+    ids=["Z2048", "Z32xZ64"],
+)
+def test_profile_is_pinned_on_large_seeded_sets(spec, density, seed, digest):
+    counts = corner_count_by_difference(seeded_set(spec, density, seed)).counts
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec, classes", [("Z6", 6), ("Z512", 64), ("Z16xZ48", 64)])
+def test_profile_gathers_rows_once_per_shift_class(monkeypatch, spec, classes):
+    # one row gather, by one translate_permutation, per shift class: Z6 has
+    # six classes of one d, Z512 64 residues of 8 d's, and Z16xZ48 16 H-parts
+    # of 4 residues of 12 d's; a per-d gather would make |G| calls
+    calls = []
+    translate = GroupSpec.translate_permutation
+
+    def counted(self, d_index):
+        calls.append(d_index)
+        return translate(self, d_index)
+
+    monkeypatch.setattr(GroupSpec, "translate_permutation", counted)
+    A = seeded_set(spec, 0.5, 3)
+    counts = corner_count_by_difference(A).counts
+    assert len(calls) == classes
+    monkeypatch.undo()
+    assert np.array_equal(counts, roll_profile(A))
+
+
 def test_profile_raises_when_n0_is_not_the_set_size(monkeypatch):
     shifted_views = corners._shifted_views
 
     def zero_views(rows, offsets, words):
-        for i, view in shifted_views(rows, offsets, words):
-            yield i, np.zeros_like(view)
+        for members, views in shifted_views(rows, offsets, words):
+            yield members, np.zeros_like(views)
 
     monkeypatch.setattr(corners, "_shifted_views", zero_views)
     with pytest.raises(BoundViolation):
@@ -151,35 +226,36 @@ def shifted_reference(rows, e, words):
     st.integers(1, 5),
     st.integers(1, 4),
     st.integers(1, 5),
-    st.sampled_from(["increasing", "zscan", "one residue", "multiples of 64", "last slab"]),
+    st.sampled_from(["any step", "zscan", "one residue", "multiples of 64", "last slab"]),
     st.data(),
 )
 def test_shifted_views_equal_a_python_int_reference(words, extra, cols, kind, data):
     # rows hold words + extra slabs, so every offset below 64 * extra has its
     # window and carry word inside them; 64 * extra - 1 reaches the last slab
     span = 64 * extra
-    some_words = st.lists(st.integers(0, extra - 1), min_size=1, max_size=6)
-    if kind == "increasing":
-        offsets = sorted(data.draw(st.sets(st.integers(0, span - 1), min_size=1, max_size=20)))
+    start = data.draw(st.integers(0, span - 1))
+    if kind == "any step":
+        offsets = range(start, data.draw(st.integers(start, span)), data.draw(st.integers(1, 130)))
     elif kind == "zscan":
-        # positive candidates, then the negatives from the most negative up
-        pos, neg = data.draw(st.integers(1, span)), data.draw(st.integers(1, span))
-        offsets = list(range(1, pos)) + list(range(neg - 1, 0, -1))
+        # the integer scan's offsets 1 .. E, each read for +e and -e
+        offsets = range(1, data.draw(st.integers(1, span)))
     elif kind == "one residue":
-        r = data.draw(st.integers(0, 63))
-        offsets = [64 * q + r for q in data.draw(some_words)]
+        offsets = range(start, span, 64 * data.draw(st.integers(1, 3)))
     elif kind == "multiples of 64":
-        offsets = [64 * q for q in data.draw(some_words)]
+        offsets = range(0, span, 64)
     else:
-        offsets = data.draw(st.lists(st.integers(0, span - 1), max_size=8)) + [span - 1]
-        offsets = data.draw(st.permutations(offsets))
+        step = data.draw(st.integers(1, span))
+        offsets = range(span - 1 - step * data.draw(st.integers(0, (span - 1) // step)), span, step)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
     rows = rng.integers(0, 2**64, size=(words + extra, cols), dtype=np.uint64)
     seen = []
-    for i, view in corners._shifted_views(rows, offsets, words):
-        seen.append(i)
-        assert view.shape == (words, cols)
-        assert np.array_equal(view, shifted_reference(rows, offsets[i], words))
+    for members, views in corners._shifted_views(rows, offsets, words):
+        # one class per item: its offsets share one bit residue
+        assert len({offsets[i] % 64 for i in members}) == 1
+        assert views.shape == (len(members), words, cols)
+        for i, view in zip(members, views):
+            seen.append(i)
+            assert np.array_equal(view, shifted_reference(rows, offsets[i], words))
     assert sorted(seen) == list(range(len(offsets)))
 
 
@@ -637,6 +713,40 @@ def test_plane_set_random_equals_one_draw_of_the_whole_plane(monkeypatch, n, dra
     for density, seed in ((0.3, 7), (0.5, 2**31), (0.0, 1), (1.0, 2)):
         one_shot = np.random.default_rng(seed).random((n, n)) < density
         assert np.array_equal(PlaneSet.random(GroupSpec((n,)), density, seed).bits, one_shot)
+
+
+def test_plane_set_bits_are_read_only_and_never_share_a_writeable_array():
+    G = parse_group_spec("Z2xZ3")
+    mine = np.zeros((6, 6), dtype=bool)
+    A = PlaneSet(G, mine)
+    mine[0, 0] = True
+    assert not A.bits[0, 0] and not np.shares_memory(A.bits, mine)
+    with pytest.raises(ValueError):
+        A.bits[1, 1] = True
+    # non-bool input is converted once and frozen as well
+    assert PlaneSet(G, mine.astype(np.uint8)).bits.dtype == bool
+    # a read-only bool array is kept as it is
+    frozen = mine.copy()
+    frozen.flags.writeable = False
+    assert PlaneSet(G, frozen).bits is frozen
+    made = [PlaneSet.random(G, 0.5, 1), PlaneSet.empty(G), PlaneSet.full(G), A.transpose(),
+            PlaneSet.from_text(A.to_text())]
+    assert all(not S.bits.flags.writeable and S.bits.dtype == bool for S in made)
+    assert np.shares_memory(A.transpose().bits, A.bits)
+
+
+def test_plane_set_random_holds_one_copy_of_the_plane():
+    # a fresh draw is handed over, not copied: at Z2048 the 4 MiB plane plus
+    # one block of float64 draws, where a second copy would peak past 8 MiB
+    G = parse_group_spec("Z2048")
+    PlaneSet.random(G, 0.5, 1)
+    tracemalloc.start()
+    try:
+        PlaneSet.random(G, 0.5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2048**2, peak
 
 
 def test_plane_set_random_rejects_negative_seed():
