@@ -61,13 +61,27 @@ _DRAW_ROWS = 64  # rows per block of PlaneSet.random; any value gives the same b
 _CHUNK_BYTES = 2**19
 
 
+def _frozen(arr: np.ndarray) -> bool:
+    """True when arr and every array along its chain of bases are read-only
+    and the chain ends at an array that owns its memory."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        if arr.base is None:
+            return True
+        arr = arr.base
+    return False
+
+
 @dataclass(frozen=True, eq=False)
 class PlaneSet:
     """A subset of G x G as a bit matrix; rows are x, columns are y.
 
-    A PlaneSet holds a read-only bool array.  A read-only bool array passed
-    in is kept as it is; any other input is copied once and then frozen, so
-    a caller's writeable array is never shared.
+    A PlaneSet holds a read-only bool array.  A bool array passed in is kept
+    as it is when it and every array whose memory it views are read-only;
+    any other input, a read-only view of a writeable array too, is copied
+    once and then frozen, so a caller's writeable array is never shared.
+    An array kept as it is must not be made writeable again by its owner.
     """
 
     group: GroupSpec
@@ -77,7 +91,7 @@ class PlaneSet:
         n = self.group.order
         check_cap(n, PROFILE_CAP, "plane sets are capped at |G| <= {cap}, got {size}")
         bits = self.bits
-        if not (isinstance(bits, np.ndarray) and bits.dtype == bool and not bits.flags.writeable):
+        if not (isinstance(bits, np.ndarray) and bits.dtype == bool and _frozen(bits)):
             bits = _read_only(np.array(bits, dtype=bool))
         if bits.shape != (n, n):
             raise ValidationError(f"bit matrix must be {n} x {n}, got {bits.shape}")
@@ -158,7 +172,7 @@ class PlaneSet:
         bad += np.searchsorted(np.cumsum(lengths), stray, side="right").tolist()
         if bad:
             raise ValidationError(f"row {min(bad)} must be {n} characters of 0/1")
-        result = cls(group, _read_only((chars == ord("1")).reshape(n, n)))
+        result = cls(group, _read_only(chars == ord("1")).reshape(n, n))
         if not abs(result.density - declared) <= 1e-9:  # a nan density fails too
             raise ValidationError(
                 f"header density {declared} does not match the bits ({result.density})"
@@ -232,12 +246,9 @@ def _shifted_views(
         if r:
             plane = plane >> r
             plane |= rows[lo + 1 : hi + 1] << (64 - r)
-        if len(es) == 1:  # the whole plane, a cheaper view than a strided stack
-            views = plane[None]
-        else:
-            slab = plane.strides[0]
-            strides = (es.step // 64 * slab, slab, plane.strides[1])
-            views = np.ndarray((len(es), words, rows.shape[1]), rows.dtype, plane, 0, strides)
+        slab = plane.strides[0]
+        strides = (es.step // 64 * slab, slab, plane.strides[1])
+        views = np.ndarray((len(es), words, rows.shape[1]), rows.dtype, plane, 0, strides)
         yield range(first, len(offsets), period), views
 
 
@@ -391,7 +402,8 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
     order = labels.ravel()
 
     packed = _pack_rows(np.take(A.bits, order, axis=1), words).take(order, axis=1)
-    repeated = np.tile(packed, (1, layout.order // n))  # the rows of L
+    # the rows of L: packed itself when L has |G| elements, as it is only read
+    repeated = packed if layout.order == n else np.tile(packed, (1, layout.order // n))
     # members per batch: the largest class, whose c's step by 64 / gcd(|H|, 64),
     # or fewer to stay within the budget
     most = -(-(n // nh) // (64 // math.gcd(nh, 64)))

@@ -1,4 +1,4 @@
-"""The per-difference map of the corner profile.
+"""The per-shift-class map of the corner profile.
 
 A plain in-order map, kept as a named function so that a profiler can wrap
 the profile's inner loop by name.

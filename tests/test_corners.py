@@ -729,6 +729,12 @@ def test_plane_set_bits_are_read_only_and_never_share_a_writeable_array():
     frozen = mine.copy()
     frozen.flags.writeable = False
     assert PlaneSet(G, frozen).bits is frozen
+    # a read-only view of a writeable array is copied: the owner can still write
+    view = mine.view()
+    view.flags.writeable = False
+    B = PlaneSet(G, view)
+    mine[1, 1] = True
+    assert not B.bits[1, 1] and not np.shares_memory(B.bits, mine)
     made = [PlaneSet.random(G, 0.5, 1), PlaneSet.empty(G), PlaneSet.full(G), A.transpose(),
             PlaneSet.from_text(A.to_text())]
     assert all(not S.bits.flags.writeable and S.bits.dtype == bool for S in made)
