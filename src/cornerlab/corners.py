@@ -15,11 +15,13 @@ word w of every row, so a shift by e bits reads two contiguous slabs and a
 row permutation is one gather along the second axis.  The d's of one H-part
 whose shifts share a bit residue mod 64 form a shift class: the class is
 shifted once, and its d's are counted together, their column shifts read as
-evenly spaced slab windows of that plane and their row translations as
-evenly spaced windows of one row gather.  A d costs O(|G|^2 / 64) word work
-and a class one row gather, after one O(|G|^2) byte gather per profile; a
-cyclic group is the case |H| = 1.  A literal triple loop serves as the
-oracle the packed path is checked against.
+evenly spaced slab windows of that plane, their row translations as evenly
+spaced windows of one row gather, and their counts written as one evenly
+spaced slice of the profile, which is kept by layout position and put in
+element order once.  A d costs O(|G|^2 / 64) word work and a class one row
+gather, after one O(|G|^2) byte gather per profile; a cyclic group is the
+case |H| = 1.  A literal triple loop serves as the oracle the packed path is
+checked against.
 
 Weighted counts integrate the profile against a mean-one measure nu on the
 differences, which equals the triple integral over the hyperplane
@@ -191,15 +193,19 @@ class PlaneSet:
 
 @dataclass(frozen=True, eq=False)
 class CornerProfile:
-    """Per-difference corner counts N(d), indexed by element enumeration."""
+    """Per-difference corner counts N(d), indexed by element enumeration, as
+    a read-only int64 copy of integer input (floats and bools are refused)."""
 
     group: GroupSpec
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
         if counts.shape != (self.group.order,):
             raise ValidationError("profile length must equal the group order")
+        if not np.issubdtype(counts.dtype, np.integer):  # bool is not an integer dtype
+            raise ValidationError(f"corner counts must be integers, got dtype {counts.dtype}")
+        counts = _read_only(counts.astype(np.int64))
         if counts.min(initial=0) < 0:
             raise ValidationError("corner counts cannot be negative")
         object.__setattr__(self, "counts", counts)
@@ -346,10 +352,11 @@ def _layout(group: GroupSpec) -> tuple[np.ndarray, GroupSpec, GroupSpec]:
     """(labels, H, L) of _cyclic_split, cached per group, labels read-only.
 
     L = Z_k x H is the layout group of the rows: index c * |H| + h is c on a
-    cycle of order k and H's element h, and with the rows repeated k / m
-    times (m = |C|), row c * |H| + h holds the element that is c mod m on C.
-    So the first |G| + s entries of L.translate_permutation(p) gather the
-    rows x + p for x < |G| + s, read cyclically, for s <= (k - m) * |H|.
+    cycle of order k and H's element h.  Read mod |G|, as a gather with
+    mode="wrap" reads it, index c * |H| + h is the row of the element that
+    is c mod m on C and h on H (m = |C|).  So the first |G| + s entries of
+    L.translate_permutation(p) gather the rows x + p for x < |G| + s, read
+    cyclically, for s <= (k - m) * |H|.
     k = 2m when a shift class of the profile, whose c's step by
     64 / gcd(|H|, 64), has more than one member, and k = m otherwise, so no
     call builds |G| entries that nothing reads.  H's factors of order 1 are
@@ -391,8 +398,10 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
     (c - c0) * |H|.  Two ANDs, a popcount and one sum per member then run
     over (k, words, |G|) stacks of at most _CHUNK_BYTES of words,
     O(|G|^2 / 64) word work per d; a class of one d runs the same ops on
-    plain (words, |G|) arrays.  Only the doubled rows of the current H-part
-    are kept.  A cyclic group is the case |H| = 1.
+    plain (words, |G|) arrays.  Counts are kept by layout position, a
+    class's as one strided slice, and put in element order once.  Only the
+    doubled rows of the current H-part are kept.  A cyclic group is the case
+    |H| = 1.
     """
     group = A.group
     n = group.order
@@ -402,8 +411,6 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
     order = labels.ravel()
 
     packed = _pack_rows(np.take(A.bits, order, axis=1), words).take(order, axis=1)
-    # the rows of L: packed itself when L has |G| elements, as it is only read
-    repeated = packed if layout.order == n else np.tile(packed, (1, layout.order // n))
     # members per batch: the largest class, whose c's step by 64 / gcd(|H|, 64),
     # or fewer to stay within the budget
     most = -(-(n // nh) // (64 // math.gcd(nh, 64)))
@@ -411,40 +418,39 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
     both = np.empty((chunk, words, n), dtype=np.uint64)
     ones = np.empty((chunk, words * n), dtype=np.uint8)
     one, one_flat, one_ones = both[0], both[0].reshape(-1), ones[0]
-    by_h = labels.T.tolist()  # by_h[h][c] = labels[c, h], as Python ints
+    found = np.empty(n, dtype=np.int64)  # N by layout position c * |H| + h
 
     def classes():
-        """(d's of the H-part by c, h, cs, shifted rows of each c in cs): one
-        shift class per item."""
+        """(h, cs, shifted rows of each c in cs): one shift class per item."""
         for h, rows in _h_translations(packed, H, n, words):
             doubled = _double_rows(rows, n, words)
             for cs, views in _shifted_views(doubled, range(0, n, nh), words):
-                yield by_h[h], h, cs, views
+                yield h, cs, views
 
-    def count_class(item: tuple[list[int], int, range, np.ndarray]) -> list[tuple[int, int]]:
-        ds, h, cs, views = item
-        perm = layout.translate_permutation(cs[0] * nh + h)
+    def count_class(item: tuple[int, range, np.ndarray]) -> None:
+        h, cs, views = item
+        first = cs[0] * nh + h
+        step = cs.step * nh  # rows between members: x + d for c is row x + (c - c0) * |H|
+        perm = layout.translate_permutation(first)
+        # an index of L read mod |G| is the packed row it stands for (_layout)
+        block = packed.take(perm[: n + (len(cs) - 1) * step], axis=1, mode="wrap")
         if len(cs) == 1:
             np.bitwise_and(views[0], packed, out=one)
-            np.bitwise_and(one, repeated.take(perm[:n], axis=1), out=one)
-            count = np.add.reduce(np.bitwise_count(one_flat, out=one_ones), dtype=np.int32)
-            return [(ds[cs[0]], int(count))]
-        step = cs.step * nh  # rows between members: x + d for c is row x + (c - c0) * |H|
-        block = repeated.take(perm[: n + (len(cs) - 1) * step], axis=1)
+            np.bitwise_and(one, block, out=one)
+            found[first] = np.add.reduce(np.bitwise_count(one_flat, out=one_ones), dtype=np.int32)
+            return
         gathered = np.ndarray(views.shape, np.uint64, block, 0, (8 * step, block.strides[0], 8))
-        counts = []
         for lo in range(0, len(cs), chunk):
             k = min(chunk, len(cs) - lo)
             np.bitwise_and(views[lo : lo + k], packed, out=both[:k])
             np.bitwise_and(both[:k], gathered[lo : lo + k], out=both[:k])
             np.bitwise_count(both[:k].reshape(k, -1), out=ones[:k])
-            counts += np.add.reduce(ones[:k], axis=1, dtype=np.int32).tolist()
-        return list(zip([ds[c] for c in cs], counts))
+            start = first + lo * step
+            found[start : start + k * step : step] = np.add.reduce(ones[:k], axis=1, dtype=np.int32)
 
+    deterministic_map(count_class, classes())
     counts = np.empty(n, dtype=np.int64)
-    for pairs in deterministic_map(count_class, classes()):
-        for d, count in pairs:
-            counts[d] = count
+    counts[order] = found
     profile = CornerProfile(group, counts)
     if profile.counts[0] != A.size:
         raise BoundViolation("N(0) must equal |A|; packed path is inconsistent")

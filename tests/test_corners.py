@@ -14,6 +14,7 @@ from cornerlab import (
     BohrSet,
     BoundViolation,
     CapExceededError,
+    CornerProfile,
     GroupFunction,
     GroupSpec,
     PlaneSet,
@@ -85,7 +86,7 @@ _NON_CYCLIC = st.sampled_from([
 )
 def test_profile_equals_naive_oracle_on_random_groups(moduli, density, seed):
     A = PlaneSet.random(GroupSpec(moduli), density, seed)
-    assert np.array_equal(corner_count_by_difference(A).counts, corner_count_naive(A).counts)
+    assert np.array_equal(corner_count_by_difference(A).counts, reference_profile(A))
 
 
 def roll_profile(A):
@@ -100,6 +101,26 @@ def roll_profile(A):
         both = grid & np.roll(grid, shift, axis=cols) & np.roll(grid, shift, axis=rows)
         counts.append(int(both.sum()))
     return np.asarray(counts)
+
+
+def reference_profile(A):
+    """The naive oracle up to order 32, roll_profile above it: a failing
+    property test then shrinks in seconds, not through an O(|G|^3) loop."""
+    return corner_count_naive(A).counts if A.group.order <= 32 else roll_profile(A)
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [
+        (1,), (2,), (31,), (33,), (63,), (64,), (3, 5), (2, 3, 7), (1, 64), (7, 9),
+        (4, 6), (1, 2, 2), (2, 32), (8, 8), (2, 3, 4), (6, 10), (4, 3, 4), (2,) * 6,
+        (3, 3, 7), (4,) * 3, (1, 3, 1, 5),
+    ],
+)
+def test_roll_reference_equals_the_naive_oracle(moduli):
+    # pins the faster reference that the property tests use above order 32
+    A = PlaneSet.random(GroupSpec(moduli), 0.5, sum(moduli))
+    assert np.array_equal(roll_profile(A), corner_count_naive(A).counts)
 
 
 @pytest.mark.parametrize(
@@ -162,7 +183,7 @@ def small_moduli(draw):
 @given(small_moduli(), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 2**32))
 def test_profile_equals_naive_oracle_on_random_moduli(moduli, density, seed):
     A = PlaneSet.random(GroupSpec(moduli), density, seed)
-    assert np.array_equal(corner_count_by_difference(A).counts, corner_count_naive(A).counts)
+    assert np.array_equal(corner_count_by_difference(A).counts, reference_profile(A))
 
 
 @pytest.mark.parametrize(
@@ -376,6 +397,39 @@ def test_profile_invariants():
     prof_t = corner_count_by_difference(A.transpose())
     assert prof.total == prof_t.total
     assert abs(total_density(prof) - prof.total / 12**3) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [[1.7, 2.2, 0.5], np.array([1.0, 2.0, 0.0]), [True, False, True], ["1", "2", "0"]],
+    ids=["float list", "float array", "bools", "strings"],
+)
+def test_profile_rejects_counts_that_are_not_integers(counts):
+    with pytest.raises(ValidationError, match="integers"):
+        CornerProfile(parse_group_spec("Z3"), counts)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [([1, 2], "length"), ([[1, 2, 3]], "length"), ([3, -1, 0], "negative")],
+)
+def test_profile_rejects_a_wrong_length_or_a_negative_count(counts, message):
+    with pytest.raises(ValidationError, match=message):
+        CornerProfile(parse_group_spec("Z3"), counts)
+
+
+def test_profile_owns_a_read_only_int64_copy_of_its_counts():
+    G = parse_group_spec("Z3")
+    mine = np.array([3, 1, 1])
+    P = CornerProfile(G, mine)
+    mine[0] = -9
+    assert P.counts.tolist() == [3, 1, 1] and not np.shares_memory(P.counts, mine)
+    with pytest.raises(ValueError):
+        P.counts[0] = -9
+    for counts in ([3, 1, 1], np.array([3, 1, 1], dtype=np.uint8)):
+        held = CornerProfile(G, counts).counts
+        assert held.dtype == np.int64 and not held.flags.writeable
+        assert held.tolist() == [3, 1, 1]
 
 
 # ---------------------------------------------------------- popular difference
