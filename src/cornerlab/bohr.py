@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import BoundViolation, GroupMismatchError, ValidationError, check_cap
+from .errors import BoundViolation, GroupMismatchError, ValidationError, check_cap, check_int
 from .fourier import GroupFunction
 from .groups import Character, Element, GroupSpec, torus_norm_fraction
 
@@ -107,8 +107,7 @@ def volume_lower_bound(s: int, rho: RationalLike) -> Fraction:
 
     Covering G by N^{|S|} translates of B(S, rho) forces mu(B) >= N^{-|S|}.
     """
-    if s < 0:
-        raise ValidationError("frequency count must be nonnegative")
+    s = check_int(s, "frequency count", 0)
     r = _as_fraction(rho, "rho")
     if not (0 < r <= Fraction(1, 2)):
         raise ValidationError(f"rho must lie in (0, 1/2], got {r}")
@@ -181,12 +180,14 @@ class BohrPartition:
 
 def translate_containment_bound(s: int, rho: RationalLike, delta: RationalLike) -> Fraction:
     """Pinned prediction 8 * rho * |S| / delta for the translate check."""
+    s = check_int(s, "frequency count", 0)
     return 8 * _as_fraction(rho, "rho") * s / _as_fraction(delta, "delta")
 
 
 def part_absorption_bound(s: int, rho: RationalLike, delta_prime: RationalLike) -> Fraction:
     """Pinned prediction 4 * delta' * |S| / (rho * C) with C the covering
     constant N^{-|S|} from volume_lower_bound."""
+    s = check_int(s, "frequency count", 0)
     r = _as_fraction(rho, "rho")
     C = volume_lower_bound(s, r)
     return 4 * _as_fraction(delta_prime, "delta_prime") * s / (r * C)

@@ -461,7 +461,7 @@ def corner_count_naive(A: PlaneSet, cap: int = _NAIVE_CAP) -> CornerProfile:
     """Literal triple loop over (d, x, y); the oracle for the packed path."""
     group = A.group
     n = group.order
-    check_cap(n, cap, "group order {size} exceeds naive-oracle cap {cap}")
+    check_cap(n, check_int(cap, "cap", 1), "group order {size} exceeds naive-oracle cap {cap}")
     bits = A.bits
     counts = np.zeros(n, dtype=np.int64)
     idx = np.arange(n)

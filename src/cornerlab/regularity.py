@@ -220,48 +220,6 @@ def _cut_is_exact(order: int) -> bool:
     return order <= _CUT_AUTO_EXACT
 
 
-def _pairwise_order(n: int) -> list[int]:
-    """The row order in which _pairwise_column_sums adds n <= 16 rows.
-
-    numpy's .sum(axis=1) adds a row of n < 8 values one at a time, in order.
-    A row of 8 <= n <= 16 values goes into eight running sums r_k = a_k
-    (+ a_{k+8} when n = 16), joined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5)
-    + (r6 + r7)), and then a_8 .. a_{n-1} are added in turn when n < 16.
-    Placing each block of eight in bit-reversed order turns every level of
-    that tree into the sum of two contiguous halves.
-    """
-    if n < 8:
-        return list(range(n))
-    tree = [0, 4, 2, 6, 1, 5, 3, 7]
-    return tree + ([8 + k for k in tree] if n == 16 else list(range(8, n)))
-
-
-def _pairwise_column_sums(X: np.ndarray) -> np.ndarray:
-    """B.sum(axis=1) bit for bit, signed zeros included, for a block B of
-    row sets given as X = B.T[_pairwise_order(n)]; X is overwritten.
-
-    Each running sum is a whole row, so a block of row sets is summed in a
-    few vector additions instead of one short reduction per row set.  As in
-    numpy, a sum of n < 8 values starts from 0.0, and the tree's result is
-    added to 0.0 at the end, which turns -0.0 into 0.0.
-    """
-    n = len(X)
-    if n < 8:
-        total = X[0] + 0.0
-        for row in X[1:]:
-            total += row
-        return total
-    if n == 16:
-        np.add(X[:8], X[8:], out=X[:8])
-    np.add(X[:4], X[4:8], out=X[:4])
-    np.add(X[:2], X[2:4], out=X[:2])
-    total = X[0] + X[1]
-    for row in X[8 : n % 16]:
-        total += row
-    total += 0.0
-    return total
-
-
 def _exact_witness(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Best two-sided (g, h) in {0,1}^n x {0,1}^n for (1/n^2) sum (+-M) g h, exactly.
 
@@ -275,12 +233,8 @@ def _exact_witness(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     calling thread: a 2^13-row product went to a second BLAS thread and took
     about twice as long whenever another process held the other core.
 
-    The chunk's sums are laid out column-major, one row per column of M in
-    _pairwise_order.  That product adds each entry's exact 0/1 multiples as
-    the row-major product bits.T @ M does, bit for bit, and
-    _pairwise_column_sums adds a row set's clipped sums as .sum(axis=1) adds
-    them, so every value and every first-maximum tie is that of the
-    row-major enumeration.
+    The chunk's sums are laid out column-major, one row per column of M, so
+    a row set's clipped column sums are added in column order j = 0 .. n-1.
     """
     n = M.shape[0]
     best = [(-math.inf, 0), (-math.inf, 0)]  # (value, g) for the signs +, -
@@ -290,15 +244,14 @@ def _exact_witness(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     bits[:low] = (np.arange(chunk) >> np.arange(low)[:, None]) & 1
     starts = range(0, 1 << n, chunk)
     high_bits = ((np.array(starts) >> np.arange(low, n)[:, None]) & 1).astype(np.float64)
-    MT = M.T[_pairwise_order(n)]
     clipped = np.empty((n, chunk))
     for c, lo in enumerate(starts):
         bits[low:] = high_bits[:, c, None]
-        colsums = MT @ bits
+        colsums = M.T @ bits
         for s in range(2):
             if s:
                 np.negative(colsums, out=colsums)
-            vals = _pairwise_column_sums(np.maximum(colsums, 0.0, out=clipped))
+            vals = np.maximum(colsums, 0.0, out=clipped).sum(axis=0)
             j = int(np.argmax(vals))
             if vals[j] > best[s][0]:
                 best[s] = (float(vals[j]), lo + j)

@@ -200,6 +200,22 @@ def test_profile_is_pinned_on_large_seeded_sets(spec, density, seed, digest):
     assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("spec, seed", [("Z4096", 31), ("Z64xZ64", 32)])
+def test_profile_at_the_size_cap_matches_a_sampled_d_count(spec, seed):
+    # at corners.PROFILE_CAP, N(d) at d = 0, at the popular d and at two seeded
+    # d's equals a count that shares nothing with the packed path; Z2^12 is
+    # left out because its profile alone takes about 18 s
+    A = seeded_set(spec, 0.3, seed)
+    n = A.group.order
+    assert n == corners.PROFILE_CAP
+    profile = corner_count_by_difference(A)
+    popular, count = popular_difference(A, profile)
+    assert profile.counts[popular.index] == count
+    for d in [0, popular.index, *np.random.default_rng(seed).integers(1, n, size=2)]:
+        perm = A.group.add_indices(np.arange(n), d)
+        assert profile.counts[d] == np.count_nonzero(A.bits & A.bits[:, perm] & A.bits[perm, :])
+
+
 @pytest.mark.parametrize("spec, classes", [("Z6", 6), ("Z512", 64), ("Z16xZ48", 64)])
 def test_profile_gathers_rows_once_per_shift_class(monkeypatch, spec, classes):
     # one row gather, by one translate_permutation, per shift class: Z6 has

@@ -1,7 +1,8 @@
 """The number boundary: every integer or density argument is refused or taken the same way.
 
 Seeds, grid sizes, BoxInstance.m, group moduli, element and translation
-indices, element coordinates and character coefficients all pass through
+indices, element coordinates, character coefficients, corner_count_naive's
+cap and the frequency counts of the Bohr bounds all pass through
 errors.check_int, so a float, bool, string or None raises ValidationError
 wherever it enters, and numpy integers are accepted.
 Restart counts are covered by the cut-norm and descent restart tests.
@@ -23,12 +24,18 @@ from cornerlab import (
     GroupSpec,
     PlaneSet,
     ValidationError,
+    corner_count_naive,
     cut_norm_witness,
     minimize_T,
+    part_absorption_bound,
     sweep_and_envelope,
+    translate_containment_bound,
+    volume_lower_bound,
 )
 
 G6 = GroupSpec([6])
+G3 = GroupSpec([3])  # order 3, so the numpy-integer test's cap of 3 admits it
+QUARTER, EIGHTH = Fraction(1, 4), Fraction(1, 8)
 M20 = np.full((20, 20), 0.5)  # above the exact cut-norm size, so the seed is used
 HALF = np.full(2, 0.5)
 
@@ -43,6 +50,10 @@ INTEGER_ARGUMENTS = {
     "GroupSpec.translate_permutation": lambda v: G6.translate_permutation(v),
     "Element coordinates": lambda v: Element(G6, (v,)),
     "Character coefficients": lambda v: Character(GroupSpec([4, 6]), (1, v)),
+    "corner_count_naive cap": lambda v: corner_count_naive(PlaneSet.random(G3, 0.5, 1), v),
+    "volume_lower_bound s": lambda v: volume_lower_bound(v, QUARTER),
+    "translate_containment_bound s": lambda v: translate_containment_bound(v, QUARTER, EIGHTH),
+    "part_absorption_bound s": lambda v: part_absorption_bound(v, QUARTER, EIGHTH),
 }
 
 
@@ -63,6 +74,20 @@ def test_integer_arguments_refuse_non_integers(call, value):
 @pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS)
 def test_integer_arguments_accept_numpy_integers(call):
     call(np.int64(3))
+
+
+@pytest.mark.parametrize(
+    "name, least",
+    [
+        ("corner_count_naive cap", 1),
+        ("volume_lower_bound s", 0),
+        ("translate_containment_bound s", 0),
+        ("part_absorption_bound s", 0),
+    ],
+)
+def test_integer_arguments_refuse_values_below_their_least(name, least):
+    with pytest.raises(ValidationError, match=f"must be >= {least}"):
+        INTEGER_ARGUMENTS[name](least - 1)
 
 
 @pytest.mark.parametrize("value", ["0.5", "a", True, False, None])
