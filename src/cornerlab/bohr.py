@@ -36,7 +36,7 @@ def _as_fraction(value: RationalLike, name: str) -> Fraction:
     try:
         # Fraction(float) is exact: floats are binary rationals.
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ValidationError(f"{name} is not a rational number: {value!r}") from exc
 
 

@@ -1,17 +1,17 @@
 """Command-line front end: set I/O, seeded generation, experiment drivers.
 
-One table, _FLAGS, holds every config key with its default and help text;
-the config-file keys, the defaults and the flags (--key, with _ spelled -)
-all come from it, and every command takes the same flags, before or after
-the command name.  `cornerlab --help` lists the commands and each flag's
-default.  Every command resolves its parameters from (in increasing
-precedence) those defaults, an optional key=value config file, and
-command-line flags, then emits CSV or JSON prefixed with comment lines that
-record the resolved configuration.  Handlers return those entries and their
-body lines; main alone writes the text, once, to stdout or --out.  Output
-formatting is locale-free with round-trip float reprs, and every computation
-runs serially in input order, so a rerun with the same configuration is
-byte-identical.
+One table, _FLAGS, declares every setting: its default, its parser, what
+the parser accepts and its help.  The config-file keys, the defaults and
+the flags (--key, with _ spelled -) all come from it, and every command
+takes the same flags, before or after the command name; `cornerlab --help`
+lists them with their defaults.  Settings resolve from (in increasing
+precedence) those defaults, an optional key=value config file, and flags.
+A setting is parsed when a command first reads it, so a flag the command
+never reads is ignored.  Handlers return their body lines; main alone
+writes the text, once, to stdout or --out, after one `# key=value` line per
+setting the command read, in read order.  Formatting is locale-free with
+round-trip float reprs, and every computation runs serially in input order,
+so a rerun with the same configuration is byte-identical.
 
 Exit codes: 0 on success, 2 for validation or I/O problems, 3 when a size
 cap is exceeded, 4 when a hard bound fails (BoundViolation).
@@ -23,8 +23,6 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from .corners import (
     PlaneSet,
@@ -38,54 +36,64 @@ from .groups import parse_group_spec
 from .regularity import CUT_RESTARTS, DOUBLE_CAP, double_regularity, parse_growth_spec
 from .variational import DESCENT_RESTARTS, pipeline_lower_bound, sweep_and_envelope
 
-# config key -> (default, help); a key without a default stays unset unless
-# a config file or a flag sets it
+
+def _numbers(text: str) -> list[float]:
+    """A comma list of one or more densities; a bad item is named alone."""
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items:
+        raise ValidationError("density must list at least one number")
+    return [_parse("density", item, float) for item in items]
+
+
+# config key -> (default, parser, what the parser accepts, help); a key
+# without a default stays unset unless a config file or a flag sets it
 _FLAGS = {
-    "group": (None, "group spec such as Z12 or Z2xZ2xZ3"),
-    "density": (None, "density in [0,1]; comma list for sweeps"),
-    "seed": ("0", "RNG seed"),
-    "set_file": (None, "read the set from this file"),
-    "rho": ("1/4", "radius bound for zscan candidates"),
-    "eps": ("0.25", "regularity accuracy target"),
-    "growth": ("poly:2,1", "growth spec poly:c,k or exp:c"),
-    "grid_n": ("6", "grid points per axis"),
-    "restarts": (
-        None,
-        f"descent restarts per sample (default {DESCENT_RESTARTS}); cut-norm "
-        f"restarts for regularize and pipeline (default {CUT_RESTARTS})",
-    ),
-    "out": (None, "output path (default stdout)"),
+    "group": (None, parse_group_spec, "a group spec", "group spec such as Z12 or Z2xZ2xZ3"),
+    "density": (None, _numbers, "a number", "density in [0,1]; comma list for sweeps"),
+    "seed": ("0", int, "an integer", "RNG seed"),
+    "set_file": (None, str, None, "read the set from this file"),
+    "rho": ("1/4", Fraction, "a rational like 1/4 or 0.25", "radius bound for zscan candidates"),
+    "eps": ("0.25", float, "a number", "regularity accuracy target"),
+    "growth": ("poly:2,1", parse_growth_spec, "a growth spec", "growth spec poly:c,k or exp:c"),
+    "grid_n": ("6", int, "an integer", "grid points per axis"),
+    "restarts": (None, int, "an integer", f"descent restarts per sample (default "
+                 f"{DESCENT_RESTARTS}); cut-norm restarts for regularize and pipeline "
+                 f"(default {CUT_RESTARTS})"),
+    "out": (None, str, None, "output path (default stdout)"),
 }
 _KNOWN_KEYS = tuple(_FLAGS)
-_DEFAULTS = {key: default for key, (default, _) in _FLAGS.items() if default is not None}
+_DEFAULTS = {key: default for key, (default, *_) in _FLAGS.items() if default is not None}
 
 
-def _to_int(value: str, key: str) -> int:
+def _parse(key: str, text: str, parse=None):
+    """text as setting key's value, by parse or else key's declared parser."""
+    _, declared, accepts, _ = _FLAGS[key]
     try:
-        return int(value)
-    except ValueError:
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-
-
-def _to_float(value: str, key: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValidationError(f"{key} must be a number, got {value!r}")
-
-
-def _to_fraction(value: str, key: str) -> Fraction:
-    try:
-        return Fraction(value)
+        return (parse or declared)(text)
     except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"{key} must be a rational like 1/4 or 0.25, got {value!r}")
+        raise ValidationError(f"{key} must be {accepts}, got {text!r}") from None
 
 
-def _to_float_list(value: str, key: str) -> list[float]:
-    parts = [p.strip() for p in value.split(",") if p.strip()]
-    if not parts:
-        raise ValidationError(f"{key} must list at least one number")
-    return [_to_float(p, key) for p in parts]
+def _printed(value) -> str:
+    """The header form of a setting's value."""
+    if isinstance(value, list):
+        return ",".join(map(repr, value))
+    return value.spec_string() if hasattr(value, "spec_string") else str(value)
+
+
+class _Settings:
+    """One command's settings.  `given` maps each set key to its text; a
+    call parses a key's text the first time, or takes the command's default
+    when the key is unset.  `read` holds each value read, in read order."""
+
+    def __init__(self, given: dict[str, str]):
+        self.given = given
+        self.read: dict[str, object] = {}
+
+    def __call__(self, key: str, default=None):
+        if key not in self.read:
+            self.read[key] = _parse(key, self.given[key]) if key in self.given else default
+        return self.read[key]
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -108,50 +116,38 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(args) -> dict[str, str]:
-    resolved = dict(_DEFAULTS)
+def _resolve(args) -> _Settings:
+    given = dict(_DEFAULTS)
     if args.config is not None:
-        resolved.update(_read_config_file(args.config))
+        given.update(_read_config_file(args.config))
     flags = vars(args)
-    resolved.update({key: flags[key] for key in _KNOWN_KEYS if flags[key] is not None})
-    return resolved
+    given.update({key: flags[key] for key in _KNOWN_KEYS if flags[key] is not None})
+    return _Settings(given)
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return repr(float(x))
 
 
-def _load_plane_set(resolved: dict[str, str]) -> tuple[PlaneSet, list[tuple[str, str]]]:
-    """Build the input set and the header entries describing its source."""
-    set_file = resolved.get("set_file")
-    if set_file is not None:
-        A = PlaneSet.load(set_file)
-        if "group" in resolved:
-            wanted = parse_group_spec(resolved["group"])
-            if wanted != A.group:
-                raise GroupMismatchError(
-                    f"set file holds {A.group.spec_string()}, flags say {wanted.spec_string()}"
-                )
-        return A, [("group", A.group.spec_string()), ("set_file", set_file)]
-    group_text = resolved.get("group")
-    density_text = resolved.get("density")
-    if group_text is None or density_text is None:
+def _load_plane_set(settings: _Settings) -> PlaneSet:
+    """The input set: drawn from group, density and seed, or loaded from the
+    set file, whose group is the default group and must equal a given one."""
+    if "set_file" in settings.given:
+        A = PlaneSet.load(settings.given["set_file"])
+        wanted = settings("group", A.group)
+        if wanted != A.group:
+            raise GroupMismatchError(
+                f"set file holds {A.group.spec_string()}, flags say {wanted.spec_string()}"
+            )
+        settings("set_file")
+        return A
+    if "group" not in settings.given or "density" not in settings.given:
         raise ValidationError("need --set-file, or --group together with --density")
-    densities = _to_float_list(density_text, "density")
+    group = settings("group")
+    densities = settings("density")
     if len(densities) != 1:
         raise ValidationError("this command takes exactly one density")
-    group = parse_group_spec(group_text)
-    seed = _to_int(resolved["seed"], "seed")
-    A = PlaneSet.random(group, densities[0], seed)
-    return A, [
-        ("group", group.spec_string()),
-        ("density", repr(densities[0])),
-        ("seed", str(seed)),
-    ]
+    return PlaneSet.random(group, densities[0], settings("seed"))
 
 
 def _coords_repr(coords) -> str:
@@ -172,57 +168,41 @@ def _popular_summary(A: PlaneSet):
     ]
 
 
-def cmd_scan(resolved: dict[str, str]) -> tuple[list, list[str]]:
-    A, source = _load_plane_set(resolved)
+def cmd_scan(settings: _Settings) -> list[str]:
+    A = _load_plane_set(settings)
     profile, fields = _popular_summary(A)
     reprs = map(_coords_repr, A.group.coords_matrix().tolist())
     rows = ["d_index,d_repr,count"]
     rows += [f"{d},{r},{c}" for d, (r, c) in enumerate(zip(reprs, profile.counts.tolist()))]
-    return source, rows + ["# summary " + " ".join(fields)]
+    return rows + ["# summary " + " ".join(fields)]
 
 
-def cmd_popular(resolved: dict[str, str]) -> tuple[list, list[str]]:
-    A, source = _load_plane_set(resolved)
-    _, fields = _popular_summary(A)
-    return source, fields
+def cmd_popular(settings: _Settings) -> list[str]:
+    return _popular_summary(_load_plane_set(settings))[1]
 
 
-def cmd_zscan(resolved: dict[str, str]) -> tuple[list, list[str]]:
-    A, source = _load_plane_set(resolved)
+def cmd_zscan(settings: _Settings) -> list[str]:
+    A = _load_plane_set(settings)
     if A.group.rank != 1:
         raise ValidationError("integer scan needs a rank-one group Zn")
-    rho = _to_fraction(resolved["rho"], "rho")
-    result = integer_corner_scan(A.bits, rho=rho)
-    rows = ["d,count"]
-    for d in sorted(result.profile):
-        rows.append(f"{d},{result.profile[d]}")
-    rows.append(
+    result = integer_corner_scan(A.bits, rho=settings("rho"))
+    rows = ["d,count"] + [f"{d},{result.profile[d]}" for d in sorted(result.profile)]
+    return rows + [
         f"# summary best_d={result.difference} count={result.count}"
         f" candidates={len(result.profile)}"
-    )
-    return source + [("rho", str(rho))], rows
-
-
-def _run_sweep(resolved: dict[str, str]):
-    """Densities, grid size, restarts and seed, plus the header entries that
-    record them."""
-    if "density" not in resolved:
-        raise ValidationError("need --density with one or more samples")
-    alphas = _to_float_list(resolved["density"], "density")
-    n = _to_int(resolved["grid_n"], "grid_n")
-    restarts = _to_int(resolved.get("restarts", str(DESCENT_RESTARTS)), "restarts")
-    seed = _to_int(resolved["seed"], "seed")
-    entries = [
-        ("density", ",".join(repr(a) for a in alphas)),
-        ("grid_n", str(n)),
-        ("restarts", str(restarts)),
-        ("seed", str(seed)),
     ]
-    return alphas, n, restarts, seed, entries
 
 
-def cmd_variational(resolved: dict[str, str]) -> tuple[list, list[str]]:
-    alphas, n, restarts, seed, entries = _run_sweep(resolved)
+def _run_sweep(settings: _Settings):
+    """Densities, grid size, restarts and seed of a sweep."""
+    if "density" not in settings.given:
+        raise ValidationError("need --density with one or more samples")
+    alphas, n = settings("density"), settings("grid_n")
+    return alphas, n, settings("restarts", DESCENT_RESTARTS), settings("seed")
+
+
+def cmd_variational(settings: _Settings) -> list[str]:
+    alphas, n, restarts, seed = _run_sweep(settings)
     env = sweep_and_envelope(alphas, n, restarts=restarts, seed=seed)
     rows = ["alpha,m_hat,envelope,alpha3,alpha4,n,restarts,seed"]
     for i, a in enumerate(alphas):
@@ -230,36 +210,28 @@ def cmd_variational(resolved: dict[str, str]) -> tuple[list, list[str]]:
             f"{_fmt(a)},{_fmt(env.values[i])},{_fmt(env.envelope_at(a))},{_fmt(a**3)},"
             f"{_fmt(a**4)},{n},{restarts},{seed + i}"
         )
-    return entries, rows
+    return rows
 
 
-def cmd_envelope(resolved: dict[str, str]) -> tuple[list, list[str]]:
-    alphas, n, restarts, seed, entries = _run_sweep(resolved)
+def cmd_envelope(settings: _Settings) -> list[str]:
+    alphas, n, restarts, seed = _run_sweep(settings)
     if len(alphas) < 2:
         raise ValidationError("envelope needs at least two density samples")
     env = sweep_and_envelope(alphas, n, restarts=restarts, seed=seed)
-    rows = ["alpha,envelope"]
-    for a, v in zip(env.hull_alphas, env.hull_values):
-        rows.append(f"{_fmt(a)},{_fmt(v)}")
-    return entries, rows
-
-
-def _regularity_params(resolved: dict[str, str]):
-    """Input set, eps, growth, seed and cut-norm restarts, plus the header
-    entries that record them."""
-    A, source = _load_plane_set(resolved)
-    eps = _to_float(resolved["eps"], "eps")
-    growth = parse_growth_spec(resolved["growth"])
-    seed = _to_int(resolved["seed"], "seed")
-    restarts = _to_int(resolved.get("restarts", str(CUT_RESTARTS)), "restarts")
-    entries = source + [
-        ("eps", _fmt(eps)), ("growth", growth.spec_string()), ("restarts", str(restarts))
+    return ["alpha,envelope"] + [
+        f"{_fmt(a)},{_fmt(v)}" for a, v in zip(env.hull_alphas, env.hull_values)
     ]
-    return A, eps, growth, seed, restarts, entries
 
 
-def cmd_regularize(resolved: dict[str, str]) -> tuple[list, list[str]]:
-    A, eps, growth, seed, restarts, entries = _regularity_params(resolved)
+def _regularity_params(settings: _Settings):
+    """Input set, eps, growth, seed and cut-norm restarts."""
+    A = _load_plane_set(settings)
+    eps, growth, seed = settings("eps"), settings("growth"), settings("seed")
+    return A, eps, growth, seed, settings("restarts", CUT_RESTARTS)
+
+
+def cmd_regularize(settings: _Settings) -> list[str]:
+    A, eps, growth, seed, restarts = _regularity_params(settings)
     check_cap(A.group.order, DOUBLE_CAP, "group order {size} exceeds cap {cap}")
     dr = double_regularity(
         hyperplane_views(A), eps=eps, F=growth, group=A.group, restarts=restarts, seed=seed
@@ -293,13 +265,13 @@ def cmd_regularize(resolved: dict[str, str]) -> tuple[list, list[str]]:
         "f2_cut_estimates": dr.f2_cut_estimates,
         "cut_certified": dr.cut_certified,
     }
-    return entries, [json.dumps(report, indent=2)]
+    return [json.dumps(report, indent=2)]
 
 
-def cmd_pipeline(resolved: dict[str, str]) -> tuple[list, list[str]]:
-    A, eps, growth, seed, restarts, entries = _regularity_params(resolved)
+def cmd_pipeline(settings: _Settings) -> list[str]:
+    A, eps, growth, seed, restarts = _regularity_params(settings)
     report = pipeline_lower_bound(A, eps=eps, F=growth, restarts=restarts, seed=seed)
-    return entries, [json.dumps(report, indent=2)]
+    return [json.dumps(report, indent=2)]
 
 
 _COMMANDS = {
@@ -330,7 +302,7 @@ def _build_parser():
         "command", choices=_COMMANDS, metavar="command", help="one of the commands below"
     )
     parser.add_argument("--config", help="key=value parameter file; flags win")
-    for key, (default, text) in _FLAGS.items():
+    for key, (default, _, _, text) in _FLAGS.items():
         if default is not None:
             text += f" (default {default})"
         parser.add_argument("--" + key.replace("_", "-"), help=text)
@@ -341,12 +313,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         handler, _ = _COMMANDS[args.command]
-        resolved = _resolve(args)
-        entries, lines = handler(resolved)
-        header = [f"# cornerlab {args.command}"] + [f"# {k}={v}" for k, v in entries]
-        text = "\n".join(header + lines) + "\n"
-        if "out" in resolved:
-            Path(resolved["out"]).write_text(text)
+        settings = _resolve(args)
+        lines = handler(settings)
+        header = [f"# {key}={_printed(value)}" for key, value in settings.read.items()]
+        text = "\n".join([f"# cornerlab {args.command}"] + header + lines) + "\n"
+        if "out" in settings.given:
+            Path(settings.given["out"]).write_text(text)
         else:
             sys.stdout.write(text)
         return 0

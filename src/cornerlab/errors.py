@@ -5,9 +5,11 @@ CapExceededError -> 3, BoundViolation -> 4.  Every size cap in the package
 is enforced through check_cap, every integer argument (seeds, restart
 counts, grid sizes, group moduli and indices, element coordinates,
 character coefficients, corner_count_naive's cap and the frequency counts
-of the Bohr bounds) through check_int, and every density argument
-(minimize_T's alpha, the samples of sweep_and_envelope, PlaneSet.random's
-density) through check_real, so each kind of refusal is decided in one place.
+of the Bohr bounds) through check_int, and every real argument (the
+densities: minimize_T's alpha, the samples of sweep_and_envelope,
+PlaneSet.random's density; the eps of the regularity drivers and of
+BoxInstance, and BoxInstance's hyperplane mass) through check_real, so each
+kind of refusal is decided in one place.
 """
 import numbers
 import operator

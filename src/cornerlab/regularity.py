@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .bohr import BohrPartition, BohrSet
-from .errors import BoundViolation, ValidationError, check_cap, check_int
+from .errors import BoundViolation, ValidationError, check_cap, check_int, check_real
 from .fourier import GroupFunction, convolve, dft, large_spectrum, lp_norm
 from .groups import Character, GroupSpec
 
@@ -184,7 +184,7 @@ class Partition:
 
 
 def _check_eps(eps: float) -> None:
-    if not (math.isfinite(eps) and eps > 0):
+    if not (math.isfinite(check_real(eps, "eps")) and eps > 0):
         raise ValidationError(f"eps must be finite and positive, got {eps!r}")
 
 

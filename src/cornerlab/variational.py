@@ -139,7 +139,7 @@ class GridFunction:
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 3:
             raise ValidationError("values must be a 3-d array")
-        ws = [np.full(s, 1.0 / s) for s in vals.shape]
+        ws = [np.ones(s) / s for s in vals.shape]  # an empty axis is refused by the weight check
         return cls(ws[0], ws[1], ws[2], vals)
 
     @classmethod
@@ -694,17 +694,19 @@ class BoxInstance:
         cells = _check_grid(self, ("delta_x", "delta_y", "delta_z"), "cell_masses")
         if cells.min() < -1e-15:
             raise ValidationError("cell masses must be finite and nonnegative")
-        if not (math.isfinite(self.hyperplane_mass) and self.hyperplane_mass >= 0):
+        mass = check_real(self.hyperplane_mass, "hyperplane mass")
+        if not (math.isfinite(mass) and mass >= 0):
             raise ValidationError("hyperplane mass must be finite and nonnegative")
-        if not (math.isfinite(self.eps) and self.eps > 0):
+        eps = check_real(self.eps, "eps")
+        if not (math.isfinite(eps) and eps > 0):
             raise ValidationError("eps must be finite and positive")
         m = check_int(self.m, "m", 1)
         support = np.einsum("i,j,k->ijk", self.delta_x, self.delta_y, self.delta_z) > 0
         if np.any(cells[~support] > 1e-15):
             raise ValidationError("positive cell mass on a zero-weight cell")
         object.__setattr__(self, "cell_masses", np.clip(cells, 0.0, None))
-        object.__setattr__(self, "hyperplane_mass", float(self.hyperplane_mass))
-        object.__setattr__(self, "eps", float(self.eps))
+        object.__setattr__(self, "hyperplane_mass", mass)
+        object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "m", m)
 
     def fiber_mask(self) -> np.ndarray:

@@ -270,6 +270,35 @@ def test_report_commands_pass_restarts_through(capsys, monkeypatch, command, tar
     assert seen == [1, 32]
 
 
+@pytest.mark.parametrize("command", ["regularize", "pipeline"])
+def test_set_file_report_headers_name_their_seed(capsys, tmp_path, command):
+    # above order 16 the seed drives the cut-norm ascents, so it shapes the report
+    path = tmp_path / "set.txt"
+    PlaneSet.random(parse_group_spec("Z32"), 0.5, 7).save(path)
+    headers = []
+    for seed in ("1", "2"):
+        code, out, err = run_cli(capsys, command, "--set-file", str(path), "--seed", seed,
+                                 "--restarts", "2")
+        assert (code, err) == (0, "")
+        header = [ln for ln in out.splitlines() if ln.startswith("# ")]
+        assert header == [
+            f"# cornerlab {command}", "# group=Z32", f"# set_file={path}", "# eps=0.25",
+            "# growth=poly:2.0,1.0", f"# seed={seed}", "# restarts=2",
+        ]
+        headers.append(header)
+    assert headers[0] != headers[1]
+
+
+def test_flags_a_command_does_not_read_are_ignored_and_left_out(capsys):
+    flags = ["--group", "Z8", "--density", "0.5", "--seed", "3"]
+    unread = ["--rho", "junk", "--eps", "junk", "--growth", "junk", "--grid-n", "x",
+              "--restarts", "y"]
+    code, out, err = run_cli(capsys, "scan", *flags, *unread)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "scan", *flags) == (0, out, "")
+    assert out.startswith("# cornerlab scan\n# group=Z8\n# density=0.5\n# seed=3\nd_index,")
+
+
 def test_top_level_help_lists_commands_flags_and_defaults(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -399,6 +428,14 @@ def test_group_cap_maps_to_exit_three(capsys):
 def test_bad_flag_value_maps_to_exit_two(capsys):
     code, _, err = run_cli(capsys, "scan", "--group", "Z8", "--density", "oops")
     assert code == 2
+
+
+def test_group_spec_past_the_integer_digit_limit_maps_to_exit_two(capsys):
+    # int() refuses strings of more than 4300 digits with a plain ValueError;
+    # without that limit the order is refused as above the largest group
+    code, out, err = run_cli(capsys, "scan", "--group", "Z" + "9" * 5000, "--density", "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("cornerlab: invalid input:")
 
 
 def test_thread_flag_and_config_key_are_gone(capsys, tmp_path):

@@ -12,6 +12,7 @@ from cornerlab import (
     BohrSet,
     CapExceededError,
     GroupFunction,
+    GroupMismatchError,
     Spectrum,
     ValidationError,
     convolve,
@@ -216,3 +217,21 @@ def test_transform_cap(monkeypatch):
     f = GroupFunction.constant(G, 1.0)
     with pytest.raises(CapExceededError):
         dft(f)
+
+
+@pytest.mark.parametrize("spec", ["Z12", "Z2xZ6"])
+def test_spectrum_lookup_by_character_matches_the_defining_sum(spec):
+    # fhat(xi) = mean over x of f(x) e(-xi(x)), with xi(x) read by calling the
+    # character and checked against its exact residue table
+    G = parse_group_spec(spec)
+    f = GroupFunction(G, np.random.default_rng(5).random(G.order))
+    fhat = dft(f)
+    elements = G.enumerate()
+    for xi in G.characters():
+        phases = np.array([xi(x) for x in elements])
+        assert np.array_equal(phases, xi.residue_vector() / G.exponent_lcm)
+        expected = np.mean(f.values * np.exp(-2j * np.pi * phases))
+        assert abs(fhat[xi] - expected) <= 1e-12
+        assert type(fhat[xi]) is complex
+    with pytest.raises(GroupMismatchError):
+        fhat[parse_group_spec("Z13").characters()[1]]

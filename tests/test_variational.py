@@ -7,6 +7,8 @@ grids small enough to check by hand.
 """
 
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from cornerlab import variational as V
 from cornerlab import (
+    BohrSet,
     BoundViolation,
     BoxInstance,
     parse_growth_spec,
@@ -33,6 +36,8 @@ from cornerlab import (
     phi_from_partition,
     pipeline_lower_bound,
     sweep_and_envelope,
+    torus_norm_fraction,
+    weighted_corner_count_direct,
 )
 
 
@@ -556,6 +561,18 @@ def test_newton_step_follows_negative_curvature_downhill():
     assert grad @ s < 0.0
 
 
+def test_newton_target_gives_up_when_fewer_than_two_cells_are_left():
+    # with hess = I the sum-zero step is -(grad - mean(grad)) = (10, -10, 0): cells 0 and 1
+    # leave [0, 1] and are pinned at the bounds they cross, leaving one free cell
+    phi = np.full(3, 0.5)
+    grad = np.array([-10.0, 10.0, 0.0])
+    s, _ = V._newton_step(np.eye(3), grad)
+    assert np.allclose(s, [10.0, -10.0, 0.0])
+    target, curvature = V._newton_target(np.eye(3), phi, grad)
+    assert target is None
+    assert curvature == pytest.approx(1.0)  # every reduced eigenvalue of I is 1
+
+
 @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.3, 1 / 3, 0.5, 0.9, 1 - 1e-9])
 def test_constant_restart_is_alpha_cubed_exactly(alpha):
     res = minimize_T(alpha, 3, restarts=3, seed=0)
@@ -613,6 +630,45 @@ def test_sweep_of_one_sample_is_its_own_envelope():
     assert pts.envelope_at(0.5) == value
     with pytest.raises(ValidationError):
         sweep_and_envelope([], 3)
+
+
+def _brute_lower_hull(xs, ys):
+    """Knots of the lower hull: the ends, and each point strictly below every
+    chord between a point on its left and one on its right."""
+    keep = [
+        k for k in range(len(xs))
+        if all(ys[k] < ys[i] + (ys[j] - ys[i]) * (xs[k] - xs[i]) / (xs[j] - xs[i])
+               for i in range(k) for j in range(k + 1, len(xs)))
+    ]
+    return tuple(xs[k] for k in keep), tuple(ys[k] for k in keep)
+
+
+@pytest.mark.parametrize("draw", range(12))
+def test_sweep_repairs_and_hulls_chosen_solver_values(monkeypatch, draw):
+    # minimize_T is replaced by a table of values, so the repair pass and the
+    # hull see non-monotone, non-convex samples
+    if draw == 0:
+        # 0.2 exceeds the cubic rescaling of its right neighbor, (6/7)^3 * 0.21,
+        # and the repaired 0.6 sample lies above the chord from 0.5 to 0.7
+        alphas, raw = [0.5, 0.6, 0.7], [0.01, 0.2, 0.21]
+    else:
+        rng = np.random.default_rng(draw)
+        alphas = sorted(rng.uniform(0.05, 1.0, size=6).tolist())
+        raw = rng.random(6).tolist()
+    table = dict(zip(alphas, raw))
+    monkeypatch.setattr(V, "minimize_T", lambda a, n, restarts, seed: SimpleNamespace(
+        value=table[a]))
+    pts = sweep_and_envelope(alphas, 3, restarts=2)
+    # the cubic rescaling rule: each sample is the least rescaled value of a
+    # sample at or to its right
+    repaired = tuple(min((a / b) ** 3 * v for b, v in zip(alphas[i:], raw[i:]))
+                     for i, a in enumerate(alphas))
+    assert pts.raw_values == tuple(raw)
+    assert pts.values == pytest.approx(repaired, rel=1e-12)
+    hx, hy = _brute_lower_hull(alphas, list(pts.values))
+    assert pts.hull_alphas == hx and pts.hull_values == hy
+    if draw == 0:
+        assert pts.values[1] < raw[1] and hx == (0.5, 0.7)
 
 
 @pytest.mark.parametrize(
@@ -754,6 +810,24 @@ def test_pipeline_full_and_empty_sets():
     empty = pipeline_lower_bound(PlaneSet.empty(G))
     for key in ("weighted_count", "box_sum", "box_model"):
         assert abs(empty[key]) <= 1e-12
+
+
+def test_pipeline_caps_the_smoothing_radius_at_one_half():
+    # eps = 2 makes eps^2 * width / |S| exceed 1/2, the largest Bohr radius
+    G = parse_group_spec("Z4")
+    A = PlaneSet.random(G, 0.5, 1)
+    report = pipeline_lower_bound(A, eps=2)
+    dr = double_regularity(hyperplane_views(A), eps=2, F=parse_growth_spec("poly:2,1"),
+                           group=G, restarts=V.CUT_RESTARTS, seed=0)
+    freqs, width = dr.bohr.bohr_set.freqs, dr.bohr.partition.width
+    assert 4 * width / max(1, len(freqs)) > Fraction(1, 2)
+    assert report["nu"]["radius"] == "1/2"
+    inside = [x for x in G.enumerate() if all(torus_norm_fraction(xi.eval_fraction(x))
+                                              < Fraction(1, 2) for xi in freqs)]
+    assert report["nu"]["support"] == len(inside)
+    nu = BohrSet(G, freqs, Fraction(1, 2)).mu()
+    assert report["weighted_count"] == pytest.approx(weighted_corner_count_direct(A, nu),
+                                                     rel=1e-12)
 
 
 def test_pipeline_report_is_self_consistent():
