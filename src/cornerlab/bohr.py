@@ -22,7 +22,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import BoundViolation, GroupMismatchError, ValidationError, check_cap, check_int
+from .errors import (BoundViolation, ValidationError, check_cap, check_int, check_rational,
+                     check_real, check_same_group)
 from .fourier import GroupFunction
 from .groups import Character, Element, GroupSpec, torus_norm_fraction
 
@@ -32,20 +33,11 @@ _EXHAUSTIVE_CAP = 2**16
 _BOX_CAP = 2**10
 
 
-def _as_fraction(value: RationalLike, name: str) -> Fraction:
-    try:
-        # Fraction(float) is exact: floats are binary rationals.
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise ValidationError(f"{name} is not a rational number: {value!r}") from exc
-
-
 def _canonical_freqs(group: GroupSpec, freqs: Sequence[Character]) -> tuple[Character, ...]:
     out = []
     seen = set()
     for xi in freqs:
-        if xi.group != group:
-            raise GroupMismatchError("frequency belongs to a different group")
+        check_same_group(group, xi.group, "group and frequency")
         if xi.coeffs not in seen:
             seen.add(xi.coeffs)
             out.append(xi)
@@ -61,16 +53,13 @@ class BohrSet:
     radius: Fraction
 
     def __init__(self, group: GroupSpec, freqs: Sequence[Character], radius: RationalLike):
-        rho = _as_fraction(radius, "radius")
-        if not (0 < rho <= Fraction(1, 2)):
-            raise ValidationError(f"radius must lie in (0, 1/2], got {rho}")
+        rho = check_rational(radius, "radius", "(0, 1/2]")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "freqs", _canonical_freqs(group, freqs))
         object.__setattr__(self, "radius", rho)
 
     def member(self, x: Element) -> bool:
-        if x.group != self.group:
-            raise GroupMismatchError("element belongs to a different group")
+        check_same_group(self.group, x.group, "Bohr set and element")
         return all(
             torus_norm_fraction(xi.eval_fraction(x)) < self.radius for xi in self.freqs
         )
@@ -108,9 +97,7 @@ def volume_lower_bound(s: int, rho: RationalLike) -> Fraction:
     Covering G by N^{|S|} translates of B(S, rho) forces mu(B) >= N^{-|S|}.
     """
     s = check_int(s, "frequency count", 0)
-    r = _as_fraction(rho, "rho")
-    if not (0 < r <= Fraction(1, 2)):
-        raise ValidationError(f"rho must lie in (0, 1/2], got {r}")
+    r = check_rational(rho, "rho", "(0, 1/2]")
     N = r.denominator // r.numerator + 1
     return Fraction(1, N**s)
 
@@ -125,8 +112,8 @@ class BohrPartition:
     width: Fraction
 
     def __init__(self, group: GroupSpec, freqs: Sequence[Character], width: RationalLike):
-        delta = _as_fraction(width, "width")
-        if delta.numerator != 1 or delta.denominator < 1:
+        delta = check_rational(width, "width", "(0, 1]")
+        if delta.numerator != 1:
             raise ValidationError(f"width must be 1/N for an integer N >= 1, got {delta}")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "freqs", _canonical_freqs(group, freqs))
@@ -139,8 +126,7 @@ class BohrPartition:
 
     def label_of(self, x: Element) -> tuple[int, ...]:
         """s_i = 1 + floor(N * xi_i(x)), exact; labels live in [N]^{|S|}."""
-        if x.group != self.group:
-            raise GroupMismatchError("element belongs to a different group")
+        check_same_group(self.group, x.group, "Bohr partition and element")
         N = self.resolution
         out = []
         for xi in self.freqs:
@@ -181,16 +167,16 @@ class BohrPartition:
 def translate_containment_bound(s: int, rho: RationalLike, delta: RationalLike) -> Fraction:
     """Pinned prediction 8 * rho * |S| / delta for the translate check."""
     s = check_int(s, "frequency count", 0)
-    return 8 * _as_fraction(rho, "rho") * s / _as_fraction(delta, "delta")
+    return 8 * check_rational(rho, "rho", "(0, 1/2]") * s / check_rational(delta, "delta", "(0, 1]")
 
 
 def part_absorption_bound(s: int, rho: RationalLike, delta_prime: RationalLike) -> Fraction:
     """Pinned prediction 4 * delta' * |S| / (rho * C) with C the covering
     constant N^{-|S|} from volume_lower_bound."""
     s = check_int(s, "frequency count", 0)
-    r = _as_fraction(rho, "rho")
+    r = check_rational(rho, "rho", "(0, 1/2]")
     C = volume_lower_bound(s, r)
-    return 4 * _as_fraction(delta_prime, "delta_prime") * s / (r * C)
+    return 4 * check_rational(delta_prime, "delta_prime", "(0, 1]") * s / (r * C)
 
 
 def verify_translate_containment(
@@ -300,8 +286,7 @@ def box_approximation(
     smaller constant when the target is a partition part), the leftover is
     asserted to be at most eps0 * mu(B).
     """
-    if not (0 < eps0 < 1):
-        raise ValidationError("eps0 must lie in (0, 1)")
+    eps0 = check_real(eps0, "eps0", "(0, 1)")
     group = target.group if isinstance(target, BohrSet) else target[0].group
     n = group.order
     check_cap(n, _BOX_CAP, "group order {size} exceeds box-approximation cap {cap}")
@@ -324,8 +309,7 @@ def box_approximation(
         smallness = (
             eps0 * float(partition.width) ** len(S) * eps0 / max(1, len(S))
         )
-    if z0.group != group:
-        raise GroupMismatchError("z0 belongs to a different group")
+    check_same_group(group, z0.group, "target and z0")
 
     fine = BohrPartition(group, S, delta_prime)
     ids_fine, labels_fine, counts = fine.part_ids()
@@ -347,7 +331,7 @@ def box_approximation(
     target_measure = target_cells / n**2
     residual = (target_cells - covered_cells) / n**2
     mu_B = mask_B.sum() / n
-    if float(_as_fraction(delta_prime, "delta_prime")) <= smallness and residual > eps0 * mu_B + 1e-12:
+    if float(fine.width) <= smallness and residual > eps0 * mu_B + 1e-12:
         raise BoundViolation(
             f"box residual {residual} exceeds eps0 * mu(B) = {eps0 * mu_B} "
             "despite the fine-width hypothesis"

@@ -31,7 +31,7 @@ from .corners import (
     integer_corner_scan,
     popular_difference,
 )
-from .errors import BoundViolation, CapExceededError, GroupMismatchError, ValidationError, check_cap
+from .errors import BoundViolation, CapExceededError, ValidationError, check_cap, check_same_group
 from .groups import parse_group_spec
 from .regularity import CUT_RESTARTS, DOUBLE_CAP, double_regularity, parse_growth_spec
 from .variational import DESCENT_RESTARTS, pipeline_lower_bound, sweep_and_envelope
@@ -134,11 +134,7 @@ def _load_plane_set(settings: _Settings) -> PlaneSet:
     set file, whose group is the default group and must equal a given one."""
     if "set_file" in settings.given:
         A = PlaneSet.load(settings.given["set_file"])
-        wanted = settings("group", A.group)
-        if wanted != A.group:
-            raise GroupMismatchError(
-                f"set file holds {A.group.spec_string()}, flags say {wanted.spec_string()}"
-            )
+        check_same_group(A.group, settings("group", A.group), "set file and --group")
         settings("set_file")
         return A
     if "group" not in settings.given or "density" not in settings.given:

@@ -39,15 +39,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bohr import BohrSet, RationalLike, _as_fraction
-from .errors import (
-    BoundViolation,
-    GroupMismatchError,
-    ValidationError,
-    check_cap,
-    check_int,
-    check_real,
-)
+from .bohr import BohrSet, RationalLike
+from .errors import (BoundViolation, ValidationError, check_cap, check_int, check_rational,
+                     check_real, check_same_group)
 from .fourier import GroupFunction
 from .groups import Character, Element, GroupSpec, _read_only, parse_group_spec
 from .parallel import deterministic_map
@@ -102,9 +96,7 @@ class PlaneSet:
     @classmethod
     def random(cls, group: GroupSpec, density: float, seed: int) -> "PlaneSet":
         """Bernoulli(density) per cell from numpy's default PCG64 stream."""
-        density = check_real(density, "density")
-        if not (0 <= density <= 1):
-            raise ValidationError(f"density must lie in [0, 1], got {density}")
+        density = check_real(density, "density", "[0, 1]")
         seed = check_int(seed, "seed", 0)
         check_cap(group.order, PROFILE_CAP, "plane sets are capped at |G| <= {cap}, got {size}")
         rng = np.random.default_rng(seed)
@@ -485,8 +477,8 @@ def popular_difference(A: PlaneSet, profile: CornerProfile | None = None) -> tup
         raise ValidationError("popular difference needs a nontrivial group")
     if profile is None:
         profile = corner_count_by_difference(A)
-    elif profile.group != group:
-        raise GroupMismatchError("profile belongs to a different group")
+    else:
+        check_same_group(group, profile.group, "set and profile")
     tail = profile.counts[1:]
     d = int(np.argmax(tail)) + 1  # argmax returns the first (smallest) index
     return group.element(d), int(tail[d - 1])
@@ -494,8 +486,7 @@ def popular_difference(A: PlaneSet, profile: CornerProfile | None = None) -> tup
 
 def _check_nu(group: GroupSpec, nu: GroupFunction) -> None:
     """nu must live on group, be real and have mean one."""
-    if nu.group != group:
-        raise GroupMismatchError("nu lives on a different group")
+    check_same_group(group, nu.group, "set and nu")
     if np.iscomplexobj(nu.values):
         raise ValidationError("nu must be real-valued")
     mean = nu.mean()
@@ -532,8 +523,7 @@ def triple_sum_from_views(
     """(1/|G|^3) sum_{x,y,z} f(x,y) g(x,z) h(y,z) nu(-x-y-z), literally."""
     n = group.order
     check_cap(n, _TRIPLE_SUM_CAP, "group order {size} exceeds triple-sum cap {cap}")
-    if nu.group != group:
-        raise GroupMismatchError("nu lives on a different group")
+    check_same_group(group, nu.group, "views and nu")
     f, g, h = (np.asarray(v, dtype=np.float64) for v in views)
     neg = group.negation_permutation()
     idx = np.arange(n)
@@ -590,9 +580,7 @@ def integer_corner_scan(bits: np.ndarray, rho: RationalLike = Fraction(1, 4)) ->
     n = bits.shape[0]
     if n < 2:
         raise ValidationError("grid side must be at least 2")
-    r = _as_fraction(rho, "rho")
-    if not (0 < r <= Fraction(1, 4)):
-        raise ValidationError(f"rho must lie in (0, 1/4], got {r}")
+    r = check_rational(rho, "rho", "(0, 1/4]")
     candidates = _signed_candidates(n, r)
     words = -(-n // 64)
     padded = _pack_rows(bits, 2 * words)
@@ -623,9 +611,7 @@ def integer_corner_scan_naive(bits: np.ndarray, rho: RationalLike = Fraction(1, 
     to ||d/n|| < rho by direct rational comparison (no Bohr machinery)."""
     bits = np.asarray(bits).astype(bool)
     n = bits.shape[0]
-    r = _as_fraction(rho, "rho")
-    if not (0 < r <= Fraction(1, 4)):
-        raise ValidationError(f"rho must lie in (0, 1/4], got {r}")
+    r = check_rational(rho, "rho", "(0, 1/4]")
     candidates = []
     for d in range(1, n):
         signed = d if 2 * d <= n else d - n

@@ -1,18 +1,20 @@
-"""Exception hierarchy shared by all cornerlab modules, and the three input checks.
+"""Exception hierarchy shared by all cornerlab modules, and the argument checks.
 
 The CLI maps these onto its exit codes: ValidationError -> 2,
-CapExceededError -> 3, BoundViolation -> 4.  Every size cap in the package
-is enforced through check_cap, every integer argument (seeds, restart
-counts, grid sizes, group moduli and indices, element coordinates,
-character coefficients, corner_count_naive's cap and the frequency counts
-of the Bohr bounds) through check_int, and every real argument (the
-densities: minimize_T's alpha, the samples of sweep_and_envelope,
-PlaneSet.random's density; the eps of the regularity drivers and of
-BoxInstance, and BoxInstance's hyperplane mass) through check_real, so each
-kind of refusal is decided in one place.
+CapExceededError -> 3, BoundViolation -> 4.  Each kind of refusal is decided
+here: every size cap by check_cap; every integer argument (seeds, restart
+counts, grid sizes, group moduli and indices, coordinates, coefficients,
+counts) by check_int; every real argument (densities, eps, eps0, masses,
+growth parameters, the large-spectrum threshold) and every exact-fraction
+argument (Bohr radii, widths and the rho, delta, delta' of the bounds and
+scans), each with its interval, by check_real and check_rational; and every
+pair of operands that must share a group by check_same_group.
 """
+import functools
+import math
 import numbers
 import operator
+from fractions import Fraction
 
 
 class CornerlabError(Exception):
@@ -62,13 +64,49 @@ def check_int(value, name: str, least: int) -> int:
     return number
 
 
-def check_real(value, name: str) -> float:
-    """The Python float value of a real-number argument.
+@functools.cache
+def _bounds(interval: str) -> tuple:
+    """The endpoints of an interval written like "[0, 1]" or "(0, 1/2]", as ints
+    or infinities (fast to compare with floats and Fractions), else Fractions."""
+    return tuple(int(e) if e.lstrip("-").isdigit() else float(e) if e.endswith("inf")
+                 else Fraction(e) for e in interval[1:-1].split(", "))
+
+
+def _check_interval(number, name: str, interval: str) -> None:
+    """Refuse a number outside interval.  An interval is closed only at
+    finite ends, so none holds an infinity, and NaN fails every comparison."""
+    low, high = _bounds(interval)
+    if not ((low <= number if interval[0] == "[" else low < number)
+            and (number <= high if interval[-1] == "]" else number < high)):
+        finite = "be finite and " if isinstance(number, float) and not math.isfinite(number) else ""
+        raise ValidationError(f"{name} must {finite}lie in {interval}, got {number}")
+
+
+def check_real(value, name: str, interval: str) -> float:
+    """The Python float value of a real argument that must lie in interval.
 
     Anything that is not a numbers.Real (strings, None) and bools raise
     ValidationError, so a density of "0.5" or True never reaches the solver.
-    The range stays with each caller.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    number = float(value)
+    _check_interval(number, name, interval)
+    return number
+
+
+def check_rational(value, name: str, interval: str) -> Fraction:
+    """The exact Fraction value of a rational argument that must lie in
+    interval; a float is read exactly, and a bool, infinity or NaN is refused."""
+    try:
+        number = Fraction(None if isinstance(value, bool) else value)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+        raise ValidationError(f"{name} is not a rational number: {value!r}") from None
+    _check_interval(number, name, interval)
+    return number
+
+
+def check_same_group(group, other, what: str) -> None:
+    """Raise GroupMismatchError when other != group; what names the operands."""
+    if other != group:
+        raise GroupMismatchError(f"{what} live on different groups: {group} vs {other}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolation, GroupMismatchError, ValidationError, check_cap
+from .errors import BoundViolation, ValidationError, check_cap, check_real, check_same_group
 from .groups import Character, GroupSpec
 
 TRANSFORM_CAP = 2**20
@@ -31,7 +31,7 @@ class GroupFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values)
+        vals = np.array(self.values)  # a copy, so the caller's array stays theirs
         if vals.shape != (self.group.order,):
             raise ValidationError(
                 f"expected {self.group.order} values, got shape {vals.shape}"
@@ -39,7 +39,7 @@ class GroupFunction:
         if not np.all(np.isfinite(vals)):
             raise ValidationError("function values must be finite")
         if not np.iscomplexobj(vals):
-            vals = vals.astype(np.float64)
+            vals = vals.astype(np.float64, copy=False)
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -72,7 +72,7 @@ class Spectrum:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=np.complex128)
+        coeffs = np.array(self.coefficients, dtype=np.complex128)
         if coeffs.shape != (self.group.order,):
             raise ValidationError(
                 f"expected {self.group.order} coefficients, got shape {coeffs.shape}"
@@ -82,8 +82,7 @@ class Spectrum:
         object.__setattr__(self, "coefficients", coeffs)
 
     def __getitem__(self, xi: Character) -> complex:
-        if xi.group != self.group:
-            raise GroupMismatchError("character belongs to a different group")
+        check_same_group(self.group, xi.group, "spectrum and character")
         return complex(self.coefficients[xi.index])
 
 
@@ -119,8 +118,7 @@ def dft_direct(f: GroupFunction) -> Spectrum:
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     """(f*g)(x) = (1/|G|) sum_y f(y) g(x-y), evaluated through the transform."""
-    if f.group != g.group:
-        raise GroupMismatchError("convolution operands live on different groups")
+    check_same_group(f.group, g.group, "convolution operands")
     check_cap(f.group.order, TRANSFORM_CAP, "group order {size} exceeds transform cap {cap}")
     shape = f.group.moduli
     fc = np.fft.fftn(f.values.reshape(shape))
@@ -133,8 +131,7 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
 
 def convolve_direct(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     """Double-loop convolution oracle (small groups only)."""
-    if f.group != g.group:
-        raise GroupMismatchError("convolution operands live on different groups")
+    check_same_group(f.group, g.group, "convolution operands")
     group = f.group
     check_cap(
         group.order, _DIRECT_ORACLE_CAP, "direct convolution oracle is limited to small groups"
@@ -158,8 +155,7 @@ def large_spectrum(f: GroupFunction, threshold: float) -> set[Character]:
     Plancherel forces |result| <= ||f||_{L2}^2 / threshold^2; a larger result
     raises BoundViolation.
     """
-    if not threshold > 0:
-        raise ValidationError("large-spectrum threshold must be positive")
+    threshold = check_real(threshold, "large-spectrum threshold", "(0, inf)")
     spec = dft(f)
     hits = np.nonzero(np.abs(spec.coefficients) >= threshold)[0]
     bound = lp_norm(f, 2) ** 2 / threshold**2

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GroupMismatchError, ValidationError, check_cap, check_int
+from .errors import ValidationError, check_cap, check_int, check_same_group
 
 MAX_GROUP_ORDER = 2**32
 ENUMERATION_CAP = 2**24
@@ -205,13 +205,11 @@ def parse_group_spec(text: str) -> GroupSpec:
         m = _FACTOR_RE.match(part)
         if not m:
             raise ValidationError(f"cannot parse group factor {part!r} in {text!r}")
-        moduli.append(int(m.group(1)))
+        try:
+            moduli.append(int(m.group(1)))
+        except ValueError:  # int() reads at most 4300 digits
+            raise ValidationError(f"group factor of {len(part) - 1} digits is too long") from None
     return GroupSpec(moduli)
-
-
-def _check_same_group(a, b) -> None:
-    if a.group != b.group:
-        raise GroupMismatchError(f"operands live on different groups: {a.group} vs {b.group}")
 
 
 def _reduce(group: GroupSpec, values, what: str, name: str) -> tuple[int, ...]:
@@ -235,7 +233,7 @@ class Element:
         object.__setattr__(self, "coords", reduced)
 
     def __add__(self, other: "Element") -> "Element":
-        _check_same_group(self, other)
+        check_same_group(self.group, other.group, "elements")
         return Element(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "Element":
@@ -266,7 +264,7 @@ class Character:
 
     def eval_fraction(self, x: Element) -> Fraction:
         """Exact value of xi(x) in [0, 1), over the common denominator lcm(n_i)."""
-        _check_same_group(self, x)
+        check_same_group(self.group, x.group, "character and element")
         L = self.group.exponent_lcm
         total = 0
         for a, c, n in zip(self.coeffs, x.coords, self.group.moduli):

@@ -28,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .bohr import BohrPartition, BohrSet
-from .errors import BoundViolation, ValidationError, check_cap, check_int, check_real
+from .errors import (BoundViolation, ValidationError, check_cap, check_int, check_real,
+                     check_same_group)
 from .fourier import GroupFunction, convolve, dft, large_spectrum, lp_norm
 from .groups import Character, GroupSpec
 
@@ -48,7 +49,7 @@ class GrowthFunction:
 
     polynomial: F(t) = c * t^k;  exponential: F(t) = c * 2^t.
     Parameters are constrained so that F(t) >= 1 and F is nondecreasing on
-    t >= 1.
+    t >= 1, and stored as floats.
     """
 
     kind: str
@@ -58,12 +59,9 @@ class GrowthFunction:
     def __post_init__(self):
         if self.kind not in ("polynomial", "exponential"):
             raise ValidationError(f"unknown growth kind {self.kind!r}")
-        if not (math.isfinite(self.c) and math.isfinite(self.k)):
-            raise ValidationError(f"growth parameters must be finite, got {self.c!r}, {self.k!r}")
-        if self.c < 1:
-            raise ValidationError("growth coefficient c must be >= 1")
-        if self.kind == "polynomial" and self.k < 0:
-            raise ValidationError("polynomial exponent k must be >= 0")
+        object.__setattr__(self, "c", check_real(self.c, "growth coefficient c", "[1, inf)"))
+        k_range = "[0, inf)" if self.kind == "polynomial" else "(-inf, inf)"
+        object.__setattr__(self, "k", check_real(self.k, "growth exponent k", k_range))
 
     def __call__(self, t: float) -> float:
         t = float(t)
@@ -140,8 +138,7 @@ class Partition:
         return self._sizes.copy()
 
     def common_refinement(self, other: "Partition") -> "Partition":
-        if other.group != self.group:
-            raise ValidationError("partitions live on different groups")
+        check_same_group(self.group, other.group, "partitions")
         combined = self.labels * other.part_count + other.labels
         return Partition(self.group, combined)
 
@@ -181,11 +178,6 @@ class Partition:
             GroupFunction(self.group, (self.labels == k).astype(np.float64))
             for k in range(self.part_count)
         ]
-
-
-def _check_eps(eps: float) -> None:
-    if not (math.isfinite(check_real(eps, "eps")) and eps > 0):
-        raise ValidationError(f"eps must be finite and positive, got {eps!r}")
 
 
 def _check_ascent_size(restarts: int, n: int) -> None:
@@ -448,13 +440,12 @@ def weak_regularity(
     one estimate per function and round (see cut_norm_witness); they are
     certified, being exact, when |G| <= 16.
     """
-    _check_eps(eps)
+    eps = check_real(eps, "eps", "(0, inf)")
     seed = check_int(seed, "seed", 0)
     restarts = check_int(restarts, "cut-norm restarts", 1)
     arrays = _check_plane_inputs(fs, group, _WEAK_CAP)
     part = initial if initial is not None else Partition.trivial(group)
-    if part.group != group:
-        raise ValidationError("initial partition lives on a different group")
+    check_same_group(group, part.group, "functions and initial partition")
     # the bound saturates at inf once eps^2 underflows or 1/eps^2 overflows
     eps_sq = eps * eps
     per_f = 1.0 / eps_sq if eps_sq > 0 else math.inf
@@ -548,8 +539,7 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
     n = group.order
     check_cap(n, _BOHR_CAP, "group order {size} exceeds cap {cap}")
     for f in fns:
-        if f.group != group:
-            raise ValidationError("all functions must live on the same group")
+        check_same_group(group, f.group, "functions")
         vals = np.asarray(f.values)
         if np.iscomplexobj(vals) or vals.min() < -1e-12 or vals.max() > 1 + 1e-12:
             raise ValidationError("inputs must take values in [0, 1]")
@@ -699,7 +689,7 @@ def double_regularity(
     f2_cut_estimates are that run's residuals: exact and certified when
     |G| <= 16, seeded alternating lower estimates above.
     """
-    _check_eps(eps)
+    eps = check_real(eps, "eps", "(0, inf)")
     seed = check_int(seed, "seed", 0)
     restarts = check_int(restarts, "cut-norm restarts", 1)
     arrays = _check_plane_inputs(fs, group, DOUBLE_CAP)

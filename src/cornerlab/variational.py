@@ -546,9 +546,7 @@ def minimize_T(
     [alpha^4 - 1e-6, alpha^3 + 1e-9]: the cube is attained by the constant
     start, and the fourth power lower-bounds T on the whole slice.
     """
-    alpha = check_real(alpha, "alpha")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"alpha must lie in [0, 1], got {alpha!r}")
+    alpha = check_real(alpha, "alpha", "[0, 1]")
     n = check_int(n, "grid size n", 2)
     restarts = check_int(restarts, "descent restarts", 1)
     seed = check_int(seed, "seed", 0)
@@ -642,13 +640,11 @@ def sweep_and_envelope(
     One sample is its own envelope: its solver value is the raw value, the
     repaired value and the single hull knot.
     """
-    pts = [check_real(a, "density sample") for a in alphas]
+    pts = [check_real(a, "density sample", "[0, 1]") for a in alphas]
     if not pts:
         raise ValidationError("need at least one density sample")
     if any(b < a for a, b in zip(pts, pts[1:])):
         raise ValidationError("density samples must be sorted ascending")
-    if pts[0] < 0.0 or pts[-1] > 1.0:
-        raise ValidationError("density samples must lie in [0, 1]")
     raw = [minimize_T(a, n, restarts=restarts, seed=seed + i).value for i, a in enumerate(pts)]
     repaired = list(raw)
     for i in range(len(pts) - 2, -1, -1):
@@ -694,12 +690,8 @@ class BoxInstance:
         cells = _check_grid(self, ("delta_x", "delta_y", "delta_z"), "cell_masses")
         if cells.min() < -1e-15:
             raise ValidationError("cell masses must be finite and nonnegative")
-        mass = check_real(self.hyperplane_mass, "hyperplane mass")
-        if not (math.isfinite(mass) and mass >= 0):
-            raise ValidationError("hyperplane mass must be finite and nonnegative")
-        eps = check_real(self.eps, "eps")
-        if not (math.isfinite(eps) and eps > 0):
-            raise ValidationError("eps must be finite and positive")
+        mass = check_real(self.hyperplane_mass, "hyperplane mass", "[0, inf)")
+        eps = check_real(self.eps, "eps", "(0, inf)")
         m = check_int(self.m, "m", 1)
         support = np.einsum("i,j,k->ijk", self.delta_x, self.delta_y, self.delta_z) > 0
         if np.any(cells[~support] > 1e-15):

@@ -1,4 +1,5 @@
-"""The number boundary: every integer or density argument is refused or taken the same way.
+"""The argument boundary: every integer, real, rational or group argument is
+refused or taken the same way, by one check in cornerlab.errors.
 
 Seeds, grid sizes, BoxInstance.m, group moduli, element and translation
 indices, element coordinates, character coefficients, corner_count_naive's
@@ -7,11 +8,16 @@ errors.check_int, so a float, bool, string or None raises ValidationError
 wherever it enters, and numpy integers are accepted.
 Restart counts are covered by the cut-norm and descent restart tests.
 Densities (minimize_T's alpha, the samples of sweep_and_envelope and
-PlaneSet.random's density), the eps of the regularity drivers and
-BoxInstance's eps and hyperplane mass pass through errors.check_real, which
-refuses a bool, string or None and takes any real number.  Radii, widths
-and the Bohr bounds' rho, delta and delta' are read as exact fractions, so
-an infinity is refused like any other value that is not a rational number.
+PlaneSet.random's density), the eps of the regularity drivers,
+BoxInstance's eps and hyperplane mass, box_approximation's eps0,
+GrowthFunction's c and k and the large-spectrum threshold pass through
+errors.check_real, which refuses a bool, string or None, takes any real
+number as a float, and refuses one outside the argument's interval, an
+infinity or NaN included.  Radii, widths and the Bohr bounds' rho, delta and
+delta' are read as exact fractions by errors.check_rational, so a bool or an
+infinity is refused like any other value that is not a rational number.  Every
+public entry that combines operands built over groups raises
+GroupMismatchError, through errors.check_same_group, when the groups differ.
 """
 
 from fractions import Fraction
@@ -26,21 +32,36 @@ from cornerlab import (
     Character,
     Element,
     GridFunction,
+    GroupFunction,
+    GroupMismatchError,
     GroupSpec,
+    GrowthFunction,
+    Partition,
     PlaneSet,
     ValidationError,
+    bohr_regularize,
     box_approximation,
+    convolve,
+    convolve_direct,
+    corner_count_by_difference,
     corner_count_naive,
     cut_norm_witness,
+    dft,
     integer_corner_scan,
     integer_corner_scan_naive,
+    large_spectrum,
     minimize_T,
+    parse_growth_spec,
     part_absorption_bound,
     pipeline_lower_bound,
+    popular_difference,
     sweep_and_envelope,
     translate_containment_bound,
+    triple_sum_from_views,
     volume_lower_bound,
     weak_regularity,
+    weighted_corner_count,
+    weighted_corner_count_direct,
 )
 
 G6 = GroupSpec([6])
@@ -81,9 +102,19 @@ EPS_AND_MASS_ARGUMENTS = {
                                                          0.25, 1),
     "BoxInstance eps": lambda v: BoxInstance(HALF, HALF, HALF, np.zeros((2, 2, 2)), 0.1, v, 1),
 }
-REAL_ARGUMENTS = {**DENSITY_ARGUMENTS, **EPS_AND_MASS_ARGUMENTS}
-
 XI = Character(G6, (1,))
+F6 = GroupFunction(G6, np.arange(6.0))
+# real arguments whose intervals leave out 0.25 (c >= 1, eps0 and the
+# threshold are checked before the rest of their call runs)
+OTHER_REAL_ARGUMENTS = {
+    "GrowthFunction c": lambda v: GrowthFunction("polynomial", v, 1),
+    "GrowthFunction k": lambda v: GrowthFunction("polynomial", 2, v),
+    "box_approximation eps0": lambda v: box_approximation(
+        BohrSet(G6, [XI], QUARTER), G6.element(0), v, EIGHTH),
+    "large_spectrum threshold": lambda v: large_spectrum(F6, v),
+}
+REAL_ARGUMENTS = {**DENSITY_ARGUMENTS, **EPS_AND_MASS_ARGUMENTS, **OTHER_REAL_ARGUMENTS}
+
 RATIONAL_ARGUMENTS = {
     "BohrSet radius": lambda v: BohrSet(G6, [], v),
     "BohrPartition width": lambda v: BohrPartition(G6, [XI], v),
@@ -98,6 +129,43 @@ RATIONAL_ARGUMENTS = {
     "box_approximation delta_prime": lambda v: box_approximation(
         BohrSet(G6, [XI], QUARTER), G6.element(0), 0.5, v),
 }
+
+
+G4 = GroupSpec([4])
+A6 = PlaneSet.random(G6, 0.5, 1)
+ONE4 = GroupFunction.constant(G4, 1.0)
+GROUP_ARGUMENTS = {
+    "Element +": lambda: G6.element(1) + G4.element(1),
+    "Character.eval_fraction": lambda: XI.eval_fraction(G4.element(1)),
+    "BohrSet frequencies": lambda: BohrSet(G6, [Character(G4, (1,))], QUARTER),
+    "BohrPartition frequencies": lambda: BohrPartition(G6, [Character(G4, (1,))], EIGHTH),
+    "BohrSet.member": lambda: BohrSet(G6, [XI], QUARTER).member(G4.element(1)),
+    "BohrPartition.label_of": lambda: BohrPartition(G6, [XI], EIGHTH).label_of(G4.element(1)),
+    "box_approximation z0": lambda: box_approximation(
+        BohrSet(G6, [XI], QUARTER), G4.element(0), 0.5, EIGHTH),
+    "Spectrum[]": lambda: dft(F6)[Character(G4, (1,))],
+    "convolve": lambda: convolve(F6, ONE4),
+    "convolve_direct": lambda: convolve_direct(F6, ONE4),
+    "popular_difference profile": lambda: popular_difference(
+        A6, corner_count_by_difference(PlaneSet.random(G4, 0.5, 1))),
+    "weighted_corner_count nu": lambda: weighted_corner_count(A6, ONE4),
+    "weighted_corner_count_direct nu": lambda: weighted_corner_count_direct(A6, ONE4),
+    "triple_sum_from_views nu": lambda: triple_sum_from_views(
+        (A6.bits, A6.bits, A6.bits), G6, ONE4),
+    "Partition.common_refinement": lambda: Partition.trivial(G6).common_refinement(
+        Partition.trivial(G4)),
+    "bohr_regularize functions": lambda: bohr_regularize(
+        [GroupFunction.constant(G6, 0.5), GroupFunction.constant(G4, 0.5)],
+        GrowthFunction("polynomial", 2, 1)),
+    "weak_regularity initial": lambda: weak_regularity(
+        [np.zeros((6, 6))], 0.25, G6, initial=Partition.trivial(G4)),
+}
+
+
+@pytest.mark.parametrize("call", GROUP_ARGUMENTS.values(), ids=GROUP_ARGUMENTS)
+def test_group_arguments_refuse_operands_on_another_group(call):
+    with pytest.raises(GroupMismatchError, match="live on different groups: Z6 vs Z4"):
+        call()
 
 
 @pytest.mark.parametrize("value", [2.5, True, "3", None])
@@ -133,6 +201,55 @@ def test_density_arguments_refuse_non_numbers(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("call", REAL_ARGUMENTS.values(), ids=REAL_ARGUMENTS)
+def test_real_arguments_refuse_values_that_are_not_finite(call, value):
+    with pytest.raises(ValidationError, match="must be finite and lie in"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("minimize_T alpha", 1.5, r"alpha must lie in \[0, 1\], got 1.5"),
+        ("sweep_and_envelope sample", -0.5, r"density sample must lie in \[0, 1\], got -0.5"),
+        ("PlaneSet.random density", np.float64(2), r"density must lie in \[0, 1\], got 2.0"),
+        ("weak_regularity eps", 0, r"eps must lie in \(0, inf\), got 0.0"),
+        ("BoxInstance hyperplane_mass", -0.1, r"hyperplane mass must lie in \[0, inf\)"),
+        ("GrowthFunction c", 0.5, r"growth coefficient c must lie in \[1, inf\), got 0.5"),
+        ("GrowthFunction k", -1, r"growth exponent k must lie in \[0, inf\), got -1.0"),
+        ("box_approximation eps0", 1, r"eps0 must lie in \(0, 1\), got 1.0"),
+        ("large_spectrum threshold", 0, r"threshold must lie in \(0, inf\), got 0.0"),
+    ],
+)
+def test_real_arguments_refuse_values_outside_their_interval(name, value, message):
+    with pytest.raises(ValidationError, match=message):
+        REAL_ARGUMENTS[name](value)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("BohrSet radius", 0.75, r"radius must lie in \(0, 1/2\], got 3/4"),
+        ("BohrPartition width", 2, r"width must lie in \(0, 1\], got 2"),
+        ("volume_lower_bound rho", 0, r"rho must lie in \(0, 1/2\], got 0"),
+        ("translate_containment_bound delta", 0, r"delta must lie in \(0, 1\], got 0"),
+        ("integer_corner_scan rho", "1/2", r"rho must lie in \(0, 1/4\], got 1/2"),
+        ("integer_corner_scan_naive rho", -0.25, r"rho must lie in \(0, 1/4\], got -1/4"),
+    ],
+)
+def test_rational_arguments_refuse_values_outside_their_interval(name, value, message):
+    with pytest.raises(ValidationError, match=message):
+        RATIONAL_ARGUMENTS[name](value)
+
+
+def test_growth_parameters_are_stored_as_floats_and_round_trip():
+    F = GrowthFunction("polynomial", np.float64(2), np.int64(1))
+    assert (type(F.c), type(F.k)) == (float, float)
+    assert F.spec_string() == "poly:2.0,1.0"
+    assert parse_growth_spec(F.spec_string()) == F
+
+
 @pytest.mark.parametrize("value", [0.25, np.float64(0.25), Fraction(1, 4)])
 @pytest.mark.parametrize("call", EPS_AND_MASS_ARGUMENTS.values(), ids=EPS_AND_MASS_ARGUMENTS)
 def test_eps_and_mass_arguments_accept_real_numbers(call, value):
@@ -142,6 +259,14 @@ def test_eps_and_mass_arguments_accept_real_numbers(call, value):
 @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
 @pytest.mark.parametrize("call", RATIONAL_ARGUMENTS.values(), ids=RATIONAL_ARGUMENTS)
 def test_rational_arguments_refuse_infinities(call, value):
+    with pytest.raises(ValidationError, match="is not a rational number"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("call", RATIONAL_ARGUMENTS.values(), ids=RATIONAL_ARGUMENTS)
+def test_rational_arguments_refuse_bools(call, value):
+    # as with the integer and real checks, True is not read as 1
     with pytest.raises(ValidationError, match="is not a rational number"):
         call(value)
 

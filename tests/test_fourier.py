@@ -235,3 +235,21 @@ def test_spectrum_lookup_by_character_matches_the_defining_sum(spec):
         assert type(fhat[xi]) is complex
     with pytest.raises(GroupMismatchError):
         fhat[parse_group_spec("Z13").characters()[1]]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda G, a: GroupFunction(G, a).values,
+        lambda G, a: Spectrum(G, a).coefficients,
+    ],
+    ids=["GroupFunction", "Spectrum"],
+)
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_values_are_copied_from_the_callers_array(build, dtype):
+    # the finiteness check holds for what is stored, so a later write to
+    # the caller's array must not reach it
+    a = np.ones(4, dtype=dtype)
+    stored = build(parse_group_spec("Z4"), a)
+    a[0] = np.nan
+    assert np.all(np.isfinite(stored)) and stored[0] == 1

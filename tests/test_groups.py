@@ -32,6 +32,12 @@ def test_parse_group_spec_rejects_garbage(bad):
         parse_group_spec(bad)
 
 
+def test_parse_group_spec_refuses_a_factor_past_the_integer_digit_limit():
+    # int() reads at most 4300 digits and raises a plain ValueError past them
+    with pytest.raises(ValidationError, match="group factor of 5000 digits is too long"):
+        parse_group_spec("Z" + "9" * 5000)
+
+
 def test_enumeration_order_is_mixed_radix_last_fastest():
     G = parse_group_spec("Z2xZ2")
     assert [e.coords for e in G.enumerate()] == [(0, 0), (0, 1), (1, 0), (1, 1)]
