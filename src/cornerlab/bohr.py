@@ -5,7 +5,8 @@ A Bohr set B(S, rho) collects the group elements whose images under every
 frequency in S stay within rho of zero on the torus; membership is decided
 with exact rational arithmetic so that strict inequalities and half-open
 interval labels are deterministic.  The companion partition splits G by
-rounding each xi(x) down to a width-delta interval.
+rounding each xi(x) down to a width-delta interval.  Whole-group masks and
+labels read one residue table: xi(x) * L in [0, L), L the exponent lcm.
 
 The verifiers measure, exhaustively over the group, how often translates of
 a small Bohr set escape a single part of a coarse partition, and how often a
@@ -44,6 +45,16 @@ def _canonical_freqs(group: GroupSpec, freqs: Sequence[Character]) -> tuple[Char
     return tuple(out)
 
 
+def _residues(group: GroupSpec, freqs: Sequence[Character]) -> np.ndarray:
+    """(|G|, |S|) int64 table whose column j is freqs[j].residue_vector():
+    xi_j(element(i)) = table[i, j] / L exactly, with L = group.exponent_lcm."""
+    check_cap(group.order, _EXHAUSTIVE_CAP, "group order {size} exceeds enumeration cap {cap}")
+    table = np.empty((group.order, len(freqs)), dtype=np.int64)
+    for j, xi in enumerate(freqs):
+        table[:, j] = xi.residue_vector()
+    return table
+
+
 @dataclass(frozen=True)
 class BohrSet:
     """B(S, rho): elements x with every ||xi(x)||_{R/Z} < rho, strictly."""
@@ -52,11 +63,9 @@ class BohrSet:
     freqs: tuple[Character, ...]
     radius: Fraction
 
-    def __init__(self, group: GroupSpec, freqs: Sequence[Character], radius: RationalLike):
-        rho = check_rational(radius, "radius", "(0, 1/2]")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "freqs", _canonical_freqs(group, freqs))
-        object.__setattr__(self, "radius", rho)
+    def __post_init__(self):
+        object.__setattr__(self, "radius", check_rational(self.radius, "radius", "(0, 1/2]"))
+        object.__setattr__(self, "freqs", _canonical_freqs(self.group, self.freqs))
 
     def member(self, x: Element) -> bool:
         check_same_group(self.group, x.group, "Bohr set and element")
@@ -66,21 +75,12 @@ class BohrSet:
 
     def mask(self) -> np.ndarray:
         """Boolean membership array over the whole group, exact integer tests."""
-        n = self.group.order
-        check_cap(n, _EXHAUSTIVE_CAP, "group order {size} exceeds enumeration cap {cap}")
-        keep = np.ones(n, dtype=bool)
+        r = _residues(self.group, self.freqs)
         L = self.group.exponent_lcm
         # an integer distance d has d < rho * L exactly when d < ceil(rho * L),
         # a Python int at most L / 2 however large rho's denominator is
         limit = -(-self.radius.numerator * L // self.radius.denominator)
-        for xi in self.freqs:
-            r = xi.residue_vector()
-            dist = np.minimum(r, L - r)  # torus distance in units of 1/L
-            keep &= dist < limit
-        return keep
-
-    def indices(self) -> np.ndarray:
-        return np.nonzero(self.mask())[0]
+        return (np.minimum(r, L - r) < limit).all(axis=1)  # torus distances in units of 1/L
 
     def measure(self) -> Fraction:
         """mu(B) = |B| / |G| as an exact fraction."""
@@ -111,23 +111,17 @@ class BohrPartition:
     freqs: tuple[Character, ...]
     width: Fraction
 
-    def __init__(self, group: GroupSpec, freqs: Sequence[Character], width: RationalLike):
-        delta = check_rational(width, "width", "(0, 1]")
+    def __post_init__(self):
+        delta = check_rational(self.width, "width", "(0, 1]")
         if delta.numerator != 1:
             raise ValidationError(f"width must be 1/N for an integer N >= 1, got {delta}")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "freqs", _canonical_freqs(group, freqs))
         object.__setattr__(self, "width", delta)
-
-    @property
-    def resolution(self) -> int:
-        """N = 1/width."""
-        return self.width.denominator
+        object.__setattr__(self, "freqs", _canonical_freqs(self.group, self.freqs))
 
     def label_of(self, x: Element) -> tuple[int, ...]:
         """s_i = 1 + floor(N * xi_i(x)), exact; labels live in [N]^{|S|}."""
         check_same_group(self.group, x.group, "Bohr partition and element")
-        N = self.resolution
+        N = self.width.denominator
         out = []
         for xi in self.freqs:
             t = xi.eval_fraction(x) % 1
@@ -135,15 +129,15 @@ class BohrPartition:
         return tuple(out)
 
     def label_matrix(self) -> np.ndarray:
-        """(|G|, |S|) int64 array of interval labels, whole group at once."""
-        n = self.group.order
-        check_cap(n, _EXHAUSTIVE_CAP, "group order {size} exceeds enumeration cap {cap}")
-        N = self.resolution
-        L = self.group.exponent_lcm
-        cols = [1 + (N * xi.residue_vector()) // L for xi in self.freqs]
-        if not cols:
-            return np.zeros((n, 0), dtype=np.int64)
-        return np.stack(cols, axis=1)
+        """(|G|, |S|) int64 array of interval labels, whole group at once:
+        floor(N r / L) as q r + floor(s r / L), (q, s) = divmod(N, L), exact
+        while the top label fits int64 (s r < L^2 <= 2^32 under the cap)."""
+        N, L = self.width.denominator, self.group.exponent_lcm
+        check_cap(1 + N * (L - 1) // L, np.iinfo(np.int64).max,
+                  "Bohr partition label {size} exceeds the int64 cap {cap}")
+        q, s = divmod(N, L)
+        r = _residues(self.group, self.freqs)
+        return 1 + q * r + s * r // L
 
     def part_ids(self) -> tuple[np.ndarray, list[tuple[int, ...]], np.ndarray]:
         """Compact ids: (ids over G, sorted distinct labels, part sizes)."""
@@ -191,18 +185,16 @@ def verify_translate_containment(
     Exhaustive over x.  When the pinned prediction 8*rho*|S|/delta is < 1,
     a violation of it raises BoundViolation rather than passing silently.
     """
-    S = _canonical_freqs(group, freqs)
-    B = BohrSet(group, S, rho)
-    partition = BohrPartition(group, S, delta)
-    ids, _, _ = partition.part_ids()
-    b_idx = B.indices()
+    B = BohrSet(group, freqs, rho)
+    ids, _, _ = BohrPartition(group, freqs, delta).part_ids()
+    b_idx = np.flatnonzero(B.mask())
     bad = 0
     for x in range(group.order):
         labs = ids[group.add_indices(x, b_idx)]
         if labs.min() != labs.max():
             bad += 1
     fraction = Fraction(bad, group.order)
-    bound = translate_containment_bound(len(S), rho, delta)
+    bound = translate_containment_bound(len(B.freqs), rho, delta)
     if bound < 1 and fraction > bound:
         raise BoundViolation(
             f"translate containment failed on {fraction} of translates; "
@@ -224,15 +216,11 @@ def verify_part_absorption(
     Requires S to be a subset of S'.  Exhaustive over x; the pinned
     prediction 4*delta'*|S|/(rho*C) is asserted when < 1.
     """
-    S = _canonical_freqs(group, freqs)
-    S_fine = _canonical_freqs(group, fine_freqs)
-    fine_coeffs = {xi.coeffs for xi in S_fine}
-    if any(xi.coeffs not in fine_coeffs for xi in S):
+    B = BohrSet(group, freqs, rho)
+    fine = BohrPartition(group, fine_freqs, delta_prime)
+    if not {xi.coeffs for xi in B.freqs} <= {xi.coeffs for xi in fine.freqs}:
         raise ValidationError("the fine frequency set must contain the coarse one")
-    B = BohrSet(group, S, rho)
-    fine = BohrPartition(group, S_fine, delta_prime)
     ids, labels, _ = fine.part_ids()
-    n_parts = len(labels)
     mask_B = B.mask()
     b_idx = np.nonzero(mask_B)[0]
     neg = group.negation_permutation()
@@ -240,12 +228,10 @@ def verify_part_absorption(
     worst = Fraction(0)
     for x in range(group.order):
         in_translate = mask_B[group.add_indices(neg[x], everything)]  # g in x + B  <=>  g - x in B
-        uncovered = np.bincount(ids[~in_translate], minlength=n_parts) > 0
+        uncovered = np.bincount(ids[~in_translate], minlength=len(labels)) > 0
         bad = int(uncovered[ids[group.add_indices(x, b_idx)]].sum())
-        frac = Fraction(bad, len(b_idx))
-        if frac > worst:
-            worst = frac
-    bound = part_absorption_bound(len(S), rho, delta_prime)
+        worst = max(worst, Fraction(bad, len(b_idx)))
+    bound = part_absorption_bound(len(B.freqs), rho, delta_prime)
     if bound < 1 and worst > bound:
         raise BoundViolation(
             f"part absorption failed on a {worst} fraction; "

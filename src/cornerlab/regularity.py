@@ -47,9 +47,9 @@ _ASCENT_CELLS_CAP = 2**22
 class GrowthFunction:
     """A named growth rate from a small catalog.
 
-    polynomial: F(t) = c * t^k;  exponential: F(t) = c * 2^t.
-    Parameters are constrained so that F(t) >= 1 and F is nondecreasing on
-    t >= 1, and stored as floats.
+    polynomial: F(t) = c * t^k;  exponential: F(t) = c * 2^t, which takes no
+    exponent, so k stays 1.0.  Parameters are constrained so that F(t) >= 1
+    and F is nondecreasing on t >= 1, and stored as floats.
     """
 
     kind: str
@@ -60,7 +60,7 @@ class GrowthFunction:
         if self.kind not in ("polynomial", "exponential"):
             raise ValidationError(f"unknown growth kind {self.kind!r}")
         object.__setattr__(self, "c", check_real(self.c, "growth coefficient c", "[1, inf)"))
-        k_range = "[0, inf)" if self.kind == "polynomial" else "(-inf, inf)"
+        k_range = "[0, inf)" if self.kind == "polynomial" else "[1, 1]"
         object.__setattr__(self, "k", check_real(self.k, "growth exponent k", k_range))
 
     def __call__(self, t: float) -> float:
@@ -199,7 +199,7 @@ def _check_plane_inputs(fs: Sequence[np.ndarray], group: GroupSpec, cap: int) ->
         arr = np.asarray(f, dtype=np.float64)
         if arr.shape != (n, n):
             raise ValidationError(f"function {j} must be {n} x {n}")
-        if arr.min() < -1e-12 or arr.max() > 1 + 1e-12:
+        if not (arr.min() >= -1e-12 and arr.max() <= 1 + 1e-12):  # NaN fails too
             raise ValidationError(f"function {j} must take values in [0, 1]")
         out.append(np.clip(arr, 0.0, 1.0))
     if not out:
@@ -572,7 +572,6 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
         rho_den = min(max(rho_den_req, 2), 2 * L)
         radius_capped = rho_den_req > rho_den
         rho_next = Fraction(1, rho_den)
-        B_next = BohrSet(group, S_next, rho_next)
 
         N_next, next_capped = _capped_width_denominator(F.ceil_value(rho_den), N_i, L)
         P_next = BohrPartition(group, S_next, Fraction(1, N_next))
@@ -611,7 +610,8 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
         S, rho, N_i, width_capped = S_next, rho_next, N_next, next_capped
         P_i, part_i, projections_i = P_next, part_next, projections_next
 
-    mu = B_next.mu()
+    B = BohrSet(group, S_next, rho_next)
+    mu = B.mu()
     components = []
     worst_l2 = 0.0
     worst_linf = 0.0
@@ -637,7 +637,7 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
     return BohrDecomposition(
         partition=P_i,
         labelled=part_i,
-        bohr_set=B_next,
+        bohr_set=B,
         components=components,
         achieved_l2=worst_l2,
         achieved_linf=worst_linf,

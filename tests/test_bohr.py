@@ -14,6 +14,8 @@ import pytest
 from cornerlab import (
     BohrPartition,
     BohrSet,
+    BoundViolation,
+    BoxDecomposition,
     CapExceededError,
     Character,
     GroupFunction,
@@ -29,6 +31,7 @@ from cornerlab import (
     verify_translate_containment,
     volume_lower_bound,
 )
+from cornerlab import bohr
 
 
 def first_char(G):
@@ -43,7 +46,7 @@ def test_membership_known_points_z12():
     B = BohrSet(G, [first_char(G)], Fraction(1, 5))
     assert B.member(G.element(2))  # ||2/12|| = 1/6 < 1/5
     assert not B.member(G.element(3))  # 1/4 >= 1/5
-    members = sorted(int(i) for i in B.indices())
+    members = sorted(int(i) for i in np.flatnonzero(B.mask()))
     assert members == [0, 1, 2, 10, 11]
 
 
@@ -68,7 +71,7 @@ def test_radius_one_half_membership():
     G = parse_group_spec("Z8")
     B = BohrSet(G, [first_char(G)], Fraction(1, 2))
     # Only x = 4 sits exactly at distance 1/2 and is excluded by strictness.
-    assert sorted(int(i) for i in B.indices()) == [0, 1, 2, 3, 5, 6, 7]
+    assert sorted(int(i) for i in np.flatnonzero(B.mask())) == [0, 1, 2, 3, 5, 6, 7]
 
 
 @pytest.mark.parametrize("radius", [
@@ -184,6 +187,26 @@ def test_partition_width_validation():
     G = parse_group_spec("Z12")
     with pytest.raises(ValidationError):
         BohrPartition(G, [first_char(G)], Fraction(2, 7))
+
+
+@pytest.mark.parametrize("log_n", [10, 53, 54, 56, 62, 63])
+def test_labels_are_exact_at_every_width_that_fits_int64(log_n):
+    # N * r would pass 2^63 from N = 2^54 on at L = 1000; the labels are
+    # read as q r + floor(s r / L) with (q, s) = divmod(N, L), so every
+    # N >= 1000 gives the finest partition, one part per element
+    G = parse_group_spec("Z1000")
+    P = BohrPartition(G, [Character(G, (999,))], Fraction(1, 2**log_n))
+    mat = P.label_matrix()
+    assert [tuple(row) for row in mat.tolist()] == [P.label_of(x) for x in G.enumerate()]
+    assert len(P.part_ids()[1]) == 1000
+
+
+def test_labels_past_int64_are_refused():
+    G = parse_group_spec("Z1000")
+    P = BohrPartition(G, [Character(G, (999,))], Fraction(1, 2**64))
+    assert P.label_of(G.element(1)) == (1 + 2**64 * 999 // 1000,)  # the oracle still reads it
+    with pytest.raises(CapExceededError, match="label 18428297329635842065 exceeds the int64"):
+        P.label_matrix()
 
 
 # ----------------------------------------------------------------- verifiers
@@ -359,6 +382,40 @@ def test_box_approximation_matches_a_double_loop(spec, freq_coords, z0, delta_pr
     assert boxes  # the loop found boxes to compare
     assert box.residual_measure == residual
     assert box.target_measure == target_measure
+
+
+def test_box_approximation_refuses_a_label_no_part_has():
+    G = parse_group_spec("Z12")
+    partition = BohrPartition(G, [first_char(G)], Fraction(1, 4))
+    with pytest.raises(ValidationError, match=r"no nonempty part labeled \(5,\)"):
+        box_approximation((partition, (5,)), G.zero(), 0.5, Fraction(1, 8))
+
+
+def test_box_decomposition_refuses_a_negative_residual():
+    with pytest.raises(ValidationError, match="residual measure cannot be negative"):
+        BoxDecomposition((), -1e-9, 0.5)
+
+
+def test_box_residual_past_its_bound_raises(monkeypatch):
+    # a covering constant of 10^6 makes the fine-width hypothesis hold at
+    # delta' = 1/2, where no pair of the two fine parts lies inside the target
+    monkeypatch.setattr(bohr, "volume_lower_bound", lambda s, rho: Fraction(10**6))
+    G = parse_group_spec("Z32")
+    with pytest.raises(BoundViolation, match="box residual .* exceeds eps0 \\* mu\\(B\\)"):
+        box_approximation(BohrSet(G, [first_char(G)], Fraction(1, 4)), G.zero(), 0.25,
+                          Fraction(1, 2))
+
+
+def test_verifiers_raise_past_their_pinned_bounds(monkeypatch):
+    # two instances with nonzero measured fractions, held to a bound of 0
+    monkeypatch.setattr(bohr, "translate_containment_bound", lambda *args: Fraction(0))
+    monkeypatch.setattr(bohr, "part_absorption_bound", lambda *args: Fraction(0))
+    G = parse_group_spec("Z128")
+    xi = first_char(G)
+    with pytest.raises(BoundViolation, match="translate containment failed on 7/32 of"):
+        verify_translate_containment(G, [xi], Fraction(1, 2), Fraction(1, 16))
+    with pytest.raises(BoundViolation, match="part absorption failed on a 1/63 fraction"):
+        verify_part_absorption(G, [xi], [xi], Fraction(1, 4), Fraction(1, 100))
 
 
 def test_box_approximation_checks_its_cap_before_any_mask(monkeypatch):

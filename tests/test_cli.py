@@ -425,6 +425,29 @@ def test_group_cap_maps_to_exit_three(capsys):
     assert "cornerlab:" in err
 
 
+def test_bound_violation_maps_to_exit_four(capsys, monkeypatch):
+    def violated(*args):
+        raise cornerlab.BoundViolation("popular difference below alpha^3")
+
+    monkeypatch.setattr(cli, "popular_difference", violated)
+    code, out, err = run_cli(capsys, "popular", "--group", "Z8", "--density", "0.5")
+    assert (code, out) == (4, "")
+    assert err == "cornerlab: bound violated: popular difference below alpha^3\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--group", "Z4"], "need --set-file, or --group together with --density"),
+    (["scan", "--group", "Z4", "--density", "0.1,0.2"], "this command takes exactly one density"),
+    (["scan", "--group", "Z4", "--density", ","], "density must list at least one number"),
+    (["variational"], "need --density with one or more samples"),
+    (["envelope", "--density", "0.5"], "envelope needs at least two density samples"),
+])
+def test_missing_or_miscounted_inputs_map_to_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"cornerlab: invalid input: {message}\n"
+
+
 def test_bad_flag_value_maps_to_exit_two(capsys):
     code, _, err = run_cli(capsys, "scan", "--group", "Z8", "--density", "oops")
     assert code == 2

@@ -10,6 +10,7 @@ import pytest
 
 from cornerlab import (
     BohrSet,
+    BoundViolation,
     CapExceededError,
     GroupFunction,
     GroupMismatchError,
@@ -253,3 +254,24 @@ def test_values_are_copied_from_the_callers_array(build, dtype):
     stored = build(parse_group_spec("Z4"), a)
     a[0] = np.nan
     assert np.all(np.isfinite(stored)) and stored[0] == 1
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda G: GroupFunction(G, np.zeros(5)), r"expected 6 values, got shape \(5,\)"),
+    (lambda G: GroupFunction(G, [0, 1, np.inf, 0, 0, 0]), "function values must be finite"),
+    (lambda G: Spectrum(G, np.zeros((6, 1))), r"expected 6 coefficients, got shape \(6, 1\)"),
+    (lambda G: Spectrum(G, [0, 1j * np.nan, 0, 0, 0, 0]), "spectrum coefficients must be finite"),
+    (lambda G: GroupFunction.normalized_indicator(G, np.zeros(6, bool)),
+     "cannot normalize the indicator of the empty set"),
+])
+def test_malformed_functions_and_spectra_are_refused(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build(parse_group_spec("Z6"))
+
+
+def test_large_spectrum_past_the_plancherel_bound_raises(monkeypatch):
+    # with ||f||_2 read as 0 the bound is 0, and the mean 2.5 is still a hit
+    monkeypatch.setattr(fourier, "lp_norm", lambda f, p: 0.0)
+    G = parse_group_spec("Z6")
+    with pytest.raises(BoundViolation, match="exceeds Plancherel bound 0.0"):
+        large_spectrum(GroupFunction(G, np.arange(6.0)), 0.5)

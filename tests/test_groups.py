@@ -273,3 +273,18 @@ def test_cross_group_operations_rejected():
     b = Element(parse_group_spec("Z5"), (1,))
     with pytest.raises(ValidationError):
         _ = a + b
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GroupSpec([]), "group needs at least one cyclic factor"),
+    (lambda: GroupSpec([2**16, 2**16 + 1]),
+     f"group order {2**32 + 2**16} exceeds the supported maximum {2**32}"),
+    (lambda: GroupSpec([6]).element(6), "index 6 out of range for group of order 6"),
+    (lambda: GroupSpec([2, 3]).translate_permutation(6),
+     "index 6 out of range for group of order 6"),
+    (lambda: Element(GroupSpec([2, 3]), (1,)), "element has 1 coordinates, group has rank 2"),
+    (lambda: Character(GroupSpec([6]), (1, 2)), "character has 2 coefficients, group has rank 1"),
+])
+def test_malformed_groups_elements_and_characters_are_refused(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()

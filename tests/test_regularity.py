@@ -71,6 +71,22 @@ def test_growth_function_rejects_non_finite_parameters(spec):
         parse_growth_spec(spec)
 
 
+@pytest.mark.parametrize("growth", [
+    GrowthFunction("polynomial", 3, 2), GrowthFunction("polynomial", 1.5, 0),
+    GrowthFunction("exponential", 2), GrowthFunction("exponential", 1.25, 1),
+])
+def test_every_accepted_growth_reads_back_from_its_spec(growth):
+    assert parse_growth_spec(growth.spec_string()) == growth
+
+
+@pytest.mark.parametrize("k", [5, 0, -1e300])
+def test_exponential_growth_takes_no_exponent(k):
+    # 2^t has no exponent to set; a stored k would enter equality but not
+    # spec_string(), so exp:2 would stand for several unequal growths
+    with pytest.raises(ValidationError, match=r"growth exponent k must lie in \[1, 1\]"):
+        GrowthFunction("exponential", 2, k)
+
+
 # ---------------------------------------------------------------- partitions
 
 
@@ -462,6 +478,19 @@ def test_weak_regularity_rejects_bad_values():
         weak_regularity([np.full((8, 8), 1.5)], 0.1, G)
     with pytest.raises(ValidationError):
         weak_regularity([np.zeros((8, 8))], 0.0, G)
+
+
+def test_regularity_engines_refuse_a_nan_cell_where_it_enters(monkeypatch):
+    # NaN fails every comparison, so the range test is written to fail on it
+    # before any projection or cut norm sees the array
+    monkeypatch.setattr(regularity, "cut_norm_witness", lambda *a, **k: pytest.fail("ran"))
+    G = parse_group_spec("Z16")
+    f = np.full((16, 16), 0.5)
+    f[3, 5] = np.nan
+    with pytest.raises(ValidationError, match=r"function 0 must take values in \[0, 1\]"):
+        weak_regularity([f], 0.25, G)
+    with pytest.raises(ValidationError, match=r"function 0 must take values in \[0, 1\]"):
+        double_regularity([f], 0.25, F_POLY, G)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf")])

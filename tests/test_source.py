@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import cornerlab
 
 
@@ -141,3 +143,45 @@ def test_profile_gathers_the_bit_matrix_once():
     visit(fn, False)
     assert [looped for _, looped in reads] == [False], reads
     assert not bare, bare
+
+
+def test_bohr_reads_residues_through_one_table():
+    # BohrSet.mask and BohrPartition.label_matrix both read bohr._residues,
+    # the one place that calls residue_vector; the one-line aliases stay gone
+    path = Path(cornerlab.__file__).parent / "bohr.py"
+    functions = [
+        fn
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(fn, ast.FunctionDef)
+    ]
+
+    def callers(name):
+        return sorted(
+            fn.name
+            for fn in functions
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and name in {getattr(node.func, "attr", None), getattr(node.func, "id", None)}
+        )
+
+    assert callers("residue_vector") == ["_residues"]
+    assert callers("_residues") == ["label_matrix", "mask"]
+    assert not hasattr(cornerlab.BohrSet, "indices")
+    assert not hasattr(cornerlab.BohrPartition, "resolution")
+
+
+def test_bohr_regularize_builds_one_bohr_set(monkeypatch):
+    # the smoothing Bohr set is built once, after the loop, on a run of
+    # two rounds
+    built = []
+
+    def counted(*args):
+        built.append(cornerlab.BohrSet(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cornerlab.regularity, "BohrSet", counted)
+    G = cornerlab.parse_group_spec("Z32")
+    f = cornerlab.GroupFunction(G, (np.arange(32) % 5 < 2).astype(float))
+    result = cornerlab.bohr_regularize([f], cornerlab.GrowthFunction("polynomial", 4, 1))
+    assert result.rounds >= 1
+    assert len(built) == 1 and result.bohr_set is built[0]
