@@ -149,7 +149,7 @@ class BohrPartition:
                 np.array([self.group.order], dtype=np.int64),
             )
         uniq, inverse, counts = np.unique(mat, axis=0, return_inverse=True, return_counts=True)
-        labels = [tuple(int(v) for v in row) for row in uniq]
+        labels = [tuple(row) for row in uniq.tolist()]
         return inverse.ravel().astype(np.int64), labels, counts.astype(np.int64)
 
     def parts(self) -> list[tuple[tuple[int, ...], np.ndarray]]:

@@ -6,10 +6,12 @@ multiply them, and take the expectation.  Constant functions give
 T(alpha) = alpha^3, and the infimum over the mean-alpha slice sits somewhere
 in [alpha^4, alpha^3]; minimize_T chases it with spectral projected gradient
 from a fixed family of starts, each run to a Frank-Wolfe stationarity gap.
-A start that spectral steps have not finished within a fixed budget of T
-evaluations finishes by projected Newton steps on its face, with the exact
-Hessian (T is cubic), and returns to spectral steps for good if a Newton
-step fails; its result is assembled from one table of per-restart rows.
+A start switches to projected Newton steps on its face, with the exact
+Hessian (T is cubic), once spectral steps have held its face (the cells at 0
+or 1) fixed for a few steps at a small gap, or once they have spent a fixed
+budget of T evaluations without finishing; a failed Newton step sends it
+back to spectral steps until its face has held for twice as long as before.
+The result is assembled from one table of per-restart rows.
 sweep_and_envelope turns a grid of densities into the lower convex envelope
 of the estimates.  evaluate_T, gradient_T, the descent, its Hessian and the
 box model take T and the bracket's parts from one kernel pass (_kernel) over
@@ -48,11 +50,25 @@ from .regularity import (
 _MEAN_FEASIBLE_TOL = 1e-10
 # T-evaluations per descent lane, backtracks included
 _DESCENT_CAP = 10_000
-# T-evaluations of SPG after which a lane that needs a new direction takes
-# projected Newton steps.  Newton should only take lanes that SPG has failed
-# to finish: at n = 6 a budget of 300 raised the slowest lane of the density
-# samples 0.2 and 0.4 from 398 and 362 T evaluations to 1,169 and 892.
+# T-evaluations after which a lane that needs a new direction takes projected
+# Newton steps whatever its face, until its first failed attempt.  When this
+# budget was the only way into Newton steps, a budget of 300 raised the
+# slowest lane of the density samples 0.2 and 0.4 at n = 6 from 398 and 362 T
+# evaluations to 1,169 and 892; the face rule below now takes such lanes
+# earlier, and only once their face has settled.
 _SPG_BUDGET = 500
+# A lane whose face (_face) has held through _FACE_STEPS accepted steps, and
+# whose Frank-Wolfe gap is at most _FACE_GAP, takes Newton steps before the
+# budget: projected gradient fixes the face of a nondegenerate minimum in
+# finitely many steps (Calamai and More 1987), and Newton converges fast on it
+# (Bertsekas 1982).  Each failed attempt doubles the held steps the lane's next
+# attempt needs.  Over the density-sweep solves and the c06 grid at n = 6, 5
+# steps raised an m_hat by 2.9e-10; 20 or 40 steps, or a gap of 1e-7, took
+# 6-25% more lockstep passes; a gap of 1e-5 built 16-27% more Hessians; and
+# without the doubling, c06's alpha 0.35 restart 2 built 191 Hessians, 114 of
+# them failed, and ended at _DESCENT_CAP.
+_FACE_STEPS = 10
+_FACE_GAP = 1e-6
 # A reduced Newton Hessian's eigenvalues of magnitude at most this times the
 # largest magnitude are not inverted.
 _EIG_RTOL = 1e-8
@@ -355,6 +371,13 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]
     return -span @ ((span.T @ grad) / size[keep]), float(mu[0])
 
 
+def _face(phi: np.ndarray) -> np.ndarray:
+    """Face of each row of a (B, N) stack as int8 codes: -1 for a cell at 0,
+    1 for a cell at 1 and 0 inside, a cell within _FACE_TOL of a bound
+    counting as at it."""
+    return (phi >= 1.0 - _FACE_TOL).view(np.int8) - (phi <= _FACE_TOL).view(np.int8)
+
+
 def _newton_target(
     hess: np.ndarray, phi: np.ndarray, grad: np.ndarray
 ) -> tuple[np.ndarray | None, float]:
@@ -395,18 +418,27 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
     Barzilai-Borwein quotient <s, s> / <s, y>, clamped to [_STEP_MIN,
     _STEP_MAX] (the top when <s, y> <= 0); the first step is 1.
 
-    SPG is sublinear at degenerate minima, so a lane that needs a new
-    direction after _SPG_BUDGET T evaluations takes projected Newton steps
-    on its face instead (Bertsekas 1982).  On its k free cells (_free_cells)
-    it builds the exact Hessian of the bracket (_face_hessian, counted as 2k
-    T evaluations), takes the Newton point of the face inside [0, 1]
-    (_newton_target), projects it onto the face's part of the slice, where
-    the other cells stay put, and searches along d = that point - phi with
-    the same line search.  A lane whose Newton direction does not descend,
-    whose Newton trial step falls below _NEWTON_MIN_STEP, or whose Hessian
-    would not fit under the evaluation cap or, as a stack of 2k rows, under
-    _DESCENT_CELLS_CAP, resumes SPG to the end with its own step and memory.
-    A lane that finishes within the budget runs SPG alone.
+    SPG is sublinear at degenerate minima, and once it has fixed a lane's
+    face (the cells at 0 or 1, _face) the rest is a smooth problem on the
+    free cells, so a lane that needs a new direction takes projected Newton
+    steps on its face (Bertsekas 1982) by either of two rules:
+    - the face rule: its face has not changed over its last hold accepted
+      steps (hold starts at _FACE_STEPS), and its gap is at most _FACE_GAP;
+    - the budget rule: it has spent _SPG_BUDGET T evaluations, and no Newton
+      attempt of its own has failed.
+    On its k free cells (_free_cells) it builds the exact Hessian of the
+    bracket (_face_hessian, counted as 2k T evaluations), takes the Newton
+    point of the face inside [0, 1] (_newton_target), projects it onto the
+    face's part of the slice, where the other cells stay put, and searches
+    along d = that point - phi with the same line search.  The attempt fails
+    when the Hessian would not fit under the evaluation cap or, as a stack
+    of 2k rows, under _DESCENT_CELLS_CAP, when no Newton point is left, when
+    the direction does not descend, or when the trial step falls below
+    _NEWTON_MIN_STEP.  A failed attempt sends the lane back to SPG with its
+    own step and memory, closes the budget rule, restarts the face count and
+    doubles hold, so the lane tries again once its face has held that long.
+    A lane whose face never settles at a small gap, and that finishes
+    within the budget, runs SPG alone.
 
     A lane leaves the batch once its Frank-Wolfe gap is at most _GAP_TOL or
     after _DESCENT_CAP T evaluations, so each pass works on the live lanes
@@ -435,7 +467,12 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
     evals = np.zeros(lanes, dtype=int)
     fresh = np.ones(lanes, dtype=bool)  # needs a new direction
     newton = np.zeros(lanes, dtype=bool)  # d is a Newton direction
-    spg_only = np.zeros(lanes, dtype=bool)  # a Newton step failed
+    # the count at which the budget rule opens; a failed Newton attempt moves
+    # it to the cap, which no live lane reaches
+    budget = np.full(lanes, _SPG_BUDGET)
+    face = _face(phi)
+    held = np.zeros(lanes, dtype=int)  # accepted steps since the face last changed
+    hold = np.full(lanes, _FACE_STEPS)  # held steps the face rule asks for
     steps = np.zeros(lanes, dtype=int)
     curvature = np.full(lanes, np.nan)
     d = np.empty_like(phi)
@@ -451,30 +488,33 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
             if done.all():
                 break
             keep = ~done
-            (live, phi, t, grad, gap, step, recent, slot, evals, fresh, newton, spg_only,
-             steps, curvature, d, a, slope) = (
+            (live, phi, t, grad, gap, step, recent, slot, evals, fresh, newton, budget,
+             face, held, hold, steps, curvature, d, a, slope) = (
                 x[keep] for x in (live, phi, t, grad, gap, step, recent, slot, evals, fresh,
-                                  newton, spg_only, steps, curvature, d, a, slope)
+                                  newton, budget, face, held, hold, steps, curvature, d, a,
+                                  slope)
             )
         if fresh.any():
-            newton = np.where(fresh, ~spg_only & (evals >= _SPG_BUDGET), newton)
+            settled = (held >= hold) & (gap <= _FACE_GAP)
+            newton = np.where(fresh, settled | (evals >= budget), newton)
             for i in np.flatnonzero(newton & fresh):
                 free = _free_cells(phi[i], grad[i])
                 k = int(free.sum())
                 if k >= 2 and 2 * k * cells <= _DESCENT_CELLS_CAP and evals[i] + 2 * k < _DESCENT_CAP:
                     evals[i] += 2 * k
-                    face = phi[i, free]
+                    part = phi[i, free]
                     target, curvature[i] = _newton_target(
-                        _face_hessian(w, phi[i], free), face, grad[i, free]
+                        _face_hessian(w, phi[i], free), part, grad[i, free]
                     )
                     if target is not None:
                         d[i] = 0.0
-                        d[i, free] = _project_to_slice(target[None, :], face.sum() / k)[0] - face
+                        d[i, free] = _project_to_slice(target[None, :], part.sum() / k)[0] - part
                         a[i] = 1.0
                         slope[i] = (grad[i] * d[i]).sum() / cells
                         if slope[i] < 0.0:
                             continue
-                newton[i], spg_only[i] = False, True
+                newton[i], budget[i], held[i] = False, _DESCENT_CAP, 0
+                hold[i] *= 2
             spg = fresh & ~newton
             if spg.any():
                 sel = slice(None) if spg.all() else spg  # a slice gathers nothing
@@ -491,7 +531,8 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
         if newton.any():
             steps += newton & ok
             failed = newton & ~ok & (a < _NEWTON_MIN_STEP)
-            newton[failed], spg_only[failed] = False, True
+            newton[failed], budget[failed], held[failed] = False, _DESCENT_CAP, 0
+            hold[failed] *= 2
             fresh = ok | failed
         if ok.any():
             sel = slice(None) if ok.all() else ok
@@ -504,6 +545,9 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
             recent[np.flatnonzero(ok), slot[sel]] = tt[sel]
             slot[sel] = (slot[sel] + 1) % _GLL_MEMORY
             gap[sel] = _fw_gap(new_grad, phi[sel], alpha)
+            new_face = _face(trial[sel])
+            held[sel] = (held[sel] + 1) * (new_face == face[sel]).all(axis=1)
+            face[sel] = new_face
     return (final[0].reshape(shape),) + final[1:]
 
 
@@ -522,9 +566,11 @@ def minimize_T(
     claimed.  The descent direction is the derivative in the uniform inner
     product, which keeps step sizes grid-independent; the projection onto the
     slice is exact (a sort, not a search), so each iterate is feasible up to
-    rounding.  A restart still descending after _SPG_BUDGET T evaluations
-    switches to projected Newton steps on its face, and back to spectral
-    steps for good if a Newton step fails (see _descend).  Each restart stops
+    rounding.  A restart switches to projected Newton steps on its face once
+    its face has held for _FACE_STEPS accepted steps at a gap of at most
+    _FACE_GAP, or once it has spent _SPG_BUDGET T evaluations; a failed
+    Newton step sends it back to spectral steps, and it tries again once its
+    face has held for twice as long (see _descend).  Each restart stops
     at a Frank-Wolfe gap of at most _GAP_TOL, which certifies a stationary
     point to that precision, or at the _DESCENT_CAP evaluation cap; gaps
     records each restart's final gap, newton_steps its accepted Newton steps

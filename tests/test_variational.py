@@ -308,9 +308,7 @@ def test_minimize_result_fields_are_plain_python_numbers(alpha):
                         (res.newton_steps, int), (res.curvature, float)):
         assert type(field) is tuple and len(field) == 8
         assert all(type(x) is kind for x in field), field
-    for evals, steps, curvature in zip(res.iterations, res.newton_steps, res.curvature):
-        if evals < V._SPG_BUDGET:
-            assert math.isnan(curvature)
+    for steps, curvature in zip(res.newton_steps, res.curvature):
         if steps:
             assert not math.isnan(curvature)
     if alpha in (0.0, 1.0):
@@ -318,6 +316,15 @@ def test_minimize_result_fields_are_plain_python_numbers(alpha):
         assert res.iterations == res.newton_steps == (0,) * 8 and res.gaps == (0.0,) * 8
     else:
         assert max(res.newton_steps) > 0
+        # curvature is nan exactly where the oracle built no Hessian, and
+        # below the SPG budget only the face rule opens Newton steps
+        _, attempts = _serial_restarts(alpha, 4, 8, 0)
+        for evals, curvature, lane in zip(res.iterations, res.curvature, attempts):
+            _check_newton_rule(lane)
+            assert math.isnan(curvature) == all(at.get("end") == "refused" for at in lane)
+            if evals < V._SPG_BUDGET:
+                assert all(at["gap"] <= V._FACE_GAP for at in lane)
+        assert max(res.iterations) < V._SPG_BUDGET
 
 
 def test_minimize_respects_bracket_and_feasibility():
@@ -392,11 +399,17 @@ def _sorted_fw_gap(g, phi, alpha):
     return ((g * phi).sum() - low[:k].sum() - (alpha * N - k) * low[k]) / N
 
 
-def _serial_descent(alpha, n, start):
+def _serial_descent(alpha, n, start, attempts=None):
     """One lane of the descent as a plain loop: spectral projected gradient,
-    then, for a lane that needs a new direction after V._SPG_BUDGET
-    evaluations, projected Newton steps until one fails.  Returns the value,
-    T evaluations, final gap, accepted Newton steps and last curvature."""
+    and projected Newton steps for a lane that needs a new direction while its
+    face has held through hold accepted steps (V._FACE_STEPS at first) at a
+    gap of at most V._FACE_GAP, or after V._SPG_BUDGET evaluations until its
+    first failed attempt.  A failed attempt restarts the face count and
+    doubles hold.  Returns the value, T evaluations, final gap, accepted
+    Newton steps and last curvature, and appends each Newton attempt to
+    attempts as a dict of the evaluations, gap and face count it started from
+    and how it ended: "refused" (no Hessian built), "no direction", "short
+    step" or "accepted"; an attempt cut off by the cap has no end."""
     w = (np.full(n, 1.0 / n),) * 3
     N = n**3
 
@@ -404,6 +417,9 @@ def _serial_descent(alpha, n, start):
         F, G, H = V._conditionals(w, x.reshape(1, n, n, n))
         t, GH = V._T(w, F, G, H)
         return float(t[0]), V._bracket(w, F, G, H, GH).reshape(-1)
+
+    def face_of(x):
+        return np.where(x <= V._FACE_TOL, -1, np.where(x >= 1.0 - V._FACE_TOL, 1, 0))
 
     def newton_direction(phi, g):
         free = V._free_cells(phi, g)
@@ -418,19 +434,25 @@ def _serial_descent(alpha, n, start):
         d[free] = V._project_to_slice(target[None, :], face.sum() / k)[0] - face
         return (d if (g * d).sum() / N < 0.0 else None), 2 * k, curvature
 
+    attempts = [] if attempts is None else attempts
     phi = V._project_to_slice(start.reshape(1, -1), alpha)[0]
     t, g = value_and_bracket(phi)
     gap = _sorted_fw_gap(g, phi, alpha)
     step, recent, evals = 1.0, [t] * V._GLL_MEMORY, 0
-    newton_ok, steps, curvature = True, 0, np.nan
+    newton_ok, steps, curvature, held, hold = True, 0, np.nan, 0, V._FACE_STEPS
     while gap > V._GAP_TOL and evals < V._DESCENT_CAP:
         d = None
-        if newton_ok and evals >= V._SPG_BUDGET:
+        settled = held >= hold and gap <= V._FACE_GAP
+        if settled or (newton_ok and evals >= V._SPG_BUDGET):
+            attempt = {"evals": evals, "gap": gap, "held": held}
+            attempts.append(attempt)
             d, cost, got = newton_direction(phi, g)
             evals += cost
             if cost:
                 curvature = got
-            newton_ok = d is not None
+            if d is None:
+                attempt["end"] = "no direction" if cost else "refused"
+                newton_ok, held, hold = False, 0, 2 * hold
         newton = d is not None
         if d is None:
             d = V._project_to_slice((phi - step * g)[None, :], alpha)[0] - phi
@@ -445,13 +467,17 @@ def _serial_descent(alpha, n, start):
                 break
             a *= 0.5
             if newton and a < V._NEWTON_MIN_STEP:
-                newton_ok = False
+                attempt["end"] = "short step"
+                newton_ok, held, hold = False, 0, 2 * hold
                 break
         if not accepted:  # the cap, or a failed Newton search: keep the last point
             continue
+        if newton:
+            attempt["end"] = "accepted"
         s = trial - phi
         sy = (s * (new_g - g)).sum()
         step = min(max((s * s).sum() / sy, V._STEP_MIN), V._STEP_MAX) if sy > 0 else V._STEP_MAX
+        held = held + 1 if np.array_equal(face_of(trial), face_of(phi)) else 0
         phi, t, g = trial, tt, new_g
         recent = [t] + recent[:-1]
         gap = _sorted_fw_gap(g, phi, alpha)
@@ -460,33 +486,83 @@ def _serial_descent(alpha, n, start):
 
 
 def _serial_restarts(alpha, n, restarts, seed):
-    """Every restart of minimize_T one at a time, restart 0 in closed form."""
-    runs = [(alpha**3, 0, 0.0, 0, np.nan)]
-    runs += [_serial_descent(alpha, n, V._restart_start(r, n, seed, restarts)) for r in range(1, restarts)]
-    return [list(col) for col in zip(*runs)]
+    """Every restart of minimize_T one at a time, restart 0 in closed form,
+    and each restart's list of Newton attempts (none for restart 0)."""
+    runs, attempts = [(alpha**3, 0, 0.0, 0, np.nan)], [[]]
+    for r in range(1, restarts):
+        attempts.append([])
+        runs.append(_serial_descent(alpha, n, V._restart_start(r, n, seed, restarts), attempts[-1]))
+    return [list(col) for col in zip(*runs)], attempts
 
 
 def _check_against_serial(alpha, n, seed, restarts):
+    """minimize_T against the serial oracle, field by field; returns the
+    result and the oracle's Newton attempts per restart."""
     res = minimize_T(alpha, n, restarts=restarts, seed=seed)
-    values, counts, gaps, steps, curvature = _serial_restarts(alpha, n, restarts, seed)
+    (values, counts, gaps, steps, curvature), attempts = _serial_restarts(alpha, n, restarts, seed)
     assert np.max(np.abs(np.array(res.restart_values) - values)) <= 1e-12
     assert res.iterations == tuple(counts)
     assert np.max(np.abs(np.array(res.gaps) - gaps)) <= 1e-12
     assert res.newton_steps == tuple(steps)
     assert np.allclose(res.curvature, curvature, rtol=0.0, atol=1e-12, equal_nan=True)
-    return res
+    return res, attempts
 
 
-@pytest.mark.parametrize("alpha, n, seed", [(0.3, 3, 0), (0.55, 3, 4), (0.2, 4, 1), (0.7, 4, 2)])
+def _check_newton_rule(attempts):
+    """Every Newton attempt of one lane came by one of the two rules: a face
+    held through V._FACE_STEPS * 2**f accepted steps at a gap of at most
+    V._FACE_GAP, after f failed attempts, or the SPG budget spent with no
+    failed attempt before."""
+    failures = 0
+    for at in attempts:
+        by_face = at["held"] >= V._FACE_STEPS * 2**failures and at["gap"] <= V._FACE_GAP
+        by_budget = at["evals"] >= V._SPG_BUDGET and failures == 0
+        assert by_face or by_budget, (at, failures)
+        failures += at.get("end") != "accepted"
+
+
+@pytest.mark.parametrize("alpha, n, seed", [(0.3, 3, 0), (0.55, 3, 4), (0.2, 4, 1), (0.7, 4, 2), (0.6, 6, 3)])
 def test_batched_descent_matches_one_restart_at_a_time(alpha, n, seed):
-    _check_against_serial(alpha, n, seed, 6)
+    # at (0.6, 6, 3) restart 2's second Newton attempt fails by a short step
+    for lane in _check_against_serial(alpha, n, seed, 6)[1]:
+        _check_newton_rule(lane)
 
 
 def test_batched_newton_finish_matches_one_restart_at_a_time():
     # restart 7 of this density-sweep sample needs 2,621 SPG evaluations, so
-    # the run crosses the SPG budget and its slow lanes finish by Newton steps
-    res = _check_against_serial(0.85, 6, 0, 8)
+    # its lanes finish by Newton steps, by both rules: restart 4's attempt by
+    # the budget rule fails and the face rule takes it up again later, and
+    # restart 6 takes an accepted step by the budget rule between face steps
+    res, attempts = _check_against_serial(0.85, 6, 0, 8)
     assert max(res.iterations) > V._SPG_BUDGET and max(res.newton_steps) > 0
+    for lane in attempts:
+        _check_newton_rule(lane)
+    by_budget = [[at for at in lane if at["gap"] > V._FACE_GAP or at["held"] < V._FACE_STEPS]
+                 for lane in attempts]
+    assert [len(x) for x in by_budget] == [0, 0, 0, 0, 1, 0, 1, 0]
+    assert by_budget[4][0]["end"] == "no direction" and by_budget[6][0]["end"] == "accepted"
+    later = attempts[4][attempts[4].index(by_budget[4][0]) + 1:]
+    assert any(at["end"] == "accepted" for at in later)
+
+
+def test_a_failed_face_rule_attempt_is_retried_once_the_face_holds_again():
+    # restart 2 of the density-sweep sample alpha 0.9: its second Newton
+    # attempt, made by the face rule well inside the SPG budget, finds no
+    # descending direction; the lane returns to SPG, and once its face has
+    # held for twice as many steps it takes an accepted Newton step
+    res = minimize_T(0.9, 6, restarts=8, seed=0)
+    attempts = []
+    value, evals, gap, steps, curvature = _serial_descent(
+        0.9, 6, V._restart_start(2, 6, 0, 8), attempts
+    )
+    assert abs(res.restart_values[2] - value) <= 1e-12 and abs(res.gaps[2] - gap) <= 1e-12
+    assert (res.iterations[2], res.newton_steps[2]) == (evals, steps) == (282, 2)
+    assert abs(res.curvature[2] - curvature) <= 1e-12
+    _check_newton_rule(attempts)
+    assert [at["end"] for at in attempts] == ["accepted", "no direction", "accepted"]
+    failed, retry = attempts[1], attempts[2]
+    assert failed["evals"] < V._SPG_BUDGET and retry["evals"] < V._SPG_BUDGET
+    assert retry["held"] >= 2 * V._FACE_STEPS > failed["held"]
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -503,12 +579,32 @@ def test_every_lane_ends_stationary_or_at_the_cap(n, seed):
 def test_lanes_past_the_spg_budget_end_stationary_or_at_the_cap(alpha, seed):
     # two samples of the acceptance sweep whose slow lanes crawled to the
     # cap or near it under SPG alone
-    res = minimize_T(alpha, 6, restarts=8, seed=seed)
+    res, attempts = _check_against_serial(alpha, 6, seed, 8)
     assert max(res.newton_steps) > 0
-    for gap, evals, steps, curvature in zip(res.gaps, res.iterations, res.newton_steps, res.curvature):
+    for gap, evals, lane in zip(res.gaps, res.iterations, attempts):
         assert gap <= V._GAP_TOL or evals == V._DESCENT_CAP, (gap, evals)
-        if evals <= V._SPG_BUDGET:
-            assert steps == 0 and np.isnan(curvature)
+        _check_newton_rule(lane)
+        if evals <= V._SPG_BUDGET:  # only the face rule opens Newton steps there
+            assert all(at["gap"] <= V._FACE_GAP for at in lane)
+
+
+# m_hat of density-sweep's single-density samples (n = 6, 8 restarts, the
+# workload's solver seeds).  A solver change may lower one, but a rise past
+# rounding would be a silent loss of quality.
+SWEEP_SINGLE_MHAT = (
+    (0.2, 1, 0.005991769547325069),
+    (0.4, 1, 0.055901234567901095),
+    (0.45, 0, 0.08016143689986377),
+    (0.55, 0, 0.1552649160215448),
+    (0.75, 0, 0.4062499999999999),
+    (0.85, 0, 0.6104996570644714),
+    (0.9, 0, 0.72699989834466),
+)
+
+
+@pytest.mark.parametrize("alpha, seed, mhat", SWEEP_SINGLE_MHAT)
+def test_density_sweep_samples_never_rise(alpha, seed, mhat):
+    assert minimize_T(alpha, 6, restarts=8, seed=seed).value <= mhat * (1.0 + 1e-9)
 
 
 def test_no_room_for_a_hessian_leaves_spg_alone(monkeypatch):
