@@ -7,10 +7,7 @@ T(alpha) = alpha^3, and the infimum over the mean-alpha slice sits somewhere
 in [alpha^4, alpha^3]; minimize_T chases it with spectral projected gradient
 from a fixed family of starts, each run to a Frank-Wolfe stationarity gap.
 A start switches to projected Newton steps on its face, with the exact
-Hessian (T is cubic), once spectral steps have held its face (the cells at 0
-or 1) fixed for a few steps at a small gap, or once they have spent a fixed
-budget of T evaluations without finishing; a failed Newton step sends it
-back to spectral steps until its face has held for twice as long as before.
+Hessian (T is cubic), by the one rule that _descend states.
 The result is assembled from one table of per-restart rows.
 sweep_and_envelope turns a grid of densities into the lower convex envelope
 of the estimates.  evaluate_T, gradient_T, the descent, its Hessian and the
@@ -50,29 +47,23 @@ from .regularity import (
 _MEAN_FEASIBLE_TOL = 1e-10
 # T-evaluations per descent lane, backtracks included
 _DESCENT_CAP = 10_000
-# T-evaluations after which a lane that needs a new direction takes projected
-# Newton steps whatever its face, until its first failed attempt.  When this
-# budget was the only way into Newton steps, a budget of 300 raised the
-# slowest lane of the density samples 0.2 and 0.4 at n = 6 from 398 and 362 T
-# evaluations to 1,169 and 892; the face rule below now takes such lanes
-# earlier, and only once their face has settled.
-_SPG_BUDGET = 500
 # A lane whose face (_face) has held through _FACE_STEPS accepted steps, and
-# whose Frank-Wolfe gap is at most _FACE_GAP, takes Newton steps before the
-# budget: projected gradient fixes the face of a nondegenerate minimum in
-# finitely many steps (Calamai and More 1987), and Newton converges fast on it
-# (Bertsekas 1982).  Each failed attempt doubles the held steps the lane's next
-# attempt needs.  Over the density-sweep solves and the c06 grid at n = 6, 5
-# steps raised an m_hat by 2.9e-10; 20 or 40 steps, or a gap of 1e-7, took
-# 6-25% more lockstep passes; a gap of 1e-5 built 16-27% more Hessians; and
-# without the doubling, c06's alpha 0.35 restart 2 built 191 Hessians, 114 of
-# them failed, and ended at _DESCENT_CAP.
+# whose Frank-Wolfe gap is at most _FACE_GAP, takes Newton steps: projected
+# gradient fixes the face of a nondegenerate minimum in finitely many steps
+# (Calamai and More 1987), and Newton converges fast on it (Bertsekas 1982).
+# Each failed attempt doubles the held steps the lane's next attempt needs.
+# Measured while a budget of 500 T evaluations also opened Newton steps: over
+# the density-sweep solves and the c06 grid at n = 6, 5 steps raised an m_hat
+# by 2.9e-10; 20 or 40 steps, or a gap of 1e-7, took 6-25% more lockstep
+# passes; a gap of 1e-5 built 16-27% more Hessians; and without the doubling,
+# c06's alpha 0.35 restart 2 built 191 Hessians, 114 of them failed, and
+# ended at _DESCENT_CAP.
 _FACE_STEPS = 10
 _FACE_GAP = 1e-6
 # A reduced Newton Hessian's eigenvalues of magnitude at most this times the
 # largest magnitude are not inverted.
 _EIG_RTOL = 1e-8
-# A cell this close to a bound counts as at it when a Newton face is chosen.
+# A cell this close to a bound counts as at it in a lane's face (_face).
 _FACE_TOL = 1e-12
 # A Newton line search that halves its step below this has failed.
 _NEWTON_MIN_STEP = 2.0**-10
@@ -317,16 +308,14 @@ def _fw_gap(bracket: np.ndarray, phi: np.ndarray, alpha: float) -> np.ndarray:
     return ((bracket * phi).sum(axis=1) - oracle) / N
 
 
-def _free_cells(phi: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Bertsekas free set of one lane: the cells inside (0, 1), plus each cell
-    at a bound whose bracket, measured against the mean multiplier (the mean
-    bracket of the inside cells), pulls it inward.  A cell within _FACE_TOL
-    of a bound counts as at it: a move to a bound can stop a rounding short
-    of it."""
-    low, high = phi <= _FACE_TOL, phi >= 1.0 - _FACE_TOL
-    inside = ~(low | high)
+def _free_cells(face: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Bertsekas free set of one lane from its face codes (_face) and
+    bracket: the cells inside (0, 1), plus each cell at a bound whose
+    bracket, measured against the mean multiplier (the mean bracket of the
+    inside cells), pulls it inward."""
+    inside = face == 0
     pull = grad - grad[inside].sum() / max(int(inside.sum()), 1)
-    return inside | (low & (pull < 0.0)) | (high & (pull > 0.0))
+    return inside | ((face < 0) & (pull < 0.0)) | ((face > 0) & (pull > 0.0))
 
 
 def _face_hessian(w, phi: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -374,7 +363,8 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]
 def _face(phi: np.ndarray) -> np.ndarray:
     """Face of each row of a (B, N) stack as int8 codes: -1 for a cell at 0,
     1 for a cell at 1 and 0 inside, a cell within _FACE_TOL of a bound
-    counting as at it."""
+    counting as at it, since a move to a bound can stop a rounding short of
+    it."""
     return (phi >= 1.0 - _FACE_TOL).view(np.int8) - (phi <= _FACE_TOL).view(np.int8)
 
 
@@ -421,24 +411,20 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
     SPG is sublinear at degenerate minima, and once it has fixed a lane's
     face (the cells at 0 or 1, _face) the rest is a smooth problem on the
     free cells, so a lane that needs a new direction takes projected Newton
-    steps on its face (Bertsekas 1982) by either of two rules:
-    - the face rule: its face has not changed over its last hold accepted
-      steps (hold starts at _FACE_STEPS), and its gap is at most _FACE_GAP;
-    - the budget rule: it has spent _SPG_BUDGET T evaluations, and no Newton
-      attempt of its own has failed.
-    On its k free cells (_free_cells) it builds the exact Hessian of the
-    bracket (_face_hessian, counted as 2k T evaluations), takes the Newton
-    point of the face inside [0, 1] (_newton_target), projects it onto the
-    face's part of the slice, where the other cells stay put, and searches
-    along d = that point - phi with the same line search.  The attempt fails
-    when the Hessian would not fit under the evaluation cap or, as a stack
-    of 2k rows, under _DESCENT_CELLS_CAP, when no Newton point is left, when
-    the direction does not descend, or when the trial step falls below
-    _NEWTON_MIN_STEP.  A failed attempt sends the lane back to SPG with its
-    own step and memory, closes the budget rule, restarts the face count and
-    doubles hold, so the lane tries again once its face has held that long.
-    A lane whose face never settles at a small gap, and that finishes
-    within the budget, runs SPG alone.
+    steps on its face (Bertsekas 1982) once its face has not changed over its
+    last hold accepted steps (hold starts at _FACE_STEPS) and its gap is at
+    most _FACE_GAP.  On its k free cells (_free_cells) it builds the exact
+    Hessian of the bracket (_face_hessian, counted as 2k T evaluations),
+    takes the Newton point of the face inside [0, 1] (_newton_target),
+    projects it onto the face's part of the slice, where the other cells stay
+    put, and searches along d = that point - phi with the same line search.
+    The attempt fails when the Hessian would not fit under the evaluation cap
+    or, as a stack of 2k rows, under _DESCENT_CELLS_CAP, when no Newton point
+    is left, when the direction does not descend, or when the trial step
+    falls below _NEWTON_MIN_STEP.  A failed attempt sends the lane back to
+    SPG with its own step and memory, restarts its face count and doubles
+    hold, so the lane tries again once its face has held that long.  A lane
+    whose face never settles at a small gap runs SPG alone.
 
     A lane leaves the batch once its Frank-Wolfe gap is at most _GAP_TOL or
     after _DESCENT_CAP T evaluations, so each pass works on the live lanes
@@ -467,16 +453,13 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
     evals = np.zeros(lanes, dtype=int)
     fresh = np.ones(lanes, dtype=bool)  # needs a new direction
     newton = np.zeros(lanes, dtype=bool)  # d is a Newton direction
-    # the count at which the budget rule opens; a failed Newton attempt moves
-    # it to the cap, which no live lane reaches
-    budget = np.full(lanes, _SPG_BUDGET)
     face = _face(phi)
     held = np.zeros(lanes, dtype=int)  # accepted steps since the face last changed
     hold = np.full(lanes, _FACE_STEPS)  # held steps the face rule asks for
     steps = np.zeros(lanes, dtype=int)
     curvature = np.full(lanes, np.nan)
     d = np.empty_like(phi)
-    a = np.empty(lanes)
+    a = np.ones(lanes)
     slope = np.empty(lanes)
     live = np.arange(lanes)
     final = tuple(np.empty_like(x) for x in (phi, t, evals, gap, steps, curvature))
@@ -488,17 +471,19 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
             if done.all():
                 break
             keep = ~done
-            (live, phi, t, grad, gap, step, recent, slot, evals, fresh, newton, budget,
-             face, held, hold, steps, curvature, d, a, slope) = (
+            (live, phi, t, grad, gap, step, recent, slot, evals, fresh, newton, face, held,
+             hold, steps, curvature, d, a, slope) = (
                 x[keep] for x in (live, phi, t, grad, gap, step, recent, slot, evals, fresh,
-                                  newton, budget, face, held, hold, steps, curvature, d, a,
-                                  slope)
+                                  newton, face, held, hold, steps, curvature, d, a, slope)
             )
+        # a Newton search whose step fell below _NEWTON_MIN_STEP has failed
+        failed = newton & ~fresh & (a < _NEWTON_MIN_STEP)
+        fresh = fresh | failed
         if fresh.any():
-            settled = (held >= hold) & (gap <= _FACE_GAP)
-            newton = np.where(fresh, settled | (evals >= budget), newton)
+            settled = (held >= hold) & (gap <= _FACE_GAP) & ~failed
+            newton = np.where(fresh, settled, newton)
             for i in np.flatnonzero(newton & fresh):
-                free = _free_cells(phi[i], grad[i])
+                free = _free_cells(face[i], grad[i])
                 k = int(free.sum())
                 if k >= 2 and 2 * k * cells <= _DESCENT_CELLS_CAP and evals[i] + 2 * k < _DESCENT_CAP:
                     evals[i] += 2 * k
@@ -513,8 +498,10 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
                         slope[i] = (grad[i] * d[i]).sum() / cells
                         if slope[i] < 0.0:
                             continue
-                newton[i], budget[i], held[i] = False, _DESCENT_CAP, 0
-                hold[i] *= 2
+                failed[i] = True
+            # a failed attempt: back to SPG, the face count restarts, hold doubles
+            newton[failed], held[failed] = False, 0
+            hold[failed] *= 2
             spg = fresh & ~newton
             if spg.any():
                 sel = slice(None) if spg.all() else spg  # a slice gathers nothing
@@ -528,12 +515,7 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
         ok = tt <= recent.max(axis=1) + _ARMIJO * a * slope
         a[~ok] *= 0.5
         fresh = ok
-        if newton.any():
-            steps += newton & ok
-            failed = newton & ~ok & (a < _NEWTON_MIN_STEP)
-            newton[failed], budget[failed], held[failed] = False, _DESCENT_CAP, 0
-            hold[failed] *= 2
-            fresh = ok | failed
+        steps += newton & ok
         if ok.any():
             sel = slice(None) if ok.all() else ok
             new_grad = bracket(parts, sel)
@@ -567,10 +549,8 @@ def minimize_T(
     product, which keeps step sizes grid-independent; the projection onto the
     slice is exact (a sort, not a search), so each iterate is feasible up to
     rounding.  A restart switches to projected Newton steps on its face once
-    its face has held for _FACE_STEPS accepted steps at a gap of at most
-    _FACE_GAP, or once it has spent _SPG_BUDGET T evaluations; a failed
-    Newton step sends it back to spectral steps, and it tries again once its
-    face has held for twice as long (see _descend).  Each restart stops
+    spectral steps have fixed that face, and returns to them after a failed
+    Newton step, by the rule that _descend states.  Each restart stops
     at a Frank-Wolfe gap of at most _GAP_TOL, which certifies a stationary
     point to that precision, or at the _DESCENT_CAP evaluation cap; gaps
     records each restart's final gap, newton_steps its accepted Newton steps

@@ -409,10 +409,40 @@ def test_profile_invariants():
     n_points = int(A.bits.sum())
     assert prof.counts[0] == n_points  # d = 0 counts degenerate corners
     assert np.all(prof.counts >= 0) and np.all(prof.counts <= n_points)
-    # Transposing the set permutes corners but keeps the total.
+    # Transposing the set maps its corners at d onto corners at d.
     prof_t = corner_count_by_difference(A.transpose())
-    assert prof.total == prof_t.total
+    assert np.array_equal(prof.counts, prof_t.counts)
     assert abs(total_density(prof) - prof.total / 12**3) <= 1e-15
+
+
+def _relabelled(A, x_map, y_map):
+    """The plane set with a point (x_map[x], y_map[y]) for each point (x, y) of A."""
+    bits = np.empty_like(A.bits)
+    bits[np.ix_(x_map, y_map)] = A.bits
+    return PlaneSet(A.group, bits)
+
+
+@pytest.mark.parametrize(
+    "spec, seed", [("Z2048", 41), ("Z32xZ64", 42), ("x".join(["Z2"] * 10), 43)],
+    ids=["Z2048", "Z32xZ64", "Z2^10"],
+)
+def test_profile_keeps_every_count_under_transposition_translation_and_units(spec, seed):
+    # no oracle reaches these orders; transposing A or translating it by
+    # (a, b) maps its corners at each d onto corners at the same d, and on
+    # the cyclic group uA has a corner at u d exactly where A has one at d,
+    # so N_uA(u d) = N_A(d) moves every count but the four with 4d = 0
+    A = seeded_set(spec, 0.3, seed)
+    n = A.group.order
+    counts = corner_count_by_difference(A).counts
+    assert np.array_equal(corner_count_by_difference(A.transpose()).counts, counts)
+    a, b = np.random.default_rng(seed).integers(1, n, size=2)
+    idx = np.arange(n)
+    moved = _relabelled(A, A.group.add_indices(idx, a), A.group.add_indices(idx, b))
+    assert np.array_equal(corner_count_by_difference(moved).counts, counts)
+    if A.group.rank == 1:
+        scaled = idx * 5 % n  # 5 is a unit mod 2048
+        scaled_counts = corner_count_by_difference(_relabelled(A, scaled, scaled)).counts
+        assert np.array_equal(scaled_counts[scaled], counts)
 
 
 @pytest.mark.parametrize(

@@ -316,15 +316,11 @@ def test_minimize_result_fields_are_plain_python_numbers(alpha):
         assert res.iterations == res.newton_steps == (0,) * 8 and res.gaps == (0.0,) * 8
     else:
         assert max(res.newton_steps) > 0
-        # curvature is nan exactly where the oracle built no Hessian, and
-        # below the SPG budget only the face rule opens Newton steps
+        # curvature is nan exactly where the oracle built no Hessian
         _, attempts = _serial_restarts(alpha, 4, 8, 0)
-        for evals, curvature, lane in zip(res.iterations, res.curvature, attempts):
+        for curvature, lane in zip(res.curvature, attempts):
             _check_newton_rule(lane)
             assert math.isnan(curvature) == all(at.get("end") == "refused" for at in lane)
-            if evals < V._SPG_BUDGET:
-                assert all(at["gap"] <= V._FACE_GAP for at in lane)
-        assert max(res.iterations) < V._SPG_BUDGET
 
 
 def test_minimize_respects_bracket_and_feasibility():
@@ -403,8 +399,7 @@ def _serial_descent(alpha, n, start, attempts=None):
     """One lane of the descent as a plain loop: spectral projected gradient,
     and projected Newton steps for a lane that needs a new direction while its
     face has held through hold accepted steps (V._FACE_STEPS at first) at a
-    gap of at most V._FACE_GAP, or after V._SPG_BUDGET evaluations until its
-    first failed attempt.  A failed attempt restarts the face count and
+    gap of at most V._FACE_GAP.  A failed attempt restarts the face count and
     doubles hold.  Returns the value, T evaluations, final gap, accepted
     Newton steps and last curvature, and appends each Newton attempt to
     attempts as a dict of the evaluations, gap and face count it started from
@@ -422,7 +417,7 @@ def _serial_descent(alpha, n, start, attempts=None):
         return np.where(x <= V._FACE_TOL, -1, np.where(x >= 1.0 - V._FACE_TOL, 1, 0))
 
     def newton_direction(phi, g):
-        free = V._free_cells(phi, g)
+        free = V._free_cells(face_of(phi), g)
         k = int(free.sum())
         if k < 2 or 2 * k * N > V._DESCENT_CELLS_CAP or evals + 2 * k >= V._DESCENT_CAP:
             return None, 0, np.nan
@@ -439,11 +434,10 @@ def _serial_descent(alpha, n, start, attempts=None):
     t, g = value_and_bracket(phi)
     gap = _sorted_fw_gap(g, phi, alpha)
     step, recent, evals = 1.0, [t] * V._GLL_MEMORY, 0
-    newton_ok, steps, curvature, held, hold = True, 0, np.nan, 0, V._FACE_STEPS
+    steps, curvature, held, hold = 0, np.nan, 0, V._FACE_STEPS
     while gap > V._GAP_TOL and evals < V._DESCENT_CAP:
         d = None
-        settled = held >= hold and gap <= V._FACE_GAP
-        if settled or (newton_ok and evals >= V._SPG_BUDGET):
+        if held >= hold and gap <= V._FACE_GAP:
             attempt = {"evals": evals, "gap": gap, "held": held}
             attempts.append(attempt)
             d, cost, got = newton_direction(phi, g)
@@ -452,7 +446,7 @@ def _serial_descent(alpha, n, start, attempts=None):
                 curvature = got
             if d is None:
                 attempt["end"] = "no direction" if cost else "refused"
-                newton_ok, held, hold = False, 0, 2 * hold
+                held, hold = 0, 2 * hold
         newton = d is not None
         if d is None:
             d = V._project_to_slice((phi - step * g)[None, :], alpha)[0] - phi
@@ -468,7 +462,7 @@ def _serial_descent(alpha, n, start, attempts=None):
             a *= 0.5
             if newton and a < V._NEWTON_MIN_STEP:
                 attempt["end"] = "short step"
-                newton_ok, held, hold = False, 0, 2 * hold
+                held, hold = 0, 2 * hold
                 break
         if not accepted:  # the cap, or a failed Newton search: keep the last point
             continue
@@ -509,46 +503,42 @@ def _check_against_serial(alpha, n, seed, restarts):
 
 
 def _check_newton_rule(attempts):
-    """Every Newton attempt of one lane came by one of the two rules: a face
-    held through V._FACE_STEPS * 2**f accepted steps at a gap of at most
-    V._FACE_GAP, after f failed attempts, or the SPG budget spent with no
-    failed attempt before."""
+    """Every Newton attempt of one lane came by the face rule: after f failed
+    attempts, a face held through V._FACE_STEPS * 2**f accepted steps at a
+    gap of at most V._FACE_GAP."""
     failures = 0
     for at in attempts:
-        by_face = at["held"] >= V._FACE_STEPS * 2**failures and at["gap"] <= V._FACE_GAP
-        by_budget = at["evals"] >= V._SPG_BUDGET and failures == 0
-        assert by_face or by_budget, (at, failures)
+        assert at["held"] >= V._FACE_STEPS * 2**failures and at["gap"] <= V._FACE_GAP, (at, failures)
         failures += at.get("end") != "accepted"
 
 
-@pytest.mark.parametrize("alpha, n, seed", [(0.3, 3, 0), (0.55, 3, 4), (0.2, 4, 1), (0.7, 4, 2), (0.6, 6, 3)])
+@pytest.mark.parametrize(
+    "alpha, n, seed", [(0.3, 3, 0), (0.55, 3, 4), (0.2, 4, 1), (0.7, 4, 2), (0.6, 6, 3), (0.5, 10, 0)]
+)
 def test_batched_descent_matches_one_restart_at_a_time(alpha, n, seed):
-    # at (0.6, 6, 3) restart 2's second Newton attempt fails by a short step
+    # at (0.6, 6, 3) restart 2's second Newton attempt fails by a short step;
+    # at (0.5, 10, 0) eight attempts fail, six of them on restart 2, whose
+    # hold doubles each time
     for lane in _check_against_serial(alpha, n, seed, 6)[1]:
         _check_newton_rule(lane)
 
 
 def test_batched_newton_finish_matches_one_restart_at_a_time():
-    # restart 7 of this density-sweep sample needs 2,621 SPG evaluations, so
-    # its lanes finish by Newton steps, by both rules: restart 4's attempt by
-    # the budget rule fails and the face rule takes it up again later, and
-    # restart 6 takes an accepted step by the budget rule between face steps
+    # restart 7 of this density-sweep sample needs 2,621 evaluations under
+    # SPG alone (test_no_room_for_a_hessian_leaves_spg_alone); here the face
+    # rule finishes it in 522, and restart 4 takes 20 Newton steps, every
+    # attempt accepted
     res, attempts = _check_against_serial(0.85, 6, 0, 8)
-    assert max(res.iterations) > V._SPG_BUDGET and max(res.newton_steps) > 0
+    assert res.iterations == (0, 195, 428, 226, 1242, 179, 1046, 522)
     for lane in attempts:
         _check_newton_rule(lane)
-    by_budget = [[at for at in lane if at["gap"] > V._FACE_GAP or at["held"] < V._FACE_STEPS]
-                 for lane in attempts]
-    assert [len(x) for x in by_budget] == [0, 0, 0, 0, 1, 0, 1, 0]
-    assert by_budget[4][0]["end"] == "no direction" and by_budget[6][0]["end"] == "accepted"
-    later = attempts[4][attempts[4].index(by_budget[4][0]) + 1:]
-    assert any(at["end"] == "accepted" for at in later)
+    assert res.newton_steps[4] == len(attempts[4]) == 20
+    assert all(at["end"] == "accepted" for at in attempts[4])
 
 
 def test_a_failed_face_rule_attempt_is_retried_once_the_face_holds_again():
     # restart 2 of the density-sweep sample alpha 0.9: its second Newton
-    # attempt, made by the face rule well inside the SPG budget, finds no
-    # descending direction; the lane returns to SPG, and once its face has
+    # attempt finds no descending direction; the lane returns to SPG, and once its face has
     # held for twice as many steps it takes an accepted Newton step
     res = minimize_T(0.9, 6, restarts=8, seed=0)
     attempts = []
@@ -561,7 +551,6 @@ def test_a_failed_face_rule_attempt_is_retried_once_the_face_holds_again():
     _check_newton_rule(attempts)
     assert [at["end"] for at in attempts] == ["accepted", "no direction", "accepted"]
     failed, retry = attempts[1], attempts[2]
-    assert failed["evals"] < V._SPG_BUDGET and retry["evals"] < V._SPG_BUDGET
     assert retry["held"] >= 2 * V._FACE_STEPS > failed["held"]
 
 
@@ -576,7 +565,7 @@ def test_every_lane_ends_stationary_or_at_the_cap(n, seed):
 
 
 @pytest.mark.parametrize("alpha, seed", [(0.5, 10), (0.8, 16)])
-def test_lanes_past_the_spg_budget_end_stationary_or_at_the_cap(alpha, seed):
+def test_slow_sweep_lanes_end_stationary_or_at_the_cap(alpha, seed):
     # two samples of the acceptance sweep whose slow lanes crawled to the
     # cap or near it under SPG alone
     res, attempts = _check_against_serial(alpha, 6, seed, 8)
@@ -584,8 +573,6 @@ def test_lanes_past_the_spg_budget_end_stationary_or_at_the_cap(alpha, seed):
     for gap, evals, lane in zip(res.gaps, res.iterations, attempts):
         assert gap <= V._GAP_TOL or evals == V._DESCENT_CAP, (gap, evals)
         _check_newton_rule(lane)
-        if evals <= V._SPG_BUDGET:  # only the face rule opens Newton steps there
-            assert all(at["gap"] <= V._FACE_GAP for at in lane)
 
 
 # m_hat of density-sweep's single-density samples (n = 6, 8 restarts, the
