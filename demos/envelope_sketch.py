@@ -19,4 +19,4 @@ for a, v in zip(pts.alphas, pts.values):
 
 print()
 print(f"{len(pts.hull_alphas)} envelope knots out of {len(pts.alphas)} samples")
-print("every estimate sits inside [alpha^4 - 1e-6, alpha^3 + 1e-9]")
+print("every solver estimate passed its check: [m^4 (1 - 1e-9), alpha^3 + 1e-9], m the mean of its point")

@@ -94,25 +94,40 @@ def test_profile_and_scan_shift_through_one_helper():
     assert {"corner_count_by_difference", "integer_corner_scan"} <= callers
 
 
-def test_variational_states_the_kernel_pass_and_the_restart_table_once():
-    # T and its parts come from one kernel pass, and minimize_T builds its
-    # result once, from one table of per-restart rows
+def _variational_functions():
     path = Path(cornerlab.__file__).parent / "variational.py"
-    functions = [
+    return [
         fn
         for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(fn, ast.FunctionDef)
     ]
 
-    def calls(fn, name):
-        return sum(
-            isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
-            for node in ast.walk(fn)
-        )
 
-    assert {fn.name for fn in functions if calls(fn, "_conditionals")} == {"_kernel", "_box_model"}
+def _calls(fn, name):
+    return sum(
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+        for node in ast.walk(fn)
+    )
+
+
+def test_variational_states_the_kernel_pass_and_the_restart_table_once():
+    # T and its parts come from one kernel pass, the face Hessian reads the
+    # conditionals alone, and minimize_T builds its result once, from one
+    # table of per-restart rows
+    functions = _variational_functions()
+    assert {fn.name for fn in functions if _calls(fn, "_conditionals")} == {
+        "_kernel", "_box_model", "_face_hessian"
+    }
     (minimize,) = [fn for fn in functions if fn.name == "minimize_T"]
-    assert calls(minimize, "MinimizeResult") == 1
+    assert _calls(minimize, "MinimizeResult") == 1
+
+
+def test_face_hessian_reads_no_kernel_rows():
+    # the Hessian of the bracket is linear in the conditionals, so it pushes
+    # no shifted copies of the lane through the kernel or the bracket
+    (hessian,) = [fn for fn in _variational_functions() if fn.name == "_face_hessian"]
+    assert _calls(hessian, "_conditionals") == 1
+    assert _calls(hessian, "_kernel") == _calls(hessian, "_bracket") == 0
 
 
 def test_profile_gathers_the_bit_matrix_once():

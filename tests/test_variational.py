@@ -417,17 +417,19 @@ def _serial_descent(alpha, n, start, attempts=None):
         return np.where(x <= V._FACE_TOL, -1, np.where(x >= 1.0 - V._FACE_TOL, 1, 0))
 
     def newton_direction(phi, g):
+        """The Newton direction (None if there is none) and the curvature of
+        the face (None if no Hessian was built)."""
         free = V._free_cells(face_of(phi), g)
         k = int(free.sum())
-        if k < 2 or 2 * k * N > V._DESCENT_CELLS_CAP or evals + 2 * k >= V._DESCENT_CAP:
-            return None, 0, np.nan
+        if k < 2 or 2 * k * N > V._DESCENT_CELLS_CAP:
+            return None, None
         face = phi[free]
         target, curvature = V._newton_target(V._face_hessian(w, phi, free), face, g[free])
         if target is None:
-            return None, 2 * k, curvature
+            return None, curvature
         d = np.zeros(N)
         d[free] = V._project_to_slice(target[None, :], face.sum() / k)[0] - face
-        return (d if (g * d).sum() / N < 0.0 else None), 2 * k, curvature
+        return (d if (g * d).sum() / N < 0.0 else None), curvature
 
     attempts = [] if attempts is None else attempts
     phi = V._project_to_slice(start.reshape(1, -1), alpha)[0]
@@ -440,12 +442,11 @@ def _serial_descent(alpha, n, start, attempts=None):
         if held >= hold and gap <= V._FACE_GAP:
             attempt = {"evals": evals, "gap": gap, "held": held}
             attempts.append(attempt)
-            d, cost, got = newton_direction(phi, g)
-            evals += cost
-            if cost:
+            d, got = newton_direction(phi, g)
+            if got is not None:
                 curvature = got
             if d is None:
-                attempt["end"] = "no direction" if cost else "refused"
+                attempt["end"] = "refused" if got is None else "no direction"
                 held, hold = 0, 2 * hold
         newton = d is not None
         if d is None:
@@ -526,10 +527,10 @@ def test_batched_descent_matches_one_restart_at_a_time(alpha, n, seed):
 def test_batched_newton_finish_matches_one_restart_at_a_time():
     # restart 7 of this density-sweep sample needs 2,621 evaluations under
     # SPG alone (test_no_room_for_a_hessian_leaves_spg_alone); here the face
-    # rule finishes it in 522, and restart 4 takes 20 Newton steps, every
+    # rule finishes it in 192, and restart 4 takes 20 Newton steps, every
     # attempt accepted
     res, attempts = _check_against_serial(0.85, 6, 0, 8)
-    assert res.iterations == (0, 195, 428, 226, 1242, 179, 1046, 522)
+    assert res.iterations == (0, 195, 342, 190, 318, 179, 288, 192)
     for lane in attempts:
         _check_newton_rule(lane)
     assert res.newton_steps[4] == len(attempts[4]) == 20
@@ -546,10 +547,11 @@ def test_a_failed_face_rule_attempt_is_retried_once_the_face_holds_again():
         0.9, 6, V._restart_start(2, 6, 0, 8), attempts
     )
     assert abs(res.restart_values[2] - value) <= 1e-12 and abs(res.gaps[2] - gap) <= 1e-12
-    assert (res.iterations[2], res.newton_steps[2]) == (evals, steps) == (282, 2)
+    assert (res.iterations[2], res.newton_steps[2]) == (evals, steps) == (138, 2)
     assert abs(res.curvature[2] - curvature) <= 1e-12
     _check_newton_rule(attempts)
     assert [at["end"] for at in attempts] == ["accepted", "no direction", "accepted"]
+    assert [at["evals"] for at in attempts] == [101, 107, 137]
     failed, retry = attempts[1], attempts[2]
     assert retry["held"] >= 2 * V._FACE_STEPS > failed["held"]
 
@@ -595,32 +597,58 @@ def test_density_sweep_samples_never_rise(alpha, seed, mhat):
 
 
 def test_no_room_for_a_hessian_leaves_spg_alone(monkeypatch):
-    # the descent stack of 7 lanes fits, but no Hessian stack of 2k rows
-    # with k >= 4 does, so every lane runs spectral steps to the end
+    # the descent stack of 7 lanes fits, but the face-size rule 2 k n^3 <=
+    # _DESCENT_CELLS_CAP admits no face of 4 or more free cells, so every
+    # lane runs spectral steps to the end
     monkeypatch.setattr(V, "_DESCENT_CELLS_CAP", 7 * 6**3)
     res = minimize_T(0.85, 6, restarts=8, seed=0)
     assert res.iterations == (0, 195, 305, 223, 564, 179, 512, 2621)
     assert res.newton_steps == (0,) * 8 and np.all(np.isnan(res.curvature))
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 6])
 def test_face_hessian_is_symmetric_and_the_gradient_difference(n):
-    # T is cubic, so (grad(phi + v) - grad(phi - v)) / 2 is the Hessian
-    # times v exactly; gradient_T is the bracket times the cell weight 1/N
+    # the bracket b (gradient_T over the cell weight 1/N) is a quadratic
+    # form, so b(phi + v) = b(phi) + hess v + b(v) exactly, for a v >= 0 that
+    # keeps phi + v in [0, 1], and b(phi - v) = b(phi) - hess v + b(v) for one
+    # that keeps phi - v there.  The last two points put about a third of
+    # their cells exactly at 0 and a third exactly at 1, as on a Newton face
     rng = np.random.default_rng(n)
     w = (np.full(n, 1.0 / n),) * 3
     N = n**3
-    for _ in range(3):
+
+    def b(x):
+        return N * gradient_T(GridFunction.uniform(x.reshape(n, n, n))).ravel()
+
+    for draw in range(5):
         phi = rng.uniform(0.2, 0.8, N)
+        if draw >= 3:
+            phi[rng.random(N) < 1 / 3] = 0.0
+            phi[rng.random(N) < 1 / 3] = 1.0
         hess = V._face_hessian(w, phi, np.ones(N, dtype=bool))
         assert np.max(np.abs(hess - hess.T)) <= 1e-14
-        v = rng.uniform(-0.1, 0.1, N)
-        up = gradient_T(GridFunction.uniform((phi + v).reshape(n, n, n))).ravel()
-        down = gradient_T(GridFunction.uniform((phi - v).reshape(n, n, n))).ravel()
-        assert np.max(np.abs(hess @ v - N * (up - down) / 2.0)) <= 1e-13
+        up, down = rng.random(N) * (1.0 - phi), rng.random(N) * phi
+        assert np.max(np.abs(hess @ up - (b(phi + up) - b(phi) - b(up)))) <= 1e-13
+        assert np.max(np.abs(hess @ down - (b(phi) + b(down) - b(phi - down)))) <= 1e-13
         free = rng.random(N) < 0.5
         sub = V._face_hessian(w, phi, free)
         assert np.max(np.abs(sub - hess[np.ix_(free, free)])) <= 1e-14
+
+
+def test_face_hessian_takes_the_axis_weights():
+    # on a weighted grid the bracket is gradient_T over the cell weight, and
+    # its derivative is no longer symmetric
+    rng = np.random.default_rng(11)
+    w = tuple(v / v.sum() for v in (rng.random(size) for size in (3, 4, 5)))
+    weight = np.einsum("i,j,k->ijk", *w).ravel()
+
+    def b(x):
+        return gradient_T(GridFunction(*w, x.reshape(3, 4, 5))).ravel() / weight
+
+    phi = rng.random(60)
+    up = rng.random(60) * (1.0 - phi)
+    hess = V._face_hessian(w, phi, np.ones(60, dtype=bool))
+    assert np.max(np.abs(hess @ up - (b(phi + up) - b(phi) - b(up)))) <= 1e-12
 
 
 def test_newton_step_solves_the_mean_constrained_model():
@@ -668,6 +696,37 @@ def test_single_restart_returns_the_constant():
     assert res.value == 0.4**3 and res.iterations == (0,) and res.gaps == (0.0,)
     assert res.newton_steps == (0,) and np.isnan(res.curvature[0])
     assert np.array_equal(res.phi.values, np.full((3, 3, 3), 0.4))
+
+
+@pytest.mark.parametrize("alpha, n", [(0.85, 6), (0.5, 10)])
+def test_iterations_count_kernel_rows(monkeypatch, alpha, n):
+    # every T evaluation is one kernel row, the start stack adds one row per
+    # lane, and a Newton attempt adds none: no call sees more rows than lanes
+    rows = []
+
+    def spy(w, vals):
+        rows.append(len(vals))
+        return kernel(w, vals)
+
+    kernel = V._kernel
+    monkeypatch.setattr(V, "_kernel", spy)
+    res = minimize_T(alpha, n, restarts=8, seed=0)
+    assert max(res.newton_steps) > 0
+    assert sum(rows) == 7 + sum(res.iterations) and max(rows) == 7
+
+
+def test_an_estimate_below_the_fourth_power_of_its_mean_is_refused(monkeypatch):
+    # T(phi) >= (E phi)^4 on the whole slice, so a descent that reported
+    # half of alpha^4 is at fault; a slack of 1e-6 below alpha^4 = 1e-8
+    # would let it pass
+    def low(starts, alpha):
+        lanes = len(starts)
+        return (np.full(starts.shape, alpha), np.full(lanes, 0.5 * alpha**4), np.ones(lanes, int),
+                np.zeros(lanes), np.zeros(lanes, int), np.full(lanes, np.nan))
+
+    monkeypatch.setattr(V, "_descend", low)
+    with pytest.raises(BoundViolation, match="escaped"):
+        minimize_T(0.01, 3, restarts=2)
 
 
 def test_iteration_counts_are_per_restart_and_capped():
