@@ -270,10 +270,24 @@ def box_approximation(
     Every box returned is fully inside the planar set (checked exhaustively).
     When delta' <= eps0 * C_{|S|,rho} / |S| holds (with the part variant's
     smaller constant when the target is a partition part), the leftover is
-    asserted to be at most eps0 * mu(B).
+    asserted to be at most eps0 * mu(B).  A target that is neither a BohrSet
+    nor a (BohrPartition, label) pair with a sequence label raises
+    ValidationError.
     """
     eps0 = check_real(eps0, "eps0", "(0, 1)")
-    group = target.group if isinstance(target, BohrSet) else target[0].group
+    if isinstance(target, BohrSet):
+        group = target.group
+    elif isinstance(target, (tuple, list)) and len(target) == 2 and isinstance(target[0], BohrPartition):
+        partition = target[0]
+        group = partition.group
+        try:
+            label = tuple(target[1])
+        except TypeError:
+            raise ValidationError(f"part label must be a sequence, got {target[1]!r}") from None
+    else:
+        raise ValidationError(
+            f"target must be a BohrSet or a (BohrPartition, label) pair, got {type(target).__name__}"
+        )
     n = group.order
     check_cap(n, _BOX_CAP, "group order {size} exceeds box-approximation cap {cap}")
     if isinstance(target, BohrSet):
@@ -283,11 +297,10 @@ def box_approximation(
             float(volume_lower_bound(len(S), target.radius)) * eps0 / max(1, len(S))
         )
     else:
-        partition, label = target
         S = partition.freqs
         ids, labels, _ = partition.part_ids()
         try:
-            k = labels.index(tuple(label))
+            k = labels.index(label)
         except ValueError:
             raise ValidationError(f"partition has no nonempty part labeled {label}")
         mask_B = ids == k

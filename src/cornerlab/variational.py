@@ -7,7 +7,8 @@ T(alpha) = alpha^3, and the infimum over the mean-alpha slice sits somewhere
 in [alpha^4, alpha^3]; minimize_T chases it with spectral projected gradient
 from a fixed family of starts, each run to a Frank-Wolfe stationarity gap.
 A start switches to projected Newton steps on its face, with the exact
-Hessian (T is cubic), by the one rule that _descend states.
+Hessian (T is cubic), by the one rule that _descend states; each Newton step
+stops at the first bound it reaches.
 The result is assembled from one table of per-restart rows.
 sweep_and_envelope turns a grid of densities into the lower convex envelope
 of the estimates.  evaluate_T, gradient_T, the descent and the box model take
@@ -368,30 +369,19 @@ def _face(phi: np.ndarray) -> np.ndarray:
     return (phi >= 1.0 - _FACE_TOL).view(np.int8) - (phi <= _FACE_TOL).view(np.int8)
 
 
-def _newton_target(
-    hess: np.ndarray, phi: np.ndarray, grad: np.ndarray
-) -> tuple[np.ndarray | None, float]:
-    """Newton point of one lane's free cells, kept inside [0, 1].
+def _step_to_boundary(part: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """t s for the largest t in [0, 1] that keeps part + t s in [0, 1].
 
-    A cell that the step carries out of [0, 1] is fixed at the bound it
-    crosses, and the step is solved again on the cells left, on the same
-    Hessian.  Returns the point and the smallest reduced eigenvalue of the
-    last face solved, or None for the point once fewer than two cells are
-    left.
+    The step rule of the primal active-set method (Nocedal and Wright 2006,
+    section 16.5): the first cell that the step carries to a bound stops it
+    there.  A cell's room toward the bound it moves to is read as
+    nonnegative, since a cell can sit a rounding past its bound, so such a
+    cell moving outward gives t = 0.
     """
-    target = phi.copy()
-    sub = np.arange(phi.size)
-    while True:
-        s, curvature = _newton_step(hess[np.ix_(sub, sub)], grad[sub])
-        moved = phi[sub] + s
-        cross = (moved < 0.0) | (moved > 1.0)
-        if not cross.any():
-            target[sub] = moved
-            return target, curvature
-        target[sub[cross]] = moved[cross] > 1.0  # the bound crossed: 1.0 or 0.0
-        sub = sub[~cross]
-        if sub.size < 2:
-            return None, curvature
+    room = np.maximum(np.where(s > 0.0, 1.0 - part, part), 0.0)
+    move = np.abs(s)
+    t = np.divide(room, move, out=np.ones_like(move), where=move > room)
+    return t.min(initial=1.0) * s
 
 
 def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
@@ -414,17 +404,19 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
     steps on its face (Bertsekas 1982) once its face has not changed over its
     last hold accepted steps (hold starts at _FACE_STEPS) and its gap is at
     most _FACE_GAP.  On its k free cells (_free_cells) it builds the exact
-    Hessian of the bracket from the lane's conditionals (_face_hessian),
-    takes the Newton point of the face inside [0, 1] (_newton_target),
-    projects it onto the face's part of the slice, where the other cells stay
-    put, and searches along d = that point - phi with the same line search.
-    The attempt fails when the face has fewer than 2 free cells or more than
-    _DESCENT_CELLS_CAP / (2 n^3), when no Newton point is left, when the
-    direction does not descend, or when the trial step falls below
-    _NEWTON_MIN_STEP.  A failed attempt sends the lane back to SPG with its
-    own step and memory, restarts its face count and doubles hold, so the
-    lane tries again once its face has held that long.  A lane whose face
-    never settles at a small gap runs SPG alone.
+    Hessian of the bracket from the lane's conditionals (_face_hessian) and
+    takes the sum-zero Newton step s of the face (_newton_step).  The other
+    cells stay put, and the free cells move along d = t s, with t the largest
+    value in [0, 1] that keeps them in [0, 1] (_step_to_boundary), so the
+    mean stays alpha and no projection runs; the search along d is the same
+    line search.  The attempt fails when the face has fewer than 2 free
+    cells or more than _DESCENT_CELLS_CAP / (2 n^3), when the direction does
+    not descend (a cell on a bound that s pushes outward gives t = 0, so
+    d = 0), or when the trial step falls below _NEWTON_MIN_STEP.  A failed
+    attempt sends the lane back to SPG with its own step and memory,
+    restarts its face count and doubles hold, so the lane tries again once
+    its face has held that long.  A lane whose face never settles at a small
+    gap runs SPG alone.
 
     A lane leaves the batch once its Frank-Wolfe gap is at most _GAP_TOL or
     after _DESCENT_CAP T evaluations, so each pass works on the live lanes
@@ -489,15 +481,13 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
                 # built Hessians on faces of up to 1,387 cells; alpha 0.45 and 0.8
                 # ran 38.6 -> 58.8 s and 51.8 -> 65.5 s, 7.7 and 8.1 s of it in eigh
                 if k >= 2 and 2 * k * cells <= _DESCENT_CELLS_CAP:
-                    part = phi[i, free]
-                    target, curvature[i] = _newton_target(_face_hessian(w, phi[i], free), part, grad[i, free])
-                    if target is not None:
-                        d[i] = 0.0
-                        d[i, free] = _project_to_slice(target[None, :], part.sum() / k)[0] - part
-                        a[i] = 1.0
-                        slope[i] = (grad[i] * d[i]).sum() / cells
-                        if slope[i] < 0.0:
-                            continue
+                    s, curvature[i] = _newton_step(_face_hessian(w, phi[i], free), grad[i, free])
+                    d[i] = 0.0
+                    d[i, free] = _step_to_boundary(phi[i, free], s)
+                    a[i] = 1.0
+                    slope[i] = (grad[i] * d[i]).sum() / cells
+                    if slope[i] < 0.0:
+                        continue
                 failed[i] = True
             # a failed attempt: back to SPG, the face count restarts, hold doubles
             newton[failed], held[failed] = False, 0

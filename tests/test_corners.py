@@ -422,6 +422,40 @@ def _relabelled(A, x_map, y_map):
     return PlaneSet(A.group, bits)
 
 
+def _pair_counts(M, group):
+    """sum over x and columns j of M[x, j] M[x + d, j], at every d of group:
+    the autocorrelation of each column over G, by FFT over G's factor shape,
+    in blocks of 256 columns.  The counts are integers below |G|^2, so
+    rounding the transform recovers them exactly."""
+    n, shape = group.order, group.moduli
+    axes = tuple(range(len(shape)))
+    power = 0.0
+    for j in range(0, M.shape[1], 256):
+        spec = np.fft.rfftn(M[:, j:j + 256].reshape(*shape, -1).astype(float), axes=axes)
+        power = power + (spec.real**2 + spec.imag**2).sum(axis=-1)
+    got = np.fft.irfftn(power, s=shape, axes=axes).reshape(n)
+    assert np.max(np.abs(got - np.rint(got))) < 0.25
+    return np.rint(got).astype(np.int64)
+
+
+def _check_complement_identity(A, counts):
+    # on each (x, y) the three corner points of A and of its complement
+    # satisfy abc + (1-a)(1-b)(1-c) = 1 - a - b - c + ab + ac + bc, so
+    # N_A(d) + N_{A^c}(d) = |G|^2 - 3|A| + R(d) + C(d) + D(d), with R, C and D
+    # the pair counts of A(x, y)A(x+d, y), A(x, y)A(x, y+d) and
+    # A(x+d, y)A(x, y+d); D is R of the shear B(u, s) = A(u, s - u)
+    group, bits = A.group, A.bits
+    n = group.order
+    complement = corner_count_by_difference(PlaneSet(group, ~bits)).counts
+    neg = group.negation_permutation()
+    sheared = np.concatenate([
+        np.take_along_axis(bits, group.add_indices(np.arange(j, min(j + 256, n)), neg[:, None]), 1)
+        for j in range(0, n, 256)
+    ], axis=1)
+    pairs = _pair_counts(bits, group) + _pair_counts(bits.T, group) + _pair_counts(sheared, group)
+    assert np.array_equal(counts + complement, n * n - 3 * int(bits.sum()) + pairs)
+
+
 @pytest.mark.parametrize(
     "spec, seed", [("Z2048", 41), ("Z32xZ64", 42), ("x".join(["Z2"] * 10), 43)],
     ids=["Z2048", "Z32xZ64", "Z2^10"],
@@ -430,10 +464,13 @@ def test_profile_keeps_every_count_under_transposition_translation_and_units(spe
     # no oracle reaches these orders; transposing A or translating it by
     # (a, b) maps its corners at each d onto corners at the same d, and on
     # the cyclic group uA has a corner at u d exactly where A has one at d,
-    # so N_uA(u d) = N_A(d) moves every count but the four with 4d = 0
+    # so N_uA(u d) = N_A(d) moves every count but the four with 4d = 0.  The
+    # complement identity ties every N_A(d) to N_{A^c}(d) and pair counts
+    # taken without corners.py
     A = seeded_set(spec, 0.3, seed)
     n = A.group.order
     counts = corner_count_by_difference(A).counts
+    _check_complement_identity(A, counts)
     assert np.array_equal(corner_count_by_difference(A.transpose()).counts, counts)
     a, b = np.random.default_rng(seed).integers(1, n, size=2)
     idx = np.arange(n)
@@ -443,6 +480,20 @@ def test_profile_keeps_every_count_under_transposition_translation_and_units(spe
         scaled = idx * 5 % n  # 5 is a unit mod 2048
         scaled_counts = corner_count_by_difference(_relabelled(A, scaled, scaled)).counts
         assert np.array_equal(scaled_counts[scaled], counts)
+
+
+@pytest.mark.cap
+@pytest.mark.parametrize(
+    "spec, seed",
+    [("x".join(["Z2"] * 11), 44), ("Z4096", 45), ("Z64xZ64", 46), ("x".join(["Z2"] * 12), 47)],
+    ids=["Z2^11", "Z4096", "Z64xZ64", "Z2^12"],
+)
+def test_profile_meets_the_complement_identity_up_to_the_cap(spec, seed):
+    # the identity at the largest orders, about 10 s a group and 75 s at
+    # Z2^12 (two profiles each): the cap marker keeps it out of the default
+    # run, and `pytest -m cap` runs it
+    A = seeded_set(spec, 0.3, seed)
+    _check_complement_identity(A, corner_count_by_difference(A).counts)
 
 
 @pytest.mark.parametrize(

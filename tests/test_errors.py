@@ -18,6 +18,8 @@ delta' are read as exact fractions by errors.check_rational, so a bool or an
 infinity is refused like any other value that is not a rational number.  Every
 public entry that combines operands built over groups raises
 GroupMismatchError, through errors.check_same_group, when the groups differ.
+box_approximation refuses a target that is neither a BohrSet nor a
+(BohrPartition, label) pair with a sequence label.
 """
 
 from fractions import Fraction
@@ -160,6 +162,24 @@ GROUP_ARGUMENTS = {
     "weak_regularity initial": lambda: weak_regularity(
         [np.zeros((6, 6))], 0.25, G6, initial=Partition.trivial(G4)),
 }
+
+
+PARTITION6 = BohrPartition(G6, [XI], EIGHTH)
+# box_approximation's target: a BohrSet, or a (BohrPartition, label) pair
+# whose label is a sequence
+MALFORMED_TARGETS = {
+    "label 5": ((PARTITION6, 5), "part label must be a sequence, got 5"),
+    "label None": ((PARTITION6, None), "part label must be a sequence, got None"),
+    "bare partition": (PARTITION6, "got BohrPartition"),
+    "1-tuple": ((PARTITION6,), "got tuple"),
+    "string": ("ab", "got str"),
+}
+
+
+@pytest.mark.parametrize("target, message", MALFORMED_TARGETS.values(), ids=MALFORMED_TARGETS)
+def test_box_approximation_refuses_a_malformed_target(target, message):
+    with pytest.raises(ValidationError, match=message):
+        box_approximation(target, G6.element(0), 0.5, EIGHTH)
 
 
 @pytest.mark.parametrize("call", GROUP_ARGUMENTS.values(), ids=GROUP_ARGUMENTS)

@@ -122,6 +122,16 @@ def test_variational_states_the_kernel_pass_and_the_restart_table_once():
     assert _calls(minimize, "MinimizeResult") == 1
 
 
+def test_newton_steps_stop_at_their_face_boundary_without_a_projection():
+    # a Newton attempt scales its step to the face boundary (_step_to_boundary):
+    # no fix-and-resolve loop, and _descend projects onto the slice only its
+    # starts and its spectral steps
+    functions = {fn.name: fn for fn in _variational_functions()}
+    assert "_newton_target" not in functions
+    assert _calls(functions["_descend"], "_project_to_slice") == 2
+    assert _calls(functions["_descend"], "_step_to_boundary") == 1
+
+
 def test_face_hessian_reads_no_kernel_rows():
     # the Hessian of the bracket is linear in the conditionals, so it pushes
     # no shifted copies of the lane through the kernel or the bracket

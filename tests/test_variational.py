@@ -423,12 +423,9 @@ def _serial_descent(alpha, n, start, attempts=None):
         k = int(free.sum())
         if k < 2 or 2 * k * N > V._DESCENT_CELLS_CAP:
             return None, None
-        face = phi[free]
-        target, curvature = V._newton_target(V._face_hessian(w, phi, free), face, g[free])
-        if target is None:
-            return None, curvature
+        s, curvature = V._newton_step(V._face_hessian(w, phi, free), g[free])
         d = np.zeros(N)
-        d[free] = V._project_to_slice(target[None, :], face.sum() / k)[0] - face
+        d[free] = V._step_to_boundary(phi[free], s)
         return (d if (g * d).sum() / N < 0.0 else None), curvature
 
     attempts = [] if attempts is None else attempts
@@ -517,9 +514,8 @@ def _check_newton_rule(attempts):
     "alpha, n, seed", [(0.3, 3, 0), (0.55, 3, 4), (0.2, 4, 1), (0.7, 4, 2), (0.6, 6, 3), (0.5, 10, 0)]
 )
 def test_batched_descent_matches_one_restart_at_a_time(alpha, n, seed):
-    # at (0.6, 6, 3) restart 2's second Newton attempt fails by a short step;
-    # at (0.5, 10, 0) eight attempts fail, six of them on restart 2, whose
-    # hold doubles each time
+    # at (0.5, 10, 0) restart 2 takes 21 Newton steps, the most of any lane
+    # here
     for lane in _check_against_serial(alpha, n, seed, 6)[1]:
         _check_newton_rule(lane)
 
@@ -527,33 +523,47 @@ def test_batched_descent_matches_one_restart_at_a_time(alpha, n, seed):
 def test_batched_newton_finish_matches_one_restart_at_a_time():
     # restart 7 of this density-sweep sample needs 2,621 evaluations under
     # SPG alone (test_no_room_for_a_hessian_leaves_spg_alone); here the face
-    # rule finishes it in 192, and restart 4 takes 20 Newton steps, every
+    # rule finishes it in 192, and restart 4 takes 16 Newton steps, every
     # attempt accepted
     res, attempts = _check_against_serial(0.85, 6, 0, 8)
-    assert res.iterations == (0, 195, 342, 190, 318, 179, 288, 192)
+    assert res.iterations == (0, 195, 274, 190, 208, 179, 312, 192)
     for lane in attempts:
         _check_newton_rule(lane)
-    assert res.newton_steps[4] == len(attempts[4]) == 20
+    assert res.newton_steps[4] == len(attempts[4]) == 16
     assert all(at["end"] == "accepted" for at in attempts[4])
 
 
 def test_a_failed_face_rule_attempt_is_retried_once_the_face_holds_again():
-    # restart 2 of the density-sweep sample alpha 0.9: its second Newton
-    # attempt finds no descending direction; the lane returns to SPG, and once its face has
-    # held for twice as many steps it takes an accepted Newton step
-    res = minimize_T(0.9, 6, restarts=8, seed=0)
+    # restart 5 of the c06 sample alpha 0.5 (seed 10): its first Newton
+    # attempt finds no descending direction; the lane returns to SPG, and once
+    # its face has held for twice as many steps it takes an accepted Newton
+    # step
+    res = minimize_T(0.5, 6, restarts=8, seed=10)
     attempts = []
     value, evals, gap, steps, curvature = _serial_descent(
-        0.9, 6, V._restart_start(2, 6, 0, 8), attempts
+        0.5, 6, V._restart_start(5, 6, 10, 8), attempts
     )
-    assert abs(res.restart_values[2] - value) <= 1e-12 and abs(res.gaps[2] - gap) <= 1e-12
-    assert (res.iterations[2], res.newton_steps[2]) == (evals, steps) == (138, 2)
-    assert abs(res.curvature[2] - curvature) <= 1e-12
+    assert abs(res.restart_values[5] - value) <= 1e-12 and abs(res.gaps[5] - gap) <= 1e-12
+    assert (res.iterations[5], res.newton_steps[5]) == (evals, steps) == (795, 9)
+    assert abs(res.curvature[5] - curvature) <= 1e-12
     _check_newton_rule(attempts)
-    assert [at["end"] for at in attempts] == ["accepted", "no direction", "accepted"]
-    assert [at["evals"] for at in attempts] == [101, 107, 137]
-    failed, retry = attempts[1], attempts[2]
+    assert [at["end"] for at in attempts[:3]] == ["no direction", "accepted", "accepted"]
+    assert [at["evals"] for at in attempts[:3]] == [240, 279, 406]
+    failed, retry = attempts[0], attempts[1]
     assert retry["held"] >= 2 * V._FACE_STEPS > failed["held"]
+
+
+def test_a_newton_search_that_falls_short_fails_its_attempt(monkeypatch):
+    # with a strict Armijo fraction a full Newton step, which a quadratic
+    # model says descends by half its slope, can be refused, and with
+    # _NEWTON_MIN_STEP at 1 one refusal fails the attempt: restart 1 of this
+    # sample ends its 15th attempt by a short step, in both descents alike
+    monkeypatch.setattr(V, "_ARMIJO", 0.75)
+    monkeypatch.setattr(V, "_NEWTON_MIN_STEP", 1.0)
+    res, attempts = _check_against_serial(0.6, 6, 3, 6)
+    for lane in attempts:
+        _check_newton_rule(lane)
+    assert [at["end"] for at in attempts[1]] == ["accepted"] * 14 + ["short step"]
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -575,6 +585,15 @@ def test_slow_sweep_lanes_end_stationary_or_at_the_cap(alpha, seed):
     for gap, evals, lane in zip(res.gaps, res.iterations, attempts):
         assert gap <= V._GAP_TOL or evals == V._DESCENT_CAP, (gap, evals)
         _check_newton_rule(lane)
+
+
+@pytest.mark.parametrize("alpha, n", [(0.2, 12), (0.45, 10)])
+def test_large_grid_lanes_end_stationary_below_the_cap(alpha, n):
+    # the first solve once ended a lane at _DESCENT_CAP, and the second once
+    # spent 4,381 evaluations on one lane whose Newton attempts kept failing
+    res = minimize_T(alpha, n, restarts=8, seed=0)
+    for gap, evals in zip(res.gaps, res.iterations):
+        assert gap <= V._GAP_TOL and evals < V._DESCENT_CAP, (gap, evals)
 
 
 # m_hat of density-sweep's single-density samples (n = 6, 8 restarts, the
@@ -672,16 +691,40 @@ def test_newton_step_follows_negative_curvature_downhill():
     assert grad @ s < 0.0
 
 
-def test_newton_target_gives_up_when_fewer_than_two_cells_are_left():
-    # with hess = I the sum-zero step is -(grad - mean(grad)) = (10, -10, 0): cells 0 and 1
-    # leave [0, 1] and are pinned at the bounds they cross, leaving one free cell
-    phi = np.full(3, 0.5)
-    grad = np.array([-10.0, 10.0, 0.0])
-    s, _ = V._newton_step(np.eye(3), grad)
-    assert np.allclose(s, [10.0, -10.0, 0.0])
-    target, curvature = V._newton_target(np.eye(3), phi, grad)
-    assert target is None
-    assert curvature == pytest.approx(1.0)  # every reduced eigenvalue of I is 1
+@pytest.mark.parametrize("seed", range(6))
+def test_a_newton_step_stops_at_the_first_bound_it_reaches(seed):
+    # free-cell vectors with cells exactly at 0 and 1 and one rounding past
+    # each bound, and sum-zero steps s of many scales: s pointing inward at
+    # every cell on a bound gives d = t s with t in (0, 1] and a cell at its
+    # bound whenever t < 1; s pointing outward at one such cell gives d = 0
+    rng = np.random.default_rng(seed)
+    ulp = 2.0**-52
+    for draw in range(40):
+        part = rng.random(30)
+        part[:12] = np.repeat([0.0, 1.0, -ulp / 2, 1.0 + ulp], 3)
+        rng.shuffle(part)
+        low, high = part <= 0.0, part >= 1.0
+        s = rng.normal(size=30) * 10.0 ** rng.uniform(-4, 1)
+        s[low], s[high] = np.abs(s[low]), -np.abs(s[high])
+        blocked = draw % 4 == 0
+        if blocked:  # one cell on a bound pointed outward
+            c = rng.choice(np.flatnonzero(low | high))
+            s[c] = -s[c]
+        inside = ~(low | high)
+        s[inside] -= s.sum() / inside.sum()
+        d = V._step_to_boundary(part, s)
+        moved = part + d
+        assert np.all(moved >= -ulp) and np.all(moved <= 1.0 + ulp)
+        assert abs(d.sum()) <= ulp * np.abs(s).sum()
+        if blocked:
+            assert np.all(d == 0.0)
+            continue
+        ratio = d[s != 0.0] / s[s != 0.0]  # d = t s: one t, to rounding
+        t = ratio.max()
+        assert 0.0 < t <= 1.0 and np.ptp(ratio) <= 2 * ulp
+        if t < 1.0:  # the cell that stopped the step is on its bound
+            room = np.where(s > 0.0, 1.0 - moved, moved)
+            assert np.min(room[s != 0.0]) <= ulp
 
 
 @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.3, 1 / 3, 0.5, 0.9, 1 - 1e-9])
