@@ -40,8 +40,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .bohr import BohrSet, RationalLike
-from .errors import (BoundViolation, ValidationError, check_cap, check_int, check_rational,
-                     check_real, check_same_group)
+from .errors import (BoundViolation, ValidationError, check_bits, check_cap, check_int,
+                     check_ints, check_rational, check_real, check_reals, check_same_group)
 from .fourier import GroupFunction
 from .groups import Character, Element, GroupSpec, _read_only, parse_group_spec
 from .parallel import deterministic_map
@@ -86,11 +86,9 @@ class PlaneSet:
     def __post_init__(self):
         n = self.group.order
         check_cap(n, PROFILE_CAP, "plane sets are capped at |G| <= {cap}, got {size}")
-        bits = self.bits
-        if not (isinstance(bits, np.ndarray) and bits.dtype == bool and _frozen(bits)):
-            bits = _read_only(np.array(bits, dtype=bool))
-        if bits.shape != (n, n):
-            raise ValidationError(f"bit matrix must be {n} x {n}, got {bits.shape}")
+        bits = check_bits(self.bits, "bit matrix", (n, n))
+        if not (bits is self.bits and _frozen(bits)):
+            bits = _read_only(np.array(bits))
         object.__setattr__(self, "bits", bits)
 
     @classmethod
@@ -192,15 +190,8 @@ class CornerProfile:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.shape != (self.group.order,):
-            raise ValidationError("profile length must equal the group order")
-        if not np.issubdtype(counts.dtype, np.integer):  # bool is not an integer dtype
-            raise ValidationError(f"corner counts must be integers, got dtype {counts.dtype}")
-        counts = _read_only(counts.astype(np.int64))
-        if counts.min(initial=0) < 0:
-            raise ValidationError("corner counts cannot be negative")
-        object.__setattr__(self, "counts", counts)
+        counts = check_ints(self.counts, "corner counts", (self.group.order,), 0)
+        object.__setattr__(self, "counts", _read_only(np.array(counts)))
 
     @property
     def total(self) -> int:
@@ -484,20 +475,19 @@ def popular_difference(A: PlaneSet, profile: CornerProfile | None = None) -> tup
     return group.element(d), int(tail[d - 1])
 
 
-def _check_nu(group: GroupSpec, nu: GroupFunction) -> None:
-    """nu must live on group, be real and have mean one."""
+def _check_nu(group: GroupSpec, nu: GroupFunction) -> np.ndarray:
+    """The values of nu, which must live on group, be real and have mean one."""
     check_same_group(group, nu.group, "set and nu")
-    if np.iscomplexobj(nu.values):
-        raise ValidationError("nu must be real-valued")
+    values = check_reals(nu.values, "nu")
     mean = nu.mean()
     if abs(mean - 1.0) > _MEAN_ONE_TOL:
         raise ValidationError(f"nu must have mean 1 (got {mean})")
+    return values
 
 
 def weighted_corner_count(A: PlaneSet, nu: GroupFunction) -> float:
     """(1/|G|^3) sum_d nu(d) N(d) for a mean-one difference measure nu."""
-    _check_nu(A.group, nu)
-    values = np.asarray(nu.values, dtype=np.float64)
+    values = _check_nu(A.group, nu)
     return float(values @ corner_count_by_difference(A).counts) / A.group.order**3
 
 
@@ -524,11 +514,11 @@ def triple_sum_from_views(
     n = group.order
     check_cap(n, _TRIPLE_SUM_CAP, "group order {size} exceeds triple-sum cap {cap}")
     check_same_group(group, nu.group, "views and nu")
-    f, g, h = (np.asarray(v, dtype=np.float64) for v in views)
+    f, g, h = (check_reals(v, f"view {j}", (n, n)) for j, v in enumerate(views))
     neg = group.negation_permutation()
     idx = np.arange(n)
     negsum = neg[group.add_indices(idx[:, None], idx)]  # index of -(x + y)
-    nu_vals = np.asarray(nu.values, dtype=np.float64)
+    nu_vals = check_reals(nu.values, "nu")
     total = 0.0
     for z in range(n):
         w = nu_vals[group.add_indices(negsum, neg[z])]  # nu(-x-y-z)
@@ -574,12 +564,8 @@ def integer_corner_scan(bits: np.ndarray, rho: RationalLike = Fraction(1, 4)) ->
     _shifted_views) read zero words past column n-1, and slicing the row
     axis drops the triples that leave the grid on the other side.
     """
-    bits = np.asarray(bits).astype(bool)
-    if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
-        raise ValidationError("the integer scan needs a square bit matrix")
-    n = bits.shape[0]
-    if n < 2:
-        raise ValidationError("grid side must be at least 2")
+    bits = check_bits(bits, "bit matrix", ("n", "n"))
+    n = check_int(bits.shape[0], "grid side", 2)
     r = check_rational(rho, "rho", "(0, 1/4]")
     candidates = _signed_candidates(n, r)
     words = -(-n // 64)
@@ -609,7 +595,7 @@ def integer_corner_scan(bits: np.ndarray, rho: RationalLike = Fraction(1, 4)) ->
 def integer_corner_scan_naive(bits: np.ndarray, rho: RationalLike = Fraction(1, 4)) -> IntegerScan:
     """Brute-force oracle: triple loop over the grid, differences restricted
     to ||d/n|| < rho by direct rational comparison (no Bohr machinery)."""
-    bits = np.asarray(bits).astype(bool)
+    bits = check_bits(bits, "bit matrix", ("n", "n"))
     n = bits.shape[0]
     r = check_rational(rho, "rho", "(0, 1/4]")
     candidates = []

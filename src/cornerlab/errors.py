@@ -9,12 +9,20 @@ growth parameters, the large-spectrum threshold) and every exact-fraction
 argument (Bohr radii, widths and the rho, delta, delta' of the bounds and
 scans), each with its interval, by check_real and check_rational; and every
 pair of operands that must share a group by check_same_group.
+
+Every array argument is refused when ragged, non-numeric or of the wrong
+shape, and otherwise by check_reals (functions on G, spectra, views, cut-norm
+matrices, grid values, weights and cell masses: finite, and in an interval up
+to a slack, clipped onto it), check_bits (plane sets, integer scans, masks:
+booleans, 0 and 1 only) or check_ints (corner counts, partition labels).
 """
 import functools
 import math
 import numbers
 import operator
 from fractions import Fraction
+
+import numpy as np
 
 
 class CornerlabError(Exception):
@@ -72,10 +80,13 @@ def _bounds(interval: str) -> tuple:
                  else Fraction(e) for e in interval[1:-1].split(", "))
 
 
-def _check_interval(number, name: str, interval: str) -> None:
-    """Refuse a number outside interval.  An interval is closed only at
-    finite ends, so none holds an infinity, and NaN fails every comparison."""
+def _check_interval(number, name: str, interval: str, slack=0) -> None:
+    """Refuse a number outside interval widened by slack at both ends.  An
+    interval is closed only at finite ends, so none holds an infinity, and
+    NaN fails every comparison."""
     low, high = _bounds(interval)
+    if slack:
+        low, high = low - slack, high + slack
     if not ((low <= number if interval[0] == "[" else low < number)
             and (number <= high if interval[-1] == "]" else number < high)):
         finite = "be finite and " if isinstance(number, float) and not math.isfinite(number) else ""
@@ -104,6 +115,61 @@ def check_rational(value, name: str, interval: str) -> Fraction:
         raise ValidationError(f"{name} is not a rational number: {value!r}") from None
     _check_interval(number, name, interval)
     return number
+
+
+def _as_array(value, name: str, kinds: str, what: str, shape) -> np.ndarray:
+    """value as an array of one of the dtype kinds, of shape (None for any)."""
+    try:
+        arr = np.asarray(value)
+    except (ValueError, TypeError):  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in kinds:
+        raise ValidationError(f"{name} must be an array of {what}, got {value!r:.80}")
+    sizes = {}  # a named size stands for the same size wherever it appears
+    if shape is not None and arr.shape != shape and (arr.ndim != len(shape) or any(
+            sizes.setdefault(want, got) != got if isinstance(want, str) else want != got
+            for want, got in zip(shape, arr.shape))):
+        wanted = f"length {shape[0]}" if len(shape) == 1 else f"shape ({', '.join(map(str, shape))})"
+        raise ValidationError(f"{name} must have {wanted}, got shape {arr.shape}")
+    return arr
+
+
+def check_reals(value, name: str, shape=None, interval: str | None = None, slack: float = 0,
+                *, complex_ok: bool = False) -> np.ndarray:
+    """The float64 array of a finite real array argument (bools read as 0 and 1)
+    of shape, with an interval in it up to slack and then clipped onto it as
+    a new array; complex_ok takes a complex array too, in its own dtype."""
+    arr = _as_array(value, name, "biufc" if complex_ok else "biuf",
+                    "numbers" if complex_ok else "real numbers", shape)
+    arr = arr.astype(arr.dtype if arr.dtype.kind == "c" else np.float64, copy=False)
+    if interval is None:
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
+        return arr
+    for extreme in (arr.min(), arr.max()) if arr.size else ():  # NaN reaches both
+        _check_interval(float(extreme), name, interval, slack)
+    return np.clip(arr, *map(float, _bounds(interval)))
+
+
+def check_bits(value, name: str, shape=None) -> np.ndarray:
+    """The bool array of a bit-array argument of shape: a bool array as it
+    is, another numeric array only when it holds 0 and 1 alone."""
+    arr = _as_array(value, name, "biuf", "booleans or the numbers 0 and 1", shape)
+    if arr.dtype != bool:
+        odd = (arr != 0) & (arr != 1)
+        if odd.any():
+            raise ValidationError(f"{name} must hold only booleans or 0 and 1, got {arr[odd][0]}")
+        arr = arr != 0
+    return arr
+
+
+def check_ints(value, name: str, shape=None, least: int | None = None) -> np.ndarray:
+    """The int64 array of an integer-array argument of shape, every entry >=
+    least when given; floats and bools are refused even when whole."""
+    arr = _as_array(value, name, "iu", "integers", shape).astype(np.int64, copy=False)
+    if least is not None and arr.size and arr.min() < least:
+        raise ValidationError(f"{name} must be >= {least}, got {arr.min()}")
+    return arr
 
 
 def check_same_group(group, other, what: str) -> None:

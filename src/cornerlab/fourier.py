@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolation, ValidationError, check_cap, check_real, check_same_group
+from .errors import (BoundViolation, ValidationError, check_bits, check_cap, check_real,
+                     check_reals, check_same_group)
 from .groups import Character, GroupSpec
 
 TRANSFORM_CAP = 2**20
@@ -31,16 +32,8 @@ class GroupFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values)  # a copy, so the caller's array stays theirs
-        if vals.shape != (self.group.order,):
-            raise ValidationError(
-                f"expected {self.group.order} values, got shape {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("function values must be finite")
-        if not np.iscomplexobj(vals):
-            vals = vals.astype(np.float64, copy=False)
-        object.__setattr__(self, "values", vals)
+        vals = check_reals(self.values, "function values", (self.group.order,), complex_ok=True)
+        object.__setattr__(self, "values", np.array(vals))  # a copy: the caller keeps theirs
 
     @classmethod
     def constant(cls, group: GroupSpec, c: float) -> "GroupFunction":
@@ -48,13 +41,13 @@ class GroupFunction:
 
     @classmethod
     def indicator(cls, group: GroupSpec, mask: np.ndarray) -> "GroupFunction":
-        mask = np.asarray(mask, dtype=bool)
+        mask = check_bits(mask, "mask", (group.order,))
         return cls(group, mask.astype(np.float64))
 
     @classmethod
     def normalized_indicator(cls, group: GroupSpec, mask: np.ndarray) -> "GroupFunction":
         """mu_X = 1_X / mu(X): the indicator scaled to have mean exactly 1."""
-        mask = np.asarray(mask, dtype=bool)
+        mask = check_bits(mask, "mask", (group.order,))
         size = int(mask.sum())
         if size == 0:
             raise ValidationError("cannot normalize the indicator of the empty set")
@@ -72,14 +65,9 @@ class Spectrum:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.array(self.coefficients, dtype=np.complex128)
-        if coeffs.shape != (self.group.order,):
-            raise ValidationError(
-                f"expected {self.group.order} coefficients, got shape {coeffs.shape}"
-            )
-        if not np.all(np.isfinite(coeffs)):
-            raise ValidationError("spectrum coefficients must be finite")
-        object.__setattr__(self, "coefficients", coeffs)
+        coeffs = check_reals(self.coefficients, "spectrum coefficients", (self.group.order,),
+                             complex_ok=True)
+        object.__setattr__(self, "coefficients", coeffs.astype(np.complex128))
 
     def __getitem__(self, xi: Character) -> complex:
         check_same_group(self.group, xi.group, "spectrum and character")

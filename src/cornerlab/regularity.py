@@ -28,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .bohr import BohrPartition, BohrSet
-from .errors import (BoundViolation, ValidationError, check_cap, check_int, check_real,
-                     check_same_group)
+from .errors import (BoundViolation, ValidationError, check_bits, check_cap, check_int,
+                     check_ints, check_real, check_reals, check_same_group)
 from .fourier import GroupFunction, convolve, dft, large_spectrum, lp_norm
 from .groups import Character, GroupSpec
 
@@ -112,9 +112,7 @@ class Partition:
     __slots__ = ("group", "labels", "_sizes")
 
     def __init__(self, group: GroupSpec, labels: np.ndarray):
-        labels = np.asarray(labels)
-        if labels.shape != (group.order,):
-            raise ValidationError("labels must cover the group exactly once")
+        labels = check_ints(labels, "labels", (group.order,))
         _, inverse = np.unique(labels, return_inverse=True)
         self.group = group
         self.labels = inverse.ravel().astype(np.int64)
@@ -143,9 +141,7 @@ class Partition:
         return Partition(self.group, combined)
 
     def refine_with_mask(self, mask: np.ndarray) -> "Partition":
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.group.order,):
-            raise ValidationError("mask must cover the group")
+        mask = check_bits(mask, "mask", (self.group.order,))
         return Partition(self.group, 2 * self.labels + mask)
 
     def is_refinement_of(self, other: "Partition") -> bool:
@@ -154,18 +150,13 @@ class Partition:
         return self.common_refinement(other).part_count == self.part_count
 
     def project_line(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self.group.order,):
-            raise ValidationError(f"line function must have {self.group.order} values")
+        values = check_reals(values, "line function", (self.group.order,))
         means = np.bincount(self.labels, weights=values) / self._sizes
         return means[self.labels]
 
     def project_plane(self, f: np.ndarray) -> np.ndarray:
         """Box averages f|_{P x P} on G x G."""
-        f = np.asarray(f, dtype=np.float64)
-        n = self.group.order
-        if f.shape != (n, n):
-            raise ValidationError(f"plane function must be {n} x {n}")
+        f = check_reals(f, "plane function", (self.group.order,) * 2)
         P = self.part_count
         comb = self.labels[:, None] * P + self.labels[None, :]
         sums = np.bincount(comb.ravel(), weights=f.ravel(), minlength=P * P)
@@ -194,14 +185,7 @@ def _check_ascent_size(restarts: int, n: int) -> None:
 def _check_plane_inputs(fs: Sequence[np.ndarray], group: GroupSpec, cap: int) -> list[np.ndarray]:
     n = group.order
     check_cap(n, cap, "group order {size} exceeds cap {cap}")
-    out = []
-    for j, f in enumerate(fs):
-        arr = np.asarray(f, dtype=np.float64)
-        if arr.shape != (n, n):
-            raise ValidationError(f"function {j} must be {n} x {n}")
-        if not (arr.min() >= -1e-12 and arr.max() <= 1 + 1e-12):  # NaN fails too
-            raise ValidationError(f"function {j} must take values in [0, 1]")
-        out.append(np.clip(arr, 0.0, 1.0))
+    out = [check_reals(f, f"function {j}", (n, n), "[0, 1]", 1e-12) for j, f in enumerate(fs)]
     if not out:
         raise ValidationError("need at least one function")
     return out
@@ -390,11 +374,8 @@ def cut_norm_witness(
     response.  Above that it is the best of `restarts` seeded alternating
     ascents per sign, a lower estimate of the exact value.
     """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise ValidationError("cut norm needs a non-empty square matrix")
-    if not np.all(np.isfinite(M)):
-        raise ValidationError("cut norm input must be finite")
+    M = check_reals(M, "cut-norm matrix", ("n", "n"))
+    check_int(M.shape[0], "cut-norm matrix side", 1)
     seed = check_int(seed, "seed", 0)
     restarts = check_int(restarts, "cut-norm restarts", 1)
     _check_ascent_size(restarts, M.shape[0])
@@ -538,11 +519,9 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
     group = fns[0].group
     n = group.order
     check_cap(n, _BOHR_CAP, "group order {size} exceeds cap {cap}")
-    for f in fns:
+    for j, f in enumerate(fns):
         check_same_group(group, f.group, "functions")
-        vals = np.asarray(f.values)
-        if np.iscomplexobj(vals) or vals.min() < -1e-12 or vals.max() > 1 + 1e-12:
-            raise ValidationError("inputs must take values in [0, 1]")
+        check_reals(f.values, f"function {j}", interval="[0, 1]", slack=1e-12)  # not clipped
     values = [f.values for f in fns]
 
     L = group.exponent_lcm

@@ -37,7 +37,8 @@ import numpy as np
 
 from .bohr import BohrSet
 from .corners import PlaneSet, hyperplane_views, weighted_corner_count
-from .errors import BoundViolation, ValidationError, check_cap, check_int, check_real
+from .errors import (BoundViolation, ValidationError, check_cap, check_int, check_real,
+                     check_reals)
 from .regularity import (
     CUT_RESTARTS,
     DOUBLE_CAP,
@@ -93,31 +94,19 @@ _WEIGHT_SUM_TOL = 1e-12
 _VALUE_TOL = 1e-9
 
 
-def _check_weights(w, name: str) -> np.ndarray:
-    arr = np.asarray(w, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError(f"{name} must be a nonempty 1-d weight vector")
-    if not np.all(np.isfinite(arr)) or arr.min() < -1e-15:
-        raise ValidationError(f"{name} must be finite and nonnegative")
-    if abs(arr.sum() - 1.0) > _WEIGHT_SUM_TOL:
-        raise ValidationError(f"{name} must sum to 1, got {arr.sum()!r}")
-    return np.clip(arr, 0.0, None)
-
-
-def _check_grid(obj, axes: tuple[str, str, str], grid: str) -> np.ndarray:
+def _check_grid(obj, axes: tuple[str, str, str], grid: str, interval: str, slack: float):
     """Check and store the three axis weight vectors of a weighted grid
-    dataclass, and return its grid field as a finite float array of the axes'
-    shape; the caller checks the range and stores it."""
-    w = [_check_weights(getattr(obj, name), name) for name in axes]
-    cells = np.asarray(getattr(obj, grid), dtype=float)
-    sizes = tuple(v.size for v in w)
-    if cells.shape != sizes:
-        raise ValidationError(f"{grid} shape {cells.shape} does not match axis sizes {sizes}")
-    if not np.all(np.isfinite(cells)):
-        raise ValidationError(f"{grid} must be finite")
-    for name, v in zip(axes, w):
-        object.__setattr__(obj, name, v)
-    return cells
+    dataclass (probability vectors, clipped at 0 within 1e-15; an empty one
+    sums to 0), and its grid field as a float array of the axes' shape in
+    interval, clipped onto it within slack; return the grid field."""
+    for name in axes:
+        w = check_reals(getattr(obj, name), name, ("n",), "[0, inf)", 1e-15)
+        if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
+            raise ValidationError(f"{name} must sum to 1, got {float(w.sum())!r}")
+        object.__setattr__(obj, name, w)
+    sizes = tuple(getattr(obj, name).size for name in axes)
+    object.__setattr__(obj, grid, check_reals(getattr(obj, grid), grid, sizes, interval, slack))
+    return getattr(obj, grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,19 +124,13 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _check_grid(self, ("weights_x", "weights_y", "weights_z"), "values")
-        if vals.min() < -_VALUE_TOL or vals.max() > 1.0 + _VALUE_TOL:
-            raise ValidationError("values must lie in [0, 1]")
-        object.__setattr__(self, "values", np.clip(vals, 0.0, 1.0))
+        _check_grid(self, ("weights_x", "weights_y", "weights_z"), "values", "[0, 1]", _VALUE_TOL)
 
     @classmethod
     def uniform(cls, values) -> "GridFunction":
         """Wrap an (nx, ny, nz) array with uniform weights on every axis."""
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim != 3:
-            raise ValidationError("values must be a 3-d array")
-        ws = [np.ones(s) / s for s in vals.shape]  # an empty axis is refused by the weight check
-        return cls(ws[0], ws[1], ws[2], vals)
+        vals = check_reals(values, "values", ("nx", "ny", "nz"))
+        return cls(*(np.ones(s) / s for s in vals.shape), vals)  # an empty axis sums to 0
 
     @classmethod
     def constant(cls, n: int, c: float) -> "GridFunction":
@@ -700,16 +683,13 @@ class BoxInstance:
     m: int
 
     def __post_init__(self):
-        cells = _check_grid(self, ("delta_x", "delta_y", "delta_z"), "cell_masses")
-        if cells.min() < -1e-15:
-            raise ValidationError("cell masses must be finite and nonnegative")
+        cells = _check_grid(self, ("delta_x", "delta_y", "delta_z"), "cell_masses", "[0, inf)", 1e-15)
         mass = check_real(self.hyperplane_mass, "hyperplane mass", "[0, inf)")
         eps = check_real(self.eps, "eps", "(0, inf)")
         m = check_int(self.m, "m", 1)
         support = np.einsum("i,j,k->ijk", self.delta_x, self.delta_y, self.delta_z) > 0
         if np.any(cells[~support] > 1e-15):
             raise ValidationError("positive cell mass on a zero-weight cell")
-        object.__setattr__(self, "cell_masses", np.clip(cells, 0.0, None))
         object.__setattr__(self, "hyperplane_mass", mass)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "m", m)

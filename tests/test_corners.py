@@ -508,7 +508,7 @@ def test_profile_rejects_counts_that_are_not_integers(counts):
 
 @pytest.mark.parametrize(
     "counts, message",
-    [([1, 2], "length"), ([[1, 2, 3]], "length"), ([3, -1, 0], "negative")],
+    [([1, 2], "length"), ([[1, 2, 3]], "length"), ([3, -1, 0], "must be >= 0")],
 )
 def test_profile_rejects_a_wrong_length_or_a_negative_count(counts, message):
     with pytest.raises(ValidationError, match=message):

@@ -22,13 +22,13 @@ def test_no_bare_assert_in_the_package():
     assert not found, found
 
 
-def _is_direct_raise(node) -> bool:
-    """A raise of CapExceededError or GroupMismatchError."""
+def _is_direct_raise(node, names=("CapExceededError", "GroupMismatchError")) -> bool:
+    """A raise of one of the named errors."""
     if not isinstance(node, ast.Raise) or node.exc is None:
         return False
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
-    return name in {"CapExceededError", "GroupMismatchError"}
+    return name in names
 
 
 def _uses_operator_index(node) -> bool:
@@ -54,6 +54,29 @@ def test_caps_and_integer_arguments_are_checked_only_in_errors():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if _is_direct_raise(node) or _uses_operator_index(node)
         or stale & {getattr(node, key, None) for key in ("id", "attr", "name")}
+    ]
+    assert not found, found
+
+
+_ARRAY_READS = {"shape", "ndim", "size", "min", "max", "isfinite", "iscomplexobj"}
+
+
+def test_array_arguments_are_refused_only_in_errors():
+    # every shape, finiteness and value check of an array argument goes
+    # through errors.check_reals, check_bits or check_ints: no other module
+    # raises ValidationError in a branch whose test reads an array's shape,
+    # ndim, size, min(), max(), isfinite or iscomplexobj
+    files = sorted(Path(cornerlab.__file__).parent.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.If, ast.While))
+        and _ARRAY_READS & {n.attr for n in ast.walk(node.test) if isinstance(n, ast.Attribute)}
+        and any(_is_direct_raise(inner, {"ValidationError"})
+                for statement in node.body + node.orelse for inner in ast.walk(statement))
     ]
     assert not found, found
 
