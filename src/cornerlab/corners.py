@@ -594,9 +594,10 @@ def integer_corner_scan(bits: np.ndarray, rho: RationalLike = Fraction(1, 4)) ->
 
 def integer_corner_scan_naive(bits: np.ndarray, rho: RationalLike = Fraction(1, 4)) -> IntegerScan:
     """Brute-force oracle: triple loop over the grid, differences restricted
-    to ||d/n|| < rho by direct rational comparison (no Bohr machinery)."""
+    to ||d/n|| < rho by direct rational comparison (no Bohr machinery).  Its
+    domain is integer_corner_scan's: a side of at least 2."""
     bits = check_bits(bits, "bit matrix", ("n", "n"))
-    n = bits.shape[0]
+    n = check_int(bits.shape[0], "grid side", 2)
     r = check_rational(rho, "rho", "(0, 1/4]")
     candidates = []
     for d in range(1, n):

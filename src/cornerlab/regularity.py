@@ -39,7 +39,7 @@ _BOHR_CAP = 2**10
 DOUBLE_CAP = 2**7
 _SPECTRUM_FLOOR = 1e-15
 CUT_RESTARTS = 32
-# cells of one float64 stack of the alternating ascent, 2 * restarts * n
+# cells of one lane stack of the alternating ascent, 2 * restarts * n
 _ASCENT_CELLS_CAP = 2**22
 
 
@@ -211,18 +211,21 @@ def _exact_witness(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
     The chunk's sums are laid out column-major, one row per column of M, so
     a row set's clipped column sums are added in column order j = 0 .. n-1.
+    This float64 body is what decides the result, but it runs only on the
+    chunks _screened_chunks keeps, in chunk order; on inputs where every
+    row set ties, such as M = 0, that is every chunk.
     """
     n = M.shape[0]
     best = [(-math.inf, 0), (-math.inf, 0)]  # (value, g) for the signs +, -
     low = min(n, 10)
     chunk = 1 << low
+    lo_bits = ((np.arange(chunk) >> np.arange(low)[:, None]) & 1).astype(np.float64)
+    hi_bits = ((np.arange(1 << (n - low)) >> np.arange(n - low)[:, None]) & 1).astype(np.float64)
     bits = np.empty((n, chunk), dtype=np.float64)
-    bits[:low] = (np.arange(chunk) >> np.arange(low)[:, None]) & 1
-    starts = range(0, 1 << n, chunk)
-    high_bits = ((np.array(starts) >> np.arange(low, n)[:, None]) & 1).astype(np.float64)
+    bits[:low] = lo_bits
     clipped = np.empty((n, chunk))
-    for c, lo in enumerate(starts):
-        bits[low:] = high_bits[:, c, None]
+    for c in _screened_chunks(M, lo_bits, hi_bits):
+        bits[low:] = hi_bits[:, c, None]
         colsums = M.T @ bits
         for s in range(2):
             if s:
@@ -230,7 +233,7 @@ def _exact_witness(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
             vals = np.maximum(colsums, 0.0, out=clipped).sum(axis=0)
             j = int(np.argmax(vals))
             if vals[j] > best[s][0]:
-                best[s] = (float(vals[j]), lo + j)
+                best[s] = (float(vals[j]), (int(c) << low) + j)
     sign = 1.0 if best[0][0] >= best[1][0] else -1.0
     best_val, best_g = best[0] if sign > 0 else best[1]
     g = ((best_g >> np.arange(n)) & 1).astype(bool)
@@ -238,58 +241,153 @@ def _exact_witness(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return best_val / n**2, g, h
 
 
-def _sums_are_exact(M: np.ndarray) -> bool:
+def _screened_chunks(M: np.ndarray, lo_bits: np.ndarray, hi_bits: np.ndarray) -> np.ndarray:
+    """The chunks of _exact_witness that can hold either sign's first
+    maximum, in order: row set lo + 2^10 c is column lo of lo_bits over
+    column c of hi_bits.
+
+    Every row set is scored once more, in float32 and without a product per
+    chunk, on M scaled by the power of two _product_scale picks, so that no
+    sum can overflow.  Column sums come from two tables built once in
+    float64 and cast: over the low rows (lo_bits) and over the rest
+    (hi_bits).  Per block of chunks they are added, clipped at 0 and summed
+    in column order; that is the + value, and the - value is the + value
+    minus the row set's total.  A chunk is kept when its best screened
+    value, for either sign, is within `margin` of that sign's best screened
+    value over all chunks.
+
+    The margin.  Let A = sum |M_ij| (scaled), u = 2^-24, U = 2^-53, gamma_n
+    = n u / (1 - n u) and Gamma_n = n U / (1 - n U); any order of adding n
+    terms lands within gamma_n (Gamma_n in float64) of their absolute sum
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4), and t =
+    2^-126, the smallest normal float32, bounds what an underflow or a
+    flush to zero loses.  To first order, a screened column sum is off by
+    at most (Gamma_n + 2u) A_j + 3t, A_j = sum_i |M_ij| (table sums, their
+    casts, the add); adding the clipped ones adds gamma_n A + n t; the row
+    set's total is off by at most (2 Gamma_n + 2u) A + 3t, and the
+    subtraction adds u A + t.  The per-chunk body's float64 value is within
+    Gamma_n (2 + Gamma_n) A of the exact one.  So screen and body differ by
+    at most delta = (5 Gamma_n + 5u + gamma_n) A + (4n + 4) t plus terms of
+    order u^2 A, and a row set the body scores highest is screened within
+    2 delta of the screened maximum.  The margin (2 gamma_n + 16u) A + 16 n
+    t covers 2 delta: 10 Gamma_n, the second-order terms and the float64
+    rounding of the margin and of its subtraction fit in 6u A.  A body
+    whose float64 sums could overflow keeps every chunk.
+    """
+    n, low, chunks = M.shape[0], len(lo_bits), hi_bits.shape[1]
+    if chunks == 1 or not n * float(np.abs(M).max()) < 2.0**1000:
+        return np.arange(chunks)
+    scaled = np.ldexp(M, _product_scale(M))
+    lo_sums = (scaled[:low].T @ lo_bits).astype(np.float32)
+    hi_sums = (scaled[low:].T @ hi_bits).astype(np.float32)
+    totals = scaled.sum(axis=1)
+    lo_totals = (totals[:low] @ lo_bits).astype(np.float32)
+    hi_totals = (totals[low:] @ hi_bits).astype(np.float32)
+    block = min(chunks, 8)  # both powers of two; a block's sums hold at most 2^17 floats
+    sums = np.empty((n, block, lo_sums.shape[1]), dtype=np.float32)
+    plus, minus = np.empty((2, block, lo_sums.shape[1]), dtype=np.float32)
+    tops = np.empty((2, chunks))  # each chunk's best screened value, for +, -
+    for c in range(0, chunks, block):
+        np.add(lo_sums[:, None, :], hi_sums[:, c : c + block, None], out=sums)
+        np.sum(np.maximum(sums, 0.0, out=sums), axis=0, out=plus)
+        plus.max(axis=1, out=tops[0, c : c + block])
+        np.subtract(plus, np.add(lo_totals, hi_totals[c : c + block, None], out=minus), out=minus)
+        minus.max(axis=1, out=tops[1, c : c + block])
+    u = 2.0**-24
+    margin = (2 * n * u / (1 - n * u) + 16 * u) * float(np.abs(scaled).sum()) + 16 * n * 2.0**-126
+    floor = tops.max(axis=1, keepdims=True) - margin
+    return np.flatnonzero((tops >= floor).any(axis=0))
+
+
+def _sums_are_exact(M: np.ndarray, dtype) -> bool:
     """Whether every order of adding a 0/1 subset of a row or a column of M
-    gives the exact sum.
+    gives the exact sum at dtype's precision of p bits (53 for float64, 24
+    for float32), as long as no sum leaves dtype's range; float32 sums of M
+    scaled by _product_scale do not.
 
     It does when n max |M_ij| < 2^e and every entry is a multiple of
-    2^(e-53): every partial sum is then a multiple of 2^(e-53) below 2^e in
+    2^(e-p): every partial sum is then a multiple of 2^(e-p) below 2^e in
     magnitude, so representable.  The float product n max |M_ij| stays at
-    or above 2^e when the exact one does.  M = 0 is such a matrix, and so is
-    a 0/1 set minus its box averages over parts whose sizes are powers of
-    two, as on the trivial partition of a group of order 2^k.
+    or above 2^e when the exact one does, and an entry too small to stay
+    nonzero when scaled to the grid is no multiple of it.  M = 0 is such a
+    matrix, and so is a 0/1 set minus its box averages over parts whose
+    sizes are powers of two, as on the trivial partition of a group of
+    order 2^k.
     """
     top = M.shape[0] * float(np.abs(M).max())
     if not math.isfinite(top):
         return False
-    scaled = np.ldexp(M, 53 - math.frexp(top)[1])
-    return np.array_equal(scaled, np.rint(scaled))
+    scaled = np.ldexp(M, np.finfo(dtype).nmant + 1 - math.frexp(top)[1])
+    return np.array_equal(scaled, np.rint(scaled)) and np.count_nonzero(scaled) == np.count_nonzero(M)
 
 
-def _sign_bounds(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Margins past which two orders of adding a 0/1 subset of a row (or a
-    column) of M give the sign of the exact sum, for rows and for columns.
+def _product_scale(M: np.ndarray) -> int:
+    """The power of two that puts n max |M_ij| in [2^98, 2^100).
+
+    Scaled by it, M has no float32 sum of n entries near overflow, every
+    grid of _sums_are_exact lies far above float32's subnormals, and (for n
+    < 2^24) no entry within a factor 2^200 of the largest is subnormal.
+    Scaling by a power of two changes no sign and no exact sum.
+    """
+    return 100 - math.frexp(float(np.abs(M).max()))[1] - M.shape[0].bit_length()
+
+
+def _sign_bounds(M: np.ndarray, scale: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Margins, in dtype, past which adding a 0/1 subset of a row (or a
+    column) of M scaled by 2^scale and cast to dtype, in any order, gives
+    the sign of the exact sum, and so of M's own float64 matrix-vector
+    product: for rows and for columns.
 
     Each term is exact (0 or an entry), and any order of adding n terms
     lands within gamma_n sum |terms| of the exact sum, gamma_n = n u / (1 -
-    n u) with u = 2^-53 (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 4).  So a sum farther than 2 gamma_n sum_j |M_ij| from 0
-    and the exact sum, and every other order's sum, share one nonzero sign.
-    The margins hold with the rounding of their own computation: gamma_n
-    covers gamma_{n-1}, the bound for n terms, with room to spare.
+    n u) with u the unit roundoff, 2^-53 in float64 and 2^-24 in float32
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).  The
+    cast moves each entry by at most u |M_ij|, or by at most the smallest
+    normal number t when the entry underflows; t also bounds what an
+    addition loses when a flush-to-zero mode drops its result.  So, with B
+    the scaled sum_j |M_ij|, the cast sum lies within (gamma_n (1 + u) + u)
+    B + (2 + gamma_n) n t of the exact one, and a float64 matrix-vector
+    product within gamma_n B at u = 2^-53.  A sum farther than both from 0
+    shares one nonzero sign with the exact sum and with every matrix-vector
+    product.  The margins hold with the rounding of their own computation:
+    gamma_n covers gamma_{n-1}, the bound for n terms, with room to spare,
+    and the cast to dtype rounds up.  B is summed before scaling, so a
+    matrix whose float64 sums could overflow gets infinite margins.
     """
     n = M.shape[0]
-    u = 2.0**-53
-    gamma = n * u / (1 - n * u)
+    info = np.finfo(dtype)
+    u, u64 = float(info.eps) / 2, 2.0**-53
+    gamma, gamma64 = n * u / (1 - n * u), n * u64 / (1 - n * u64)
+    rel = gamma * (1 + u) + u + gamma64
+    floor = (2 + gamma) * n * float(info.tiny)
     abs_M = np.abs(M)
-    return 2 * gamma * abs_M.sum(axis=1), 2 * gamma * abs_M.sum(axis=0)
+    return tuple(
+        np.nextafter((rel * np.ldexp(sums, scale) + floor).astype(dtype), np.inf, dtype=dtype)
+        for sums in (abs_M.sum(axis=1), abs_M.sum(axis=0))
+    )
 
 
-def _certified_signs(X, A, bound, lane_sums, out) -> None:
-    """out = X @ A > 0, each lane deciding as its own product lane_sums would.
+def _certified_signs(X, A, bound, plus, lane_sums, out) -> None:
+    """out = the signs each lane picks from S = X @ A, as its own float64
+    product lane_sums would: S > 0 on the first `plus` lanes, which carry
+    the sign +, and S < 0 on the others, which carry -.
 
-    X is a stack of signed 0/1 lanes.  The one matrix product decides every
-    sign whose magnitude exceeds its bound, or all of them when bound is
-    None (the sums are exact).  A lane with any entry at or under its bound
-    takes its decisions from lane_sums, the stacked matrix-vector products.
+    X is a stack of 0/1 lanes and A a scaled copy of the matrix, both
+    float32.  The one product decides every sign whose magnitude exceeds
+    its bound, or all of them when bound is None (the sums are exact).  A
+    lane with any entry at or under its bound takes its decisions from
+    lane_sums, the stacked matrix-vector products of the signed lanes in
+    float64.
     """
     S = X @ A
-    np.greater(S, 0.0, out=out)
+    np.greater(S[:plus], 0.0, out=out[:plus])
+    np.less(S[plus:], 0.0, out=out[plus:])
     if bound is not None:
         certain = np.abs(S, out=S) > bound
         if not certain.all():
-            unsure = ~certain.all(axis=1)
-            out[unsure] = lane_sums(X[unsure]) > 0
+            unsure = np.flatnonzero(~certain.all(axis=1))
+            signs = np.where(unsure < plus, 1.0, -1.0)[:, None]
+            out[unsure] = lane_sums(X[unsure] * signs) > 0
 
 
 def _alternating_witness(
@@ -298,30 +396,40 @@ def _alternating_witness(
     """Seeded alternating ascent over both signs; a lower estimate of the
     exact witness value.
 
-    All 2 * restarts ascents step together as rows of one boolean stack, in
-    the lane order + all-ones, + random starts, - all-ones, - random starts;
-    each step answers every lane's column set h with its best row set g, then
-    g with its best h, under the lane's sign.  Three facts make this the
-    same as running the ascents one at a time:
+    All 2 * restarts ascents step together as rows of one float32 0/1
+    stack, in the lane order + all-ones, + random starts, - all-ones, -
+    random starts; each step answers every lane's column set h with its best
+    row set g, then g with its best h, under the lane's sign.  Three facts
+    make this the same as running the ascents one at a time:
 
     - the random starts are one draw of 2 * (restarts - 1) rows, the same
       stream, in the same order, as one draw per restart;
     - a lane whose g and h both came back unchanged sits at a fixed point.
       Once at least half the stepping lanes have stopped, they are written
-      back and leave the stack.  The loop ends when no lane moves, or after
-      64 steps;
-    - every g and h is decided by the sign a matrix-vector product gives.
+      back and leave the stack, which keeps the + lanes first.  The loop
+      ends when no lane moves, or after 64 steps;
+    - every g and h is decided by the sign a float64 matrix-vector product
+      gives.
 
-    For the last fact, each half-step is one matrix product of the signed
-    stack, with M.T for the rows and M for the columns.  Its signs are
-    those of the exact sums, and so of each lane's own matrix-vector
-    product, wherever they lie past the _sign_bounds margins, and
-    everywhere when _sums_are_exact(M).  A lane with any other sign, as on
-    sums that cancel exactly, re-runs the half-step as a stack of
-    matrix-vector products (matmul over a leading lane axis); negating a
-    lane's set negates its sums exactly.  The reported rows and values are
-    stacked matrix-vector products too.  The first lane with the largest
-    positive value wins.
+    For the last fact, each half-step is one float32 product of the stack,
+    with M.T for the rows and M for the columns, after M is scaled by the
+    power of two _product_scale picks, so that no sum can overflow and
+    scaling changes no sign.  The lanes stay float32 0/1 rows, so no
+    half-step casts or builds a signed copy: a + lane keeps the sums above 0
+    and a - lane those below 0, since negating a lane's set negates its
+    sums exactly, in every order of adding them.  The product's signs are
+    those of the exact sums, and so of each lane's own float64
+    matrix-vector product, everywhere when _sums_are_exact(M, float32), as
+    on dyadic residuals, and otherwise wherever they lie past the float32
+    _sign_bounds margins, derived there: relative gamma_n at u = 2^-24 for
+    the product plus 2^-24 for the cast, an absolute term for entries that
+    underflow in float32, and gamma_n at u = 2^-53 for the matrix-vector
+    product itself.  A lane with any other sign, as on sums that cancel
+    exactly, re-runs the half-step as a stack of float64 matrix-vector
+    products (matmul over a leading lane axis) of its signed set; where
+    every sum cancels, every lane does.  The reported rows and values are
+    stacked float64 matrix-vector products too.  The first lane with the
+    largest positive value wins.
     """
     n = M.shape[0]
     rng = np.random.default_rng(seed)
@@ -331,18 +439,22 @@ def _alternating_witness(
         [ones, random_starts[: restarts - 1], ones, random_starts[restarts - 1 :]]
     )
     sign = np.repeat([1.0, -1.0], restarts)
-    row_bound, col_bound = (None, None) if _sums_are_exact(M) else _sign_bounds(M)
-    GH = np.zeros((len(H), 2 * n), dtype=bool)  # each lane's g and h, side by side
+    scale = _product_scale(M)
+    A = np.ldexp(M, scale).astype(np.float32)
+    exact = _sums_are_exact(M, np.float32)
+    row_bound, col_bound = (None, None) if exact else _sign_bounds(M, scale, np.float32)
+    GH = np.zeros((len(H), 2 * n), dtype=np.float32)  # each lane's g and h, side by side
     GH[:, n:] = H
-    live, stack, lane_sign = np.arange(len(GH)), GH, sign[:, None]
+    live, stack, plus = np.arange(len(GH)), GH, restarts
+    AT = np.ascontiguousarray(A.T)
     for _ in range(64):
         step = np.empty_like(stack)
         _certified_signs(
-            stack[:, n:] * lane_sign, M.T, row_bound,
+            stack[:, n:], AT, row_bound, plus,
             lambda X: (M @ X[:, :, None])[:, :, 0], step[:, :n],
         )
         _certified_signs(
-            step[:, :n] * lane_sign, M, col_bound,
+            step[:, :n], A, col_bound, plus,
             lambda X: (X[:, None, :] @ M)[:, 0, :], step[:, n:],
         )
         moved = (step != stack).any(axis=1)
@@ -351,9 +463,9 @@ def _alternating_witness(
         stack = step
         if 2 * np.count_nonzero(moved) <= len(moved):
             GH[live] = stack
-            live, stack, lane_sign = live[moved], stack[moved], lane_sign[moved]
+            live, stack, plus = live[moved], stack[moved], np.count_nonzero(moved[:plus])
     GH[live] = stack
-    G, H = GH[:, :n], GH[:, n:]
+    G, H = GH[:, :n] > 0, GH[:, n:] > 0
     rows = G[:, None, :].astype(np.float64) @ M
     vals = sign * (rows @ H[:, :, None].astype(np.float64))[:, 0, 0] / n**2
     lane = int(np.argmax(vals))

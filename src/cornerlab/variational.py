@@ -542,7 +542,9 @@ def minimize_T(
 
     The result is checked against [m^4 (1 - 1e-9), alpha^3 + 1e-9], where m
     is the mean of the winning point: the cube is attained by the constant
-    start, and T(phi) >= (E phi)^4 for every [0, 1]-valued phi.
+    start, and T(phi) >= (E phi)^4 for every [0, 1]-valued phi.  m itself
+    must lie within _MEAN_FEASIBLE_TOL of alpha, since Newton steps do not
+    run the projection's own mean check.
     """
     alpha = check_real(alpha, "alpha", "[0, 1]")
     n = check_int(n, "grid size n", 2)
@@ -565,7 +567,10 @@ def minimize_T(
     points, values, iterations, gaps, steps, curvature = zip(*rows)
     best = int(np.argmin(values))  # first minimum wins
     best_t = values[best]
-    lower = float(points[best].mean()) ** 4 * (1.0 - 1e-9)
+    mean = float(points[best].mean())
+    if not abs(mean - alpha) <= _MEAN_FEASIBLE_TOL:
+        raise BoundViolation(f"winner's mean {mean!r} missed alpha={alpha!r}")
+    lower = mean**4 * (1.0 - 1e-9)
     upper = alpha**3 + _UPPER_SLACK
     if not lower <= best_t <= upper:
         raise BoundViolation(f"estimate {best_t!r} escaped [{lower!r}, {upper!r}] at alpha={alpha!r}")

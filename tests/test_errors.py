@@ -391,6 +391,12 @@ MALFORMED_ARRAYS = {
         r"bit matrix must have shape \(n, n\), got shape \(3, 4\)"),
     "integer_corner_scan side 1": (lambda: integer_corner_scan(np.ones((1, 1), bool)),
                                    "grid side must be >= 2, got 1"),
+    "integer_corner_scan side 0": (lambda: integer_corner_scan(np.ones((0, 0), bool)),
+                                   "grid side must be >= 2, got 0"),
+    "integer_corner_scan_naive side 1": (lambda: integer_corner_scan_naive(np.ones((1, 1), bool)),
+                                         "grid side must be >= 2, got 1"),
+    "integer_corner_scan_naive side 0": (lambda: integer_corner_scan_naive(np.ones((0, 0), bool)),
+                                         "grid side must be >= 2, got 0"),
     "refine_with_mask 0.5, -1 and NaN": (
         lambda: Partition.trivial(G4).refine_with_mask([0.5, 0, -1, NAN]),
         "mask must hold only booleans or 0 and 1, got 0.5"),

@@ -265,6 +265,19 @@ def _striped_residuals(n):
     return [f - P.project_plane(f) for f in fs for P in parts]
 
 
+def _extreme_matrices(n, seed):
+    # entries near 1e300 and near 1e-40 (subnormal in float32 unless
+    # scaled); a mixed one whose first rows shrink by 2^-4 a row from
+    # 2^-210, so that scaled for float32 some land among its subnormals;
+    # and a 0/1 set minus 1/3 on a grid of 2^-40, whose sums are exact in
+    # 53 bits but not in 24, and some of them within 2^-30 of 0
+    rng = np.random.default_rng(seed)
+    mixed = rng.normal(size=(n, n))
+    mixed[: n // 2] *= np.ldexp(1.0, -210 - 4 * np.arange(n // 2))[:, None]
+    thirds = (rng.random((n, n)) < 0.5) - np.ldexp(np.rint(np.ldexp(1 / 3, 40)), -40)
+    return [1e300 * rng.normal(size=(n, n)), 1e-40 * rng.normal(size=(n, n)), mixed, thirds]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_square_matrices(5))
 def test_exact_witness_matches_brute_force(M):
@@ -290,7 +303,8 @@ def test_alternating_witness_never_exceeds_exact(M, restarts, seed):
 @pytest.mark.parametrize("restarts", [1, 2, 32])
 @pytest.mark.parametrize("n", [17, 32, 60, 64, 128])
 def test_batched_ascent_matches_the_per_lane_loop_on_residuals(n, restarts):
-    for k, M in enumerate(_seeded_residuals(n, seed=n + restarts)):
+    matrices = _seeded_residuals(n, seed=n + restarts) + _extreme_matrices(n, seed=n + restarts)
+    for k, M in enumerate(matrices):
         seed = 1000 * n + k
         _assert_same_witness(
             regularity._alternating_witness(M, restarts, seed),
@@ -310,59 +324,90 @@ def test_batched_ascent_matches_the_per_lane_loop_on_the_striped_set(restarts):
 def test_exact_witness_matches_the_per_chunk_enumeration():
     rng = np.random.default_rng(12)
     matrices = [rng.normal(size=(n, n)) for n in range(1, 17)]
-    matrices += _seeded_residuals(16, seed=5) + _striped_residuals(16)
+    matrices += _seeded_residuals(16, seed=5) + _striped_residuals(16) + _extreme_matrices(16, 5)
+    # inputs where many row sets tie: zeros, a constant, a +-c checkerboard,
+    # and residuals whose subset sums cancel in exact arithmetic
+    for n in (11, 13, 16):
+        checker = np.where(np.add.outer(np.arange(n), np.arange(n)) % 2, 0.3, -0.3)
+        matrices += [np.zeros((n, n)), np.full((n, n), 0.7), checker]
+        matrices += _seeded_residuals(n, seed=n)[-4:]
     for M in matrices:
         _assert_same_witness(regularity._exact_witness(M), _exact_reference(M))
+
+
+def test_exact_witness_reruns_few_chunks_unless_every_row_set_ties(monkeypatch):
+    kept = []
+    screen = regularity._screened_chunks
+    monkeypatch.setattr(regularity, "_screened_chunks", lambda *a: kept.append(screen(*a)) or kept[-1])
+    residual = _seeded_residuals(16, seed=9)[0]
+    for M in (residual, np.zeros((16, 16)), np.zeros((10, 10))):
+        _assert_same_witness(regularity._exact_witness(M), _exact_reference(M))
+    # two chunks on a seeded residual, all 64 on zeros, and the one of n = 10
+    assert [len(chunks) for chunks in kept] == [2, 64, 1]
 
 
 def _signed_stack(n, rng):
     return (rng.random((64, n)) < 0.5) * np.repeat([1.0, -1.0], 32)[:, None]
 
 
-def _products_and_lane_products(M, X):
-    # (one matrix product, the stacked matrix-vector products) for rows, then columns
-    yield X @ M.T, (M @ X[:, :, None])[:, :, 0]
-    yield X @ M, (X[:, None, :] @ M)[:, 0, :]
+def _products_and_lane_products(M, X, dtype):
+    # (one product in dtype, of M scaled for float32, the stacked float64
+    # matrix-vector products) for rows, then columns; and the scale
+    scale = regularity._product_scale(M) if dtype == np.float32 else 0
+    A, X = np.ldexp(M, scale).astype(dtype), X.astype(dtype)
+    products = [(X @ A.T, (M @ X[:, :, None].astype(np.float64))[:, :, 0]),
+                (X @ A, (X[:, None, :].astype(np.float64) @ M)[:, 0, :])]
+    return products, scale
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("n", [17, 32, 60, 128])
-def test_product_signs_past_the_margins_are_the_matrix_vector_signs(n):
+def test_product_signs_past_the_margins_are_the_matrix_vector_signs(n, dtype):
     rng = np.random.default_rng(n)
     seeded = _seeded_residuals(n, seed=n)
     under = []  # entries at or under the margin, per matrix
-    for M in seeded + _striped_residuals(n):
+    for M in seeded + _striped_residuals(n) + _extreme_matrices(n, seed=n):
         under.append(0)
         for _ in range(4):
-            products = _products_and_lane_products(M, _signed_stack(n, rng))
-            for bound, (S, lane) in zip(regularity._sign_bounds(M), products):
+            products, scale = _products_and_lane_products(M, _signed_stack(n, rng), dtype)
+            for bound, (S, lane) in zip(regularity._sign_bounds(M, scale, dtype), products):
+                assert bound.dtype == dtype
                 certain = np.abs(S) > bound
                 assert np.array_equal(np.sign(S[certain]), np.sign(lane[certain]))
                 assert np.all(lane[certain] != 0)
                 under[-1] += np.count_nonzero(~certain)
     # sums of the tie and striped residuals cancel exactly, so the fallback runs
-    ties, striped = under[len(seeded) - 4 : len(seeded)], under[len(seeded) :]
+    ties, striped = under[len(seeded) - 4 : len(seeded)], under[len(seeded) : -4]
     assert min(ties) > 0 and sum(striped) > 0
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("n", [17, 32, 60, 128])
-def test_exact_sum_matrices_give_the_lane_sums_in_one_product(n):
+def test_exact_sum_matrices_give_the_lane_sums_in_one_product(n, dtype):
     rng = np.random.default_rng(n)
     seeded = _seeded_residuals(n, seed=n)
     ties, striped = seeded[-4:], _striped_residuals(n)
-    assert not any(regularity._sums_are_exact(M) for M in ties)
+    assert not any(regularity._sums_are_exact(M, dtype) for M in ties)
     if n in (32, 128):  # stripes of period 8 and parts of 2^k points
-        assert all(regularity._sums_are_exact(M) for M in striped)
+        assert all(regularity._sums_are_exact(M, dtype) for M in striped)
     for M in seeded + striped + [np.zeros((n, n))]:
-        if regularity._sums_are_exact(M):
-            for S, lane in _products_and_lane_products(M, _signed_stack(n, rng)):
-                assert np.array_equal(S, lane)
+        if regularity._sums_are_exact(M, dtype):
+            products, scale = _products_and_lane_products(M, _signed_stack(n, rng), dtype)
+            for S, lane in products:
+                assert np.array_equal(S, np.ldexp(lane, scale))
 
 
-def test_sums_are_exact_needs_every_entry_on_a_common_grid():
-    assert regularity._sums_are_exact(np.array([[0.5, -0.25], [0.75, 0.0]]))
-    assert not regularity._sums_are_exact(np.array([[1.0, 2.0**-60], [0.0, 0.0]]))
-    assert not regularity._sums_are_exact(np.array([[0.1, 0.2], [0.0, 0.0]]))
-    assert not regularity._sums_are_exact(np.full((2, 2), 1e308))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sums_are_exact_needs_every_entry_on_a_common_grid(dtype):
+    assert regularity._sums_are_exact(np.array([[0.5, -0.25], [0.75, 0.0]]), dtype)
+    assert not regularity._sums_are_exact(np.array([[1.0, 2.0**-60], [0.0, 0.0]]), dtype)
+    assert not regularity._sums_are_exact(np.array([[0.1, 0.2], [0.0, 0.0]]), dtype)
+    assert not regularity._sums_are_exact(np.full((2, 2), 1e308), dtype)
+    # an entry below the grid that scaling to it would flush to 0
+    assert not regularity._sums_are_exact(np.array([[1e300, 1e-300], [0.0, 0.0]]), dtype)
+    # on a grid of 2^-30: exact in 53 bits, not in 24
+    on_fine_grid = np.array([[1.0, 2.0**-30], [0.0, 0.0]])
+    assert regularity._sums_are_exact(on_fine_grid, dtype) == (dtype == np.float64)
 
 
 def test_cut_norm_rejects_an_empty_matrix():

@@ -772,6 +772,15 @@ def test_an_estimate_below_the_fourth_power_of_its_mean_is_refused(monkeypatch):
         minimize_T(0.01, 3, restarts=2)
 
 
+def test_a_winner_off_the_mean_slice_is_refused(monkeypatch):
+    # a projection that misses the mean by 1e-6 passes its own check
+    # (against the shifted target), so only minimize_T's output check sees it
+    project = V._project_to_slice
+    monkeypatch.setattr(V, "_project_to_slice", lambda vals, alpha: project(vals, alpha + 1e-6))
+    with pytest.raises(BoundViolation, match="missed alpha=0.3"):
+        minimize_T(0.3, 6, restarts=3)
+
+
 def test_iteration_counts_are_per_restart_and_capped():
     res = minimize_T(0.45, 4, restarts=8, seed=0)
     assert len(res.iterations) == len(res.restart_values) == 8
