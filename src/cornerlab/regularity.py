@@ -299,14 +299,13 @@ def _screened_chunks(M: np.ndarray, lo_bits: np.ndarray, hi_bits: np.ndarray) ->
     return np.flatnonzero((tops >= floor).any(axis=0))
 
 
-def _sums_are_exact(M: np.ndarray, dtype) -> bool:
+def _sums_are_exact(M: np.ndarray) -> bool:
     """Whether every order of adding a 0/1 subset of a row or a column of M
-    gives the exact sum at dtype's precision of p bits (53 for float64, 24
-    for float32), as long as no sum leaves dtype's range; float32 sums of M
-    scaled by _product_scale do not.
+    gives the exact sum in float32's 24 bits, as long as no sum leaves
+    float32's range; float32 sums of M scaled by _product_scale do not.
 
     It does when n max |M_ij| < 2^e and every entry is a multiple of
-    2^(e-p): every partial sum is then a multiple of 2^(e-p) below 2^e in
+    2^(e-24): every partial sum is then a multiple of 2^(e-24) below 2^e in
     magnitude, so representable.  The float product n max |M_ij| stays at
     or above 2^e when the exact one does, and an entry too small to stay
     nonzero when scaled to the grid is no multiple of it.  M = 0 is such a
@@ -317,7 +316,7 @@ def _sums_are_exact(M: np.ndarray, dtype) -> bool:
     top = M.shape[0] * float(np.abs(M).max())
     if not math.isfinite(top):
         return False
-    scaled = np.ldexp(M, np.finfo(dtype).nmant + 1 - math.frexp(top)[1])
+    scaled = np.ldexp(M, 24 - math.frexp(top)[1])
     return np.array_equal(scaled, np.rint(scaled)) and np.count_nonzero(scaled) == np.count_nonzero(M)
 
 
@@ -332,37 +331,38 @@ def _product_scale(M: np.ndarray) -> int:
     return 100 - math.frexp(float(np.abs(M).max()))[1] - M.shape[0].bit_length()
 
 
-def _sign_bounds(M: np.ndarray, scale: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Margins, in dtype, past which adding a 0/1 subset of a row (or a
-    column) of M scaled by 2^scale and cast to dtype, in any order, gives
-    the sign of the exact sum, and so of M's own float64 matrix-vector
-    product: for rows and for columns.
+def _sign_bounds(M: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """float32 margins past which adding a 0/1 subset of a row (or a column)
+    of M scaled by 2^scale and cast to float32, in any order, gives the sign
+    of the exact sum, and so of M's own float64 matrix-vector product: for
+    rows and for columns.
 
     Each term is exact (0 or an entry), and any order of adding n terms
     lands within gamma_n sum |terms| of the exact sum, gamma_n = n u / (1 -
-    n u) with u the unit roundoff, 2^-53 in float64 and 2^-24 in float32
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).  The
-    cast moves each entry by at most u |M_ij|, or by at most the smallest
-    normal number t when the entry underflows; t also bounds what an
-    addition loses when a flush-to-zero mode drops its result.  So, with B
-    the scaled sum_j |M_ij|, the cast sum lies within (gamma_n (1 + u) + u)
-    B + (2 + gamma_n) n t of the exact one, and a float64 matrix-vector
-    product within gamma_n B at u = 2^-53.  A sum farther than both from 0
-    shares one nonzero sign with the exact sum and with every matrix-vector
-    product.  The margins hold with the rounding of their own computation:
-    gamma_n covers gamma_{n-1}, the bound for n terms, with room to spare,
-    and the cast to dtype rounds up.  B is summed before scaling, so a
-    matrix whose float64 sums could overflow gets infinite margins.
+    n u) with u = 2^-24, float32's unit roundoff (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 4).  The cast moves each entry by
+    at most u |M_ij|, or by at most t = 2^-126, the smallest normal float32,
+    when the entry underflows; t also bounds what an addition loses when a
+    flush-to-zero mode drops its result.  So, with B the scaled sum_j
+    |M_ij|, the cast sum lies within (gamma_n (1 + u) + u) B + (2 + gamma_n)
+    n t of the exact one, and a float64 matrix-vector product within
+    Gamma_n B, Gamma_n the same quotient at u = 2^-53.  A sum farther than
+    both from 0 shares one nonzero sign with the exact sum and with every
+    matrix-vector product.  The margins hold with the rounding of their own
+    computation: gamma_n covers gamma_{n-1}, the bound for n terms, with
+    room to spare, and the cast to float32 rounds up.  B is summed before
+    scaling, so a matrix whose float64 sums could overflow gets infinite
+    margins.
     """
     n = M.shape[0]
-    info = np.finfo(dtype)
-    u, u64 = float(info.eps) / 2, 2.0**-53
+    u, u64 = 2.0**-24, 2.0**-53
     gamma, gamma64 = n * u / (1 - n * u), n * u64 / (1 - n * u64)
     rel = gamma * (1 + u) + u + gamma64
-    floor = (2 + gamma) * n * float(info.tiny)
+    floor = (2 + gamma) * n * 2.0**-126
     abs_M = np.abs(M)
     return tuple(
-        np.nextafter((rel * np.ldexp(sums, scale) + floor).astype(dtype), np.inf, dtype=dtype)
+        np.nextafter((rel * np.ldexp(sums, scale) + floor).astype(np.float32), np.inf,
+                     dtype=np.float32)
         for sums in (abs_M.sum(axis=1), abs_M.sum(axis=0))
     )
 
@@ -419,7 +419,7 @@ def _alternating_witness(
     and a - lane those below 0, since negating a lane's set negates its
     sums exactly, in every order of adding them.  The product's signs are
     those of the exact sums, and so of each lane's own float64
-    matrix-vector product, everywhere when _sums_are_exact(M, float32), as
+    matrix-vector product, everywhere when _sums_are_exact(M), as
     on dyadic residuals, and otherwise wherever they lie past the float32
     _sign_bounds margins, derived there: relative gamma_n at u = 2^-24 for
     the product plus 2^-24 for the cast, an absolute term for entries that
@@ -441,8 +441,8 @@ def _alternating_witness(
     sign = np.repeat([1.0, -1.0], restarts)
     scale = _product_scale(M)
     A = np.ldexp(M, scale).astype(np.float32)
-    exact = _sums_are_exact(M, np.float32)
-    row_bound, col_bound = (None, None) if exact else _sign_bounds(M, scale, np.float32)
+    exact = _sums_are_exact(M)
+    row_bound, col_bound = (None, None) if exact else _sign_bounds(M, scale)
     GH = np.zeros((len(H), 2 * n), dtype=np.float32)  # each lane's g and h, side by side
     GH[:, n:] = H
     live, stack, plus = np.arange(len(GH)), GH, restarts

@@ -6,9 +6,9 @@ multiply them, and take the expectation.  Constant functions give
 T(alpha) = alpha^3, and the infimum over the mean-alpha slice sits somewhere
 in [alpha^4, alpha^3]; minimize_T chases it with spectral projected gradient
 from a fixed family of starts, each run to a Frank-Wolfe stationarity gap.
-A start switches to projected Newton steps on its face, with the exact
-Hessian (T is cubic), by the one rule that _descend states; each Newton step
-stops at the first bound it reaches.
+A start switches to projected Newton steps on the inside cells of its face,
+with the exact Hessian (T is cubic), by the one rule that _descend states;
+each Newton step stops at the first bound it reaches.
 The result is assembled from one table of per-restart rows.
 sweep_and_envelope turns a grid of densities into the lower convex envelope
 of the estimates.  evaluate_T, gradient_T, the descent and the box model take
@@ -50,16 +50,18 @@ _MEAN_FEASIBLE_TOL = 1e-10
 # T-evaluations per descent lane, backtracks included
 _DESCENT_CAP = 10_000
 # A lane whose face (_face) has held through _FACE_STEPS accepted steps, and
-# whose Frank-Wolfe gap is at most _FACE_GAP, takes Newton steps: projected
-# gradient fixes the face of a nondegenerate minimum in finitely many steps
-# (Calamai and More 1987), and Newton converges fast on it (Bertsekas 1982).
-# Each failed attempt doubles the held steps the lane's next attempt needs.
-# Measured while a budget of 500 T evaluations also opened Newton steps: over
-# the density-sweep solves and the c06 grid at n = 6, 5 steps raised an m_hat
-# by 2.9e-10; 20 or 40 steps, or a gap of 1e-7, took 6-25% more lockstep
-# passes; a gap of 1e-5 built 16-27% more Hessians; and without the doubling,
-# c06's alpha 0.35 restart 2 built 191 Hessians, 114 of them failed, and
-# ended at _DESCENT_CAP.
+# whose Frank-Wolfe gap is at most _FACE_GAP, takes Newton steps on the
+# face's inside cells: projected gradient fixes the face of a nondegenerate
+# minimum in finitely many steps (Calamai and More 1987), and Newton converges
+# fast on it (Bertsekas 1982).  Measured while a budget of 500 T evaluations
+# also opened Newton steps: over the density-sweep solves and the c06 grid at
+# n = 6, 5 steps raised an m_hat by 2.9e-10; 20 or 40 steps, or a gap of
+# 1e-7, took 6-25% more lockstep passes; a gap of 1e-5 built 16-27% more
+# Hessians.  Over those solves and n = 10 and 12 at alpha 0.2, 0.45 and 0.5
+# (seeds 0-2, 8 restarts), 1,411 attempts open and one fails, by a short
+# step; when bound cells whose pull pointed inward joined the face and each
+# failure doubled the held steps asked for, 1,244 opened and 6 found no
+# descending direction.
 _FACE_STEPS = 10
 _FACE_GAP = 1e-6
 # A reduced Newton Hessian's eigenvalues of magnitude at most this times the
@@ -291,16 +293,6 @@ def _fw_gap(bracket: np.ndarray, phi: np.ndarray, alpha: float) -> np.ndarray:
     return ((bracket * phi).sum(axis=1) - oracle) / N
 
 
-def _free_cells(face: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Bertsekas free set of one lane from its face codes (_face) and
-    bracket: the cells inside (0, 1), plus each cell at a bound whose
-    bracket, measured against the mean multiplier (the mean bracket of the
-    inside cells), pulls it inward."""
-    inside = face == 0
-    pull = grad - grad[inside].sum() / max(int(inside.sum()), 1)
-    return inside | ((face < 0) & (pull < 0.0)) | ((face > 0) & (pull > 0.0))
-
-
 def _face_hessian(w, phi: np.ndarray, free: np.ndarray) -> np.ndarray:
     """Derivative of the bracket of one (N,) lane on its k free cells, (k, k).
 
@@ -353,15 +345,14 @@ def _face(phi: np.ndarray) -> np.ndarray:
 
 
 def _step_to_boundary(part: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """t s for the largest t in [0, 1] that keeps part + t s in [0, 1].
+    """t s for the largest t in (0, 1] that keeps part + t s in [0, 1].
 
     The step rule of the primal active-set method (Nocedal and Wright 2006,
     section 16.5): the first cell that the step carries to a bound stops it
-    there.  A cell's room toward the bound it moves to is read as
-    nonnegative, since a cell can sit a rounding past its bound, so such a
-    cell moving outward gives t = 0.
+    there.  part holds the free cells of a face, each more than _FACE_TOL
+    inside both bounds, so every cell has room and t > 0.
     """
-    room = np.maximum(np.where(s > 0.0, 1.0 - part, part), 0.0)
+    room = np.where(s > 0.0, 1.0 - part, part)
     move = np.abs(s)
     t = np.divide(room, move, out=np.ones_like(move), where=move > room)
     return t.min(initial=1.0) * s
@@ -383,23 +374,23 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
 
     SPG is sublinear at degenerate minima, and once it has fixed a lane's
     face (the cells at 0 or 1, _face) the rest is a smooth problem on the
-    free cells, so a lane that needs a new direction takes projected Newton
-    steps on its face (Bertsekas 1982) once its face has not changed over its
-    last hold accepted steps (hold starts at _FACE_STEPS) and its gap is at
-    most _FACE_GAP.  On its k free cells (_free_cells) it builds the exact
-    Hessian of the bracket from the lane's conditionals (_face_hessian) and
-    takes the sum-zero Newton step s of the face (_newton_step).  The other
-    cells stay put, and the free cells move along d = t s, with t the largest
-    value in [0, 1] that keeps them in [0, 1] (_step_to_boundary), so the
-    mean stays alpha and no projection runs; the search along d is the same
-    line search.  The attempt fails when the face has fewer than 2 free
-    cells or more than _DESCENT_CELLS_CAP / (2 n^3), when the direction does
-    not descend (a cell on a bound that s pushes outward gives t = 0, so
-    d = 0), or when the trial step falls below _NEWTON_MIN_STEP.  A failed
-    attempt sends the lane back to SPG with its own step and memory,
-    restarts its face count and doubles hold, so the lane tries again once
-    its face has held that long.  A lane whose face never settles at a small
-    gap runs SPG alone.
+    free cells, those strictly inside (0, 1).  So a lane that needs a new
+    direction takes projected Newton steps on its face once its face has not
+    changed over its last _FACE_STEPS accepted steps and its gap is at most
+    _FACE_GAP.  On its k free cells it builds the exact Hessian of the
+    bracket from the lane's conditionals (_face_hessian) and takes the
+    sum-zero Newton step s of the face (_newton_step).  The other cells stay
+    put, and the free cells move along d = t s, with t the largest value in
+    (0, 1] that keeps them in [0, 1] (_step_to_boundary), so the mean stays
+    alpha and no projection runs; the search along d is the same line
+    search.  The attempt fails when the face has fewer than 2 free cells or
+    more than _DESCENT_CELLS_CAP / (2 n^3), when the direction does not
+    descend, or when the trial step falls below _NEWTON_MIN_STEP.  A failed
+    attempt sends the lane back to SPG with its own step and memory and
+    restarts its face count, so the lane tries again once its face has held
+    _FACE_STEPS steps more.  Only SPG's projection releases a cell from a
+    bound, as in the face phase of GPCG (More and Toraldo 1991).  A lane
+    whose face never settles at a small gap runs SPG alone.
 
     A lane leaves the batch once its Frank-Wolfe gap is at most _GAP_TOL or
     after _DESCENT_CAP T evaluations, so each pass works on the live lanes
@@ -430,7 +421,6 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
     newton = np.zeros(lanes, dtype=bool)  # d is a Newton direction
     face = _face(phi)
     held = np.zeros(lanes, dtype=int)  # accepted steps since the face last changed
-    hold = np.full(lanes, _FACE_STEPS)  # held steps the face rule asks for
     steps = np.zeros(lanes, dtype=int)
     curvature = np.full(lanes, np.nan)
     d = np.empty_like(phi)
@@ -447,18 +437,18 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
                 break
             keep = ~done
             (live, phi, t, grad, gap, step, recent, slot, evals, fresh, newton, face, held,
-             hold, steps, curvature, d, a, slope) = (
+             steps, curvature, d, a, slope) = (
                 x[keep] for x in (live, phi, t, grad, gap, step, recent, slot, evals, fresh,
-                                  newton, face, held, hold, steps, curvature, d, a, slope)
+                                  newton, face, held, steps, curvature, d, a, slope)
             )
         # a Newton search whose step fell below _NEWTON_MIN_STEP has failed
         failed = newton & ~fresh & (a < _NEWTON_MIN_STEP)
         fresh = fresh | failed
         if fresh.any():
-            settled = (held >= hold) & (gap <= _FACE_GAP) & ~failed
+            settled = (held >= _FACE_STEPS) & (gap <= _FACE_GAP) & ~failed
             newton = np.where(fresh, settled, newton)
             for i in np.flatnonzero(newton & fresh):
-                free = _free_cells(face[i], grad[i])
+                free = face[i] == 0
                 k = int(free.sum())
                 # the face-size rule: at n = 24 a looser k * k <= _DESCENT_CELLS_CAP
                 # built Hessians on faces of up to 1,387 cells; alpha 0.45 and 0.8
@@ -472,9 +462,8 @@ def _descend(starts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
                     if slope[i] < 0.0:
                         continue
                 failed[i] = True
-            # a failed attempt: back to SPG, the face count restarts, hold doubles
+            # a failed attempt: back to SPG, and the face count restarts
             newton[failed], held[failed] = False, 0
-            hold[failed] *= 2
             spg = fresh & ~newton
             if spg.any():
                 sel = slice(None) if spg.all() else spg  # a slice gathers nothing
@@ -521,9 +510,9 @@ def minimize_T(
     claimed.  The descent direction is the derivative in the uniform inner
     product, which keeps step sizes grid-independent; the projection onto the
     slice is exact (a sort, not a search), so each iterate is feasible up to
-    rounding.  A restart takes projected Newton steps on its face, and
-    returns to spectral steps after a failed one, by the rule that _descend
-    states.  Each restart stops at a Frank-Wolfe gap of at most _GAP_TOL,
+    rounding.  A restart takes projected Newton steps on the cells of its
+    face inside (0, 1), and returns to spectral steps after a failed one, by
+    the rule that _descend states.  Each restart stops at a Frank-Wolfe gap of at most _GAP_TOL,
     which certifies a stationary point to that precision, or at the
     _DESCENT_CAP evaluation cap; gaps records each restart's final gap,
     newton_steps its accepted Newton steps and curvature the smallest reduced

@@ -7,6 +7,8 @@ observed outputs and the generic instances assert the contract bounds
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -350,28 +352,27 @@ def _signed_stack(n, rng):
     return (rng.random((64, n)) < 0.5) * np.repeat([1.0, -1.0], 32)[:, None]
 
 
-def _products_and_lane_products(M, X, dtype):
-    # (one product in dtype, of M scaled for float32, the stacked float64
+def _products_and_lane_products(M, X):
+    # (one float32 product, of M scaled for float32, the stacked float64
     # matrix-vector products) for rows, then columns; and the scale
-    scale = regularity._product_scale(M) if dtype == np.float32 else 0
-    A, X = np.ldexp(M, scale).astype(dtype), X.astype(dtype)
+    scale = regularity._product_scale(M)
+    A, X = np.ldexp(M, scale).astype(np.float32), X.astype(np.float32)
     products = [(X @ A.T, (M @ X[:, :, None].astype(np.float64))[:, :, 0]),
                 (X @ A, (X[:, None, :].astype(np.float64) @ M)[:, 0, :])]
     return products, scale
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("n", [17, 32, 60, 128])
-def test_product_signs_past_the_margins_are_the_matrix_vector_signs(n, dtype):
+def test_product_signs_past_the_margins_are_the_matrix_vector_signs(n):
     rng = np.random.default_rng(n)
     seeded = _seeded_residuals(n, seed=n)
     under = []  # entries at or under the margin, per matrix
     for M in seeded + _striped_residuals(n) + _extreme_matrices(n, seed=n):
         under.append(0)
         for _ in range(4):
-            products, scale = _products_and_lane_products(M, _signed_stack(n, rng), dtype)
-            for bound, (S, lane) in zip(regularity._sign_bounds(M, scale, dtype), products):
-                assert bound.dtype == dtype
+            products, scale = _products_and_lane_products(M, _signed_stack(n, rng))
+            for bound, (S, lane) in zip(regularity._sign_bounds(M, scale), products):
+                assert bound.dtype == np.float32
                 certain = np.abs(S) > bound
                 assert np.array_equal(np.sign(S[certain]), np.sign(lane[certain]))
                 assert np.all(lane[certain] != 0)
@@ -381,33 +382,58 @@ def test_product_signs_past_the_margins_are_the_matrix_vector_signs(n, dtype):
     assert min(ties) > 0 and sum(striped) > 0
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "family",
+    [lambda n: _seeded_residuals(n, seed=n), _striped_residuals, lambda n: _extreme_matrices(n, seed=n)],
+    ids=["seeded", "striped", "extreme"],
+)
 @pytest.mark.parametrize("n", [17, 32, 60, 128])
-def test_exact_sum_matrices_give_the_lane_sums_in_one_product(n, dtype):
+def test_sign_bounds_cover_every_term_of_their_formula(n, family):
+    # each float32 margin is at least its docstring's bound in exact
+    # arithmetic: (gamma_n (1 + u) + u + Gamma_n) 2^scale B + (2 + gamma_n) n t,
+    # gamma_n = n u / (1 - n u) at u = 2^-24, Gamma_n the same at 2^-53,
+    # B = sum |M_ij| over the row or column and t = 2^-126
+    u, U, t = Fraction(1, 2**24), Fraction(1, 2**53), Fraction(1, 2**126)
+    gamma, Gamma = n * u / (1 - n * u), n * U / (1 - n * U)
+    rel = gamma * (1 + u) + u + Gamma
+    floor = (2 + gamma) * n * t
+    for M in family(n):
+        scale = regularity._product_scale(M)
+        ratios = [[abs(x).as_integer_ratio() for x in row] for row in M.tolist()]
+        common = max(q for row in ratios for _, q in row)  # a power of two
+        ints = [[p * (common // q) for p, q in row] for row in ratios]
+        sums = ([Fraction(sum(r), common) for r in ints],
+                [Fraction(sum(c), common) for c in zip(*ints)])
+        for bound, B in zip(regularity._sign_bounds(M, scale), sums):
+            for margin, b in zip(bound.tolist(), B):
+                assert math.isinf(margin) or Fraction(margin) >= rel * b * Fraction(2)**scale + floor
+
+
+@pytest.mark.parametrize("n", [17, 32, 60, 128])
+def test_exact_sum_matrices_give_the_lane_sums_in_one_product(n):
     rng = np.random.default_rng(n)
     seeded = _seeded_residuals(n, seed=n)
     ties, striped = seeded[-4:], _striped_residuals(n)
-    assert not any(regularity._sums_are_exact(M, dtype) for M in ties)
+    assert not any(regularity._sums_are_exact(M) for M in ties)
     if n in (32, 128):  # stripes of period 8 and parts of 2^k points
-        assert all(regularity._sums_are_exact(M, dtype) for M in striped)
+        assert all(regularity._sums_are_exact(M) for M in striped)
     for M in seeded + striped + [np.zeros((n, n))]:
-        if regularity._sums_are_exact(M, dtype):
-            products, scale = _products_and_lane_products(M, _signed_stack(n, rng), dtype)
+        if regularity._sums_are_exact(M):
+            products, scale = _products_and_lane_products(M, _signed_stack(n, rng))
             for S, lane in products:
                 assert np.array_equal(S, np.ldexp(lane, scale))
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_sums_are_exact_needs_every_entry_on_a_common_grid(dtype):
-    assert regularity._sums_are_exact(np.array([[0.5, -0.25], [0.75, 0.0]]), dtype)
-    assert not regularity._sums_are_exact(np.array([[1.0, 2.0**-60], [0.0, 0.0]]), dtype)
-    assert not regularity._sums_are_exact(np.array([[0.1, 0.2], [0.0, 0.0]]), dtype)
-    assert not regularity._sums_are_exact(np.full((2, 2), 1e308), dtype)
+def test_sums_are_exact_needs_every_entry_on_a_common_grid():
+    assert regularity._sums_are_exact(np.array([[0.5, -0.25], [0.75, 0.0]]))
+    assert not regularity._sums_are_exact(np.array([[1.0, 2.0**-60], [0.0, 0.0]]))
+    assert not regularity._sums_are_exact(np.array([[0.1, 0.2], [0.0, 0.0]]))
+    assert not regularity._sums_are_exact(np.full((2, 2), 1e308))
     # an entry below the grid that scaling to it would flush to 0
-    assert not regularity._sums_are_exact(np.array([[1e300, 1e-300], [0.0, 0.0]]), dtype)
-    # on a grid of 2^-30: exact in 53 bits, not in 24
-    on_fine_grid = np.array([[1.0, 2.0**-30], [0.0, 0.0]])
-    assert regularity._sums_are_exact(on_fine_grid, dtype) == (dtype == np.float64)
+    assert not regularity._sums_are_exact(np.array([[1e300, 1e-300], [0.0, 0.0]]))
+    # on a grid of 2^-30: exact in 53 bits, not in float32's 24
+    assert not regularity._sums_are_exact(np.array([[1.0, 2.0**-30], [0.0, 0.0]]))
+    assert regularity._sums_are_exact(np.array([[1.0, 2.0**-20], [0.0, 0.0]]))
 
 
 def test_cut_norm_rejects_an_empty_matrix():

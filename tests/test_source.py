@@ -155,6 +155,16 @@ def test_newton_steps_stop_at_their_face_boundary_without_a_projection():
     assert _calls(functions["_descend"], "_step_to_boundary") == 1
 
 
+def test_newton_faces_are_their_inside_cells():
+    # a Newton attempt works on the face's cells strictly inside (0, 1): no
+    # inward-pull admission of cells on a bound, and no per-lane count of
+    # held steps that grows after a failed attempt
+    functions = {fn.name: fn for fn in _variational_functions()}
+    assert "_free_cells" not in functions
+    names = {node.id for node in ast.walk(functions["_descend"]) if isinstance(node, ast.Name)}
+    assert "hold" not in names and "_FACE_STEPS" in names
+
+
 def test_face_hessian_reads_no_kernel_rows():
     # the Hessian of the bracket is linear in the conditionals, so it pushes
     # no shifted copies of the lane through the kernel or the bracket
