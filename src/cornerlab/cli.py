@@ -232,15 +232,7 @@ def cmd_regularize(settings: _Settings) -> list[str]:
     dr = double_regularity(
         hyperplane_views(A), eps=eps, F=growth, group=A.group, restarts=restarts, seed=seed
     )
-    report = {
-        "group": A.group.spec_string(),
-        "order": A.group.order,
-        "density": A.density,
-        "eps": eps,
-        "growth": growth.spec_string(),
-        "seed": seed,
-        "rounds": dr.rounds,
-        "degenerate": dr.degenerate,
+    report = dr.report(A.group, A.density, eps, growth, seed, {
         "pi_parts": dr.pi.part_count,
         "pi_next_parts": dr.pi_next.part_count,
         "round_records": dr.round_records,
@@ -257,10 +249,7 @@ def cmd_regularize(settings: _Settings) -> list[str]:
             "degenerate": dr.bohr.degenerate,
             "history": dr.bohr.history,
         },
-        "f1_norms": dr.f1_norms,
-        "f2_cut_estimates": dr.f2_cut_estimates,
-        "cut_certified": dr.cut_certified,
-    }
+    })
     return [json.dumps(report, indent=2)]
 
 

@@ -74,12 +74,22 @@ class Spectrum:
         return complex(self.coefficients[xi.index])
 
 
+def _transform(group: GroupSpec, rows: np.ndarray) -> np.ndarray:
+    """Mean-normalized coefficients of every row of a (rows, |G|) array.
+
+    One np.fft.fftn over the group axes of the stack, factored per cyclic
+    axis; row r of the result is the transform of row r, bit for bit the
+    one-row transform.
+    """
+    check_cap(group.order, TRANSFORM_CAP, "group order {size} exceeds transform cap {cap}")
+    cube = rows.reshape((len(rows),) + group.moduli)
+    return np.fft.fftn(cube, axes=tuple(range(1, cube.ndim))).reshape(rows.shape) / group.order
+
+
 def dft(f: GroupFunction) -> Spectrum:
-    """Mean-normalized transform, factored per cyclic axis via an FFT."""
-    check_cap(f.group.order, TRANSFORM_CAP, "group order {size} exceeds transform cap {cap}")
-    cube = f.values.reshape(f.group.moduli)
-    coeffs = np.fft.fftn(cube).ravel() / f.group.order
-    return Spectrum(f.group, coeffs)
+    """Mean-normalized transform, factored per cyclic axis via an FFT: the
+    one-row stack of _transform."""
+    return Spectrum(f.group, _transform(f.group, f.values[None])[0])
 
 
 def inverse_dft(spectrum: Spectrum) -> GroupFunction:
@@ -137,22 +147,31 @@ def convolve_direct(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     return GroupFunction(group, out)
 
 
+def _large_indices(group: GroupSpec, rows: np.ndarray, threshold: float) -> np.ndarray:
+    """Sorted dual indices xi with |fhat(xi)| >= threshold for some row f of
+    a (rows, |G|) stack, from one _transform of the stack.
+
+    Plancherel forces at most ||f||_{L2}^2 / threshold^2 hits per row; the
+    first row past its bound raises BoundViolation.
+    """
+    large = np.abs(_transform(group, rows)) >= threshold
+    bounds = (np.abs(rows) ** 2).mean(axis=1) / threshold**2
+    for count, bound in zip(large.sum(axis=1).tolist(), bounds.tolist()):
+        if count > bound + 1e-9:
+            raise BoundViolation(f"large spectrum of size {count} exceeds Plancherel bound {bound}")
+    return np.flatnonzero(large.any(axis=0))
+
+
 def large_spectrum(f: GroupFunction, threshold: float) -> set[Character]:
-    """Frequencies with |fhat(xi)| >= threshold.
+    """Frequencies with |fhat(xi)| >= threshold: the one-row stack of
+    _large_indices, with a Character built for each hit.
 
     Plancherel forces |result| <= ||f||_{L2}^2 / threshold^2; a larger result
     raises BoundViolation.
     """
     threshold = check_real(threshold, "large-spectrum threshold", "(0, inf)")
-    spec = dft(f)
-    hits = np.nonzero(np.abs(spec.coefficients) >= threshold)[0]
-    bound = lp_norm(f, 2) ** 2 / threshold**2
-    if len(hits) > bound + 1e-9:
-        raise BoundViolation(
-            f"large spectrum of size {len(hits)} exceeds Plancherel bound {bound}"
-        )
-    coords = f.group.coords_matrix()
-    return {Character(f.group, tuple(int(c) for c in coords[i])) for i in hits}
+    hits = _large_indices(f.group, f.values[None], threshold)
+    return {Character(f.group, f.group.element(i).coords) for i in hits}
 
 
 def _lp(values: np.ndarray, p, reduce) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 from .bohr import BohrPartition, BohrSet
 from .errors import (BoundViolation, ValidationError, check_bits, check_cap, check_int,
                      check_ints, check_real, check_reals, check_same_group)
-from .fourier import GroupFunction, convolve, dft, large_spectrum, lp_norm
+from .fourier import GroupFunction, _large_indices, _transform, convolve, lp_norm
 from .groups import Character, GroupSpec
 
 _CUT_AUTO_EXACT = 16
@@ -617,14 +617,17 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
     """Iteratively regularize [0,1]-valued functions against Bohr partitions.
 
     Round i: take the partition P_i of width delta_i (an integer reciprocal,
-    refining the previous width), collect the products I * 1_p over inputs
-    and parts, harvest every frequency whose coefficient on some product
-    reaches 1/F(|F_i|/delta_i), set the next radius to 1/F(|S_{i+1}|/delta_i),
-    and stop as soon as every input moves by at most 1/F(1) in L2 between
-    consecutive projections.  Telescoping orthogonality forces termination
-    within m*F(1)^2 rounds, m = len(fns); running longer raises BoundViolation.
+    refining the previous width), stack the products I * 1_p of each input
+    over the parts (one (parts, |G|) transform per input), harvest every
+    frequency whose coefficient on some product reaches 1/F(|F_i|/delta_i),
+    each product under its own Plancherel bound, set the next radius to
+    1/F(|S_{i+1}|/delta_i), and stop as soon as every input moves by at most
+    1/F(1) in L2 between consecutive projections.  Frequencies new to S join
+    it in index order.  Telescoping orthogonality forces termination within
+    m*F(1)^2 rounds, m = len(fns); running longer raises BoundViolation.
     Each Bohr partition is labelled once, as a Partition that projects every
-    input.
+    input, and the restricted spectra of I2 are read from the same kind of
+    stack.
     """
     if not fns:
         raise ValidationError("need at least one function")
@@ -651,13 +654,12 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
     part_i = Partition.from_bohr(P_i)
     projections_i = [part_i.project_line(v) for v in values]
     while True:
-        ids, part_count = part_i.labels, part_i.part_count
-        products = [
-            GroupFunction(group, v * (ids == k)) for v in values for k in range(part_count)
-        ]
-        threshold = max(1.0 / F(len(products) * N_i), _SPECTRUM_FLOOR)
-        harvested = set().union(*(large_spectrum(f, threshold) for f in products))
-        S_next = S + sorted(harvested - set(S), key=lambda xi: xi.index)
+        part_count = part_i.part_count
+        members = part_i.labels == np.arange(part_count)[:, None]
+        threshold = max(1.0 / F(len(values) * part_count * N_i), _SPECTRUM_FLOOR)
+        hits = np.concatenate([_large_indices(group, v * members, threshold) for v in values])
+        new = sorted(set(hits.tolist()).difference(xi.index for xi in S))
+        S_next = S + [Character(group, group.element(k).coords) for k in new]
 
         rho_den_req = F.ceil_value(len(S_next) * N_i)
         rho_den = min(max(rho_den_req, 2), 2 * L)
@@ -713,10 +715,7 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
         I2 = GroupFunction(group, v - conv)
         components.append((I0, I1, I2))
         worst_l2 = max(worst_l2, lp_norm(I1, 2))
-        for k in range(part_count):
-            restricted = GroupFunction(group, I2.values * (ids == k))
-            coeffs = dft(restricted).coefficients
-            worst_linf = max(worst_linf, float(np.abs(coeffs).max()))
+        worst_linf = max(worst_linf, float(np.abs(_transform(group, I2.values * members)).max()))
     linf_bound = 4.0 * threshold
     hypothesis = 2.0 * math.sin(math.pi * float(rho_next)) <= linf_bound
     if hypothesis and worst_linf > linf_bound + 1e-12:
@@ -755,6 +754,15 @@ class DoubleRegularityResult:
     rounds: int
     round_records: list[dict]
     degenerate: bool
+
+    def report(self, group: GroupSpec, density: float, eps: float, F: GrowthFunction,
+               seed: int, fields: dict) -> dict:
+        """The report fields regularize and pipeline share, with a command's
+        own fields between the run's header and its residuals."""
+        return {"group": group.spec_string(), "order": group.order, "density": density,
+                "eps": eps, "growth": F.spec_string(), "seed": seed, "rounds": self.rounds,
+                "degenerate": self.degenerate, **fields, "f1_norms": self.f1_norms,
+                "f2_cut_estimates": self.f2_cut_estimates, "cut_certified": self.cut_certified}
 
 
 def double_regularity(

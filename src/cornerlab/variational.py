@@ -837,15 +837,7 @@ def pipeline_lower_bound(
         evaluated += 1
 
     support = int(np.count_nonzero(nu.values))
-    report = {
-        "group": group.spec_string(),
-        "order": n,
-        "density": A.density,
-        "eps": eps,
-        "growth": F.spec_string(),
-        "seed": seed,
-        "rounds": dr.rounds,
-        "degenerate": dr.degenerate,
+    report = dr.report(group, A.density, eps, F, seed, {
         "outer_partition": {
             "parts": M,
             "width": str(width),
@@ -872,9 +864,6 @@ def pipeline_lower_bound(
             "evaluated": evaluated,
             "zero_mass": int(M**3 - evaluated),
         },
-        "f1_norms": [float(v) for v in dr.f1_norms],
-        "f2_cut_estimates": [float(v) for v in dr.f2_cut_estimates],
-        "cut_certified": bool(dr.cut_certified),
-        "round_records": dr.round_records,
-    }
+    })
+    report["round_records"] = dr.round_records
     return report

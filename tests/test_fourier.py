@@ -268,8 +268,42 @@ def test_malformed_functions_and_spectra_are_refused(build, message):
 
 
 def test_large_spectrum_past_the_plancherel_bound_raises(monkeypatch):
-    # with ||f||_2 read as 0 the bound is 0, and the mean 2.5 is still a hit
-    monkeypatch.setattr(fourier, "lp_norm", lambda f, p: 0.0)
+    # a transform that reads every coefficient as 1 puts all 6 frequencies at
+    # or above 0.5, past the bound ||f||_2^2 / 0.5^2 = 1 of the constant 0.5
+    monkeypatch.setattr(fourier, "_transform", lambda group, rows: np.ones(rows.shape, complex))
     G = parse_group_spec("Z6")
-    with pytest.raises(BoundViolation, match="exceeds Plancherel bound 0.0"):
-        large_spectrum(GroupFunction(G, np.arange(6.0)), 0.5)
+    with pytest.raises(BoundViolation, match=r"large spectrum of size 6 exceeds Plancherel bound 1\.0$"):
+        large_spectrum(GroupFunction.constant(G, 0.5), 0.5)
+
+
+# cyclic groups, products, F_3^4 and F_2^6, and groups with a Z1 factor
+STACK_GROUPS = ("Z1", "Z16", "Z60", "Z64", "Z1024", "Z4xZ32", "Z2xZ2xZ32", "Z6xZ10",
+                "Z3xZ5xZ7", "Z3xZ3xZ3xZ3", "Z2xZ2xZ2xZ2xZ2xZ2", "Z1xZ12", "Z5xZ1xZ4")
+
+
+@pytest.mark.parametrize("spec", STACK_GROUPS)
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_stacked_transform_is_the_one_row_formula_bit_for_bit(spec, rows, dtype):
+    # row r of the stack is fftn of row r alone over the group's axes, divided
+    # by |G| after the transform, in every bit
+    G = parse_group_spec(spec)
+    rng = np.random.default_rng(G.order + rows)
+    stack = rng.random((rows, G.order))
+    if dtype is np.complex128:
+        stack = stack + 1j * rng.random((rows, G.order))
+    got = fourier._transform(G, stack)
+    assert got.shape == (rows, G.order) and got.dtype == np.complex128
+    for row, coeffs in zip(stack, got):
+        assert np.array_equal(coeffs, np.fft.fftn(row.reshape(G.moduli)).ravel() / G.order)
+
+
+def test_large_spectrum_is_the_set_of_rows_hits():
+    # one stack of rows gives the union of the rows' large spectra, sorted by
+    # index; large_spectrum is its one-row case
+    G = parse_group_spec("Z6xZ10")
+    rng = np.random.default_rng(3)
+    stack = (rng.random((4, G.order)) < 0.4).astype(float)
+    got = fourier._large_indices(G, stack, 0.1)
+    want = set().union(*(large_spectrum(GroupFunction(G, row), 0.1) for row in stack))
+    assert got.tolist() == sorted(xi.index for xi in want)

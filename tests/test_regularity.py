@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cornerlab import (
+    BohrPartition,
+    BohrSet,
     BoundViolation,
     CapExceededError,
     Character,
@@ -25,6 +27,7 @@ from cornerlab import (
     PlaneSet,
     ValidationError,
     bohr_regularize,
+    convolve,
     cut_norm_witness,
     double_regularity,
     hyperplane_views,
@@ -32,7 +35,7 @@ from cornerlab import (
     parse_growth_spec,
     weak_regularity,
 )
-from cornerlab import regularity
+from cornerlab import fourier, regularity
 
 F_POLY = GrowthFunction("polynomial", c=4.0, k=1.0)
 
@@ -713,6 +716,121 @@ def test_bohr_regularize_I0_is_the_per_part_mean(spec, count):
     for f, (I0, _, _) in zip(fs, dec.components):
         for idx in parts.values():
             assert np.max(np.abs(I0.values[idx] - f.values[idx].mean())) <= 1e-12
+
+
+def _bohr_reference(fns, F):
+    """bohr_regularize with one transform per (input, part) product: np.fft.fftn
+    of each product, the round's hits as a set of characters, and those new
+    to S sorted by index; returns S, the history, achieved_linf and the
+    components' values."""
+    G = fns[0].group
+    values = [f.values for f in fns]
+    L = G.exponent_lcm
+    characters = G.characters()
+
+    def spectrum(v):
+        return np.fft.fftn(v.reshape(G.moduli)).ravel() / G.order
+
+    S, rho = [], Fraction(1)
+    N, width_capped = regularity._capped_width_denominator(F.ceil_value(1.0), 1, L)
+    part = Partition.from_bohr(BohrPartition(G, S, Fraction(1, N)))
+    projections = [part.project_line(v) for v in values]
+    history = []
+    while True:
+        ids, count = part.labels, part.part_count
+        products = [v * (ids == k) for v in values for k in range(count)]
+        threshold = max(1.0 / F(len(products) * N), regularity._SPECTRUM_FLOOR)
+        harvested = {characters[i] for p in products
+                     for i in np.flatnonzero(np.abs(spectrum(p)) >= threshold)}
+        S_next = S + sorted(harvested - set(S), key=lambda xi: xi.index)
+        rho_den_req = F.ceil_value(len(S_next) * N)
+        rho_den = min(max(rho_den_req, 2), 2 * L)
+        N_next, next_capped = regularity._capped_width_denominator(F.ceil_value(rho_den), N, L)
+        part_next = Partition.from_bohr(BohrPartition(G, S_next, Fraction(1, N_next)))
+        projections_next = [part_next.project_line(v) for v in values]
+        gap = max(float(np.sqrt(((b - a) ** 2).mean()))
+                  for a, b in zip(projections, projections_next))
+        history.append({
+            "round": len(history), "freq_count": len(S), "rho": str(rho), "delta": f"1/{N}",
+            "part_count": count, "threshold": threshold, "new_frequencies": len(S_next) - len(S),
+            "rho_next": f"1/{rho_den}", "delta_next": f"1/{N_next}",
+            "energies": [float((p**2).mean()) for p in projections], "gap": gap,
+            "width_capped": width_capped or next_capped, "radius_capped": rho_den_req > rho_den,
+        })
+        if gap <= 1.0 / F(1.0) + 1e-12:
+            break
+        S, rho, N, width_capped = S_next, Fraction(1, rho_den), N_next, next_capped
+        part, projections = part_next, projections_next
+    mu = BohrSet(G, S_next, Fraction(1, rho_den)).mu()
+    components, worst_linf = [], 0.0
+    for f, v, proj in zip(fns, values, projections):
+        conv = convolve(mu, f).values
+        components.append((proj, conv - proj, v - conv))
+        for k in range(count):
+            worst_linf = max(worst_linf, float(np.abs(spectrum((v - conv) * (ids == k))).max()))
+    return S_next, history, worst_linf, components
+
+
+def _band(G, a):
+    """The indicator of {x : |(a x mod n)/n - 1/2| < 1/4} on a cyclic G."""
+    return (np.abs(((a * np.arange(G.order)) % G.order) / G.order - 0.5) < 0.25).astype(float)
+
+
+def _reference_cases():
+    rng = np.random.default_rng(43)
+    for spec, count in (("Z32", 1), ("Z32", 3), ("Z64", 2), ("Z60", 1), ("Z6xZ10", 3),
+                        ("Z4xZ8", 2)):
+        G = parse_group_spec(spec)
+        fs = [GroupFunction(G, (rng.random(G.order) < 0.5).astype(float)) for _ in range(count)]
+        yield f"random {spec} x{count}", fs, F_POLY
+    for spec in sorted(I0_DRIVERS):
+        G = parse_group_spec(spec)
+        fs = []
+        for coeffs in I0_DRIVERS[spec]:
+            t = Character(G, coeffs).residue_vector() / G.exponent_lcm
+            noise = 0.1 * (2 * rng.random(G.order) - 1)
+            fs.append(GroupFunction(G, 0.5 + 0.4 * np.cos(2 * np.pi * t) + noise))
+        yield f"drivers {spec}", fs, F_POLY
+    G = parse_group_spec("Z64")
+    yield "band 5x Z64", [GroupFunction(G, _band(G, 5))], parse_growth_spec("poly:16,1")
+    G = parse_group_spec("Z128")
+    band = _band(G, 3)
+    yield "band 3x Z128", [GroupFunction(G, band), GroupFunction(G, 1 - band)], F_POLY
+
+
+@pytest.mark.parametrize("name, fns, F", [pytest.param(*case, id=case[0])
+                                           for case in _reference_cases()])
+def test_bohr_regularize_is_the_per_product_harvest(name, fns, F):
+    # one stacked transform per input and round harvests the frequencies,
+    # in the order, and gives the bytes, of one transform per product
+    S, history, worst_linf, components = _bohr_reference(fns, F)
+    dec = bohr_regularize(fns, F)
+    assert list(dec.bohr_set.freqs) == S
+    assert dec.history == history
+    assert dec.achieved_linf == worst_linf
+    for got, want in zip(dec.components, components):
+        assert all(np.array_equal(g.values, w) for g, w in zip(got, want))
+    if name == "band 5x Z64":
+        assert dec.labelled.part_count == 64 and dec.rounds == 1
+
+
+def test_bohr_round_with_one_product_past_its_bound_raises(monkeypatch):
+    # round 1 splits Z32 into the evens, where f is 1, and the odds, where
+    # the product f * 1_odd is 0 and so has the Plancherel bound 0; a
+    # transform that reads every coefficient as 1 once a stack has two rows
+    # stays inside the evens' bound and breaks only the odds'
+    G = parse_group_spec("Z32")
+    f = GroupFunction(G, (np.arange(32) % 2 == 0).astype(float))
+    assert bohr_regularize([f], F_POLY).rounds == 1
+    real = fourier._transform
+
+    def inflated(group, rows):
+        coeffs = real(group, rows)
+        return np.ones_like(coeffs) if len(rows) > 1 else coeffs
+
+    monkeypatch.setattr(fourier, "_transform", inflated)
+    with pytest.raises(BoundViolation, match=r"large spectrum of size 32 exceeds Plancherel bound 0\.0$"):
+        bohr_regularize([f], F_POLY)
 
 
 # ----------------------------------------------------------- double driver

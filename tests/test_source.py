@@ -243,3 +243,27 @@ def test_bohr_regularize_builds_one_bohr_set(monkeypatch):
     result = cornerlab.bohr_regularize([f], cornerlab.GrowthFunction("polynomial", 4, 1))
     assert result.rounds >= 1
     assert len(built) == 1 and result.bohr_set is built[0]
+
+
+def test_bohr_regularize_transforms_each_input_once_per_round():
+    # the Bohr step reads its spectra from fourier's stacked transform, one
+    # (parts, |G|) stack per input: it calls neither dft nor large_spectrum,
+    # and builds no GroupFunction inside its round loop
+    path = Path(cornerlab.__file__).parent / "regularity.py"
+    (fn,) = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "bohr_regularize"
+    ]
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+    }
+    assert not {"dft", "large_spectrum"} & called
+    assert {"_large_indices", "_transform"} <= called
+    (loop,) = [node for node in fn.body if isinstance(node, ast.While)]
+    assert not any(
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "GroupFunction"
+        for node in ast.walk(loop)
+    )
