@@ -114,17 +114,28 @@ def dft_direct(f: GroupFunction) -> Spectrum:
     return Spectrum(group, coeffs)
 
 
+def _convolve_rows(group: GroupSpec, kernel: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """kernel * g for every row g of a (rows, |G|) stack, evaluated through
+    the transform.
+
+    One np.fft.fftn of the kernel, then one fftn and one ifftn over the
+    group axes of the stack, with the kernel's coefficients first in the
+    product and the division by |G| after the inverse; row r of the result
+    is the one-row convolution of row r, bit for bit.  Real when neither
+    operand is complex.
+    """
+    check_cap(group.order, TRANSFORM_CAP, "group order {size} exceeds transform cap {cap}")
+    cube = rows.reshape((len(rows),) + group.moduli)
+    axes = tuple(range(1, cube.ndim))
+    coeffs = np.fft.fftn(kernel.reshape(group.moduli)) * np.fft.fftn(cube, axes=axes)
+    values = np.fft.ifftn(coeffs, axes=axes).reshape(rows.shape) / group.order
+    return values if np.iscomplexobj(kernel) or np.iscomplexobj(rows) else values.real
+
+
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    """(f*g)(x) = (1/|G|) sum_y f(y) g(x-y), evaluated through the transform."""
+    """(f*g)(x) = (1/|G|) sum_y f(y) g(x-y): the one-row stack of _convolve_rows."""
     check_same_group(f.group, g.group, "convolution operands")
-    check_cap(f.group.order, TRANSFORM_CAP, "group order {size} exceeds transform cap {cap}")
-    shape = f.group.moduli
-    fc = np.fft.fftn(f.values.reshape(shape))
-    gc = np.fft.fftn(g.values.reshape(shape))
-    values = np.fft.ifftn(fc * gc).ravel() / f.group.order
-    if not (np.iscomplexobj(f.values) or np.iscomplexobj(g.values)):
-        values = values.real
-    return GroupFunction(f.group, values)
+    return GroupFunction(f.group, _convolve_rows(f.group, f.values, g.values[None])[0])
 
 
 def convolve_direct(f: GroupFunction, g: GroupFunction) -> GroupFunction:

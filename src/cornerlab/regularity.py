@@ -30,7 +30,7 @@ import numpy as np
 from .bohr import BohrPartition, BohrSet
 from .errors import (BoundViolation, ValidationError, check_bits, check_cap, check_int,
                      check_ints, check_real, check_reals, check_same_group)
-from .fourier import GroupFunction, _large_indices, _transform, convolve, lp_norm
+from .fourier import _convolve_rows, _large_indices, _transform
 from .groups import Character, GroupSpec
 
 _CUT_AUTO_EXACT = 16
@@ -150,9 +150,23 @@ class Partition:
         return self.common_refinement(other).part_count == self.part_count
 
     def project_line(self, values: np.ndarray) -> np.ndarray:
+        """Part means of a line function: the one-row stack of _project_rows."""
         values = check_reals(values, "line function", (self.group.order,))
-        means = np.bincount(self.labels, weights=values) / self._sizes
-        return means[self.labels]
+        return self._project_rows(values[None])[0]
+
+    def _project_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Part means of every row of a (rows, |G|) stack, from one np.bincount.
+
+        Row r's labels are offset by r * part_count into bins of its own, so
+        each bin adds the same entries in the same order as the row's own
+        bincount would, and row r of the result is its one-row projection.
+        np.take keeps the result C-contiguous, so a row mean of it adds in
+        the order of the one row's mean; a fancy index [:, labels] would not.
+        """
+        P = self.part_count
+        bins = self.labels + P * np.arange(len(rows))[:, None]
+        sums = np.bincount(bins.ravel(), weights=rows.ravel()).reshape(len(rows), P)
+        return np.take(sums / self._sizes, self.labels, axis=1)
 
     def project_plane(self, f: np.ndarray) -> np.ndarray:
         """Box averages f|_{P x P} on G x G."""
@@ -163,12 +177,6 @@ class Partition:
         cell = np.outer(self._sizes, self._sizes).ravel().astype(np.float64)
         means = sums / cell
         return means[comb]
-
-    def indicator_functions(self) -> list[GroupFunction]:
-        return [
-            GroupFunction(self.group, (self.labels == k).astype(np.float64))
-            for k in range(self.part_count)
-        ]
 
 
 def _check_ascent_size(restarts: int, n: int) -> None:
@@ -539,6 +547,14 @@ def weak_regularity(
     arrays = _check_plane_inputs(fs, group, _WEAK_CAP)
     part = initial if initial is not None else Partition.trivial(group)
     check_same_group(group, part.group, "functions and initial partition")
+    return _weak_rounds(arrays, eps, part, restarts, seed)
+
+
+def _weak_rounds(
+    arrays: list[np.ndarray], eps: float, part: Partition, restarts: int, seed: int
+) -> WeakRegularityResult:
+    """The rounds of weak_regularity on checked arguments: the plane
+    functions as _check_plane_inputs returns them, refined from part."""
     # the bound saturates at inf once eps^2 underflows or 1/eps^2 overflows
     eps_sq = eps * eps
     per_f = 1.0 / eps_sq if eps_sq > 0 else math.inf
@@ -574,8 +590,8 @@ def weak_regularity(
             )
     residuals = [w[0] for w in witnesses]
     return WeakRegularityResult(
-        part, rounds, residuals, _cut_is_exact(group.order), initial_projections, projections,
-        records,
+        part, rounds, residuals, _cut_is_exact(part.group.order), initial_projections,
+        projections, records,
     )
 
 
@@ -594,16 +610,17 @@ def _capped_width_denominator(required: int, prev: int, finest: int) -> tuple[in
 class BohrDecomposition:
     """Output of the spectral regularization loop.
 
-    components[j] = (I0, I1, I2) for the j-th input, where I0 is the exact
-    average over the final Bohr partition, I1 = I * mu_B - I0 is L2-small, and
-    I2 = I - I * mu_B has small Fourier coefficients on every part.
-    labelled is the final partition's Partition, labelled once by the loop.
+    components[j] = (I0, I1, I2), as arrays, for the j-th input I, where I0
+    is the exact average over the final Bohr partition, I1 = I * mu_B - I0
+    is L2-small, and I2 = I - I * mu_B has small Fourier coefficients on
+    every part; each is a row of an (inputs, |G|) stack.  labelled is the
+    final partition's Partition, labelled once by the loop.
     """
 
     partition: BohrPartition
     labelled: Partition
     bohr_set: BohrSet
-    components: list[tuple[GroupFunction, GroupFunction, GroupFunction]]
+    components: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     achieved_l2: float
     achieved_linf: float
     linf_bound: float
@@ -613,36 +630,41 @@ class BohrDecomposition:
     degenerate: bool
 
 
-def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDecomposition:
-    """Iteratively regularize [0,1]-valued functions against Bohr partitions.
+def bohr_regularize(
+    fs: Sequence[np.ndarray], F: GrowthFunction, group: GroupSpec
+) -> BohrDecomposition:
+    """Iteratively regularize [0,1]-valued functions on group against Bohr
+    partitions.
 
-    Round i: take the partition P_i of width delta_i (an integer reciprocal,
-    refining the previous width), stack the products I * 1_p of each input
-    over the parts (one (parts, |G|) transform per input), harvest every
-    frequency whose coefficient on some product reaches 1/F(|F_i|/delta_i),
-    each product under its own Plancherel bound, set the next radius to
-    1/F(|S_{i+1}|/delta_i), and stop as soon as every input moves by at most
-    1/F(1) in L2 between consecutive projections.  Frequencies new to S join
-    it in index order.  Telescoping orthogonality forces termination within
-    m*F(1)^2 rounds, m = len(fns); running longer raises BoundViolation.
-    Each Bohr partition is labelled once, as a Partition that projects every
-    input, and the restricted spectra of I2 are read from the same kind of
-    stack.
+    The inputs are line arrays in G's enumeration order, each checked once
+    (in [0, 1] up to 1e-12, not clipped) and held as one (inputs, |G|)
+    stack.  Round i: take the partition P_i of width delta_i (an integer
+    reciprocal, refining the previous width), stack the products I * 1_p of
+    each input over the parts (one (parts, |G|) transform per input),
+    harvest every frequency whose coefficient on some product reaches
+    1/F(|F_i|/delta_i), each product under its own Plancherel bound, set the
+    next radius to 1/F(|S_{i+1}|/delta_i), and stop as soon as every input
+    moves by at most 1/F(1) in L2 between consecutive projections.
+    Frequencies new to S join it in index order.  Telescoping orthogonality
+    forces termination within m*F(1)^2 rounds, m = len(fs); running longer
+    raises BoundViolation.  Each Bohr partition is labelled once, as a
+    Partition that projects the whole stack, and gaps and energies are row
+    means.  After the loop one stacked convolution gives I * mu_B for every
+    input, and the restricted spectra of I2 are read from one (parts, |G|)
+    stack per input.
     """
-    if not fns:
-        raise ValidationError("need at least one function")
-    group = fns[0].group
     n = group.order
     check_cap(n, _BOHR_CAP, "group order {size} exceeds cap {cap}")
-    for j, f in enumerate(fns):
-        check_same_group(group, f.group, "functions")
-        check_reals(f.values, f"function {j}", interval="[0, 1]", slack=1e-12)  # not clipped
-    values = [f.values for f in fns]
+    for j, f in enumerate(fs):
+        check_reals(f, f"function {j}", (n,), "[0, 1]", 1e-12)  # refused, not clipped
+    if not len(fs):
+        raise ValidationError("need at least one function")
+    values = np.array(fs, dtype=np.float64)
 
     L = group.exponent_lcm
     F1 = F(1.0)
     exit_tol = 1.0 / F1
-    max_rounds = len(fns) * (F1 * F1)  # x * x saturates at inf where x**2 raises
+    max_rounds = len(values) * (F1 * F1)  # x * x saturates at inf where x**2 raises
 
     S: list[Character] = []
     rho = Fraction(1)  # rho_0 = 1; only 1/rho enters the width rule
@@ -652,7 +674,7 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
     degenerate = False
     P_i = BohrPartition(group, S, Fraction(1, N_i))
     part_i = Partition.from_bohr(P_i)
-    projections_i = [part_i.project_line(v) for v in values]
+    projections_i = part_i._project_rows(values)
     while True:
         part_count = part_i.part_count
         members = part_i.labels == np.arange(part_count)[:, None]
@@ -670,11 +692,8 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
         P_next = BohrPartition(group, S_next, Fraction(1, N_next))
         part_next = Partition.from_bohr(P_next)
 
-        projections_next = [part_next.project_line(v) for v in values]
-        gap = max(
-            float(np.sqrt(((b - a) ** 2).mean()))
-            for a, b in zip(projections_i, projections_next)
-        )
+        projections_next = part_next._project_rows(values)
+        gap = float(np.sqrt(((projections_next - projections_i) ** 2).mean(axis=1)).max())
         history.append(
             {
                 "round": i,
@@ -686,7 +705,7 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
                 "new_frequencies": len(S_next) - len(S),
                 "rho_next": str(rho_next),
                 "delta_next": f"1/{N_next}",
-                "energies": [float((p**2).mean()) for p in projections_i],
+                "energies": (projections_i**2).mean(axis=1).tolist(),
                 "gap": gap,
                 "width_capped": width_capped or next_capped,
                 "radius_capped": radius_capped,
@@ -704,18 +723,9 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
         P_i, part_i, projections_i = P_next, part_next, projections_next
 
     B = BohrSet(group, S_next, rho_next)
-    mu = B.mu()
-    components = []
-    worst_l2 = 0.0
-    worst_linf = 0.0
-    for I, v, proj in zip(fns, values, projections_i):
-        conv = convolve(mu, I).values
-        I0 = GroupFunction(group, proj)
-        I1 = GroupFunction(group, conv - proj)
-        I2 = GroupFunction(group, v - conv)
-        components.append((I0, I1, I2))
-        worst_l2 = max(worst_l2, lp_norm(I1, 2))
-        worst_linf = max(worst_linf, float(np.abs(_transform(group, I2.values * members)).max()))
+    conv = _convolve_rows(group, B.mu().values, values)
+    I1s, I2s = conv - projections_i, values - conv
+    worst_linf = max(float(np.abs(_transform(group, I2 * members)).max()) for I2 in I2s)
     linf_bound = 4.0 * threshold
     hypothesis = 2.0 * math.sin(math.pi * float(rho_next)) <= linf_bound
     if hypothesis and worst_linf > linf_bound + 1e-12:
@@ -728,8 +738,8 @@ def bohr_regularize(fns: Sequence[GroupFunction], F: GrowthFunction) -> BohrDeco
         partition=P_i,
         labelled=part_i,
         bohr_set=B,
-        components=components,
-        achieved_l2=worst_l2,
+        components=list(zip(projections_i, I1s, I2s)),
+        achieved_l2=float(np.sqrt((I1s**2).mean(axis=1)).max()),
         achieved_linf=worst_linf,
         linf_bound=linf_bound,
         linf_hypothesis=hypothesis,
@@ -787,6 +797,11 @@ def double_regularity(
     f2 = f - f|_{Pi' x Pi'} is the residual the last weak run stopped on, so
     f2_cut_estimates are that run's residuals: exact and certified when
     |G| <= 16, seeded alternating lower estimates above.
+
+    The plane functions are checked once, here; each weak run is
+    weak_regularity's own rounds on them, which check nothing again, and
+    each Bohr step gets the part indicators as one boolean (parts, |G|)
+    stack.
     """
     eps = check_real(eps, "eps", "(0, inf)")
     seed = check_int(seed, "seed", 0)
@@ -800,8 +815,7 @@ def double_regularity(
     records: list[dict] = []
     i = 0
     while True:
-        indicators = pi_i.indicator_functions()
-        bohr = bohr_regularize(indicators, F)
+        bohr = bohr_regularize(pi_i.labels == np.arange(pi_i.part_count)[:, None], F, group)
         pi = pi_i.common_refinement(bohr.labelled)
         threshold = 1.0 / F(float(pi.part_count))
         if not threshold > 0.0:
@@ -809,14 +823,7 @@ def double_regularity(
                 f"growth {F.spec_string()} overflows at {pi.part_count} parts: "
                 f"the weak regularity threshold 1/F({pi.part_count}) is 0"
             )
-        weak = weak_regularity(
-            arrays,
-            eps=threshold,
-            group=group,
-            initial=pi,
-            restarts=restarts,
-            seed=seed + 31 * i,
-        )
+        weak = _weak_rounds(arrays, threshold, pi, restarts, seed + 31 * i)
         pi_next = weak.partition
         f1_norms = [
             float(np.sqrt(((fp - f0) ** 2).mean()))

@@ -172,9 +172,6 @@ GROUP_ARGUMENTS = {
         (A6.bits, A6.bits, A6.bits), G6, ONE4),
     "Partition.common_refinement": lambda: Partition.trivial(G6).common_refinement(
         Partition.trivial(G4)),
-    "bohr_regularize functions": lambda: bohr_regularize(
-        [GroupFunction.constant(G6, 0.5), GroupFunction.constant(G4, 0.5)],
-        GrowthFunction("polynomial", 2, 1)),
     "weak_regularity initial": lambda: weak_regularity(
         [np.zeros((6, 6))], 0.25, G6, initial=Partition.trivial(G4)),
 }
@@ -472,11 +469,17 @@ MALFORMED_ARRAYS = {
                                "corner counts must be >= 0, got -1"),
     "weak_regularity 1.5": (lambda: weak_regularity([np.full((6, 6), 1.5)], 0.25, G6),
                             r"function 0 must lie in \[0, 1\], got 1.5"),
-    "bohr_regularize 1.5": (lambda: bohr_regularize([GroupFunction.constant(G6, 1.5)], POLY),
+    "bohr_regularize 1.5": (lambda: bohr_regularize([np.full(6, 1.5)], POLY, G6),
                             r"function 0 must lie in \[0, 1\], got 1.5"),
     "bohr_regularize complex": (
-        lambda: bohr_regularize([GroupFunction(G6, np.full(6, 0.5 + 0.5j))], POLY),
+        lambda: bohr_regularize([np.full(6, 0.5 + 0.5j)], POLY, G6),
         "function 0 must be an array of real numbers"),
+    # arrays carry no group, so an input from another group is a wrong length
+    "bohr_regularize length": (
+        lambda: bohr_regularize([np.full(6, 0.5), np.full(4, 0.5)], POLY, G6),
+        r"function 1 must have length 6, got shape \(4,\)"),
+    "bohr_regularize empty": (lambda: bohr_regularize([], POLY, G6),
+                              "need at least one function"),
 }
 
 
@@ -493,8 +496,8 @@ def _plane_inputs(v):
 
 
 def _bohr_inputs(v):
-    (I0, I1, I2), = bohr_regularize([GroupFunction(G6, [v, 0.5, 0, 1, 0.5, 0])], POLY).components
-    return I0.values + I1.values + I2.values  # the input, up to rounding
+    (I0, I1, I2), = bohr_regularize([[v, 0.5, 0, 1, 0.5, 0]], POLY, G6).components
+    return I0 + I1 + I2  # the input, up to rounding
 
 
 # each site's slack and clip rule: (stored array of the entry v, its

@@ -298,6 +298,26 @@ def test_stacked_transform_is_the_one_row_formula_bit_for_bit(spec, rows, dtype)
         assert np.array_equal(coeffs, np.fft.fftn(row.reshape(G.moduli)).ravel() / G.order)
 
 
+@pytest.mark.parametrize("spec", STACK_GROUPS)
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_stacked_convolution_is_the_one_row_formula_bit_for_bit(spec, rows, dtype):
+    # row r of the stack is ifftn(fftn(kernel) * fftn(row r)) / |G| over the
+    # group's axes, in every bit, and real when neither operand is complex
+    G = parse_group_spec(spec)
+    rng = np.random.default_rng(G.order + 2 * rows)
+    kernel = rng.random(G.order)
+    stack = rng.random((rows, G.order))
+    if dtype is np.complex128:
+        stack = stack + 1j * rng.random((rows, G.order))
+    got = fourier._convolve_rows(G, kernel, stack)
+    assert got.shape == (rows, G.order) and got.dtype == dtype
+    coeffs = np.fft.fftn(kernel.reshape(G.moduli))
+    for row, values in zip(stack, got):
+        want = np.fft.ifftn(coeffs * np.fft.fftn(row.reshape(G.moduli))).ravel() / G.order
+        assert np.array_equal(values, want if dtype is np.complex128 else want.real)
+
+
 def test_large_spectrum_is_the_set_of_rows_hits():
     # one stack of rows gives the union of the rows' large spectra, sorted by
     # index; large_spectrum is its one-row case

@@ -31,6 +31,7 @@ from cornerlab import (
     cut_norm_witness,
     double_regularity,
     hyperplane_views,
+    lp_norm,
     parse_group_spec,
     parse_growth_spec,
     weak_regularity,
@@ -630,13 +631,13 @@ def test_each_residual_is_estimated_once(monkeypatch, n):
     assert len(calls) == (weak.rounds + 1) * len(fs)
 
     runs = []
-    real_weak = regularity.weak_regularity
+    real_weak = regularity._weak_rounds
 
-    def recording_weak(*args, **kwargs):
-        runs.append(real_weak(*args, **kwargs))
+    def recording_weak(*args):
+        runs.append(real_weak(*args))
         return runs[-1]
 
-    monkeypatch.setattr(regularity, "weak_regularity", recording_weak)
+    monkeypatch.setattr(regularity, "_weak_rounds", recording_weak)
     calls.clear()
     dd = double_regularity(fs, 0.25, parse_growth_spec("poly:8,2"), G)
     assert len(runs) == dd.rounds + 1 >= 2
@@ -644,16 +645,41 @@ def test_each_residual_is_estimated_once(monkeypatch, n):
     assert dd.f2_cut_estimates == runs[-1].residuals
 
 
+def test_double_regularity_checks_each_plane_function_once(monkeypatch):
+    # the double driver refuses its plane functions once and runs every weak
+    # round through weak_regularity's own body, which checks nothing again;
+    # outputs are those of weak_regularity on the driver's partitions
+    G, fs = _striped_views(24)
+    names = []
+    real_check = regularity.check_reals
+
+    def counted(value, name, shape=None, *args, **kwargs):
+        if shape == (G.order, G.order) and name.startswith("function"):
+            names.append(name)
+        return real_check(value, name, shape, *args, **kwargs)
+
+    monkeypatch.setattr(regularity, "check_reals", counted)
+    F = parse_growth_spec("poly:8,2")
+    dd = double_regularity(fs, 0.25, F, G)
+    assert dd.rounds >= 1
+    assert names == [f"function {j}" for j in range(len(fs))]
+    monkeypatch.undo()
+    weak = weak_regularity(fs, 1.0 / F(float(dd.pi.part_count)), G, initial=dd.pi,
+                           seed=31 * dd.rounds)
+    assert weak.partition.labels.tolist() == dd.pi_next.labels.tolist()
+    assert weak.residuals == dd.f2_cut_estimates
+
+
 # ----------------------------------------------------- bohr regularization
 
 
 def test_bohr_regularize_constant_terminates_immediately():
     G = parse_group_spec("Z32")
-    dec = bohr_regularize([GroupFunction.constant(G, 0.37)], F_POLY)
+    dec = bohr_regularize([np.full(32, 0.37)], F_POLY, G)
     assert dec.rounds == 0
     I0, I1, I2 = dec.components[0]
-    assert np.max(np.abs(I1.values)) <= 1e-12
-    assert np.max(np.abs(I2.values)) <= 1e-12
+    assert np.max(np.abs(I1)) <= 1e-12
+    assert np.max(np.abs(I2)) <= 1e-12
 
 
 def test_bohr_regularize_finds_the_driving_character():
@@ -662,33 +688,33 @@ def test_bohr_regularize_finds_the_driving_character():
     vals = np.array(
         [1.0 if xi0.eval_fraction(G.element(i)) < 0.5 else 0.0 for i in range(32)]
     )
-    dec = bohr_regularize([GroupFunction(G, vals)], F_POLY)
+    dec = bohr_regularize([vals], F_POLY, G)
     coeffs = {xi.coeffs for xi in dec.partition.freqs}
     assert (1,) in coeffs
     assert dec.achieved_linf <= dec.linf_bound + 1e-12
     I0, I1, I2 = dec.components[0]
-    assert np.max(np.abs(I0.values + I1.values + I2.values - vals)) <= 1e-12
+    assert np.max(np.abs(I0 + I1 + I2 - vals)) <= 1e-12
 
 
 def test_bohr_regularize_seeded_z64():
     rng = np.random.default_rng(50)
     G = parse_group_spec("Z64")
-    f = GroupFunction(G, (rng.random(64) < 0.5).astype(float))
-    dec = bohr_regularize([f], F_POLY)
+    f = (rng.random(64) < 0.5).astype(float)
+    dec = bohr_regularize([f], F_POLY, G)
     assert dec.rounds <= 1 * F_POLY(1.0) ** 2  # telescoping cap m * F(1)^2
     I0, I1, I2 = dec.components[0]
-    assert np.max(np.abs(I0.values + I1.values + I2.values - f.values)) <= 1e-12
+    assert np.max(np.abs(I0 + I1 + I2 - f)) <= 1e-12
     assert len(dec.history) == dec.rounds + 1
 
 
 def test_bohr_regularize_multiple_functions_round_cap():
     rng = np.random.default_rng(51)
     G = parse_group_spec("Z32")
-    fs = [GroupFunction(G, (rng.random(32) < 0.5).astype(float)) for _ in range(3)]
-    dec = bohr_regularize(fs, F_POLY)
+    fs = [(rng.random(32) < 0.5).astype(float) for _ in range(3)]
+    dec = bohr_regularize(fs, F_POLY, G)
     assert dec.rounds <= 3 * F_POLY(1.0) ** 2
     for f, (I0, I1, I2) in zip(fs, dec.components):
-        assert np.max(np.abs(I0.values + I1.values + I2.values - f.values)) <= 1e-12
+        assert np.max(np.abs(I0 + I1 + I2 - f)) <= 1e-12
 
 
 # Low-order driving characters: the final partition has parts of 3 to 20
@@ -707,24 +733,24 @@ def test_bohr_regularize_I0_is_the_per_part_mean(spec, count):
         xi = Character(G, coeffs)
         t = np.array([float(xi.eval_fraction(G.element(i))) for i in range(G.order)])
         noise = 0.1 * (2 * rng.random(G.order) - 1)
-        fs.append(GroupFunction(G, 0.5 + 0.4 * np.cos(2 * np.pi * t) + noise))
-    dec = bohr_regularize(fs, F_POLY)
+        fs.append(0.5 + 0.4 * np.cos(2 * np.pi * t) + noise)
+    dec = bohr_regularize(fs, F_POLY, G)
     parts: dict[tuple, list[int]] = {}
     for i in range(G.order):
         parts.setdefault(dec.partition.label_of(G.element(i)), []).append(i)
     assert 1 < len(parts) < G.order
     for f, (I0, _, _) in zip(fs, dec.components):
         for idx in parts.values():
-            assert np.max(np.abs(I0.values[idx] - f.values[idx].mean())) <= 1e-12
+            assert np.max(np.abs(I0[idx] - f[idx].mean())) <= 1e-12
 
 
-def _bohr_reference(fns, F):
-    """bohr_regularize with one transform per (input, part) product: np.fft.fftn
-    of each product, the round's hits as a set of characters, and those new
-    to S sorted by index; returns S, the history, achieved_linf and the
-    components' values."""
-    G = fns[0].group
-    values = [f.values for f in fns]
+def _bohr_reference(fs, F, G):
+    """bohr_regularize one input at a time: np.fft.fftn of each (input, part)
+    product, the round's hits as a set of characters, and those new to S
+    sorted by index; each input projected by project_line and convolved
+    with mu by convolve.  Returns S, the history, achieved_l2, achieved_linf
+    and the components."""
+    values = [np.asarray(f, dtype=float) for f in fs]
     L = G.exponent_lcm
     characters = G.characters()
 
@@ -762,13 +788,27 @@ def _bohr_reference(fns, F):
         S, rho, N, width_capped = S_next, Fraction(1, rho_den), N_next, next_capped
         part, projections = part_next, projections_next
     mu = BohrSet(G, S_next, Fraction(1, rho_den)).mu()
-    components, worst_linf = [], 0.0
-    for f, v, proj in zip(fns, values, projections):
-        conv = convolve(mu, f).values
+    components, worst_l2, worst_linf = [], 0.0, 0.0
+    for v, proj in zip(values, projections):
+        conv = convolve(mu, GroupFunction(G, v)).values
         components.append((proj, conv - proj, v - conv))
+        worst_l2 = max(worst_l2, lp_norm(GroupFunction(G, conv - proj), 2))
         for k in range(count):
             worst_linf = max(worst_linf, float(np.abs(spectrum((v - conv) * (ids == k))).max()))
-    return S_next, history, worst_linf, components
+    return S_next, history, worst_l2, worst_linf, components
+
+
+def _assert_is_the_reference(fs, F, G):
+    S, history, worst_l2, worst_linf, components = _bohr_reference(fs, F, G)
+    dec = bohr_regularize(fs, F, G)
+    assert list(dec.bohr_set.freqs) == S
+    assert dec.history == history
+    assert dec.achieved_l2 == worst_l2
+    assert dec.achieved_linf == worst_linf
+    assert len(dec.components) == len(components)
+    for got, want in zip(dec.components, components):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    return dec
 
 
 def _band(G, a):
@@ -781,37 +821,67 @@ def _reference_cases():
     for spec, count in (("Z32", 1), ("Z32", 3), ("Z64", 2), ("Z60", 1), ("Z6xZ10", 3),
                         ("Z4xZ8", 2)):
         G = parse_group_spec(spec)
-        fs = [GroupFunction(G, (rng.random(G.order) < 0.5).astype(float)) for _ in range(count)]
-        yield f"random {spec} x{count}", fs, F_POLY
+        fs = [(rng.random(G.order) < 0.5).astype(float) for _ in range(count)]
+        yield f"random {spec} x{count}", fs, F_POLY, G
     for spec in sorted(I0_DRIVERS):
         G = parse_group_spec(spec)
         fs = []
         for coeffs in I0_DRIVERS[spec]:
             t = Character(G, coeffs).residue_vector() / G.exponent_lcm
             noise = 0.1 * (2 * rng.random(G.order) - 1)
-            fs.append(GroupFunction(G, 0.5 + 0.4 * np.cos(2 * np.pi * t) + noise))
-        yield f"drivers {spec}", fs, F_POLY
+            fs.append(0.5 + 0.4 * np.cos(2 * np.pi * t) + noise)
+        yield f"drivers {spec}", fs, F_POLY, G
     G = parse_group_spec("Z64")
-    yield "band 5x Z64", [GroupFunction(G, _band(G, 5))], parse_growth_spec("poly:16,1")
+    yield "band 5x Z64", [_band(G, 5)], parse_growth_spec("poly:16,1"), G
     G = parse_group_spec("Z128")
     band = _band(G, 3)
-    yield "band 3x Z128", [GroupFunction(G, band), GroupFunction(G, 1 - band)], F_POLY
+    yield "band 3x Z128", [band, 1 - band], F_POLY, G
 
 
-@pytest.mark.parametrize("name, fns, F", [pytest.param(*case, id=case[0])
-                                           for case in _reference_cases()])
-def test_bohr_regularize_is_the_per_product_harvest(name, fns, F):
+@pytest.mark.parametrize("name, fs, F, G", [pytest.param(*case, id=case[0])
+                                            for case in _reference_cases()])
+def test_bohr_regularize_is_the_per_product_harvest(name, fs, F, G):
     # one stacked transform per input and round harvests the frequencies,
-    # in the order, and gives the bytes, of one transform per product
-    S, history, worst_linf, components = _bohr_reference(fns, F)
-    dec = bohr_regularize(fns, F)
-    assert list(dec.bohr_set.freqs) == S
-    assert dec.history == history
-    assert dec.achieved_linf == worst_linf
-    for got, want in zip(dec.components, components):
-        assert all(np.array_equal(g.values, w) for g, w in zip(got, want))
+    # in the order, and gives the bytes, of one transform per product; the
+    # stacked projections and convolution give those of one input at a time
+    dec = _assert_is_the_reference(fs, F, G)
     if name == "band 5x Z64":
         assert dec.labelled.part_count == 64 and dec.rounds == 1
+
+
+def test_bohr_regularize_is_the_reference_on_the_part_indicators(monkeypatch):
+    # the caller's own input: the part indicators of a multi-part round of
+    # double_regularity on the hyperplane views of noisy stripes, (x + y)
+    # mod 8 < 4 on Z64 with 20% of cells flipped, at poly:8,2
+    G = parse_group_spec("Z64")
+    idx = np.arange(64)
+    bits = ((idx[:, None] + idx) % 8 < 4) ^ (np.random.default_rng(0).random((64, 64)) < 0.2)
+    views = [v.astype(float) for v in hyperplane_views(PlaneSet(G, bits))]
+    F = parse_growth_spec("poly:8,2")
+    inputs = []
+    real = regularity.bohr_regularize
+    monkeypatch.setattr(regularity, "bohr_regularize",
+                        lambda fs, F, group: inputs.append(fs) or real(fs, F, group))
+    double_regularity(views, 0.25, F, G)
+    fs = next(fs for fs in inputs if len(fs) > 1)
+    assert fs.dtype == bool and (fs.sum(axis=0) == 1).all()
+    _assert_is_the_reference(fs, F, G)
+
+
+def test_stacked_projection_is_the_one_row_projection_bit_for_bit():
+    # each row's labels sit in bins of their own, so row r of the stacked
+    # projection adds the same entries in the same order as project_line
+    rng = np.random.default_rng(44)
+    for spec, parts in (("Z1", 1), ("Z60", 7), ("Z4xZ8", 32), ("Z128", 5)):
+        G = parse_group_spec(spec)
+        P = Partition(G, rng.integers(0, parts, G.order))
+        for rows in (1, 7):
+            stack = rng.random((rows, G.order))
+            got = P._project_rows(stack)
+            want = [P.project_line(row) for row in stack]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            # and so are the row means the Bohr step reads its gaps and energies from
+            assert (got**2).mean(axis=1).tolist() == [float((w**2).mean()) for w in want]
 
 
 def test_bohr_round_with_one_product_past_its_bound_raises(monkeypatch):
@@ -820,8 +890,8 @@ def test_bohr_round_with_one_product_past_its_bound_raises(monkeypatch):
     # transform that reads every coefficient as 1 once a stack has two rows
     # stays inside the evens' bound and breaks only the odds'
     G = parse_group_spec("Z32")
-    f = GroupFunction(G, (np.arange(32) % 2 == 0).astype(float))
-    assert bohr_regularize([f], F_POLY).rounds == 1
+    f = (np.arange(32) % 2 == 0).astype(float)
+    assert bohr_regularize([f], F_POLY, G).rounds == 1
     real = fourier._transform
 
     def inflated(group, rows):
@@ -830,7 +900,7 @@ def test_bohr_round_with_one_product_past_its_bound_raises(monkeypatch):
 
     monkeypatch.setattr(fourier, "_transform", inflated)
     with pytest.raises(BoundViolation, match=r"large spectrum of size 32 exceeds Plancherel bound 0\.0$"):
-        bohr_regularize([f], F_POLY)
+        bohr_regularize([f], F_POLY, G)
 
 
 # ----------------------------------------------------------- double driver

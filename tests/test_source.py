@@ -239,16 +239,16 @@ def test_bohr_regularize_builds_one_bohr_set(monkeypatch):
 
     monkeypatch.setattr(cornerlab.regularity, "BohrSet", counted)
     G = cornerlab.parse_group_spec("Z32")
-    f = cornerlab.GroupFunction(G, (np.arange(32) % 5 < 2).astype(float))
-    result = cornerlab.bohr_regularize([f], cornerlab.GrowthFunction("polynomial", 4, 1))
+    f = (np.arange(32) % 5 < 2).astype(float)
+    result = cornerlab.bohr_regularize([f], cornerlab.GrowthFunction("polynomial", 4, 1), G)
     assert result.rounds >= 1
     assert len(built) == 1 and result.bohr_set is built[0]
 
 
 def test_bohr_regularize_transforms_each_input_once_per_round():
     # the Bohr step reads its spectra from fourier's stacked transform, one
-    # (parts, |G|) stack per input: it calls neither dft nor large_spectrum,
-    # and builds no GroupFunction inside its round loop
+    # (parts, |G|) stack per input, and calls neither dft nor large_spectrum;
+    # it projects and convolves its inputs as one (inputs, |G|) stack
     path = Path(cornerlab.__file__).parent / "regularity.py"
     (fn,) = [
         node
@@ -261,9 +261,48 @@ def test_bohr_regularize_transforms_each_input_once_per_round():
         if isinstance(node, ast.Call)
     }
     assert not {"dft", "large_spectrum"} & called
-    assert {"_large_indices", "_transform"} <= called
-    (loop,) = [node for node in fn.body if isinstance(node, ast.While)]
-    assert not any(
-        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "GroupFunction"
-        for node in ast.walk(loop)
+    assert {"_large_indices", "_transform", "_convolve_rows", "_project_rows"} <= called
+
+
+def _names(path: Path) -> set[str]:
+    """Every name and attribute the module's source mentions."""
+    return {
+        getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    }
+
+
+def test_the_bohr_step_runs_on_arrays():
+    # regularity.py takes and returns arrays: no GroupFunction, and no
+    # per-input convolve or lp_norm; the part indicators are one boolean
+    # stack, so Partition builds no list of indicator functions
+    package = Path(cornerlab.__file__).parent
+    assert not {"GroupFunction", "convolve", "lp_norm"} & _names(package / "regularity.py")
+    assert not hasattr(cornerlab.Partition, "indicator_functions")
+
+
+def test_fourier_has_one_convolution_body():
+    # convolve is the one-row stack of _convolve_rows, so the forward and
+    # inverse transforms of a convolution sit in _convolve_rows alone; the
+    # other inverse transform is inverse_dft's
+    path = Path(cornerlab.__file__).parent / "fourier.py"
+    functions = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+    ]
+
+    def calls(fn, name):
+        return any(
+            isinstance(node, ast.Call) and getattr(node.func, "attr", None) == name
+            for node in ast.walk(fn)
+        )
+
+    assert sorted(fn.name for fn in functions if calls(fn, "ifftn")) == [
+        "_convolve_rows", "inverse_dft"]
+    (convolve,) = [fn for fn in functions if fn.name == "convolve"]
+    assert not calls(convolve, "fftn")
+    assert any(
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_convolve_rows"
+        for node in ast.walk(convolve)
     )
