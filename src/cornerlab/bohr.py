@@ -23,12 +23,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import (BoundViolation, ValidationError, check_cap, check_int, check_rational,
-                     check_real, check_same_group)
+from .errors import (BoundViolation, RationalLike, ValidationError, check_cap, check_int,
+                     check_rational, check_real, check_same_group)
 from .fourier import GroupFunction
 from .groups import Character, Element, GroupSpec, torus_norm_fraction
-
-RationalLike = Union[Fraction, int, float, str]
 
 _EXHAUSTIVE_CAP = 2**16
 _BOX_CAP = 2**10

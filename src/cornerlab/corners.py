@@ -39,11 +39,11 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bohr import BohrSet, RationalLike
-from .errors import (BoundViolation, ValidationError, check_bits, check_cap, check_int,
-                     check_ints, check_rational, check_real, check_reals, check_same_group)
+from .errors import (BoundViolation, RationalLike, ValidationError, check_bits, check_cap,
+                     check_int, check_ints, check_rational, check_real, check_reals,
+                     check_same_group)
 from .fourier import GroupFunction
-from .groups import Character, Element, GroupSpec, _read_only, parse_group_spec
+from .groups import Element, GroupSpec, _read_only, parse_group_spec
 from .parallel import deterministic_map
 
 PROFILE_CAP = 2**12
@@ -547,10 +547,11 @@ class IntegerScan(NamedTuple):
 
 
 def _signed_candidates(n: int, rho: Fraction) -> list[int]:
-    """Nonzero members of B({x -> x/n}, rho) on Z_n, as signed ints."""
-    group = GroupSpec((n,))
-    B = BohrSet(group, [Character(group, (1,))], rho)
-    return [d if 2 * d <= n else d - n for d in np.flatnonzero(B.mask()).tolist() if d]
+    """Nonzero members of B({x -> x/n}, rho) on Z_n, as signed ints in
+    element order: for rho <= 1/4 the interval 1 .. E, then -E .. -1, where
+    E = ceil(rho n) - 1 is the largest e with e/n < rho."""
+    E = math.ceil(rho * n) - 1
+    return [*range(1, E + 1), *range(-E, 0)]
 
 
 def integer_corner_scan(bits: np.ndarray, rho: RationalLike = Fraction(1, 4)) -> IntegerScan:
@@ -558,7 +559,8 @@ def integer_corner_scan(bits: np.ndarray, rho: RationalLike = Fraction(1, 4)) ->
 
     The grid embeds into (Z/nZ)^2 and candidate differences are the nonzero
     members of the Bohr set B({x -> x/n}, rho), so every candidate pulls
-    back to a signed integer of magnitude below rho*n.
+    back to a signed integer of magnitude below rho*n; on Z_n that set is
+    the interval +-1 .. +-E, E = ceil(rho*n) - 1, listed without building it.
     Corners are then counted directly on the grid, which silently drops every
     triple that would wrap around an edge: the shifted rows (views from
     _shifted_views) read zero words past column n-1, and slicing the row

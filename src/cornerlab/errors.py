@@ -106,6 +106,9 @@ def check_real(value, name: str, interval: str) -> float:
     return number
 
 
+RationalLike = Fraction | int | float | str
+
+
 def check_rational(value, name: str, interval: str) -> Fraction:
     """The exact Fraction value of a rational argument that must lie in
     interval; a float is read exactly, and a bool, infinity or NaN is refused."""

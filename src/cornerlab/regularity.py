@@ -107,7 +107,13 @@ def parse_growth_spec(text: str) -> GrowthFunction:
 
 
 class Partition:
-    """A partition of G as compact integer labels over the enumeration."""
+    """A partition of G as compact integer labels over the enumeration.
+
+    Line functions project onto part means and plane functions onto box
+    averages over P x P, both through one body, _project_rows, which takes
+    a whole stack of either; project_line and project_plane are its one-row
+    cases.
+    """
 
     __slots__ = ("group", "labels", "_sizes")
 
@@ -154,29 +160,30 @@ class Partition:
         values = check_reals(values, "line function", (self.group.order,))
         return self._project_rows(values[None])[0]
 
-    def _project_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Part means of every row of a (rows, |G|) stack, from one np.bincount.
+    def project_plane(self, f: np.ndarray) -> np.ndarray:
+        """Box averages f|_{P x P} on G x G: the one-plane stack of _project_rows."""
+        f = check_reals(f, "plane function", (self.group.order,) * 2)
+        return self._project_rows(f[None])[0]
 
-        Row r's labels are offset by r * part_count into bins of its own, so
-        each bin adds the same entries in the same order as the row's own
-        bincount would, and row r of the result is its one-row projection.
+    def _project_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Part means of every row of a stack, from one np.bincount: of each
+        line of a (rows, |G|) stack over the parts, or of each plane of a
+        (rows, |G|, |G|) stack over the boxes P x P, a plane being a row of
+        |G|^2 entries whose box (a, b) is bin a * part_count + b.
+
+        Row r's labels are offset by r times the bin count into bins of its
+        own, so each bin adds the same entries in the same order as the row's
+        own bincount would, and row r of the result is its one-row projection.
         np.take keeps the result C-contiguous, so a row mean of it adds in
         the order of the one row's mean; a fancy index [:, labels] would not.
         """
-        P = self.part_count
-        bins = self.labels + P * np.arange(len(rows))[:, None]
-        sums = np.bincount(bins.ravel(), weights=rows.ravel()).reshape(len(rows), P)
-        return np.take(sums / self._sizes, self.labels, axis=1)
-
-    def project_plane(self, f: np.ndarray) -> np.ndarray:
-        """Box averages f|_{P x P} on G x G."""
-        f = check_reals(f, "plane function", (self.group.order,) * 2)
-        P = self.part_count
-        comb = self.labels[:, None] * P + self.labels[None, :]
-        sums = np.bincount(comb.ravel(), weights=f.ravel(), minlength=P * P)
-        cell = np.outer(self._sizes, self._sizes).ravel().astype(np.float64)
-        means = sums / cell
-        return means[comb]
+        labels, sizes = self.labels, self._sizes
+        if rows.ndim == 3:
+            labels = (labels[:, None] * len(sizes) + labels).ravel()
+            sizes = np.outer(sizes, sizes).ravel()
+        bins = labels + len(sizes) * np.arange(len(rows))[:, None]
+        sums = np.bincount(bins.ravel(), weights=rows.ravel()).reshape(len(rows), len(sizes))
+        return np.take(sums / sizes, labels, axis=1).reshape(rows.shape)
 
 
 def _check_ascent_size(restarts: int, n: int) -> None:
@@ -190,13 +197,14 @@ def _check_ascent_size(restarts: int, n: int) -> None:
         )
 
 
-def _check_plane_inputs(fs: Sequence[np.ndarray], group: GroupSpec, cap: int) -> list[np.ndarray]:
+def _check_plane_inputs(fs: Sequence[np.ndarray], group: GroupSpec, cap: int) -> np.ndarray:
+    """The plane functions, each checked in [0, 1] up to 1e-12 and clipped,
+    as one (t, |G|, |G|) float64 stack."""
     n = group.order
     check_cap(n, cap, "group order {size} exceeds cap {cap}")
-    out = [check_reals(f, f"function {j}", (n, n), "[0, 1]", 1e-12) for j, f in enumerate(fs)]
-    if not out:
+    if not len(fs):
         raise ValidationError("need at least one function")
-    return out
+    return np.array([check_reals(f, f"function {j}", (n, n), "[0, 1]", 1e-12) for j, f in enumerate(fs)])
 
 
 def _cut_is_exact(order: int) -> bool:
@@ -510,14 +518,15 @@ class WeakRegularityResult:
     small, with the per-round energy bookkeeping that bounds the rounds.
 
     initial_projections are the box averages f|_{P x P} on the initial
-    partition, projections those on the returned one."""
+    partition, projections those on the returned one, each a (t, |G|, |G|)
+    array whose plane j belongs to function j."""
 
     partition: Partition
     rounds: int
     residuals: list[float]
     certified: bool
-    initial_projections: list[np.ndarray]
-    projections: list[np.ndarray]
+    initial_projections: np.ndarray
+    projections: np.ndarray
     round_records: list[dict] = field(default_factory=list)
 
 
@@ -551,22 +560,30 @@ def weak_regularity(
 
 
 def _weak_rounds(
-    arrays: list[np.ndarray], eps: float, part: Partition, restarts: int, seed: int
+    arrays: np.ndarray, eps: float, part: Partition, restarts: int, seed: int
 ) -> WeakRegularityResult:
     """The rounds of weak_regularity on checked arguments: the plane
-    functions as _check_plane_inputs returns them, refined from part."""
+    functions as the (t, |G|, |G|) stack _check_plane_inputs returns,
+    refined from part.
+
+    Each partition projects the whole stack once; energies are row means of
+    the projections as (t, |G|^2), and each function's residual is its plane
+    of arrays - projections.  A round refines once, by the labels 4 * label
+    + 2 * g + h of the worst witness's row set g and column set h, which
+    rank the parts as refining by g and then by h would.
+    """
     # the bound saturates at inf once eps^2 underflows or 1/eps^2 overflows
     eps_sq = eps * eps
     per_f = 1.0 / eps_sq if eps_sq > 0 else math.inf
     round_bound = len(arrays) * math.ceil(per_f) if math.isfinite(per_f) else math.inf
-    # one projection per function and partition gives its energy and residual
-    projections = initial_projections = [part.project_plane(f) for f in arrays]
+    # one stacked projection per partition gives every energy and residual
+    projections = initial_projections = part._project_rows(arrays)
     records: list[dict] = []
     rounds = 0
     while True:
         witnesses = [
-            cut_norm_witness(f - p, restarts=restarts, seed=seed + 131 * rounds + j)
-            for j, (f, p) in enumerate(zip(arrays, projections))
+            cut_norm_witness(r, restarts=restarts, seed=seed + 131 * rounds + j)
+            for j, r in enumerate(arrays - projections)
         ]
         worst_j = max(range(len(witnesses)), key=lambda j: witnesses[j][0])  # first wins
         worst_val, worst_g, worst_h = witnesses[worst_j]
@@ -576,14 +593,14 @@ def _weak_rounds(
                 "part_count": part.part_count,
                 "worst_value": worst_val,
                 "worst_function": worst_j,
-                "energies": [float((p**2).mean()) for p in projections],
+                "energies": (projections**2).reshape(len(arrays), -1).mean(axis=1).tolist(),
             }
         )
         if worst_val <= eps:
             break
-        part = part.refine_with_mask(worst_g).refine_with_mask(worst_h)
+        part = Partition(part.group, 4 * part.labels + 2 * worst_g + worst_h)
         rounds += 1
-        projections = [part.project_plane(f) for f in arrays]
+        projections = part._project_rows(arrays)
         if rounds > round_bound:
             raise BoundViolation(
                 f"weak regularity exceeded its energy-increment bound of {round_bound} rounds"
@@ -798,10 +815,12 @@ def double_regularity(
     f2_cut_estimates are that run's residuals: exact and certified when
     |G| <= 16, seeded alternating lower estimates above.
 
-    The plane functions are checked once, here; each weak run is
-    weak_regularity's own rounds on them, which check nothing again, and
-    each Bohr step gets the part indicators as one boolean (parts, |G|)
-    stack.
+    The plane functions are checked once, here, into one (t, |G|, |G|)
+    stack; each weak run is weak_regularity's own rounds on it, which check
+    nothing again, and each Bohr step gets the part indicators as one
+    boolean (parts, |G|) stack.  f1_norms are row means of the stacked
+    moves between a weak run's first and stopping projections, and
+    f_components[j] holds plane j of the (f0, f1, f2) stacks.
     """
     eps = check_real(eps, "eps", "(0, inf)")
     seed = check_int(seed, "seed", 0)
@@ -825,10 +844,8 @@ def double_regularity(
             )
         weak = _weak_rounds(arrays, threshold, pi, restarts, seed + 31 * i)
         pi_next = weak.partition
-        f1_norms = [
-            float(np.sqrt(((fp - f0) ** 2).mean()))
-            for f0, fp in zip(weak.initial_projections, weak.projections)
-        ]
+        f1 = weak.projections - weak.initial_projections
+        f1_norms = np.sqrt((f1**2).reshape(len(arrays), -1).mean(axis=1)).tolist()
         gap = max(f1_norms)
         records.append(
             {
@@ -851,15 +868,11 @@ def double_regularity(
             raise BoundViolation(
                 f"double regularity ran {i} rounds, beyond the bound {max_rounds}"
             )
-    f_components = [
-        (f0, fp - f0, f - fp)
-        for f, f0, fp in zip(arrays, weak.initial_projections, weak.projections)
-    ]
     return DoubleRegularityResult(
         bohr=bohr,
         pi=pi,
         pi_next=pi_next,
-        f_components=f_components,
+        f_components=list(zip(weak.initial_projections, f1, arrays - weak.projections)),
         f1_norms=f1_norms,
         f2_cut_estimates=weak.residuals,
         cut_certified=weak.certified,

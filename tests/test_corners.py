@@ -14,6 +14,7 @@ from cornerlab import (
     BohrSet,
     BoundViolation,
     CapExceededError,
+    Character,
     CornerProfile,
     GroupFunction,
     GroupSpec,
@@ -767,6 +768,20 @@ def test_integer_scan_equals_grid_slices_where_residues_repeat(n, rho):
     assert scan.profile == {d: grid_count(bits, d) for d in scan.profile}
     best = max(scan.profile, key=scan.profile.__getitem__)
     assert (scan.difference, scan.count) == (best, scan.profile[best])
+
+
+def test_integer_scan_candidates_are_the_bohr_set_interval():
+    # on Z_n, rho <= 1/4, the nonzero members of B({x -> x/n}, rho) are
+    # +-1 .. +-E, E = ceil(rho n) - 1, in element order: the scan lists them
+    # without building the Bohr set
+    radii = [Fraction(1, 4), Fraction(2, 9), Fraction(3, 13), Fraction(1, 5), Fraction(1, 8),
+             Fraction(1, 64), Fraction(1, 100), Fraction(1, 1000)]
+    for n in range(2, 700):
+        G = GroupSpec((n,))
+        for rho in radii:
+            mask = BohrSet(G, [Character(G, (1,))], rho).mask()
+            members = [d if 2 * d <= n else d - n for d in np.flatnonzero(mask).tolist() if d]
+            assert corners._signed_candidates(n, rho) == members, (n, rho)
 
 
 def test_integer_scan_rejects_bad_rho():

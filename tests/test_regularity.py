@@ -945,29 +945,36 @@ def test_double_regularity_seeded_z32():
         assert {"round", "gap", "pi_parts", "weak_rounds"} <= rec.keys()
 
 
-def test_double_regularity_projects_each_function_once_per_partition(monkeypatch):
-    # the weak run's first and stopping projections are the double driver's
-    # f|_{Pi x Pi} and f|_{Pi' x Pi'}, so it projects nothing itself
+def _noisy_stripes_and_block():
+    """Two plane functions on Z32 whose first double round runs one weak round."""
     rng = np.random.default_rng(8)
     G = parse_group_spec("Z32")
     idx = np.arange(32)
     stripes = ((idx[:, None] + idx[None, :]) % 8) < 4
     block = np.outer(idx < 12, idx < 20)
-    fs = [
+    return G, [
         np.where(rng.random((32, 32)) < 0.8, stripes, ~stripes).astype(float),
         (block | (rng.random((32, 32)) < 0.2)).astype(float),
     ]
-    calls = []
-    project_plane = Partition.project_plane
 
-    def counted(self, f):
-        calls.append(self.part_count)
-        return project_plane(self, f)
 
-    monkeypatch.setattr(Partition, "project_plane", counted)
+def test_double_regularity_projects_each_function_once_per_partition(monkeypatch):
+    # the weak run's first and stopping projections are the double driver's
+    # f|_{Pi x Pi} and f|_{Pi' x Pi'}, so it projects nothing itself, and each
+    # partition projects every plane function in one stacked call
+    G, fs = _noisy_stripes_and_block()
+    planes = []
+    project_rows = Partition._project_rows
+
+    def counted(self, rows):
+        if rows.ndim == 3:
+            planes.append(len(rows))
+        return project_rows(self, rows)
+
+    monkeypatch.setattr(Partition, "_project_rows", counted)
     dd = double_regularity(fs, 0.2, GrowthFunction("polynomial", c=8.0, k=2.0), G)
     assert [rec["weak_rounds"] for rec in dd.round_records] == [1, 0]
-    assert len(calls) == sum(len(fs) * (1 + rec["weak_rounds"]) for rec in dd.round_records)
+    assert planes == [len(fs)] * sum(1 + rec["weak_rounds"] for rec in dd.round_records)
 
 
 def test_weak_regularity_returns_its_first_and_stopping_projections():
@@ -977,9 +984,118 @@ def test_weak_regularity_returns_its_first_and_stopping_projections():
     initial = Partition(G, np.arange(32) % 4)
     res = weak_regularity(fs, 0.05, G, initial=initial)
     assert res.rounds >= 1
-    for f, p0, p in zip(fs, res.initial_projections, res.projections):
+    assert res.initial_projections.shape == res.projections.shape == (2, 32, 32)
+    for f, p0, p in zip(fs, res.initial_projections, res.projections, strict=True):
         assert np.array_equal(p0, initial.project_plane(f))
         assert np.array_equal(p, res.partition.project_plane(f))
+
+
+def _plane_reference(P, f):
+    """Box averages of one plane from its own bincount over the boxes and a
+    means[comb] gather, as project_plane computed them before planes were
+    stacked: the reference of the stacked plane projection."""
+    parts = P.part_count
+    comb = P.labels[:, None] * parts + P.labels[None, :]
+    sums = np.bincount(comb.ravel(), weights=f.ravel(), minlength=parts * parts)
+    cell = np.outer(P.sizes, P.sizes).ravel().astype(np.float64)
+    return (sums / cell)[comb]
+
+
+def test_stacked_plane_projection_is_the_per_plane_bincount_bit_for_bit():
+    # each plane's boxes sit in bins of their own, so plane k of the stacked
+    # projection adds the same entries in the same order as its own bincount;
+    # energies and f1_norms are row means of the stack as (planes, |G|^2)
+    rng = np.random.default_rng(45)
+    for spec in ("Z1", "Z16", "Z60", "Z4xZ32", "Z2xZ2xZ32", "Z6xZ10"):
+        G = parse_group_spec(spec)
+        n = G.order
+        for P in (Partition.trivial(G), Partition(G, rng.integers(0, 5, n)), discrete_partition(G)):
+            for planes in (1, 3):
+                stack = np.where(rng.random((planes, n, n)) < 0.5, rng.random((planes, n, n)), 1.0)
+                got = P._project_rows(stack)
+                want = [_plane_reference(P, f) for f in stack]
+                assert got.shape == stack.shape
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                assert all(np.array_equal(P.project_plane(f), w) for f, w in zip(stack, want))
+                energies = (got**2).reshape(planes, -1).mean(axis=1).tolist()
+                assert energies == [float((w**2).mean()) for w in want]
+                moved = (got - got[::-1]) ** 2
+                assert moved.reshape(planes, -1).mean(axis=1).tolist() == [
+                    float(((w - v) ** 2).mean()) for w, v in zip(want, want[::-1])]
+
+
+def test_one_refinement_by_two_masks_is_the_two_refinements():
+    # 4 * labels + 2 * g + h ranks the parts by (label, g, h), as refining by
+    # g and then by h does, so the compact labels are equal; masks constant
+    # on every part split nothing
+    rng = np.random.default_rng(45)
+    for spec in ("Z1", "Z16", "Z60", "Z6xZ10", "Z2xZ2xZ32"):
+        G = parse_group_spec(spec)
+        n = G.order
+        for P in (Partition.trivial(G), Partition(G, rng.integers(0, 3, n)), discrete_partition(G)):
+            even = P.labels % 2 == 0
+            coin, coin2 = rng.random((2, n)) < 0.5
+            for g, h in ((coin, coin2), (even, coin), (coin, even), (even, ~even),
+                         (np.zeros(n, dtype=bool), np.ones(n, dtype=bool)), (coin, coin)):
+                want = P.refine_with_mask(g).refine_with_mask(h).labels
+                assert np.array_equal(Partition(G, 4 * P.labels + 2 * g + h).labels, want)
+
+
+def _weak_reference(fs, eps, G, part, seed=0):
+    """weak_regularity's rounds as they ran before the planes were stacked:
+    one projection and one residual per plane, and the worst witness's row
+    set and column set refined in one after the other."""
+    projections = initial = [_plane_reference(part, f) for f in fs]
+    rounds, energies = 0, []
+    while True:
+        witnesses = [cut_norm_witness(f - p, seed=seed + 131 * rounds + j)
+                     for j, (f, p) in enumerate(zip(fs, projections))]
+        worst_val, worst_g, worst_h = max(witnesses, key=lambda w: w[0])  # first wins
+        energies.append([float((p**2).mean()) for p in projections])
+        if worst_val <= eps:
+            return part, rounds, [w[0] for w in witnesses], initial, projections, energies
+        part = part.refine_with_mask(worst_g).refine_with_mask(worst_h)
+        rounds += 1
+        projections = [_plane_reference(part, f) for f in fs]
+
+
+@pytest.mark.parametrize(
+    "spec, density, eps, parts",
+    # exact witnesses at Z15 and Z16, alternating ones above; each runs 2-3 rounds
+    [("Z15", 0.5, 0.05, 1), ("Z16", 0.4, 0.05, 3), ("Z6xZ10", 0.3, 0.03, 1),
+     ("Z33", 0.5, 0.04, 1), ("Z32", 0.5, 0.04, 4)],
+)
+def test_weak_regularity_is_the_per_plane_reference(spec, density, eps, parts):
+    G = parse_group_spec(spec)
+    fs = [v.astype(float) for v in hyperplane_views(PlaneSet.random(G, density, 3))]
+    initial = Partition(G, np.arange(G.order) % parts)
+    res = weak_regularity(fs, eps, G, initial=initial)
+    part, rounds, residuals, p0, p, energies = _weak_reference(fs, eps, G, initial)
+    assert res.rounds == rounds >= 2
+    assert np.array_equal(res.partition.labels, part.labels)
+    assert res.residuals == residuals
+    assert res.initial_projections.shape == res.projections.shape == (len(fs), G.order, G.order)
+    assert all(np.array_equal(a, b) for a, b in zip(res.initial_projections, p0))
+    assert all(np.array_equal(a, b) for a, b in zip(res.projections, p))
+    assert [rec["energies"] for rec in res.round_records] == energies
+
+
+def test_double_regularity_reads_its_norms_and_components_per_plane(monkeypatch):
+    # each round's gap is the largest per-plane L2 move of its weak run, and
+    # f1_norms and f_components are the per-plane ones of the last weak run
+    G, fs = _noisy_stripes_and_block()
+    runs = []
+    real_weak = regularity._weak_rounds
+    monkeypatch.setattr(regularity, "_weak_rounds", lambda *a: runs.append(real_weak(*a)) or runs[-1])
+    dd = double_regularity(fs, 0.2, GrowthFunction("polynomial", c=8.0, k=2.0), G)
+    assert [run.rounds for run in runs] == [1, 0]
+    for rec, run in zip(dd.round_records, runs, strict=True):
+        p0, p = run.initial_projections, run.projections
+        norms = [float(np.sqrt(((b - a) ** 2).mean())) for a, b in zip(p0, p)]
+        assert rec["gap"] == max(norms)
+    assert dd.round_records[0]["gap"] > 0 and dd.f1_norms == norms
+    for (c0, c1, c2), f, a, b in zip(dd.f_components, fs, p0, p, strict=True):
+        assert np.array_equal(c0, a) and np.array_equal(c1, b - a) and np.array_equal(c2, f - b)
 
 
 def test_double_regularity_round_records_follow_the_loop():

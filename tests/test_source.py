@@ -306,3 +306,47 @@ def test_fourier_has_one_convolution_body():
         isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_convolve_rows"
         for node in ast.walk(convolve)
     )
+
+
+def test_lines_and_planes_project_through_one_body():
+    # Partition._project_rows holds regularity.py's one weighted bincount:
+    # project_line and project_plane are its one-row cases, and the weak
+    # step projects its plane stack through it and refines once per round
+    path = Path(cornerlab.__file__).parent / "regularity.py"
+    functions = {
+        node.name: node
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+    }
+
+    def called(fn):
+        return {
+            getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+        }
+
+    weighted = [
+        fn.name
+        for fn in functions.values()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "bincount"
+        and any(keyword.arg == "weights" for keyword in node.keywords)
+    ]
+    assert weighted == ["_project_rows"]
+    for name in ("project_line", "project_plane", "_weak_rounds"):
+        assert "_project_rows" in called(functions[name]), name
+    assert not {"project_plane", "refine_with_mask"} & called(functions["_weak_rounds"])
+
+
+def test_corners_imports_nothing_from_bohr():
+    # on Z_n the zscan's Bohr-set candidates are an interval, listed as one
+    path = Path(cornerlab.__file__).parent / "corners.py"
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and "bohr" in (node.module or "").split(".")
+        or isinstance(node, ast.Import) and any("bohr" in a.name.split(".") for a in node.names)
+    ]
+    assert not found, found
+    assert not {"BohrSet", "BohrPartition"} & _names(path)
