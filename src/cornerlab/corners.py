@@ -8,20 +8,22 @@ moduli and H is the product of the other factors.  Rows and columns are
 both laid out in C x H order and packed once into 64-bit words, so
 y -> y+d is an H-translation inside each block of |H| columns, then a cyclic
 word shift of the doubled rows, and x -> x+d is a translation of the layout
-group Z_m x H.  The H-translations move bits inside the packed words: a unit
-step on one digit of H is two masked shifts of the whole rows.  Packed
-planes are stored word-major, as a (words, |G|) array whose slab w holds
-word w of every row, so a shift by e bits reads two contiguous slabs and a
-row permutation is one gather along the second axis.  The d's of one H-part
-whose shifts share a bit residue mod 64 form a shift class: the class is
-shifted once, and its d's are counted together, their column shifts read as
-evenly spaced slab windows of that plane, their row translations as evenly
-spaced windows of one row gather, and their counts written as one evenly
-spaced slice of the profile, which is kept by layout position and put in
-element order once.  A d costs O(|G|^2 / 64) word work and a class one row
-gather, after one O(|G|^2) byte gather per profile; a cyclic group is the
-case |H| = 1.  A literal triple loop serves as the oracle the packed path is
-checked against.
+group Z_m x H.  The H-translations move bits inside the packed words by unit
+steps on the digits of H, each of one of two kinds that the digit's stride s
+and order a pick: two masked in-word shifts when a * s divides 64, so that
+every cycle of the digit lies inside one word, and two masked cross-word
+shifts otherwise.  Packed planes are stored word-major, as a (words, |G|)
+array whose slab w holds word w of every row, so a shift by e bits reads two
+contiguous slabs and a row permutation is one gather along the second axis.
+The d's of one H-part whose shifts share a bit residue mod 64 form a shift
+class: the class is shifted once, and its d's are counted together, their
+column shifts read as evenly spaced slab windows of that plane, their row
+translations as evenly spaced windows of one row gather, and their counts
+written as one evenly spaced slice of the profile, which is kept by layout
+position and put in element order once.  A d costs O(|G|^2 / 64) word work
+and a class one row gather, after one O(|G|^2) byte gather per profile; a
+cyclic group is the case |H| = 1.  A literal triple loop serves as the
+oracle the packed path is checked against.
 
 Weighted counts integrate the profile against a mean-one measure nu on the
 differences, which equals the triple integral over the hyperplane
@@ -35,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -267,6 +269,44 @@ def _double_rows(rows: np.ndarray, n: int, words: int) -> np.ndarray:
     return out
 
 
+def _digit_step(
+    a: int, s: int, nh: int, n: int, words: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The unit step on H's digit of order a and stride s, as a function of
+    word-major packed rows of n bits in blocks of nh = |H| bits.
+
+    The step moves the bits of digit 0 up by (a - 1) * s and the rest down
+    by s, and its kind follows from s and a alone.  When a * s divides 64
+    every cycle of the digit lies inside one word, so the step is two masked
+    in-word shifts, with no carry.  Otherwise a cycle straddles words and
+    each part takes a cross-word _shift_bits.  The masks are (words, 1)
+    arrays, zero past bit n, so no bit leaves its block and the moved rows
+    hold nothing past bit n, whatever the input holds there.
+    """
+    up = (a - 1) * s
+    digit = np.arange(n) % nh // s % a
+    masks = _pack_rows(np.stack([digit == 0, digit != 0]), words)
+    low, rest = masks[:, :1], masks[:, 1:]
+    if 64 % (a * s) == 0:
+
+        def in_words(rows: np.ndarray) -> np.ndarray:
+            moved = rows & low
+            moved <<= up
+            down = rows & rest
+            down >>= s
+            moved |= down
+            return moved
+
+        return in_words
+
+    def across_words(rows: np.ndarray) -> np.ndarray:
+        moved = _shift_bits(rows & low, up, words)
+        moved |= _shift_bits(rows & rest, -s, words)
+        return moved
+
+    return across_words
+
+
 def _h_translations(
     packed: np.ndarray, H: GroupSpec, n: int, words: int
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -276,28 +316,23 @@ def _h_translations(
     c * |H| + p of a row standing for H's element p; the rows for h hold at
     bit c * |H| + p the bit of packed at c * |H| + (p + h in H).  The rows for
     h come from those for h - 1 by a unit step on each digit of H that the
-    increment changes.  A step on a digit of order a and stride s moves the
-    bits of digit 0 up by (a - 1) * s and the rest down by s: two masked
-    shifts of the whole rows, with one pair of (words, 1) masks per digit.
-    The masks are zero past bit n, so no bit leaves its block, and the rows
-    for h >= 1 hold nothing past bit n, whatever packed holds there.
+    increment changes.  _digit_step picks each digit's step from its stride
+    s and order a: two masked in-word shifts when a * s | 64, and two masked
+    cross-word shifts otherwise.  The rows for h >= 1 hold nothing past bit
+    n, whatever packed holds there.
     """
     nh = H.order
     steps = []
     for j, a in enumerate(H.moduli):
         if a > 1:
             s = math.prod(H.moduli[j + 1 :])
-            digit = np.arange(n) % nh // s % a
-            masks = _pack_rows(np.stack([digit == 0, digit != 0]), words)
-            steps.append((s, (a - 1) * s, masks[:, :1], masks[:, 1:]))
+            steps.append((s, _digit_step(a, s, nh, n, words)))
     rows = packed
     yield 0, rows
     for h in range(1, nh):
-        for s, up, low, rest in steps:
+        for s, step in steps:
             if h % s == 0:
-                moved = _shift_bits(rows & low, up, words)
-                moved |= _shift_bits(rows & rest, -s, words)
-                rows = moved
+                rows = step(rows)
         yield h, rows
 
 

@@ -740,7 +740,8 @@ def bohr_regularize(
         P_i, part_i, projections_i = P_next, part_next, projections_next
 
     B = BohrSet(group, S_next, rho_next)
-    conv = _convolve_rows(group, B.mu().values, values)
+    mask = B.mask()  # mu_B = 1_B scaled by |G| / |B|
+    conv = _convolve_rows(group, mask * (n / np.count_nonzero(mask)), values)
     I1s, I2s = conv - projections_i, values - conv
     worst_linf = max(float(np.abs(_transform(group, I2 * members)).max()) for I2 in I2s)
     linf_bound = 4.0 * threshold

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cornerlab import (
@@ -132,6 +132,9 @@ def test_roll_reference_equals_the_naive_oracle(moduli):
         "Z6xZ30", "Z2xZ2xZ64",
         # |H| = 128 spans two words; |H| = 81 and 81 blocks straddle words
         "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "Z3xZ3xZ3xZ3xZ3", "Z3xZ9xZ9",
+        # a digit of order 4 and stride 64; a straddling digit beside in-word
+        # ones; an H of in-word digits of orders 2, 4 and 8
+        "Z4xZ4xZ4xZ4xZ4", "Z8xZ8xZ8xZ2", "Z2xZ4xZ8xZ16",
     ],
 )
 def test_profile_equals_roll_reference(spec):
@@ -314,11 +317,22 @@ def translation_reference(bits, labels, H, h, words):
         (2, 2, 5), (4, 4, 3), (1, 4, 2), (2, 1, 2, 2), (3, 1, 3), (4, 1),
         # cyclic: the only H-part is h = 0
         (5,), (1, 64),
+        # each move kind of _digit_step, pinned by the examples below
+        (4,) * 5, (4,) * 4, (8, 8, 8), (8, 8, 8, 2), (2,) * 5 + (3,),
     ]),
     st.sampled_from([0.1, 0.5, 0.9]),
     st.integers(0, 2**32),
     st.booleans(),
 )
+# cross-word shifts on a digit of order 4 and stride 64 (on Z2^k a step in
+# the wrong direction would go unseen); in-word shifts on an H of order 64; a
+# straddling digit of stride 16 beside in-word ones; in-word shifts with 64
+# not dividing |G|
+@example((4,) * 5, 0.5, 1, False)
+@example((4,) * 4, 0.5, 2, False)
+@example((8, 8, 8), 0.5, 3, False)
+@example((8, 8, 8, 2), 0.5, 4, False)
+@example((2,) * 5 + (3,), 0.5, 5, True)
 def test_h_translations_equal_the_gather_and_pack_reference(moduli, density, seed, junk_tail):
     G = GroupSpec(moduli)
     n = G.order
@@ -340,6 +354,35 @@ def test_h_translations_equal_the_gather_and_pack_reference(moduli, density, see
         if n % 64:
             assert not (rows[-1] >> np.uint64(n % 64)).any()  # nothing past bit n
     assert seen == list(range(H.order))
+
+
+@pytest.mark.parametrize(
+    "moduli, crossing",
+    [
+        ((4,) * 4, False), ((8,) * 3, False), ((2,) * 9, True), ((4,) * 5, True),
+        ((3,) * 5, True), ((6, 30), True),
+    ],
+    ids=["Z4^4", "Z8^3", "Z2^9", "Z4^5", "Z3^5", "Z6xZ30"],
+)
+def test_h_translation_moves_follow_from_the_group(monkeypatch, moduli, crossing):
+    # an H whose every digit cycle fits in a word moves without a cross-word
+    # shift; a digit whose cycle spans words (Z2^9's and Z4^5's digits of
+    # stride 64 and more, Z3^5, Z6xZ30) takes one
+    shift_bits, calls = corners._shift_bits, []
+
+    def counted(*args):
+        calls.append(args)
+        return shift_bits(*args)
+
+    monkeypatch.setattr(corners, "_shift_bits", counted)
+    G = GroupSpec(moduli)
+    n = G.order
+    labels, H = _cyclic_split(G)
+    words = -(-n // 64)
+    packed = translation_reference(PlaneSet.random(G, 0.5, 0).bits, labels, H, 0, words)
+    for _ in corners._h_translations(packed, H, n, words):
+        pass
+    assert bool(calls) == crossing
 
 
 def crt_labels(group):
@@ -486,13 +529,14 @@ def test_profile_keeps_every_count_under_transposition_translation_and_units(spe
 @pytest.mark.cap
 @pytest.mark.parametrize(
     "spec, seed",
-    [("x".join(["Z2"] * 11), 44), ("Z4096", 45), ("Z64xZ64", 46), ("x".join(["Z2"] * 12), 47)],
-    ids=["Z2^11", "Z4096", "Z64xZ64", "Z2^12"],
+    [("x".join(["Z2"] * 11), 44), ("Z4096", 45), ("Z64xZ64", 46), ("x".join(["Z2"] * 12), 47),
+     ("x".join(["Z4"] * 6), 48), ("x".join(["Z8"] * 4), 49)],
+    ids=["Z2^11", "Z4096", "Z64xZ64", "Z2^12", "Z4^6", "Z8^4"],
 )
 def test_profile_meets_the_complement_identity_up_to_the_cap(spec, seed):
-    # the identity at the largest orders, about 10 s a group and 75 s at
-    # Z2^12 (two profiles each): the cap marker keeps it out of the default
-    # run, and `pytest -m cap` runs it
+    # the identity at the largest orders (two profiles each), where Z4^6 and
+    # Z8^4 step digits of orders 4 and 8 whose strides are whole words: the
+    # cap marker keeps it out of the default run, and `pytest -m cap` runs it
     A = seeded_set(spec, 0.3, seed)
     _check_complement_identity(A, corner_count_by_difference(A).counts)
 

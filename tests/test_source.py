@@ -248,7 +248,8 @@ def test_bohr_regularize_builds_one_bohr_set(monkeypatch):
 def test_bohr_regularize_transforms_each_input_once_per_round():
     # the Bohr step reads its spectra from fourier's stacked transform, one
     # (parts, |G|) stack per input, and calls neither dft nor large_spectrum;
-    # it projects and convolves its inputs as one (inputs, |G|) stack
+    # it projects and convolves its inputs as one (inputs, |G|) stack, and
+    # smooths with the Bohr set's mask, not with a GroupFunction from mu
     path = Path(cornerlab.__file__).parent / "regularity.py"
     (fn,) = [
         node
@@ -260,8 +261,8 @@ def test_bohr_regularize_transforms_each_input_once_per_round():
         for node in ast.walk(fn)
         if isinstance(node, ast.Call)
     }
-    assert not {"dft", "large_spectrum"} & called
-    assert {"_large_indices", "_transform", "_convolve_rows", "_project_rows"} <= called
+    assert not {"dft", "large_spectrum", "mu"} & called
+    assert {"_large_indices", "_transform", "_convolve_rows", "_project_rows", "mask"} <= called
 
 
 def _names(path: Path) -> set[str]:
