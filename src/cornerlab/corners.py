@@ -20,10 +20,16 @@ class: the class is shifted once, and its d's are counted together, their
 column shifts read as evenly spaced slab windows of that plane, their row
 translations as evenly spaced windows of one row gather, and their counts
 written as one evenly spaced slice of the profile, which is kept by layout
-position and put in element order once.  A d costs O(|G|^2 / 64) word work
-and a class one row gather, after one O(|G|^2) byte gather per profile; a
-cyclic group is the case |H| = 1.  A literal triple loop serves as the
-oracle the packed path is checked against.
+position and put in element order once.  Consecutive H-parts are counted in
+blocks: their rows sit side by side as the columns of one array, so each
+shift class is shifted once per block, its row gathers are one take, and
+one set of ANDs, popcount and sum counts it in every H-part of the block.
+A block holds as many H-parts as fit twice the bytes of a largest class's
+members in the batch budget, at least one; so a cyclic group, or a group
+whose classes are large, counts one H-part at a time.  A d costs
+O(|G|^2 / 64) word work and a class one row gather, after one O(|G|^2) byte
+gather per profile; a cyclic group is the case |H| = 1.  A literal triple
+loop serves as the oracle the packed path is checked against.
 
 Weighted counts integrate the profile against a mean-one measure nu on the
 differences, which equals the triple integral over the hyperplane
@@ -33,6 +39,7 @@ triple that wraps around the edge of [n]^2.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -408,18 +415,24 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
     The map runs over shift classes: the d's of one H-part whose shifts
     c_d * |H| share one bit residue mod 64.  _h_translations makes the rows
     of each H-part from those of the one before by masked shifts of the
-    packed words, the rows are doubled by two word shifts, and
-    _shifted_views shifts each class once and yields its members' column
-    views as one strided stack.  The members' c's are evenly spaced, so x+d
-    for every member is a window of one row gather per class, by
-    L.translate_permutation of its first d: member c reads it at row offset
-    (c - c0) * |H|.  Two ANDs, a popcount and one sum per member then run
-    over (k, words, |G|) stacks of at most _CHUNK_BYTES of words,
-    O(|G|^2 / 64) word work per d; a class of one d runs the same ops on
-    plain (words, |G|) arrays.  Counts are kept by layout position, a
-    class's as one strided slice, and put in element order once.  Only the
-    doubled rows of the current H-part are kept.  A cyclic group is the case
-    |H| = 1.
+    packed words.  The rows of B consecutive H-parts, a block, sit side by
+    side as the columns of one (words, B * |G|) array; the block's rows are
+    doubled by two word shifts, and _shifted_views shifts each class once
+    per block and yields its members' column views in every H-part of the
+    block as one strided stack.  The members' c's are evenly spaced, so x+d
+    for every member is a window of one row gather per class and H-part,
+    by L.translate_permutation of its first d: member c reads it at row
+    offset (c - c0) * |H|.  The B permutations of a class are stacked and
+    gathered in one take.  Two ANDs, a popcount and one sum per member and
+    H-part then run over (k, words, B, |G|) stacks, O(|G|^2 / 64) word work
+    per d; a class of one d runs the same ops on (words, B * |G|) arrays.
+    B = min(|H|, _CHUNK_BYTES // (2 * the bytes of a largest class's
+    members)), at least 1: a block's members and their row gather share the
+    budget.  Where B = 1, members run in batches of at most _CHUNK_BYTES of
+    words.  Counts are kept by layout position, a class's as one strided
+    slice per block, and put in element order once.  Only the doubled rows
+    of the current block are kept.  A cyclic group is the case |H| = 1, and
+    B = 1.
     """
     group = A.group
     n = group.order
@@ -429,45 +442,76 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
     order = labels.ravel()
 
     packed = _pack_rows(np.take(A.bits, order, axis=1), words).take(order, axis=1)
-    # members per batch: the largest class, whose c's step by 64 / gcd(|H|, 64),
-    # or fewer to stay within the budget
-    most = -(-(n // nh) // (64 // math.gcd(nh, 64)))
+    # a class has at most `most` members, whose c's step by period =
+    # 64 / gcd(|H|, 64).  H-parts per block: as many as fit twice a largest
+    # class's member bytes in _CHUNK_BYTES, since a block's members and their
+    # row gather share it.  Members per batch: as many as fit in it, so a
+    # class of a block of two or more H-parts is one batch
+    period = 64 // math.gcd(nh, 64)
+    most = -(-(n // nh) // period)
+    parts = max(1, min(nh, _CHUNK_BYTES // (2 * 8 * words * n * most)))
     chunk = max(1, min(most, _CHUNK_BYTES // (8 * words * n)))
-    both = np.empty((chunk, words, n), dtype=np.uint64)
-    ones = np.empty((chunk, words * n), dtype=np.uint8)
-    one, one_flat, one_ones = both[0], both[0].reshape(-1), ones[0]
-    found = np.empty(n, dtype=np.int64)  # N by layout position c * |H| + h
+    both = np.empty((chunk, words, parts, n), dtype=np.uint64)
+    ones = np.empty((chunk, words, parts, n), dtype=np.uint8)
+    found = np.empty(n, dtype=np.int32)  # N by layout position c * |H| + h
+    grid = found.reshape(-1, nh)  # found[c * |H| + h] as grid[c, h]
+    wide = packed[:, None]  # the rows against every H-part of a block
+    # a class of one d, per block width w (all blocks but a shorter last one
+    # have w = parts): packed repeated w times, the AND and popcount buffers
+    # as (words, w * |G|) arrays, and the popcounts as (words, w, |G|)
+    tiled = np.concatenate([packed] * parts, axis=1)
+    single = {
+        w: (tiled[:, : w * n], both[0].reshape(words, -1)[:, : w * n],
+            ones[0].reshape(words, -1)[:, : w * n], ones[0, :, :w])
+        for w in {parts, nh % parts or parts}
+    }
 
     def classes():
-        """(h, cs, shifted rows of each c in cs): one shift class per item."""
-        for h, rows in _h_translations(packed, H, n, words):
+        """(h, width, cs, shifted rows of each c in cs): one item per shift
+        class and block, the rows of the block's width H-parts h, h + 1, ...
+        side by side."""
+        translations = _h_translations(packed, H, n, words)
+        for h in range(0, nh, parts):
+            block = [rows for _, rows in itertools.islice(translations, parts)]
+            rows = np.concatenate(block, axis=1) if len(block) > 1 else block[0]
             doubled = _double_rows(rows, n, words)
             for cs, views in _shifted_views(doubled, range(0, n, nh), words):
-                yield h, cs, views
+                yield h, len(block), cs, views
 
-    def count_class(item: tuple[int, range, np.ndarray]) -> None:
-        h, cs, views = item
+    def count_class(item: tuple[int, int, range, np.ndarray]) -> None:
+        h, width, cs, views = item
         first = cs[0] * nh + h
         step = cs.step * nh  # rows between members: x + d for c is row x + (c - c0) * |H|
-        perm = layout.translate_permutation(first)
+        span = n + (len(cs) - 1) * step
+        index = layout.translate_permutation(first)[:span]
+        if width > 1:  # the block's H-parts h + j gather their rows in one take
+            more = (layout.translate_permutation(p)[:span] for p in range(first + 1, first + width))
+            index = np.concatenate([index, *more])
         # an index of L read mod |G| is the packed row it stands for (_layout)
-        block = packed.take(perm[: n + (len(cs) - 1) * step], axis=1, mode="wrap")
+        rows = packed.take(index, axis=1, mode="wrap")
         if len(cs) == 1:
-            np.bitwise_and(views[0], packed, out=one)
-            np.bitwise_and(one, block, out=one)
-            found[first] = np.add.reduce(np.bitwise_count(one_flat, out=one_ones), dtype=np.int32)
+            same, one, one_ones, counts = single[width]
+            np.bitwise_and(views[0], same, out=one)
+            np.bitwise_and(one, rows, out=one)
+            np.bitwise_count(one, out=one_ones)
+            np.add.reduce(counts, axis=(0, 2), out=found[first : first + width])
             return
-        gathered = np.ndarray(views.shape, np.uint64, block, 0, (8 * step, block.strides[0], 8))
+        # (member, word, H-part, row) stacks; H-part j of member i reads the
+        # gather from column j * span + i * step
+        views = views.reshape(len(cs), words, width, n)
+        strides = (8 * step, rows.strides[0], 8 * span, 8)
+        gathered = np.ndarray(views.shape, np.uint64, rows, 0, strides)
         for lo in range(0, len(cs), chunk):
             k = min(chunk, len(cs) - lo)
-            np.bitwise_and(views[lo : lo + k], packed, out=both[:k])
-            np.bitwise_and(both[:k], gathered[lo : lo + k], out=both[:k])
-            np.bitwise_count(both[:k].reshape(k, -1), out=ones[:k])
-            start = first + lo * step
-            found[start : start + k * step : step] = np.add.reduce(ones[:k], axis=1, dtype=np.int32)
+            out, counts = both[:k, :, :width], ones[:k, :, :width]
+            np.bitwise_and(views[lo : lo + k], wide, out=out)
+            np.bitwise_and(out, gathered[lo : lo + k], out=out)
+            np.bitwise_count(out, out=counts)
+            c = cs[lo]
+            np.add.reduce(counts, axis=(1, 3), out=grid[c : c + k * cs.step : cs.step, h : h + width])
 
     deterministic_map(count_class, classes())
-    counts = np.empty(n, dtype=np.int64)
+    counts = np.empty_like(found)
     counts[order] = found
     profile = CornerProfile(group, counts)
     if profile.counts[0] != A.size:

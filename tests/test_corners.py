@@ -135,6 +135,11 @@ def test_roll_reference_equals_the_naive_oracle(moduli):
         # a digit of order 4 and stride 64; a straddling digit beside in-word
         # ones; an H of in-word digits of orders 2, 4 and 8
         "Z4xZ4xZ4xZ4xZ4", "Z8xZ8xZ8xZ2", "Z2xZ4xZ8xZ16",
+        # blocks of several H-parts (Z4^4 8 of 64, Z2^8 16 of 128, Z3^5 33 of
+        # 81 with a last block of 15): 8 of 16 H-parts with classes of 4 d's,
+        # all 8 H-parts in one block, a digit of order 6 straddling words
+        # inside a block, and blocks of 2
+        "Z16xZ16", "Z8xZ8", "Z6xZ10", "Z2xZ4xZ48",
     ],
 )
 def test_profile_equals_roll_reference(spec):
@@ -220,11 +225,16 @@ def test_profile_at_the_size_cap_matches_a_sampled_d_count(spec, seed):
         assert profile.counts[d] == np.count_nonzero(A.bits & A.bits[:, perm] & A.bits[perm, :])
 
 
-@pytest.mark.parametrize("spec, classes", [("Z6", 6), ("Z512", 64), ("Z16xZ48", 64)])
+@pytest.mark.parametrize(
+    "spec, classes",
+    [("Z6", 6), ("Z512", 64), ("Z16xZ48", 64), ("Z4xZ4xZ4xZ4", 64), ("Z16xZ16", 64)],
+)
 def test_profile_gathers_rows_once_per_shift_class(monkeypatch, spec, classes):
-    # one row gather, by one translate_permutation, per shift class: Z6 has
-    # six classes of one d, Z512 64 residues of 8 d's, and Z16xZ48 16 H-parts
-    # of 4 residues of 12 d's; a per-d gather would make |G| calls
+    # one translate_permutation per shift class: Z6 has six classes of one
+    # d, Z512 64 residues of 8 d's, Z16xZ48 16 H-parts of 4 residues of 12
+    # d's, Z4^4 64 H-parts of one class of 4 d's, and Z16xZ16 16 H-parts of 4
+    # residues of 4 d's; a per-d gather would make |G| calls.  Z4^4 and
+    # Z16xZ16 count in blocks of 8 H-parts, whose gathers are one take
     calls = []
     translate = GroupSpec.translate_permutation
 
@@ -238,6 +248,37 @@ def test_profile_gathers_rows_once_per_shift_class(monkeypatch, spec, classes):
     assert len(calls) == classes
     monkeypatch.undo()
     assert np.array_equal(counts, roll_profile(A))
+
+
+@pytest.mark.parametrize(
+    "spec, widths",
+    [
+        # |H| = 64, classes of 4 d's in 4 words: 8 H-parts of 32 KiB a block
+        ("Z4xZ4xZ4xZ4", [8] * 8),
+        ("Z16xZ16", [8, 8]),
+        # 81 H-parts of one d in 4 words: 33 a block, and the 15 left over
+        ("Z3xZ3xZ3xZ3xZ3", [33, 33, 15]),
+        ("Z2xZ4xZ48", [2] * 4),
+        ("x".join(["Z2"] * 9), [4] * 64),
+        # cyclic, and classes of 256 KiB: one H-part a block
+        ("Z512", [1]),
+        ("x".join(["Z2"] * 10), [1] * 512),
+    ],
+    ids=["Z4^4", "Z16xZ16", "Z3^5", "Z2xZ4xZ48", "Z2^9", "Z512", "Z2^10"],
+)
+def test_profile_blocks_hold_twice_a_class_within_the_budget(monkeypatch, spec, widths):
+    # the H-parts of a block sit side by side in the doubled rows: as many
+    # as fit twice the bytes of the largest class's members in _CHUNK_BYTES,
+    # at least one and at most |H|
+    double_rows, seen = corners._double_rows, []
+
+    def recorded(rows, n, words):
+        seen.append(rows.shape[1] // n)
+        return double_rows(rows, n, words)
+
+    monkeypatch.setattr(corners, "_double_rows", recorded)
+    corner_count_by_difference(seeded_set(spec, 0.5, 7))
+    assert seen == widths
 
 
 def test_profile_raises_when_n0_is_not_the_set_size(monkeypatch):
@@ -501,8 +542,10 @@ def _check_complement_identity(A, counts):
 
 
 @pytest.mark.parametrize(
-    "spec, seed", [("Z2048", 41), ("Z32xZ64", 42), ("x".join(["Z2"] * 10), 43)],
-    ids=["Z2048", "Z32xZ64", "Z2^10"],
+    "spec, seed",
+    [("Z2048", 41), ("Z32xZ64", 42), ("x".join(["Z2"] * 10), 43), ("x".join(["Z2"] * 9), 50),
+     ("x".join(["Z3"] * 5), 51)],
+    ids=["Z2048", "Z32xZ64", "Z2^10", "Z2^9", "Z3^5"],
 )
 def test_profile_keeps_every_count_under_transposition_translation_and_units(spec, seed):
     # no oracle reaches these orders; transposing A or translating it by
@@ -510,7 +553,9 @@ def test_profile_keeps_every_count_under_transposition_translation_and_units(spe
     # the cyclic group uA has a corner at u d exactly where A has one at d,
     # so N_uA(u d) = N_A(d) moves every count but the four with 4d = 0.  The
     # complement identity ties every N_A(d) to N_{A^c}(d) and pair counts
-    # taken without corners.py
+    # taken without corners.py.  Z2^9 and Z3^5 count in blocks of H-parts
+    # (of 4, and of 33 with a last block of 15), the other three one H-part
+    # at a time
     A = seeded_set(spec, 0.3, seed)
     n = A.group.order
     counts = corner_count_by_difference(A).counts

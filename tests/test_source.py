@@ -351,3 +351,32 @@ def test_corners_imports_nothing_from_bohr():
     ]
     assert not found, found
     assert not {"BohrSet", "BohrPartition"} & _names(path)
+
+
+def test_the_profile_has_one_counting_body():
+    # every class of corner_count_by_difference, of one H-part or a block of
+    # them, of one d or many, counts in count_class: it is the one function
+    # nested in the profile that popcounts, and the only other popcount of
+    # corners.py is the grid scan's
+    path = Path(cornerlab.__file__).parent / "corners.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    counting = sorted(
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and not any(isinstance(inner, ast.FunctionDef) for inner in ast.walk(fn) if inner is not fn)
+        and any(isinstance(node, ast.Attribute) and node.attr == "bitwise_count"
+                for node in ast.walk(fn))
+    )
+    assert counting == ["count_class", "integer_corner_scan"]
+    (profile,) = [
+        fn for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "corner_count_by_difference"
+    ]
+    nested = [fn.name for fn in ast.walk(profile) if isinstance(fn, ast.FunctionDef)]
+    assert nested == ["corner_count_by_difference", "classes", "count_class"]
+    (mapped,) = [
+        node for node in ast.walk(profile)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "deterministic_map"
+    ]
+    assert getattr(mapped.args[0], "id", None) == "count_class"
