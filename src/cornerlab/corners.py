@@ -4,32 +4,38 @@ A corner is a triple {(x, y), (x, y+d), (x+d, y)}; the profile N(d) counts,
 for every difference d, the pairs (x, y) completing such a triple inside a
 set A.  One path serves every group: G splits as C x H, where C is the
 largest cycle that the Chinese remainder theorem forms from pairwise coprime
-moduli and H is the product of the other factors.  Rows and columns are
-both laid out in C x H order and packed once into 64-bit words, so
-y -> y+d is an H-translation inside each block of |H| columns, then a cyclic
-word shift of the doubled rows, and x -> x+d is a translation of the layout
-group Z_m x H.  The H-translations move bits inside the packed words by unit
-steps on the digits of H, each of one of two kinds that the digit's stride s
-and order a pick: two masked in-word shifts when a * s divides 64, so that
-every cycle of the digit lies inside one word, and two masked cross-word
-shifts otherwise.  Packed planes are stored word-major, as a (words, |G|)
-array whose slab w holds word w of every row, so a shift by e bits reads two
-contiguous slabs and a row permutation is one gather along the second axis.
-The d's of one H-part whose shifts share a bit residue mod 64 form a shift
-class: the class is shifted once, and its d's are counted together, their
-column shifts read as evenly spaced slab windows of that plane, their row
-translations as evenly spaced windows of one row gather, and their counts
-written as one evenly spaced slice of the profile, which is kept by layout
-position and put in element order once.  Consecutive H-parts are counted in
-blocks: their rows sit side by side as the columns of one array, so each
-shift class is shifted once per block, its row gathers are one take, and
-one set of ANDs, popcount and sum counts it in every H-part of the block.
-A block holds as many H-parts as fit twice the bytes of a largest class's
-members in the batch budget, at least one; so a cyclic group, or a group
+moduli and H is the product of the other factors.  Rows and columns are both
+laid out in C x H order and packed once into 64-bit words, so y -> y+d is an
+H-translation inside each block of |H| columns, then a cyclic word shift of
+the doubled rows, and x -> x+d is a translation of the layout group Z_m x H.
+The H-translations move bits inside the packed words by unit steps on the
+digits of H, each of one of two kinds that the digit's stride s and order a
+pick: two masked in-word shifts when a * s divides 64, so that every cycle
+of the digit lies inside one word, and two masked cross-word shifts
+otherwise; a step may move a digit by any t at the cost of one.  Packed
+planes are stored word-major, as a (words, |G|) array whose slab w holds
+word w of every row, so a shift by e bits reads two contiguous slabs and a
+row permutation is one gather along the second axis.  The d's of one H-part
+whose shifts share a bit residue mod 64 form a shift class: the class is
+shifted once, and its d's are counted together, their column shifts read as
+evenly spaced slab windows of that plane, their row translations as evenly
+spaced windows of one row gather, and their counts written as one evenly
+spaced slice of the profile, which is kept by layout position and put in
+element order once.  Consecutive H-parts are counted in blocks: their rows
+sit side by side as the columns of one array, so each shift class is shifted
+once per block, its rows are one gather, and one set of ANDs, popcount and
+sum counts it in every H-part of the block.  A block is radix-aligned: its
+width B is the product of H's trailing moduli times a divisor t of the next
+one, and it starts at a multiple of B, so its H-parts are its first one plus
+elements that carry into no digit.  Each block is then the one before moved
+by one step per changed digit, and each class of a block reads its rows
+through one translation permutation and a fixed table of in-block offsets.
+B is the widest aligned width at which twice the bytes of a largest class's
+members fit in the batch budget, at least one; so a cyclic group, or a group
 whose classes are large, counts one H-part at a time.  A d costs
-O(|G|^2 / 64) word work and a class one row gather, after one O(|G|^2) byte
-gather per profile; a cyclic group is the case |H| = 1.  A literal triple
-loop serves as the oracle the packed path is checked against.
+O(|G|^2 / 64) word work and a class one row gather per block, after one
+O(|G|^2) byte gather per profile; a cyclic group is the case |H| = 1.  A
+literal triple loop serves as the oracle the packed path is checked against.
 
 Weighted counts integrate the profile against a mean-one measure nu on the
 differences, which equals the triple integral over the hyperplane
@@ -39,7 +45,6 @@ triple that wraps around the edge of [n]^2.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -277,70 +282,102 @@ def _double_rows(rows: np.ndarray, n: int, words: int) -> np.ndarray:
 
 
 def _digit_step(
-    a: int, s: int, nh: int, n: int, words: int
+    a: int, s: int, t: int, nh: int, n: int, words: int
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The unit step on H's digit of order a and stride s, as a function of
+    """The step by t on H's digit of order a and stride s, as a function of
     word-major packed rows of n bits in blocks of nh = |H| bits.
 
-    The step moves the bits of digit 0 up by (a - 1) * s and the rest down
-    by s, and its kind follows from s and a alone.  When a * s divides 64
-    every cycle of the digit lies inside one word, so the step is two masked
-    in-word shifts, with no carry.  Otherwise a cycle straddles words and
-    each part takes a cross-word _shift_bits.  The masks are (words, 1)
-    arrays, zero past bit n, so no bit leaves its block and the moved rows
-    hold nothing past bit n, whatever the input holds there.
+    The step moves the bits whose digit is below t up by (a - t) * s and the
+    rest down by t * s, and its kind follows from s and a alone.  When
+    a * s divides 64 every cycle of the digit lies inside one word, so the
+    step is two masked in-word shifts, with no carry.  Otherwise a cycle
+    straddles words and each part takes a cross-word _shift_bits.  The masks
+    are (words, 1) arrays, zero past bit n, so no bit leaves its block and
+    the moved rows hold nothing past bit n, whatever the input holds there.
     """
-    up = (a - 1) * s
+    up, down = (a - t) * s, t * s
     digit = np.arange(n) % nh // s % a
-    masks = _pack_rows(np.stack([digit == 0, digit != 0]), words)
+    masks = _pack_rows(np.stack([digit < t, digit >= t]), words)
     low, rest = masks[:, :1], masks[:, 1:]
     if 64 % (a * s) == 0:
 
         def in_words(rows: np.ndarray) -> np.ndarray:
             moved = rows & low
             moved <<= up
-            down = rows & rest
-            down >>= s
-            moved |= down
+            lowered = rows & rest
+            lowered >>= down
+            moved |= lowered
             return moved
 
         return in_words
 
     def across_words(rows: np.ndarray) -> np.ndarray:
         moved = _shift_bits(rows & low, up, words)
-        moved |= _shift_bits(rows & rest, -s, words)
+        moved |= _shift_bits(rows & rest, -down, words)
         return moved
 
     return across_words
 
 
 def _h_translations(
-    packed: np.ndarray, H: GroupSpec, n: int, words: int
+    packed: np.ndarray, H: GroupSpec, n: int, words: int, width: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (h, packed translated by h inside every block of |H| bits), h in order.
+    """Yield (h, the rows of H-parts h .. h + width - 1 side by side) for
+    h = 0, width, 2 * width, ... < |H|.
 
     packed holds word-major rows of n bits in blocks of |H| = H.order, bit
-    c * |H| + p of a row standing for H's element p; the rows for h hold at
-    bit c * |H| + p the bit of packed at c * |H| + (p + h in H).  The rows for
-    h come from those for h - 1 by a unit step on each digit of H that the
-    increment changes.  _digit_step picks each digit's step from its stride
-    s and order a: two masked in-word shifts when a * s | 64, and two masked
-    cross-word shifts otherwise.  The rows for h >= 1 hold nothing past bit
-    n, whatever packed holds there.
+    c * |H| + p of a row standing for H's element p; the rows of H-part h
+    hold at bit c * |H| + p the bit of packed at c * |H| + (p + h in H).  A
+    block is a (words, width * n) array whose columns j * n .. j * n + n - 1
+    hold the rows of H-part h + j.  width must be aligned: the product of
+    H's trailing moduli times a divisor t of the next modulus, the digit
+    where the block ends.  Then element(h + j) = element(h) + element(j)
+    with no carry, so each block is the one before translated by
+    element(h) - element(h - width): t on that digit, and 1 on each digit
+    above it that the increment carries into.  The first block comes from
+    unit steps per H-part, and every later one from the block before by one
+    step per changed digit.  _digit_step picks each digit's step from its
+    stride s and order a: two masked in-word shifts when a * s | 64, and two
+    masked cross-word shifts otherwise.  Rows of H-parts h >= 1 hold nothing
+    past bit n, whatever packed holds there.
     """
     nh = H.order
-    steps = []
-    for j, a in enumerate(H.moduli):
-        if a > 1:
-            s = math.prod(H.moduli[j + 1 :])
-            steps.append((s, _digit_step(a, s, nh, n, words)))
+    digits = [(a, math.prod(H.moduli[j + 1 :])) for j, a in enumerate(H.moduli) if a > 1]
+
+    def walk(rows, steps, hs):
+        for h in hs:
+            for s, step in steps:
+                if h % s == 0:
+                    rows = step(rows)
+            yield h, rows
+
     rows = packed
+    if width > 1:
+        units = [(s, _digit_step(a, s, 1, nh, n, words)) for a, s in digits if s < width]
+        block = np.empty((words, width, n), dtype=np.uint64)
+        block[:, 0] = packed
+        for h, part in walk(packed, units, range(1, width)):
+            block[:, h] = part
+        rows = block.reshape(words, width * n)
     yield 0, rows
-    for h in range(1, nh):
-        for s, step in steps:
-            if h % s == 0:
-                rows = step(rows)
-        yield h, rows
+    # the digit where the block ends steps by t = width // s every block,
+    # each digit above it by 1 when the increment carries into it
+    moves = [
+        (max(s, width), _digit_step(a, s, max(1, width // s), nh, n, words))
+        for a, s in digits if a * s > width
+    ]
+    yield from walk(rows, moves, range(width, nh, width))
+
+
+def _block_width(H: GroupSpec, bound: int) -> int:
+    """The largest aligned block width of _h_translations at most bound:
+    the product of H's moduli past some digit times a divisor of that
+    digit's order.  Aligned widths divide |H|, and 1 is one."""
+    best = 1
+    for j, a in enumerate(H.moduli):
+        s = math.prod(H.moduli[j + 1 :])
+        best = max([best] + [s * t for t in range(1, a + 1) if a % t == 0 and s * t <= bound])
+    return best
 
 
 def _cyclic_split(group: GroupSpec) -> tuple[np.ndarray, GroupSpec]:
@@ -413,26 +450,30 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
     is a translation of the layout group L of _layout.
 
     The map runs over shift classes: the d's of one H-part whose shifts
-    c_d * |H| share one bit residue mod 64.  _h_translations makes the rows
-    of each H-part from those of the one before by masked shifts of the
-    packed words.  The rows of B consecutive H-parts, a block, sit side by
-    side as the columns of one (words, B * |G|) array; the block's rows are
-    doubled by two word shifts, and _shifted_views shifts each class once
-    per block and yields its members' column views in every H-part of the
-    block as one strided stack.  The members' c's are evenly spaced, so x+d
-    for every member is a window of one row gather per class and H-part,
-    by L.translate_permutation of its first d: member c reads it at row
-    offset (c - c0) * |H|.  The B permutations of a class are stacked and
-    gathered in one take.  Two ANDs, a popcount and one sum per member and
-    H-part then run over (k, words, B, |G|) stacks, O(|G|^2 / 64) word work
-    per d; a class of one d runs the same ops on (words, B * |G|) arrays.
-    B = min(|H|, _CHUNK_BYTES // (2 * the bytes of a largest class's
-    members)), at least 1: a block's members and their row gather share the
-    budget.  Where B = 1, members run in batches of at most _CHUNK_BYTES of
-    words.  Counts are kept by layout position, a class's as one strided
-    slice per block, and put in element order once.  Only the doubled rows
-    of the current block are kept.  A cyclic group is the case |H| = 1, and
-    B = 1.
+    c_d * |H| share one bit residue mod 64.  The rows of B consecutive
+    H-parts, a block, sit side by side as the columns of one (words, B * |G|) array,
+    from _h_translations; the block's rows are doubled by two word shifts,
+    and _shifted_views shifts each class once per block and yields its
+    members' column views in every H-part of the block as one strided stack.
+    B is radix-aligned (see _block_width) and divides |H|, and blocks start
+    at multiples of B, so H-part h + j of the block at h is
+    element(h) + element(j) with no carry: _h_translations moves each block to the next
+    by one step per changed digit, and the translation of L by (c_d, h + j)
+    is that by (c_d, h) read at the fixed table
+    ahead[j, x] = index(x + (0, j)).  The members' c's are evenly spaced, so
+    x+d for every member is a window of one row gather per class and block:
+    one L.translate_permutation of its first d, read through the rows of
+    ahead, and one take; member c reads it at row offset (c - c0) * |H|.  Two
+    ANDs, a popcount and one sum per member and H-part then run over
+    (k, words, B, |G|) stacks, O(|G|^2 / 64) word work per d; a class of one
+    d runs the same ops on (words, B * |G|) arrays.  B is the widest aligned
+    width at most min(|H|, _CHUNK_BYTES // (2 * the bytes of a largest
+    class's members)), at least 1: a block's members and their row gather
+    share the budget.  Where B = 1, members run in batches of at most
+    _CHUNK_BYTES of words, and the gather reads the permutation directly.
+    Counts are kept by layout position, a class's as one strided slice per
+    block, and put in element order once.  Only the doubled rows of the
+    current block are kept.  A cyclic group is the case |H| = 1, and B = 1.
     """
     group = A.group
     n = group.order
@@ -443,72 +484,69 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
 
     packed = _pack_rows(np.take(A.bits, order, axis=1), words).take(order, axis=1)
     # a class has at most `most` members, whose c's step by period =
-    # 64 / gcd(|H|, 64).  H-parts per block: as many as fit twice a largest
-    # class's member bytes in _CHUNK_BYTES, since a block's members and their
-    # row gather share it.  Members per batch: as many as fit in it, so a
-    # class of a block of two or more H-parts is one batch
+    # 64 / gcd(|H|, 64).  H-parts per block: the largest aligned width that
+    # fits twice a largest class's member bytes in _CHUNK_BYTES, since a
+    # block's members and their row gather share it.  Members per batch: as
+    # many as fit in it, so a class of a block of two or more H-parts is one
+    # batch
     period = 64 // math.gcd(nh, 64)
     most = -(-(n // nh) // period)
-    parts = max(1, min(nh, _CHUNK_BYTES // (2 * 8 * words * n * most)))
+    parts = _block_width(H, max(1, min(nh, _CHUNK_BYTES // (2 * 8 * words * n * most))))
     chunk = max(1, min(most, _CHUNK_BYTES // (8 * words * n)))
     both = np.empty((chunk, words, parts, n), dtype=np.uint64)
     ones = np.empty((chunk, words, parts, n), dtype=np.uint8)
     found = np.empty(n, dtype=np.int32)  # N by layout position c * |H| + h
     grid = found.reshape(-1, nh)  # found[c * |H| + h] as grid[c, h]
     wide = packed[:, None]  # the rows against every H-part of a block
-    # a class of one d, per block width w (all blocks but a shorter last one
-    # have w = parts): packed repeated w times, the AND and popcount buffers
-    # as (words, w * |G|) arrays, and the popcounts as (words, w, |G|)
+    # a class of one d: packed repeated once per H-part of a block, and the
+    # AND and popcount buffers as (words, parts * |G|) arrays
     tiled = np.concatenate([packed] * parts, axis=1)
-    single = {
-        w: (tiled[:, : w * n], both[0].reshape(words, -1)[:, : w * n],
-            ones[0].reshape(words, -1)[:, : w * n], ones[0, :, :w])
-        for w in {parts, nh % parts or parts}
-    }
+    one, one_ones = both[0].reshape(words, -1), ones[0].reshape(words, -1)
+    # ahead[j, i] = index(element(i) + (0, j)) in L: a block starts at a
+    # multiple of its aligned width, so the translation of H-part h + j by
+    # (c, 0) is that of H-part h read through ahead[j]
+    ahead = None
+    if parts > 1:
+        ahead = layout.add_indices(np.arange(parts)[:, None], np.arange(layout.order))
 
     def classes():
-        """(h, width, cs, shifted rows of each c in cs): one item per shift
-        class and block, the rows of the block's width H-parts h, h + 1, ...
-        side by side."""
-        translations = _h_translations(packed, H, n, words)
-        for h in range(0, nh, parts):
-            block = [rows for _, rows in itertools.islice(translations, parts)]
-            rows = np.concatenate(block, axis=1) if len(block) > 1 else block[0]
+        """(h, cs, shifted rows of each c in cs): one item per shift class
+        and block, the rows of the block's H-parts h .. h + parts - 1 side by
+        side."""
+        for h, rows in _h_translations(packed, H, n, words, parts):
             doubled = _double_rows(rows, n, words)
             for cs, views in _shifted_views(doubled, range(0, n, nh), words):
-                yield h, len(block), cs, views
+                yield h, cs, views
 
-    def count_class(item: tuple[int, int, range, np.ndarray]) -> None:
-        h, width, cs, views = item
+    def count_class(item: tuple[int, range, np.ndarray]) -> None:
+        h, cs, views = item
         first = cs[0] * nh + h
         step = cs.step * nh  # rows between members: x + d for c is row x + (c - c0) * |H|
         span = n + (len(cs) - 1) * step
-        index = layout.translate_permutation(first)[:span]
-        if width > 1:  # the block's H-parts h + j gather their rows in one take
-            more = (layout.translate_permutation(p)[:span] for p in range(first + 1, first + width))
-            index = np.concatenate([index, *more])
+        perm = layout.translate_permutation(first)
+        # the block's H-parts h + j gather their rows in one take
+        index = perm[:span] if parts == 1 else perm.take(ahead[:, :span]).reshape(-1)
         # an index of L read mod |G| is the packed row it stands for (_layout)
         rows = packed.take(index, axis=1, mode="wrap")
         if len(cs) == 1:
-            same, one, one_ones, counts = single[width]
-            np.bitwise_and(views[0], same, out=one)
+            np.bitwise_and(views[0], tiled, out=one)
             np.bitwise_and(one, rows, out=one)
             np.bitwise_count(one, out=one_ones)
-            np.add.reduce(counts, axis=(0, 2), out=found[first : first + width])
+            np.add.reduce(ones[0], axis=(0, 2), out=found[first : first + parts])
             return
         # (member, word, H-part, row) stacks; H-part j of member i reads the
         # gather from column j * span + i * step
-        views = views.reshape(len(cs), words, width, n)
+        views = views.reshape(len(cs), words, parts, n)
         strides = (8 * step, rows.strides[0], 8 * span, 8)
         gathered = np.ndarray(views.shape, np.uint64, rows, 0, strides)
         for lo in range(0, len(cs), chunk):
             k = min(chunk, len(cs) - lo)
-            out, counts = both[:k, :, :width], ones[:k, :, :width]
+            out, counts = both[:k], ones[:k]
             np.bitwise_and(views[lo : lo + k], wide, out=out)
             np.bitwise_and(out, gathered[lo : lo + k], out=out)
             np.bitwise_count(out, out=counts)
             c = cs[lo]
-            np.add.reduce(counts, axis=(1, 3), out=grid[c : c + k * cs.step : cs.step, h : h + width])
+            np.add.reduce(counts, axis=(1, 3), out=grid[c : c + k * cs.step : cs.step, h : h + parts])
 
     deterministic_map(count_class, classes())
     counts = np.empty_like(found)

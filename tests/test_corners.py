@@ -135,10 +135,10 @@ def test_roll_reference_equals_the_naive_oracle(moduli):
         # a digit of order 4 and stride 64; a straddling digit beside in-word
         # ones; an H of in-word digits of orders 2, 4 and 8
         "Z4xZ4xZ4xZ4xZ4", "Z8xZ8xZ8xZ2", "Z2xZ4xZ8xZ16",
-        # blocks of several H-parts (Z4^4 8 of 64, Z2^8 16 of 128, Z3^5 33 of
-        # 81 with a last block of 15): 8 of 16 H-parts with classes of 4 d's,
-        # all 8 H-parts in one block, a digit of order 6 straddling words
-        # inside a block, and blocks of 2
+        # blocks of several H-parts (Z4^4 8 of 64, stepped by 2 on a digit of
+        # order 4; Z2^8 16 of 128; Z3^5 27 of 81): 8 of 16 H-parts with
+        # classes of 4 d's, stepped by 8, all 8 H-parts in one block, a digit
+        # of order 6 straddling words inside a block, and blocks of 2
         "Z16xZ16", "Z8xZ8", "Z6xZ10", "Z2xZ4xZ48",
     ],
 )
@@ -227,14 +227,16 @@ def test_profile_at_the_size_cap_matches_a_sampled_d_count(spec, seed):
 
 @pytest.mark.parametrize(
     "spec, classes",
-    [("Z6", 6), ("Z512", 64), ("Z16xZ48", 64), ("Z4xZ4xZ4xZ4", 64), ("Z16xZ16", 64)],
+    [("Z6", 6), ("Z512", 64), ("Z16xZ48", 64), ("Z4xZ4xZ4xZ4", 8), ("Z16xZ16", 8),
+     ("Z3xZ3xZ3xZ3xZ3", 9)],
 )
 def test_profile_gathers_rows_once_per_shift_class(monkeypatch, spec, classes):
-    # one translate_permutation per shift class: Z6 has six classes of one
-    # d, Z512 64 residues of 8 d's, Z16xZ48 16 H-parts of 4 residues of 12
-    # d's, Z4^4 64 H-parts of one class of 4 d's, and Z16xZ16 16 H-parts of 4
-    # residues of 4 d's; a per-d gather would make |G| calls.  Z4^4 and
-    # Z16xZ16 count in blocks of 8 H-parts, whose gathers are one take
+    # one translate_permutation per shift class and block: Z6 has six classes
+    # of one d, Z512 64 residues of 8 d's and Z16xZ48 16 H-parts of 4
+    # residues of 12 d's, each H-part a block of its own.  Z4^4 counts 8
+    # blocks of 8 H-parts with one class of 4 d's, Z16xZ16 2 blocks of 8 with
+    # 4 residues of 4 d's, and Z3^5 3 blocks of 27 with 3 classes of one d;
+    # a per-d gather would make |G| calls, a per-H-part one |G| / 4 on Z4^4
     calls = []
     translate = GroupSpec.translate_permutation
 
@@ -256,20 +258,24 @@ def test_profile_gathers_rows_once_per_shift_class(monkeypatch, spec, classes):
         # |H| = 64, classes of 4 d's in 4 words: 8 H-parts of 32 KiB a block
         ("Z4xZ4xZ4xZ4", [8] * 8),
         ("Z16xZ16", [8, 8]),
-        # 81 H-parts of one d in 4 words: 33 a block, and the 15 left over
-        ("Z3xZ3xZ3xZ3xZ3", [33, 33, 15]),
+        # 81 H-parts of one d in 4 words: 33 would fit, and 27 is aligned
+        ("Z3xZ3xZ3xZ3xZ3", [27, 27, 27]),
         ("Z2xZ4xZ48", [2] * 4),
         ("x".join(["Z2"] * 9), [4] * 64),
+        # |H| = 36, 15 would fit, and 12 is aligned: 2 on the digit of stride 6
+        ("Z6xZ6xZ10", [12] * 3),
         # cyclic, and classes of 256 KiB: one H-part a block
         ("Z512", [1]),
         ("x".join(["Z2"] * 10), [1] * 512),
     ],
-    ids=["Z4^4", "Z16xZ16", "Z3^5", "Z2xZ4xZ48", "Z2^9", "Z512", "Z2^10"],
+    ids=["Z4^4", "Z16xZ16", "Z3^5", "Z2xZ4xZ48", "Z2^9", "Z6xZ6xZ10", "Z512", "Z2^10"],
 )
 def test_profile_blocks_hold_twice_a_class_within_the_budget(monkeypatch, spec, widths):
-    # the H-parts of a block sit side by side in the doubled rows: as many
-    # as fit twice the bytes of the largest class's members in _CHUNK_BYTES,
-    # at least one and at most |H|
+    # the H-parts of a block sit side by side in the doubled rows: the
+    # widest aligned block that fits twice the bytes of the largest class's
+    # members in _CHUNK_BYTES, at least one and at most |H|.  Aligned: a
+    # block starts at a multiple of its width, which divides |H|, and adding
+    # its offsets j to its first H-part carries into no digit
     double_rows, seen = corners._double_rows, []
 
     def recorded(rows, n, words):
@@ -277,8 +283,14 @@ def test_profile_blocks_hold_twice_a_class_within_the_budget(monkeypatch, spec, 
         return double_rows(rows, n, words)
 
     monkeypatch.setattr(corners, "_double_rows", recorded)
-    corner_count_by_difference(seeded_set(spec, 0.5, 7))
+    A = seeded_set(spec, 0.5, 7)
+    corner_count_by_difference(A)
     assert seen == widths
+    _, H = _cyclic_split(A.group)
+    width = widths[0]
+    assert H.order % width == 0
+    for h in range(0, H.order, width):
+        assert np.array_equal(H.add_indices(h, np.arange(width)), h + np.arange(width))
 
 
 def test_profile_raises_when_n0_is_not_the_set_size(monkeypatch):
@@ -360,41 +372,97 @@ def translation_reference(bits, labels, H, h, words):
         (5,), (1, 64),
         # each move kind of _digit_step, pinned by the examples below
         (4,) * 5, (4,) * 4, (8, 8, 8), (8, 8, 8, 2), (2,) * 5 + (3,),
+        # blocks that end inside a digit, pinned by the examples below
+        (16, 16), (8, 8), (9, 9, 9), (6, 6, 10),
     ]),
     st.sampled_from([0.1, 0.5, 0.9]),
     st.integers(0, 2**32),
     st.booleans(),
+    st.integers(1, 64),
 )
 # cross-word shifts on a digit of order 4 and stride 64 (on Z2^k a step in
 # the wrong direction would go unseen); in-word shifts on an H of order 64; a
 # straddling digit of stride 16 beside in-word ones; in-word shifts with 64
 # not dividing |G|
-@example((4,) * 5, 0.5, 1, False)
-@example((4,) * 4, 0.5, 2, False)
-@example((8, 8, 8), 0.5, 3, False)
-@example((8, 8, 8, 2), 0.5, 4, False)
-@example((2,) * 5 + (3,), 0.5, 5, True)
-def test_h_translations_equal_the_gather_and_pack_reference(moduli, density, seed, junk_tail):
+@example((4,) * 5, 0.5, 1, False, 1)
+@example((4,) * 4, 0.5, 2, False, 1)
+@example((8, 8, 8), 0.5, 3, False, 1)
+@example((8, 8, 8, 2), 0.5, 4, False, 1)
+@example((2,) * 5 + (3,), 0.5, 5, True, 1)
+# blocks of 8 H-parts that step by 2 on Z4^4's digit of stride 4 and by 8 on
+# Z16xZ16's digit of order 16, both in-word, with a unit carry on Z4^4; all
+# of Z8xZ8's H in one block; blocks that step by 3 on Z9^3's digit of order
+# 9 and by 2 on Z6xZ6xZ10's digit of stride 6, both across words
+@example((4,) * 4, 0.5, 6, True, 8)
+@example((16, 16), 0.5, 7, False, 8)
+@example((8, 8), 0.5, 8, False, 8)
+@example((9, 9, 9), 0.5, 9, True, 3)
+@example((6, 6, 10), 0.5, 10, True, 15)
+def test_h_translations_equal_the_gather_and_pack_reference(moduli, density, seed, junk_tail, bound):
     G = GroupSpec(moduli)
     n = G.order
     A = PlaneSet.random(G, density, seed)
     labels, H = _cyclic_split(G)
     words = -(-n // 64)
+    width = corners._block_width(H, bound)
     packed = translation_reference(A.bits, labels, H, 0, words)
     if junk_tail and n % 64:
         # every step clears what packed holds past bit n
         packed[-1] |= np.uint64(2**64 - 2 ** (n % 64))
     seen = []
-    for h, rows in corners._h_translations(packed, H, n, words):
+    for h, rows in corners._h_translations(packed, H, n, words, width):
         seen.append(h)
-        if h == 0:
+        if h == 0 and width == 1:
             assert rows is packed
             continue
-        assert rows.shape == (words, n)
-        assert np.array_equal(rows, translation_reference(A.bits, labels, H, h, words))
-        if n % 64:
-            assert not (rows[-1] >> np.uint64(n % 64)).any()  # nothing past bit n
-    assert seen == list(range(H.order))
+        assert rows.shape == (words, width * n)
+        for j in range(width):
+            part = rows[:, j * n : (j + 1) * n]
+            if h + j == 0:
+                assert np.array_equal(part, packed)
+                continue
+            assert np.array_equal(part, translation_reference(A.bits, labels, H, h + j, words))
+            if n % 64:
+                assert not (part[-1] >> np.uint64(n % 64)).any()  # nothing past bit n
+    assert seen == list(range(0, H.order, width))
+
+
+@pytest.mark.parametrize(
+    "moduli, s, t, in_word",
+    [
+        # in-word digits: Z4^4's of stride 4, Z16xZ16's and Z8xZ8's of stride 1
+        ((4,) * 4, 4, 2, True), ((16, 16), 1, 8, True), ((8, 8), 1, 2, True),
+        # across words: Z9^3's digit of order 9, Z24xZ24's of order 24,
+        # Z6xZ6xZ10's of stride 6 and Z4^5's of stride 64
+        ((9, 9, 9), 1, 3, False), ((24, 24), 1, 8, False), ((24, 24), 1, 3, False),
+        ((6, 6, 10), 6, 2, False), ((4,) * 5, 64, 2, False),
+    ],
+    ids=["Z4^4 t2", "Z16xZ16 t8", "Z8xZ8 t2", "Z9^3 t3", "Z24xZ24 t8", "Z24xZ24 t3",
+         "Z6xZ6xZ10 t2", "Z4^5 t2"],
+)
+def test_digit_steps_by_t_equal_the_gather_and_pack_reference(monkeypatch, moduli, s, t, in_word):
+    # the step by t on the digit of stride s translates the rows of every
+    # H-part h by the element t * s of H, and takes a cross-word shift
+    # exactly when the digit's cycles straddle words
+    shift_bits, calls = corners._shift_bits, []
+
+    def counted(*args):
+        calls.append(args)
+        return shift_bits(*args)
+
+    monkeypatch.setattr(corners, "_shift_bits", counted)
+    G = GroupSpec(moduli)
+    n = G.order
+    A = PlaneSet.random(G, 0.5, n + t)
+    labels, H = _cyclic_split(G)
+    words = -(-n // 64)
+    (a,) = [m for j, m in enumerate(H.moduli) if math.prod(H.moduli[j + 1 :]) == s]
+    step = corners._digit_step(a, s, t, H.order, n, words)
+    for h in np.random.default_rng(n).integers(0, H.order, size=3):
+        rows = translation_reference(A.bits, labels, H, h, words)
+        moved = translation_reference(A.bits, labels, H, H.add_indices(h, t * s), words)
+        assert np.array_equal(step(rows), moved)
+    assert bool(calls) == (not in_word)
 
 
 @pytest.mark.parametrize(
@@ -421,7 +489,7 @@ def test_h_translation_moves_follow_from_the_group(monkeypatch, moduli, crossing
     labels, H = _cyclic_split(G)
     words = -(-n // 64)
     packed = translation_reference(PlaneSet.random(G, 0.5, 0).bits, labels, H, 0, words)
-    for _ in corners._h_translations(packed, H, n, words):
+    for _ in corners._h_translations(packed, H, n, words, 1):
         pass
     assert bool(calls) == crossing
 
@@ -544,8 +612,8 @@ def _check_complement_identity(A, counts):
 @pytest.mark.parametrize(
     "spec, seed",
     [("Z2048", 41), ("Z32xZ64", 42), ("x".join(["Z2"] * 10), 43), ("x".join(["Z2"] * 9), 50),
-     ("x".join(["Z3"] * 5), 51)],
-    ids=["Z2048", "Z32xZ64", "Z2^10", "Z2^9", "Z3^5"],
+     ("x".join(["Z3"] * 5), 51), ("Z9xZ9xZ9", 52), ("Z6xZ6xZ10", 53)],
+    ids=["Z2048", "Z32xZ64", "Z2^10", "Z2^9", "Z3^5", "Z9^3", "Z6xZ6xZ10"],
 )
 def test_profile_keeps_every_count_under_transposition_translation_and_units(spec, seed):
     # no oracle reaches these orders; transposing A or translating it by
@@ -553,9 +621,10 @@ def test_profile_keeps_every_count_under_transposition_translation_and_units(spe
     # the cyclic group uA has a corner at u d exactly where A has one at d,
     # so N_uA(u d) = N_A(d) moves every count but the four with 4d = 0.  The
     # complement identity ties every N_A(d) to N_{A^c}(d) and pair counts
-    # taken without corners.py.  Z2^9 and Z3^5 count in blocks of H-parts
-    # (of 4, and of 33 with a last block of 15), the other three one H-part
-    # at a time
+    # taken without corners.py.  Z2^9, Z3^5, Z9^3 and Z6xZ6xZ10 count in
+    # blocks of H-parts (of 4, 27, 3 and 12; the last two step by 3 and by 2
+    # on a digit whose cycles straddle words), the other three one H-part at
+    # a time
     A = seeded_set(spec, 0.3, seed)
     n = A.group.order
     counts = corner_count_by_difference(A).counts
