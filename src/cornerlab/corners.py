@@ -4,34 +4,35 @@ A corner is a triple {(x, y), (x, y+d), (x+d, y)}; the profile N(d) counts,
 for every difference d, the pairs (x, y) completing such a triple inside a
 set A.  One path serves every group: G splits as C x H, where C is the
 largest cycle that the Chinese remainder theorem forms from pairwise coprime
-moduli and H is the product of the other factors.  Rows and columns are both
-laid out in C x H order and packed once into 64-bit words, so y -> y+d is an
-H-translation inside each block of |H| columns, then a cyclic word shift of
-the doubled rows, and x -> x+d is a translation of the layout group Z_m x H.
-The H-translations move bits inside the packed words by unit steps on the
-digits of H, each of one of two kinds that the digit's stride s and order a
-pick: two masked in-word shifts when a * s divides 64, so that every cycle
-of the digit lies inside one word, and two masked cross-word shifts
-otherwise; a step may move a digit by any t at the cost of one.  Packed
-planes are stored word-major, as a (words, |G|) array whose slab w holds
-word w of every row, so a shift by e bits reads two contiguous slabs and a
-row permutation is one gather along the second axis.  The d's of one H-part
-whose shifts share a bit residue mod 64 form a shift class: the class is
-shifted once, and its d's are counted together, their column shifts read as
-evenly spaced slab windows of that plane, their row translations as evenly
-spaced windows of one row gather, and their counts written as one evenly
-spaced slice of the profile, which is kept by layout position and put in
-element order once.  Consecutive H-parts are counted in blocks: their rows
-sit side by side as the columns of one array, so each shift class is shifted
-once per block, its rows are one gather, and one set of ANDs, popcount and
-sum counts it in every H-part of the block.  A block is radix-aligned: its
-width B is the product of H's trailing moduli times a divisor t of the next
-one, and it starts at a multiple of B, so its H-parts are its first one plus
-elements that carry into no digit.  Each block is then the one before moved
-by one step per changed digit, and each class of a block reads its rows
-through one translation permutation and a fixed table of in-block offsets.
-B is the widest aligned width at which twice the bytes of a largest class's
-members fit in the batch budget, at least one; so a cyclic group, or a group
+moduli and H is the product of the other factors.  Rows and columns are
+both laid out in C x H order and packed once into 64-bit words, so
+y -> y+d is an H-translation inside each block of |H| columns, then a cyclic
+word shift of the doubled rows, and x -> x+d is a translation of the layout
+group Z_m x H.  The H-translations move bits inside the packed words by unit
+steps on the digits of H, each of one of two kinds that the digit's stride s
+and order a pick: two masked in-word shifts when a * s divides 64, so that
+every cycle of the digit lies inside one word, and two masked cross-word
+shifts otherwise; a step may move a digit by any t at the cost of one.
+Packed planes are stored word-major, as a (words, |G|)
+array whose slab w holds word w of every row, so a shift by e bits reads two
+contiguous slabs and a row permutation is one gather along the second axis.
+The d's of one H-part whose shifts share a bit residue mod 64 form a shift
+class: the class is shifted once, and its d's are counted together, their
+column shifts read as evenly spaced slab windows of that plane, their row
+translations as evenly spaced windows of one row gather, and their counts
+written as one evenly spaced slice of the profile, which is kept by layout
+position and put in element order once.  Consecutive H-parts are counted in
+blocks: their rows sit side by side as the columns of one array, so each
+shift class is shifted once per block, its rows are one gather, and
+one set of ANDs, popcount and sum counts it in every H-part of the block.
+A block is radix-aligned: its width B is the product of H's trailing moduli
+times a divisor t of the next one, and it starts at a multiple of B, so its
+H-parts are its first one plus elements that carry into no digit.  Each
+block is then the one before moved by one step per changed digit, and each
+class of a block reads its rows through one translation permutation and a
+fixed table of in-block offsets.
+B is the widest such width that fits twice the bytes of a largest class's
+members in the batch budget, at least one; so a cyclic group, or a group
 whose classes are large, counts one H-part at a time.  A d costs
 O(|G|^2 / 64) word work and a class one row gather per block, after one
 O(|G|^2) byte gather per profile; a cyclic group is the case |H| = 1.  A

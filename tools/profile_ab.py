@@ -1,12 +1,12 @@
 """Time the corner profile of two source trees against each other.
 
-    python tools/profile_ab.py PARENT CHANGE Z4xZ4xZ4xZ4 Z256 [--density 0.3]
-        [--seed 5] [--rounds 6] [--repeats 9]
+    python tools/profile_ab.py PARENT CHANGE Z4xZ4xZ4xZ4 Z256 [--rounds 6] [--repeats 9]
 
 PARENT and CHANGE are source trees, each holding the package at
 src/cornerlab; both load into one process under their own module names,
 so the same tree may stand on both sides.  For every group the script
-draws one random set, checks that the two trees' profiles are equal, and
+draws one random set, of density 0.3 from seed 5 (fixed, so every run
+times the same sets), checks that the two trees' profiles are equal, and
 then times corner_count_by_difference interleaved: in each round each side
 runs --repeats profiles, the side that runs first alternating by round,
 and each side keeps its best time over all rounds.  It prints one line per
@@ -22,6 +22,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+DENSITY = 0.3
+SEED = 5
 
 
 def load(tree, name):
@@ -50,8 +53,6 @@ def main(argv=None):
     parser.add_argument("parent", help="source tree timed first in even rounds")
     parser.add_argument("change", help="source tree compared against it")
     parser.add_argument("groups", nargs="+", help="group specs, such as Z4xZ4xZ4xZ4")
-    parser.add_argument("--density", type=float, default=0.3)
-    parser.add_argument("--seed", type=int, default=5)
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument("--repeats", type=int, default=9)
     args = parser.parse_args(argv)
@@ -59,7 +60,7 @@ def main(argv=None):
     print(f"{'group':<24} {'parent ms':>10} {'change ms':>10} {'ratio':>7}")
     status = 0
     for spec in args.groups:
-        first = sides[0].PlaneSet.random(sides[0].parse_group_spec(spec), args.density, args.seed)
+        first = sides[0].PlaneSet.random(sides[0].parse_group_spec(spec), DENSITY, SEED)
         sets = [first, sides[1].PlaneSet(sides[1].parse_group_spec(spec), first.bits)]
         profiles = [side.corner_count_by_difference for side in sides]
         if not np.array_equal(profiles[0](sets[0]).counts, profiles[1](sets[1]).counts):
