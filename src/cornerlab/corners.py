@@ -33,16 +33,22 @@ class of a block reads its rows through one translation permutation and a
 fixed table of in-block offsets.
 B is the widest such width that fits twice the bytes of a largest class's
 members in the batch budget, at least one; so a cyclic group, or a group
-whose classes are large, counts one H-part at a time.  A d costs
-O(|G|^2 / 64) word work and a class one row gather per block, after one
-O(|G|^2) byte gather per profile; a cyclic group is the case |H| = 1.  A
-literal triple loop serves as the oracle the packed path is checked against.
+whose classes are large, counts one H-part at a time.  Consecutive classes
+of a block are counted in runs: a run of R classes is shifted once, by one
+broadcast shift over a stack of shift amounts, and counted as one stack, R
+being as many classes as fit twice, with their members in every H-part of
+the block, in what the budget leaves; so a group of small classes, cyclic
+ones up to Z256, counts up to 64 classes at a time, and one whose classes
+are large counts one.  A d costs O(|G|^2 / 64) word work and a class one
+row gather per block, after one O(|G|^2) byte gather per profile; a cyclic
+group is the case |H| = 1.  A literal triple loop serves as the oracle the
+packed path is checked against.
 
 Weighted counts integrate the profile against a mean-one measure nu on the
 differences, which equals the triple integral over the hyperplane
 x + y + z = 0 of the three pairwise projections of A.  The integer-grid scan
-reads the same shifted views of zero-padded rows, which discards every
-triple that wraps around the edge of [n]^2.
+reads the same shifted views, in runs, of zero-padded rows, which discards
+every triple that wraps around the edge of [n]^2.
 """
 from __future__ import annotations
 
@@ -226,34 +232,50 @@ def _pack_rows(bits: np.ndarray, words: int) -> np.ndarray:
 
 
 def _shifted_views(
-    rows: np.ndarray, offsets: range, words: int
-) -> Iterator[tuple[range, np.ndarray]]:
-    """Yield (members, views) per shift class of word-major packed rows.
+    rows: np.ndarray, offsets: range, words: int, run: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first, views) per run of shift classes of word-major packed rows.
 
-    A shift class is one residue r = e % 64 of the offsets e: members is the
-    range of indices i with offsets[i] % 64 == r, and views is a
-    (len(members), words, rows) view whose item j holds bits e, e+1, ... of
-    each row, e = offsets[members[j]].  The offsets of a class step by
-    lcm(offsets.step, 64) bits, so the class is shifted once, over slabs
-    lo .. hi of rows, and its views are windows of that plane at evenly
-    spaced slabs: lo is the first offset's e // 64 and hi the last one's
-    plus words, so rows must hold hi + 1 slabs and be C-contiguous.  On
-    doubled rows a view is a cyclic shift by e; on zero-padded rows it is a
-    shift with zero fill.
+    A shift class is one residue of the offsets e mod 64: the indices i,
+    i + p, i + 2p, ... of offsets, p = 64 / gcd(offsets.step, 64), whose
+    offsets step by lcm(offsets.step, 64) bits.  A run is the classes first,
+    first + 1, ..., first + R - 1: at most run of them, all with the same
+    number M of members, and with first offsets at most 64 bits past slab
+    lo, the first one's e // 64.  views is an (R, M, words, rows) view whose
+    item [i, j] holds bits e, e+1, ... of each row, e = offsets[first + i +
+    j * p].  A run is shifted once, over slabs lo .. hi of rows, hi the last
+    member's e // 64 plus words: one class by its residue, as one plane, and
+    several by one broadcast shift of a stack of planes, each by its first
+    offset's distance past slab lo.  Its views are windows of those planes at
+    evenly spaced slabs, so rows must hold hi + 1 slabs and be C-contiguous.
+    On doubled rows a view is a cyclic shift by e; on zero-padded rows it is
+    a shift with zero fill.
     """
     period = 64 // math.gcd(offsets.step, 64)
-    for first in range(min(period, len(offsets))):
-        es = offsets[first::period]
-        lo, r = divmod(es[0], 64)
-        hi = es[-1] // 64 + words
-        plane = rows[lo:hi]
-        if r:
+    apart = offsets.step * period // 64  # slabs between the members of a class
+    classes = min(period, len(offsets))
+    fuller = len(offsets) % period  # classes below it hold one member more
+    first = 0
+    while first < classes:
+        lo = offsets[first] // 64
+        # the index of the last offset at most 64 (lo + 1)
+        last = (64 * lo + 64 - offsets.start) // offsets.step
+        stop = min(classes, first + run, last + 1, fuller if first < fuller else classes)
+        es = offsets[first:stop]
+        members = (len(offsets) - first - 1) // period + 1
+        slabs = (members - 1) * apart + words
+        r = es[0] % 64
+        if len(es) > 1:
+            r = np.array(es, dtype=np.uint64)[:, None, None] - np.uint64(64 * lo)
+        plane = rows[lo : lo + slabs]
+        if len(es) > 1 or r:
             plane = plane >> r
-            plane |= rows[lo + 1 : hi + 1] << (64 - r)
-        slab = plane.strides[0]
-        strides = (es.step // 64 * slab, slab, plane.strides[1])
-        views = np.ndarray((len(es), words, rows.shape[1]), rows.dtype, plane, 0, strides)
-        yield range(first, len(offsets), period), views
+            plane |= rows[lo + 1 : lo + slabs + 1] << (64 - r)
+        slab = plane.strides[-2]
+        strides = (slabs * slab, apart * slab, slab, plane.strides[-1])
+        shape = (len(es), members, words, rows.shape[1])
+        yield first, np.ndarray(shape, rows.dtype, plane, 0, strides)
+        first = stop
 
 
 def _shift_bits(rows: np.ndarray, k: int, slabs: int) -> np.ndarray:
@@ -450,12 +472,13 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
     the whole row by c_d * |H| bits, where c_d is d's C-part; and x -> x+d
     is a translation of the layout group L of _layout.
 
-    The map runs over shift classes: the d's of one H-part whose shifts
-    c_d * |H| share one bit residue mod 64.  The rows of B consecutive
-    H-parts, a block, sit side by side as the columns of one (words, B * |G|) array,
-    from _h_translations; the block's rows are doubled by two word shifts,
-    and _shifted_views shifts each class once per block and yields its
-    members' column views in every H-part of the block as one strided stack.
+    The map runs over runs of shift classes: a class is the d's of one
+    H-part whose shifts c_d * |H| share one bit residue mod 64.  The rows of
+    B consecutive H-parts, a block, sit side by side as the columns of one
+    (words, B * |G|) array, from _h_translations; the block's rows are
+    doubled by two word shifts, and _shifted_views shifts each run of R
+    consecutive classes once per block and yields its members' column views
+    in every H-part of the block as one strided stack.
     B is radix-aligned (see _block_width) and divides |H|, and blocks start
     at multiples of B, so H-part h + j of the block at h is
     element(h) + element(j) with no carry: _h_translations moves each block to the next
@@ -464,17 +487,23 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
     ahead[j, x] = index(x + (0, j)).  The members' c's are evenly spaced, so
     x+d for every member is a window of one row gather per class and block:
     one L.translate_permutation of its first d, read through the rows of
-    ahead, and one take; member c reads it at row offset (c - c0) * |H|.  Two
-    ANDs, a popcount and one sum per member and H-part then run over
-    (k, words, B, |G|) stacks, O(|G|^2 / 64) word work per d; a class of one
-    d runs the same ops on (words, B * |G|) arrays.  B is the widest aligned
-    width at most min(|H|, _CHUNK_BYTES // (2 * the bytes of a largest
-    class's members)), at least 1: a block's members and their row gather
-    share the budget.  Where B = 1, members run in batches of at most
-    _CHUNK_BYTES of words, and the gather reads the permutation directly.
-    Counts are kept by layout position, a class's as one strided slice per
-    block, and put in element order once.  Only the doubled rows of the
-    current block are kept.  A cyclic group is the case |H| = 1, and B = 1.
+    ahead; member c reads it at row offset (c - c0) * |H|.  The run's
+    permutations, stacked, are read by one take.  Two ANDs, a popcount and
+    one sum per member and H-part then run over (R, k, words, B, |G|)
+    stacks, O(|G|^2 / 64) word work per d, and write the run's counts as one
+    strided view of the profile.  A run of one class runs the same ops on
+    (k, words, B, |G|) stacks, its members in batches of at most
+    _CHUNK_BYTES of words, and a run of one d on (words, B * |G|) arrays.
+    B is the widest aligned width at most min(|H|, _CHUNK_BYTES // (2 * the
+    bytes of a largest class's members)), at least 1: a block's members and
+    their row gather share the budget.  R is then the number of classes
+    whose members, in every H-part of a block, fit twice in the budget, at
+    least 1; so R > 1 holds every member of the run in one batch.  A run
+    holds classes with equally many members, the classes past the last one
+    with a member more than the others starting a new run, so no count is
+    written for a d past |G|.  Counts are kept by layout position and put in
+    element order once.  Only the doubled rows of the current block are
+    kept.  A cyclic group is the case |H| = 1, and B = 1.
     """
     group = A.group
     n = group.order
@@ -487,22 +516,25 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
     # a class has at most `most` members, whose c's step by period =
     # 64 / gcd(|H|, 64).  H-parts per block: the largest aligned width that
     # fits twice a largest class's member bytes in _CHUNK_BYTES, since a
-    # block's members and their row gather share it.  Members per batch: as
-    # many as fit in it, so a class of a block of two or more H-parts is one
+    # block's members and their row gather share it.  Classes per run: as
+    # many as fit twice, with their members in every H-part of a block, in
+    # what is left.  Members per batch: as many as fit in it, so a class of a
+    # block of two or more H-parts, or of a run of two or more classes, is one
     # batch
     period = 64 // math.gcd(nh, 64)
     most = -(-(n // nh) // period)
-    parts = _block_width(H, max(1, min(nh, _CHUNK_BYTES // (2 * 8 * words * n * most))))
-    chunk = max(1, min(most, _CHUNK_BYTES // (8 * words * n)))
-    both = np.empty((chunk, words, parts, n), dtype=np.uint64)
-    ones = np.empty((chunk, words, parts, n), dtype=np.uint8)
+    member = 8 * words * n
+    parts = _block_width(H, max(1, min(nh, _CHUNK_BYTES // (2 * member * most))))
+    run = max(1, _CHUNK_BYTES // (2 * member * most * parts))
+    chunk = max(1, min(most, _CHUNK_BYTES // member))
+    both = np.empty((run, chunk, words, parts, n), dtype=np.uint64)
+    ones = np.empty((run, chunk, words, parts, n), dtype=np.uint8)
     found = np.empty(n, dtype=np.int32)  # N by layout position c * |H| + h
-    grid = found.reshape(-1, nh)  # found[c * |H| + h] as grid[c, h]
     wide = packed[:, None]  # the rows against every H-part of a block
     # a class of one d: packed repeated once per H-part of a block, and the
     # AND and popcount buffers as (words, parts * |G|) arrays
     tiled = np.concatenate([packed] * parts, axis=1)
-    one, one_ones = both[0].reshape(words, -1), ones[0].reshape(words, -1)
+    one, one_ones = both[0, 0].reshape(words, -1), ones[0, 0].reshape(words, -1)
     # ahead[j, i] = index(element(i) + (0, j)) in L: a block starts at a
     # multiple of its aligned width, so the translation of H-part h + j by
     # (c, 0) is that of H-part h read through ahead[j]
@@ -511,43 +543,55 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
         ahead = layout.add_indices(np.arange(parts)[:, None], np.arange(layout.order))
 
     def classes():
-        """(h, cs, shifted rows of each c in cs): one item per shift class
-        and block, the rows of the block's H-parts h .. h + parts - 1 side by
-        side."""
+        """(h, c, shifted rows): one item per run of shift classes and block,
+        the run's first class that of c, the rows of the block's H-parts
+        h .. h + parts - 1 side by side."""
         for h, rows in _h_translations(packed, H, n, words, parts):
             doubled = _double_rows(rows, n, words)
-            for cs, views in _shifted_views(doubled, range(0, n, nh), words):
-                yield h, cs, views
+            for c, views in _shifted_views(doubled, range(0, n, nh), words, run):
+                yield h, c, views
 
-    def count_class(item: tuple[int, range, np.ndarray]) -> None:
-        h, cs, views = item
-        first = cs[0] * nh + h
-        step = cs.step * nh  # rows between members: x + d for c is row x + (c - c0) * |H|
-        span = n + (len(cs) - 1) * step
+    def count_class(item: tuple[int, int, np.ndarray]) -> None:
+        h, c, views = item
+        R, M = views.shape[:2]
+        first = c * nh + h
+        step = period * nh  # rows between members: x + d for c is row x + (c - c0) * |H|
+        span = n + (M - 1) * step
+        # one permutation per class, and the block's H-parts h + j of every
+        # class of the run gather their rows in one take
         perm = layout.translate_permutation(first)
-        # the block's H-parts h + j gather their rows in one take
-        index = perm[:span] if parts == 1 else perm.take(ahead[:, :span]).reshape(-1)
+        if R > 1:
+            more = [layout.translate_permutation(first + i * nh) for i in range(1, R)]
+            perm = np.array([perm] + more)
+        index = perm[..., :span] if parts == 1 else perm.take(ahead[:, :span], axis=-1)
         # an index of L read mod |G| is the packed row it stands for (_layout)
-        rows = packed.take(index, axis=1, mode="wrap")
-        if len(cs) == 1:
-            np.bitwise_and(views[0], tiled, out=one)
+        rows = packed.take(index.reshape(-1), axis=1, mode="wrap")
+        if R * M == 1:
+            np.bitwise_and(views[0, 0], tiled, out=one)
             np.bitwise_and(one, rows, out=one)
             np.bitwise_count(one, out=one_ones)
-            np.add.reduce(ones[0], axis=(0, 2), out=found[first : first + parts])
+            np.add.reduce(ones[0, 0], axis=(0, 2), out=found[first : first + parts])
             return
-        # (member, word, H-part, row) stacks; H-part j of member i reads the
-        # gather from column j * span + i * step
-        views = views.reshape(len(cs), words, parts, n)
-        strides = (8 * step, rows.strides[0], 8 * span, 8)
+        # (class, member, word, H-part, row) stacks, with no class axis for a
+        # run of one class; H-part j of member i of class k reads the gather
+        # from column (k * parts + j) * span + i * step, and its count goes to
+        # found[first + k * |H| + i * step + j]
+        lead = (R, M) if R > 1 else (M,)
+        views = views.reshape(lead + (words, parts, n))
+        strides = (8 * parts * span, 8 * step, rows.strides[0], 8 * span, 8)[-views.ndim :]
         gathered = np.ndarray(views.shape, np.uint64, rows, 0, strides)
-        for lo in range(0, len(cs), chunk):
-            k = min(chunk, len(cs) - lo)
-            out, counts = both[:k], ones[:k]
-            np.bitwise_and(views[lo : lo + k], wide, out=out)
-            np.bitwise_and(out, gathered[lo : lo + k], out=out)
-            np.bitwise_count(out, out=counts)
-            c = cs[lo]
-            np.add.reduce(counts, axis=(1, 3), out=grid[c : c + k * cs.step : cs.step, h : h + parts])
+        strides = (4 * nh, 4 * step, 4)[-len(lead) - 1 :]
+        counted = np.ndarray(lead + (parts,), np.int32, found, 4 * first, strides)
+        # a run of several classes is one batch, and one class runs its
+        # members in batches of chunk
+        out, bits, batch = (both[:R, :M], ones[:R, :M], R) if R > 1 else (both[0], ones[0], chunk)
+        for lo in range(0, len(views), batch):
+            k = min(batch, len(views) - lo)
+            anded, counts = out[:k], bits[:k]
+            np.bitwise_and(views[lo : lo + k], wide, out=anded)
+            np.bitwise_and(anded, gathered[lo : lo + k], out=anded)
+            np.bitwise_count(anded, out=counts)
+            np.add.reduce(counts, axis=(-3, -1), out=counted[lo : lo + k])
 
     deterministic_map(count_class, classes())
     counts = np.empty_like(found)
@@ -680,32 +724,71 @@ def integer_corner_scan(bits: np.ndarray, rho: RationalLike = Fraction(1, 4)) ->
     back to a signed integer of magnitude below rho*n; on Z_n that set is
     the interval +-1 .. +-E, E = ceil(rho*n) - 1, listed without building it.
     Corners are then counted directly on the grid, which silently drops every
-    triple that would wrap around an edge: the shifted rows (views from
-    _shifted_views) read zero words past column n-1, and slicing the row
-    axis drops the triples that leave the grid on the other side.
+    triple that would wrap around an edge: the shifted rows S_e (views from
+    _shifted_views) read zero words past column n-1, and zero rows past the
+    grid drop the triples that leave it on the other side.
+
+    The shifts e = 1 .. E come in runs of residue classes mod 64, as many
+    classes as fit four times, with all their members, in _CHUNK_BYTES; a
+    class of more members than fit runs them in batches.  Each batch
+    computes T_e = S_e & rows once per e, into a buffer with E zero rows on
+    either side, and reads N(e) as the popcount of rows[x] & T_e[x - e] and
+    N(-e) as that of S_e[x] & T_e[x + e]: windows of T_e, evenly spaced over
+    the batch, so one AND, popcount and sum per sign count every e of it.
+    Rows x >= n - e0, e0 the batch's smallest e, hold no corner of any of its
+    shifts, and are left out.
     """
     bits = check_bits(bits, "bit matrix", ("n", "n"))
     n = check_int(bits.shape[0], "grid side", 2)
     r = check_rational(rho, "rho", "(0, 1/4]")
     candidates = _signed_candidates(n, r)
+    E = max(candidates, default=0)
     words = -(-n // 64)
     padded = _pack_rows(bits, 2 * words)
     rows = padded[:words]
-    both = np.empty(words * n, dtype=np.uint64)
-    ones = np.empty(words * n, dtype=np.uint8)
-    profile = dict.fromkeys(candidates, 0)
-    # the candidates are +-1 .. +-E, so each shift by e serves d = e and d = -e
-    for members, views in _shifted_views(padded, range(1, max(candidates, default=0) + 1), words):
-        for i, shifted in zip(members, views):
-            e = i + 1
-            size = words * (n - e)
-            block = both[:size].reshape(words, n - e)
-            np.bitwise_and(rows[:, : n - e], shifted[:, : n - e], out=block)
-            np.bitwise_and(block, rows[:, e:], out=block)
-            profile[e] = int(np.bitwise_count(both[:size], out=ones[:size]).sum(dtype=np.int32))
-            np.bitwise_and(shifted[:, e:], rows[:, e:], out=block)
-            np.bitwise_and(block, shifted[:, : n - e], out=block)
-            profile[-e] = int(np.bitwise_count(both[:size], out=ones[:size]).sum(dtype=np.int32))
+    # the shifts 1 .. E in runs of classes, whose members step by 64: as many
+    # classes as fit four times, with all their members, in _CHUNK_BYTES, and
+    # the members of one class in batches of as many as fit four times in it.
+    # A batch's shifted rows, T_e's and AND output take three times its
+    # members' bytes; four times ran faster than twice at Z384, rho 1/8, and
+    # level with it at Z512, rho 1/4
+    member = 8 * words * n
+    most = max(1, -(-E // 64))
+    run = max(1, _CHUNK_BYTES // (4 * member * most))
+    chunk = max(1, min(most, _CHUNK_BYTES // (4 * member)))
+    # T_e = S_e & rows for each shift e of a batch, with E zero rows on
+    # either side of its n rows
+    pairs = np.zeros((run, chunk, words, E + n + E), dtype=np.uint64)
+    both = np.empty(run * chunk * words * n, dtype=np.uint64)
+    ones = np.empty(run * chunk * words * n, dtype=np.uint8)
+    counted = np.zeros((2, E + 1), dtype=np.int32)  # N(e) and N(-e) at e
+    for first, views in _shifted_views(padded, range(1, E + 1), words, run):
+        R, M = views.shape[:2]
+        for lo in range(0, M, chunk):
+            k = min(chunk, M - lo)
+            # item [i, j] of the batch shifts by e + i + 64 j, so a corner of
+            # any of its shifts starts in one of m = n - e rows
+            e = first + 1 + 64 * lo
+            m = n - e
+            shifted = views[:, lo : lo + k]
+            np.bitwise_and(shifted, rows, out=pairs[:R, :k, :, E : E + n])
+            out = both[: R * k * words * m].reshape(R, k, words, m)
+            tally = ones[: out.size].reshape(out.shape)
+            at = np.ndarray((2, R, k), np.int32, counted, 4 * e, (counted.strides[0], 4, 256))
+            # +e counts rows[x] & T_e[x - e] from x = e on, and -e counts
+            # S_e[x] & T_e[x + e] from x = 0 on: windows of T_e's zero rows
+            strides = (pairs.strides[0] - 8, pairs.strides[1] - 512, pairs.strides[2], 8)
+            window = np.ndarray(out.shape, np.uint64, pairs, 8 * E, strides)
+            np.bitwise_and(rows[:, e:], window, out=out)
+            np.bitwise_count(out, out=tally)
+            np.add.reduce(tally, axis=(2, 3), out=at[0])
+            strides = (pairs.strides[0] + 8, pairs.strides[1] + 512, pairs.strides[2], 8)
+            window = np.ndarray(out.shape, np.uint64, pairs, 8 * (E + e), strides)
+            np.bitwise_and(shifted[..., :m], window, out=out)
+            np.bitwise_count(out, out=tally)
+            np.add.reduce(tally, axis=(2, 3), out=at[1])
+    plus, minus = counted
+    profile = dict(zip(candidates, plus[1:].tolist() + minus[:0:-1].tolist()))
     # candidate order follows element enumeration, so the first maximum wins;
     # with no nonzero candidate at this radius the scan reports d = 0, count 0
     best_d = max(candidates, key=profile.__getitem__, default=0)

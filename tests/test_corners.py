@@ -140,6 +140,12 @@ def test_roll_reference_equals_the_naive_oracle(moduli):
         # classes of 4 d's, stepped by 8, all 8 H-parts in one block, a digit
         # of order 6 straddling words inside a block, and blocks of 2
         "Z16xZ16", "Z8xZ8", "Z6xZ10", "Z2xZ4xZ48",
+        # runs of residue classes: cyclic runs whose classes hold one member
+        # fewer past a residue (Z96, Z100, Z160), runs of one-member classes
+        # (Z16, Z60), products with a run of several classes per block, and
+        # runs cut where the classes' first offsets pass 64 bits (Z10xZ10, Z5^3)
+        "Z96", "Z100", "Z160", "Z16", "Z60", "Z2xZ64", "Z4xZ24", "Z4xZ32", "Z10xZ10",
+        "Z5xZ5xZ5",
     ],
 )
 def test_profile_equals_roll_reference(spec):
@@ -158,9 +164,10 @@ def test_profile_edge_inputs_on_product_groups(spec):
 
 
 @pytest.mark.parametrize("budget", [1, 64 * 2**20])
-@pytest.mark.parametrize("spec", ["Z6", "Z2xZ4", "Z6xZ10", "Z3xZ3xZ3xZ3"])
+@pytest.mark.parametrize("spec", ["Z6", "Z2xZ4", "Z6xZ10", "Z3xZ3xZ3xZ3", "Z16", "Z60", "Z100"])
 def test_profile_matches_naive_oracle_at_either_chunk_extreme(monkeypatch, budget, spec):
-    # budget 1 counts one d per chunk; 64 MiB counts each shift class in one chunk
+    # budget 1 counts one d per chunk; 64 MiB counts each shift class in one
+    # chunk, and every class of a block in one run
     monkeypatch.setattr(corners, "_CHUNK_BYTES", budget)
     A = seeded_set(spec, 0.5, 5)
     assert np.array_equal(corner_count_by_difference(A).counts, corner_count_naive(A).counts)
@@ -170,8 +177,8 @@ def test_profile_matches_naive_oracle_at_either_chunk_extreme(monkeypatch, budge
 @pytest.mark.parametrize(
     "spec",
     # Z128: classes of two d's; the others: up to 12 d's a class, cyclic or on one
-    # or two H-digits
-    ["Z128", "Z512", "Z8xZ63", "Z16xZ48", "Z2xZ4xZ64"],
+    # or two H-digits; Z96 and Z160: classes of unequal size
+    ["Z128", "Z512", "Z8xZ63", "Z16xZ48", "Z2xZ4xZ64", "Z96", "Z160"],
 )
 def test_profile_matches_roll_reference_at_either_chunk_extreme(monkeypatch, budget, spec):
     monkeypatch.setattr(corners, "_CHUNK_BYTES", budget)
@@ -293,12 +300,83 @@ def test_profile_blocks_hold_twice_a_class_within_the_budget(monkeypatch, spec, 
         assert np.array_equal(H.add_indices(h, np.arange(width)), h + np.arange(width))
 
 
+@pytest.mark.parametrize(
+    "spec, runs",
+    [
+        # cyclic: runs of up to 64 residue classes, as many as fit twice with
+        # their members in _CHUNK_BYTES, each run holding classes of one size
+        ("Z6", [(1, 6, 1)]),
+        ("Z64", [(1, 64, 1)]),
+        ("Z96", [(1, 32, 2), (1, 32, 1)]),
+        ("Z160", [(1, 22, 3), (1, 10, 3), (1, 22, 2), (1, 10, 2)]),
+        ("Z256", [(1, 8, 4)] * 8),
+        ("Z384", [(1, 2, 6)] * 32),
+        ("Z512", [(1, 1, 8)] * 64),
+        # products: runs where a block of all of H leaves room, and runs cut
+        # where the first offsets pass 64 bits; Z16xZ16 keeps one class a run
+        ("Z8xZ8", [(8, 8, 1)]),
+        ("Z4xZ24", [(4, 8, 2), (4, 8, 1)]),
+        ("Z2xZ64", [(2, 32, 2)]),
+        ("Z4xZ32", [(4, 16, 2)]),
+        ("Z10xZ10", [(10, 7, 1), (10, 3, 1)]),
+        ("Z16xZ16", [(8, 1, 4)] * 8),
+    ],
+)
+def test_profile_runs_hold_twice_their_members_within_the_budget(monkeypatch, spec, runs):
+    # (H-parts per block, classes per run, members per class) of each run
+    shifted_views, seen = corners._shifted_views, []
+
+    def recorded(rows, offsets, words, run):
+        for first, views in shifted_views(rows, offsets, words, run):
+            seen.append((views.shape[-1] // n, *views.shape[:2]))
+            yield first, views
+
+    A = seeded_set(spec, 0.5, 9)
+    n = A.group.order
+    monkeypatch.setattr(corners, "_shifted_views", recorded)
+    counts = corner_count_by_difference(A).counts
+    assert seen == runs
+    monkeypatch.undo()
+    assert np.array_equal(counts, roll_profile(A))
+
+
+@pytest.mark.parametrize(
+    "spec, budget, shapes",
+    [
+        # one class a run: its members in batches of as many as fit in
+        # _CHUNK_BYTES, as 4-D stacks, and a class of one d as 2-D arrays
+        ("Z512", 2**19, [(8, 8, 1, 512)] * 64),
+        ("Z512", 2**17, [(4, 8, 1, 512)] * 128),
+        ("Z6", 1, [(1, 6)] * 6),
+        ("Z3xZ3xZ3xZ3xZ3", 2**19, [(4, 27 * 243)] * 9),
+        # a run of several classes: one 5-D stack
+        ("Z6", 2**19, [(6, 1, 1, 1, 6)]),
+        ("Z256", 2**19, [(8, 4, 4, 1, 256)] * 8),
+        ("Z4xZ24", 2**19, [(8, 2, 2, 4, 96), (8, 1, 2, 4, 96)]),
+    ],
+)
+def test_profile_counts_a_run_of_one_class_by_its_member_batches(monkeypatch, spec, budget, shapes):
+    monkeypatch.setattr(corners, "_CHUNK_BYTES", budget)
+    popcount, seen = np.bitwise_count, []
+
+    def recorded(words, out):
+        seen.append(out.shape)
+        return popcount(words, out=out)
+
+    A = seeded_set(spec, 0.5, 13)
+    monkeypatch.setattr(np, "bitwise_count", recorded)
+    counts = corner_count_by_difference(A).counts
+    monkeypatch.undo()
+    assert seen == shapes
+    assert np.array_equal(counts, roll_profile(A))
+
+
 def test_profile_raises_when_n0_is_not_the_set_size(monkeypatch):
     shifted_views = corners._shifted_views
 
-    def zero_views(rows, offsets, words):
-        for members, views in shifted_views(rows, offsets, words):
-            yield members, np.zeros_like(views)
+    def zero_views(rows, offsets, words, run):
+        for first, views in shifted_views(rows, offsets, words, run):
+            yield first, np.zeros_like(views)
 
     monkeypatch.setattr(corners, "_shifted_views", zero_views)
     with pytest.raises(BoundViolation):
@@ -321,9 +399,10 @@ def shifted_reference(rows, e, words):
     st.integers(1, 4),
     st.integers(1, 5),
     st.sampled_from(["any step", "zscan", "one residue", "multiples of 64", "last slab"]),
+    st.integers(1, 70),
     st.data(),
 )
-def test_shifted_views_equal_a_python_int_reference(words, extra, cols, kind, data):
+def test_shifted_views_equal_a_python_int_reference(words, extra, cols, kind, run, data):
     # rows hold words + extra slabs, so every offset below 64 * extra has its
     # window and carry word inside them; 64 * extra - 1 reaches the last slab
     span = 64 * extra
@@ -342,14 +421,22 @@ def test_shifted_views_equal_a_python_int_reference(words, extra, cols, kind, da
         offsets = range(span - 1 - step * data.draw(st.integers(0, (span - 1) // step)), span, step)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
     rows = rng.integers(0, 2**64, size=(words + extra, cols), dtype=np.uint64)
+    period = 64 // math.gcd(offsets.step, 64)
     seen = []
-    for members, views in corners._shifted_views(rows, offsets, words):
-        # one class per item: its offsets share one bit residue
-        assert len({offsets[i] % 64 for i in members}) == 1
-        assert views.shape == (len(members), words, cols)
-        for i, view in zip(members, views):
-            seen.append(i)
-            assert np.array_equal(view, shifted_reference(rows, offsets[i], words))
+    for first, views in corners._shifted_views(rows, offsets, words, run):
+        # a run: at most `run` consecutive classes of one bit residue each,
+        # all with as many members, whose first offsets lie within 64 bits of
+        # the first one's slab
+        R, members = views.shape[:2]
+        assert 1 <= R <= run and views.shape[2:] == (words, cols)
+        assert offsets[first + R - 1] - offsets[first] // 64 * 64 <= 64
+        for i in range(R):
+            mine = range(first + i, len(offsets), period)
+            assert len(mine) == members
+            assert len({offsets[j] % 64 for j in mine}) == 1
+            for j, view in zip(mine, views[i]):
+                seen.append(j)
+                assert np.array_equal(view, shifted_reference(rows, offsets[j], words))
     assert sorted(seen) == list(range(len(offsets)))
 
 
@@ -926,6 +1013,40 @@ def test_integer_scan_equals_grid_slices_where_residues_repeat(n, rho):
     assert scan.profile == {d: grid_count(bits, d) for d in scan.profile}
     best = max(scan.profile, key=scan.profile.__getitem__)
     assert (scan.difference, scan.count) == (best, scan.profile[best])
+
+
+@pytest.mark.parametrize("budget", [1, 64 * 2**20])
+@pytest.mark.parametrize("n, rho", [(2, Fraction(1, 4)), (40, Fraction(1, 4)), (63, Fraction(1, 8)),
+                                    (70, Fraction(1, 4))])
+def test_integer_scan_matches_naive_at_either_chunk_extreme(monkeypatch, budget, n, rho):
+    # budget 1 counts one shift per batch; 64 MiB counts every class of the
+    # shifts 1 .. E in one run, all of its members in one batch
+    monkeypatch.setattr(corners, "_CHUNK_BYTES", budget)
+    bits = np.random.default_rng(n).random((n, n)) < 0.45
+    assert integer_corner_scan(bits, rho=rho) == integer_corner_scan_naive(bits, rho=rho)
+
+
+@pytest.mark.parametrize("budget", [1, 2**19, 64 * 2**20])
+@pytest.mark.parametrize("n", [320, 520])
+def test_integer_scan_equals_grid_slices_on_classes_of_unequal_size(monkeypatch, budget, n):
+    # rho = 1/4: E = 79 and 129, so the shifts' residues hold one to three
+    # members, and the residue of 64 starts a word later than the others
+    monkeypatch.setattr(corners, "_CHUNK_BYTES", budget)
+    bits = np.random.default_rng(n + 1).random((n, n)) < 0.45
+    scan = integer_corner_scan(bits)
+    assert max(scan.profile) >= 64
+    assert scan.profile == {d: grid_count(bits, d) for d in scan.profile}
+
+
+@pytest.mark.cap
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_integer_scan_equals_grid_slices_at_the_largest_sides(n):
+    # no oracle runs at these sides but the grid slices: the rows of one
+    # shift fill the batch budget (n = 2048) or exceed it (n = 4096), so
+    # every batch is one shift
+    bits = np.random.default_rng(n).random((n, n)) < 0.45
+    scan = integer_corner_scan(bits)
+    assert scan.profile == {d: grid_count(bits, d) for d in scan.profile}
 
 
 def test_integer_scan_candidates_are_the_bohr_set_interval():

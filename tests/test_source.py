@@ -96,8 +96,8 @@ def test_cli_reaches_the_solver_only_through_the_sweep():
 
 def test_profile_and_scan_shift_through_one_helper():
     # every shift of packed rows goes through corners._shifted_views, once
-    # per shift class (one bit residue of the offsets), so no per-difference
-    # shift path comes back
+    # per run of residue classes (bit residues of the offsets), so no
+    # per-difference shift path comes back
     path = Path(cornerlab.__file__).parent / "corners.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     stale = {"_shift_rows", "_valid_count"}

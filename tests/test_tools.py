@@ -4,6 +4,8 @@ import importlib.util
 import shutil
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -26,8 +28,25 @@ def test_profile_ab_times_one_tree_against_itself(capsys):
         assert parent > 0 and change > 0 and ratio > 0
 
 
+def test_profile_ab_times_a_scan_of_one_tree_against_itself(capsys):
+    # an item Zn@rho times integer_corner_scan on a grid of side n
+    argv = [str(ROOT), str(ROOT), "Z70@1/4", "--rounds", "2", "--repeats", "2"]
+    status = _profile_ab().main(argv)
+    assert status == 0
+    header, line = capsys.readouterr().out.splitlines()
+    assert line.split()[0] == "Z70@1/4"
+    parent, change, ratio = map(float, line.split()[1:])
+    assert parent > 0 and change > 0 and ratio > 0
+
+
+def test_profile_ab_refuses_a_scan_on_a_group_of_rank_two():
+    with pytest.raises(SystemExit):
+        _profile_ab().main([str(ROOT), str(ROOT), "Z4xZ4@1/4", "--rounds", "1", "--repeats", "1"])
+
+
 def test_profile_ab_refuses_trees_whose_counts_differ(tmp_path, capsys):
-    # a copy of the sources whose profile adds one corner at the last d
+    # a copy of the sources whose profile adds one corner at the last d, and
+    # whose scan one at the last candidate
     shutil.copytree(ROOT / "src" / "cornerlab", tmp_path / "src" / "cornerlab",
                     ignore=shutil.ignore_patterns("__pycache__"))
     with open(tmp_path / "src" / "cornerlab" / "corners.py", "a") as fh:
@@ -37,7 +56,16 @@ def test_profile_ab_refuses_trees_whose_counts_differ(tmp_path, capsys):
             "    counts = _exact(A).counts.copy()\n"
             "    counts[-1] += 1\n"
             "    return CornerProfile(A.group, counts)\n"
+            "\n\n_scan = integer_corner_scan\n\n\n"
+            "def integer_corner_scan(bits, rho):\n"
+            "    scan = _scan(bits, rho)\n"
+            "    scan.profile[-1] += 1\n"
+            "    return scan\n"
         )
-    status = _profile_ab().main([str(ROOT), str(tmp_path), "Z6", "--rounds", "1", "--repeats", "1"])
+    argv = [str(ROOT), str(tmp_path), "Z6", "Z70@1/4", "--rounds", "1", "--repeats", "1"]
+    status = _profile_ab().main(argv)
     assert status == 1
-    assert capsys.readouterr().out.splitlines()[1].split() == ["Z6", "counts", "differ"]
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split() for line in lines] == [
+        ["Z6", "counts", "differ"], ["Z70@1/4", "counts", "differ"]
+    ]
