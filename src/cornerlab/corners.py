@@ -39,10 +39,13 @@ broadcast shift over a stack of shift amounts, and counted as one stack, R
 being as many classes as fit twice, with their members in every H-part of
 the block, in what the budget leaves; so a group of small classes, cyclic
 ones up to Z256, counts up to 64 classes at a time, and one whose classes
-are large counts one.  A d costs O(|G|^2 / 64) word work and a class one
-row gather per block, after one O(|G|^2) byte gather per profile; a cyclic
-group is the case |H| = 1.  A literal triple loop serves as the oracle the
-packed path is checked against.
+are large counts one.  Every run, of one class or many and of one d or
+many, is counted by the same ops on one (R, M, words, B, |G|) stack, the
+members of a class too large for the budget in batches that fit it.  A d
+costs O(|G|^2 / 64) word work and a class one row gather per block, after
+one O(|G|^2) byte gather per profile; a cyclic group is the case |H| = 1.
+A literal triple loop serves as the oracle the packed path is checked
+against.
 
 Weighted counts integrate the profile against a mean-one measure nu on the
 differences, which equals the triple integral over the hyperplane
@@ -491,9 +494,9 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
     permutations, stacked, are read by one take.  Two ANDs, a popcount and
     one sum per member and H-part then run over (R, k, words, B, |G|)
     stacks, O(|G|^2 / 64) word work per d, and write the run's counts as one
-    strided view of the profile.  A run of one class runs the same ops on
-    (k, words, B, |G|) stacks, its members in batches of at most
-    _CHUNK_BYTES of words, and a run of one d on (words, B * |G|) arrays.
+    strided view of the profile.  Every run counts through these ops, of
+    one class or many and of one d or many, k of its M members at a time:
+    a run of one class in batches of at most _CHUNK_BYTES of words.
     B is the widest aligned width at most min(|H|, _CHUNK_BYTES // (2 * the
     bytes of a largest class's members)), at least 1: a block's members and
     their row gather share the budget.  R is then the number of classes
@@ -531,10 +534,6 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
     ones = np.empty((run, chunk, words, parts, n), dtype=np.uint8)
     found = np.empty(n, dtype=np.int32)  # N by layout position c * |H| + h
     wide = packed[:, None]  # the rows against every H-part of a block
-    # a class of one d: packed repeated once per H-part of a block, and the
-    # AND and popcount buffers as (words, parts * |G|) arrays
-    tiled = np.concatenate([packed] * parts, axis=1)
-    one, one_ones = both[0, 0].reshape(words, -1), ones[0, 0].reshape(words, -1)
     # ahead[j, i] = index(element(i) + (0, j)) in L: a block starts at a
     # multiple of its aligned width, so the translation of H-part h + j by
     # (c, 0) is that of H-part h read through ahead[j]
@@ -566,32 +565,22 @@ def corner_count_by_difference(A: PlaneSet) -> CornerProfile:
         index = perm[..., :span] if parts == 1 else perm.take(ahead[:, :span], axis=-1)
         # an index of L read mod |G| is the packed row it stands for (_layout)
         rows = packed.take(index.reshape(-1), axis=1, mode="wrap")
-        if R * M == 1:
-            np.bitwise_and(views[0, 0], tiled, out=one)
-            np.bitwise_and(one, rows, out=one)
-            np.bitwise_count(one, out=one_ones)
-            np.add.reduce(ones[0, 0], axis=(0, 2), out=found[first : first + parts])
-            return
-        # (class, member, word, H-part, row) stacks, with no class axis for a
-        # run of one class; H-part j of member i of class k reads the gather
-        # from column (k * parts + j) * span + i * step, and its count goes to
-        # found[first + k * |H| + i * step + j]
-        lead = (R, M) if R > 1 else (M,)
-        views = views.reshape(lead + (words, parts, n))
-        strides = (8 * parts * span, 8 * step, rows.strides[0], 8 * span, 8)[-views.ndim :]
+        # (class, member, word, H-part, row) stacks: H-part j of member i of
+        # class k reads the gather from column (k * parts + j) * span + i *
+        # step, and its count goes to found[first + k * |H| + i * step + j]
+        views = views.reshape(R, M, words, parts, n)
+        strides = (8 * parts * span, 8 * step, rows.strides[0], 8 * span, 8)
         gathered = np.ndarray(views.shape, np.uint64, rows, 0, strides)
-        strides = (4 * nh, 4 * step, 4)[-len(lead) - 1 :]
-        counted = np.ndarray(lead + (parts,), np.int32, found, 4 * first, strides)
-        # a run of several classes is one batch, and one class runs its
-        # members in batches of chunk
-        out, bits, batch = (both[:R, :M], ones[:R, :M], R) if R > 1 else (both[0], ones[0], chunk)
-        for lo in range(0, len(views), batch):
-            k = min(batch, len(views) - lo)
-            anded, counts = out[:k], bits[:k]
-            np.bitwise_and(views[lo : lo + k], wide, out=anded)
-            np.bitwise_and(anded, gathered[lo : lo + k], out=anded)
+        counted = np.ndarray((R, M, parts), np.int32, found, 4 * first, (4 * nh, 4 * step, 4))
+        # members in batches of chunk; a run of several classes is one batch,
+        # since chunk is then most
+        for lo in range(0, M, chunk):
+            k = min(chunk, M - lo)
+            anded, counts = both[:R, :k], ones[:R, :k]
+            np.bitwise_and(views[:, lo : lo + k], wide, out=anded)
+            np.bitwise_and(anded, gathered[:, lo : lo + k], out=anded)
             np.bitwise_count(anded, out=counts)
-            np.add.reduce(counts, axis=(-3, -1), out=counted[lo : lo + k])
+            np.add.reduce(counts, axis=(-3, -1), out=counted[:, lo : lo + k])
 
     deterministic_map(count_class, classes())
     counts = np.empty_like(found)

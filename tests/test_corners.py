@@ -344,11 +344,13 @@ def test_profile_runs_hold_twice_their_members_within_the_budget(monkeypatch, sp
     "spec, budget, shapes",
     [
         # one class a run: its members in batches of as many as fit in
-        # _CHUNK_BYTES, as 4-D stacks, and a class of one d as 2-D arrays
-        ("Z512", 2**19, [(8, 8, 1, 512)] * 64),
-        ("Z512", 2**17, [(4, 8, 1, 512)] * 128),
-        ("Z6", 1, [(1, 6)] * 6),
-        ("Z3xZ3xZ3xZ3xZ3", 2**19, [(4, 27 * 243)] * 9),
+        # _CHUNK_BYTES, on the same 5-D stacks as a run of several, a class
+        # of one d included
+        ("Z512", 2**19, [(1, 8, 8, 1, 512)] * 64),
+        ("Z512", 2**17, [(1, 4, 8, 1, 512)] * 128),
+        ("Z6", 1, [(1, 1, 1, 1, 6)] * 6),
+        ("Z3xZ3xZ3xZ3xZ3", 2**19, [(1, 1, 4, 27, 243)] * 9),
+        ("Z9xZ9xZ9", 2**19, [(1, 1, 12, 3, 729)] * 243),
         # a run of several classes: one 5-D stack
         ("Z6", 2**19, [(6, 1, 1, 1, 6)]),
         ("Z256", 2**19, [(8, 4, 4, 1, 256)] * 8),
@@ -731,13 +733,15 @@ def test_profile_keeps_every_count_under_transposition_translation_and_units(spe
 @pytest.mark.parametrize(
     "spec, seed",
     [("x".join(["Z2"] * 11), 44), ("Z4096", 45), ("Z64xZ64", 46), ("x".join(["Z2"] * 12), 47),
-     ("x".join(["Z4"] * 6), 48), ("x".join(["Z8"] * 4), 49)],
-    ids=["Z2^11", "Z4096", "Z64xZ64", "Z2^12", "Z4^6", "Z8^4"],
+     ("x".join(["Z4"] * 6), 48), ("x".join(["Z8"] * 4), 49), ("x".join(["Z3"] * 7), 50)],
+    ids=["Z2^11", "Z4096", "Z64xZ64", "Z2^12", "Z4^6", "Z8^4", "Z3^7"],
 )
 def test_profile_meets_the_complement_identity_up_to_the_cap(spec, seed):
     # the identity at the largest orders (two profiles each), where Z4^6 and
-    # Z8^4 step digits of orders 4 and 8 whose strides are whole words: the
-    # cap marker keeps it out of the default run, and `pytest -m cap` runs it
+    # Z8^4 step digits of orders 4 and 8 whose strides are whole words, and
+    # Z3^7, the largest F_3^n under the cap, counts 2,187 runs of one class
+    # of one d: the cap marker keeps it out of the default run, and
+    # `pytest -m cap` runs it
     A = seeded_set(spec, 0.3, seed)
     _check_complement_identity(A, corner_count_by_difference(A).counts)
 

@@ -354,10 +354,11 @@ def test_corners_imports_nothing_from_bohr():
 
 
 def test_the_profile_has_one_counting_body():
-    # every class of corner_count_by_difference, of one H-part or a block of
-    # them, of one d or many, counts in count_class: it is the one function
-    # nested in the profile that popcounts, and the only other popcount of
-    # corners.py is the grid scan's
+    # every run of corner_count_by_difference, of one class or many, of one
+    # H-part or a block of them, of one d or many, counts in count_class: it
+    # is the one function nested in the profile that popcounts, through one
+    # call, and the only other popcount of corners.py is the grid scan's; no
+    # plane of the packed rows repeated per H-part is built beside it
     path = Path(cornerlab.__file__).parent / "corners.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     counting = sorted(
@@ -380,3 +381,13 @@ def test_the_profile_has_one_counting_body():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "deterministic_map"
     ]
     assert getattr(mapped.args[0], "id", None) == "count_class"
+    (body,) = [
+        fn for fn in ast.walk(profile)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "count_class"
+    ]
+    popcounts = [
+        node for node in ast.walk(body)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "bitwise_count"
+    ]
+    assert len(popcounts) == 1
+    assert "tiled" not in _names(path)
